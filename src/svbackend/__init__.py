@@ -26,9 +26,7 @@ from .scoring import (
     LanguageOffset,
     ScoringMode,
     SnormStats,
-    TrialScore,
     adaptive_snorm,
-    build_enrollment_model,
     estimate_alpha,
     language_dependent_snorm,
     score_trials,
@@ -60,7 +58,6 @@ __all__ = [
     "SnormStats",
     "SpeakerInfo",
     "SyntheticCorpus",
-    "TrialScore",
     "UtteranceInventory",
     "aam_grad",
     "aam_loss",
@@ -68,7 +65,6 @@ __all__ = [
     "adaptive_snorm",
     "apply_calibration",
     "average_embedding",
-    "build_enrollment_model",
     "classify",
     "cosine",
     "eer",

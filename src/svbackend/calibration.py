@@ -55,7 +55,9 @@ def fit_calibration(scores: ScoreSet, trained_on: str = "") -> CalibrationModel:
 
     Maximizes the L2-regularized binary log-likelihood; the penalty bounds
     |a| on perfectly separated data.  Deterministic: fixed start at (0, 0),
-    step-halving on any objective increase, stop at gradient norm < 1e-9.
+    step-halving on any objective increase, stop at gradient norm < 1e-9 or
+    after a full step once the Newton decrement is within a few ulps of the
+    objective (where step-halving can no longer measure progress).
 
     Raises:
         DegenerateLabels: only one class present.
@@ -78,6 +80,11 @@ def fit_calibration(scores: ScoreSet, trained_on: str = "") -> CalibrationModel:
         w = p * (1.0 - p)
         hess = design.T @ (design * w[:, None]) + L2_PENALTY * np.eye(2)
         step = np.linalg.solve(hess, grad)
+        # a Newton decrement within a few ulps of the objective is a decrease
+        # step halving cannot measure; this close the full step is exact
+        if float(grad @ step) <= 4 * np.spacing(abs(obj)):
+            theta = theta - step
+            break
         # damped Newton: halve until the objective stops increasing
         scale = 1.0
         for _ in range(60):

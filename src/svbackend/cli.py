@@ -163,12 +163,13 @@ def cmd_lid_train(args) -> None:
 def cmd_lid_classify(args) -> None:
     gb = formats.read_gb_model(args.model)
     embeddings = formats.read_embeddings(args.embeddings)
-    decisions = {}
-    for e in embeddings:
-        language, llr = classify(gb, e, tau=args.threshold)
-        decisions[e.utt_id] = (language, llr)
+    is_english, llrs = classify(gb, [e.vec for e in embeddings], tau=args.threshold)
+    decisions = {
+        e.utt_id: (Language.ENGLISH if en else Language.FARSI, llr)
+        for e, en, llr in zip(embeddings, is_english.tolist(), llrs.tolist())
+    }
     formats.write_lid_decisions(args.out, decisions)
-    n_en = sum(1 for lang, _ in decisions.values() if lang is Language.ENGLISH)
+    n_en = int(is_english.sum())
     print(f"classified {len(decisions)} utterances ({n_en} English) to {args.out}")
 
 
@@ -205,7 +206,7 @@ def cmd_score(args, parser: argparse.ArgumentParser) -> None:
     if args.lid:
         lid_decisions = {u: lang for u, (lang, _) in formats.read_lid_decisions(args.lid).items()}
 
-    results = score_trials(
+    scored = score_trials(
         trials,
         enrollment_map,
         embeddings,
@@ -216,13 +217,9 @@ def cmd_score(args, parser: argparse.ArgumentParser) -> None:
         top_n=args.top_n,
     )
     score_set = ScoreSet(
-        keys=tuple((r.model_id, r.test_utt_id) for r in results),
-        scores=np.array([r.normalized for r in results]),
-        labels=(
-            np.array([labels[(r.model_id, r.test_utt_id)] for r in results])
-            if labels is not None
-            else None
-        ),
+        keys=tuple(trials),
+        scores=scored["normalized"],
+        labels=np.array([labels[t] for t in trials]) if labels is not None else None,
     )
     formats.write_scores(args.out, score_set)
     print(f"scored {len(score_set)} trials in mode {mode.value} to {args.out}")

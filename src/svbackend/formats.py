@@ -88,13 +88,23 @@ def _parse_vec(text: str, where: str) -> np.ndarray:
 
 def _data_lines(path: Path, fmt: str):
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        _parse_header(header, fmt)
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            yield line
+        try:
+            header = fh.readline()
+            _parse_header(header, fmt)
+            for raw in fh:
+                line = raw.rstrip("\n")
+                if not line or line.startswith("#"):
+                    continue
+                yield line
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not valid UTF-8: {exc.reason}") from None
+
+
+def _utf8(raw: bytes, where: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{where} is not valid UTF-8: {exc.reason}") from None
 
 
 def _open_out(path) -> Path:
@@ -197,7 +207,7 @@ def write_embeddings_binary(path, embeddings: Sequence[Embedding]):
 def read_embeddings_binary(path) -> list[Embedding]:
     p = Path(path)
     with open(p, "rb") as fh:
-        header = fh.readline().decode("utf-8")
+        header = _utf8(fh.readline(), f"header of {p}")
         _parse_header(header, "embeddings-bin")
         payload = fh.read()
 
@@ -220,7 +230,7 @@ def read_embeddings_binary(path) -> list[Embedding]:
     strings = []
     for _ in range(n_strings):
         (slen,) = struct.unpack("<I", take(4, "string length"))
-        strings.append(take(slen, "string").decode("utf-8"))
+        strings.append(_utf8(take(slen, "string"), f"string table of {p}"))
     domains = list(Domain)
     languages = list(Language)
     out = []
@@ -535,11 +545,11 @@ def write_gb_model(path, gb: GaussianBackend):
 def read_gb_model(path) -> GaussianBackend:
     p = Path(path)
     with open(p, encoding="utf-8") as fh:
-        _parse_header(fh.readline(), "gb-model")
         try:
+            _parse_header(fh.readline(), "gb-model")
             body = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"malformed backend model JSON: {exc}") from None
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise FormatError(f"malformed backend model: {exc}") from None
     try:
         return GaussianBackend(
             mu_farsi=np.array(body["mu_farsi"], dtype=np.float64),
@@ -551,6 +561,8 @@ def read_gb_model(path) -> GaussianBackend:
         )
     except KeyError as exc:
         raise FormatError(f"backend model missing field {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"malformed backend model field: {exc}") from None
 
 
 # -- calibration model, language offset, metrics record ------------------------

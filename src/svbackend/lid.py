@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import (
     WeightOutOfRange,
 )
 from .prototypes import PrototypeMatrix
-from .vecmath import Embedding, Language, l2_normalize
+from .vecmath import Language, unit_rows
 
 CLASS_FARSI = "FARSI"
 CLASS_USA = "USA"
@@ -49,8 +49,8 @@ class GaussianBackend:
         mu_us = np.asarray(self.mu_usa, dtype=np.float64).copy()
         mu_en = np.asarray(self.mu_english_effective, dtype=np.float64).copy()
         cov = np.asarray(self.shared_cov, dtype=np.float64).copy()
-        d = mu_fa.shape[0]
-        if mu_us.shape != (d,) or mu_en.shape != (d,) or cov.shape != (d, d):
+        d = mu_fa.size
+        if any(v.shape != (d,) for v in (mu_fa, mu_us, mu_en)) or cov.shape != (d, d):
             raise DimensionMismatch("backend mean/covariance shapes disagree")
         if not np.allclose(cov, cov.T, atol=1e-9, rtol=0):
             raise ValidationError("shared covariance is not symmetric")
@@ -60,7 +60,7 @@ class GaussianBackend:
         if not np.allclose(mu_en, w * mu_us + (1.0 - w) * mu_fa, atol=1e-12, rtol=0):
             raise ValidationError("effective English mean deviates from its interpolation")
         try:
-            chol = np.linalg.cholesky(cov)
+            np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise CovarianceSingular("shared covariance is not positive definite") from None
         for name, val in (
@@ -71,20 +71,10 @@ class GaussianBackend:
         ):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
-        chol.setflags(write=False)
-        object.__setattr__(self, "_chol", chol)
 
     @property
     def dim(self) -> int:
         return self.mu_farsi.shape[0]
-
-    def log_density(self, x: np.ndarray, mu: np.ndarray) -> float:
-        diff = x - mu
-        # forward substitution via the cached Cholesky factor
-        u = np.linalg.solve(self._chol, diff)
-        quad = float(u @ u)
-        logdet = 2.0 * float(np.sum(np.log(np.diagonal(self._chol))))
-        return -0.5 * (quad + logdet + self.dim * np.log(2.0 * np.pi))
 
 
 def classes_from_language_labels(protos: PrototypeMatrix) -> dict[str, str]:
@@ -161,26 +151,28 @@ def adapt_english_mean(gb: GaussianBackend, w: float) -> GaussianBackend:
     )
 
 
-def log_likelihood_ratio(gb: GaussianBackend, vec: np.ndarray) -> float:
-    """log N(x; mu_EN, cov) - log N(x; mu_FA, cov) on the normalized input."""
-    x = l2_normalize(vec)
-    if x.shape[0] != gb.dim:
-        raise DimensionMismatch(f"vector dim {x.shape[0]} vs backend dim {gb.dim}")
-    return gb.log_density(x, gb.mu_english_effective) - gb.log_density(x, gb.mu_farsi)
+def classify(
+    gb: GaussianBackend, vectors: Sequence[np.ndarray] | np.ndarray, tau: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Language decisions for a batch of vectors (a sequence or the rows of
+    an (n, D) array).
 
-
-def classify(gb: GaussianBackend, emb: Embedding, tau: float = 0.0) -> tuple[Language, float]:
-    """Language decision for one embedding: ENGLISH iff llr > tau."""
-    llr = log_likelihood_ratio(gb, emb.vec)
-    return (Language.ENGLISH if llr > tau else Language.FARSI), llr
+    Each vector is L2-normalized and scored with the affine llr
+    ``log N(x; mu_EN, cov) - log N(x; mu_FA, cov) = a.x + b`` of
+    :func:`affine_coefficients`.  Returns ``(is_english, llr)``, two arrays
+    aligned with the input, with ``is_english = llr > tau``.
+    """
+    a, b = affine_coefficients(gb)
+    llr = unit_rows(vectors, gb.dim) @ a + b
+    return llr > tau, llr
 
 
 def affine_coefficients(gb: GaussianBackend) -> tuple[np.ndarray, float]:
     """(a, b) with ``llr(x) = a.x + b`` for normalized x.
 
     With a shared covariance the log-likelihood ratio is affine in the
-    input; this form enables fast batch classification and is asserted to
-    agree with :func:`log_likelihood_ratio` in the test suite.
+    input; the test suite checks this form against the two Gaussian log
+    densities evaluated separately.
     """
     a = np.linalg.solve(gb.shared_cov, gb.mu_english_effective - gb.mu_farsi)
     b = -0.5 * (

@@ -47,13 +47,6 @@ class PlannerMode(enum.Enum):
     BALANCED = "balanced"
 
 
-class RefreshPolicy(enum.Enum):
-    """When the caller has agreed to supply a fresh similarity matrix."""
-
-    EVERY_PASS = "every-pass"
-    MANUAL = "manual"
-
-
 @dataclass(frozen=True)
 class PlannerConfig:
     batch_size: int
@@ -62,7 +55,6 @@ class PlannerConfig:
     utts_per_speaker: int
     mode: PlannerMode
     seed: int
-    refresh: RefreshPolicy = RefreshPolicy.EVERY_PASS
     #: Balanced-mode escape hatch: restrict imposter candidates to the
     #: target domain (plus the anchor itself).  Off by default; the normal
     #: behaviour searches imposters across all speakers.

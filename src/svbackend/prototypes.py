@@ -79,12 +79,17 @@ class PrototypeMatrix:
             raise IndexOutOfRange(f"unknown speaker_id {speaker_id!r}") from None
 
 
+#: Rows per block of the symmetry check (keeps its temporaries off N x N).
+CHECK_BLOCK_ROWS = 64
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
     """N x N cosine similarities between speaker prototypes.
 
     ``epoch_tag`` identifies the prototype snapshot this was derived from;
-    it is caller-supplied and purely bookkeeping.
+    it is caller-supplied and purely bookkeeping.  A read-only float array
+    that owns its memory is stored as given; anything else is copied.
     """
 
     s: np.ndarray
@@ -94,13 +99,16 @@ class SimilarityMatrix:
         arr = np.asarray(self.s)
         if arr.dtype not in (np.float64, np.float32):
             arr = arr.astype(np.float64)
-        arr = arr.copy()
+        elif arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"similarity matrix must be square, got {arr.shape}")
         # float32 is a storage option; its resolution near 1.0 is ~6e-8
         atol = 1e-9 if arr.dtype == np.float64 else 1e-6
-        if not np.allclose(arr, arr.T, atol=atol, rtol=0):
-            raise ValidationError("similarity matrix is not symmetric")
+        for r in range(0, arr.shape[0], CHECK_BLOCK_ROWS):
+            rows = slice(r, r + CHECK_BLOCK_ROWS)
+            if not np.allclose(arr[rows], arr[:, rows].T, atol=atol, rtol=0):
+                raise ValidationError("similarity matrix is not symmetric")
         if not np.allclose(np.diagonal(arr), 1.0, atol=atol, rtol=0):
             raise ValidationError("similarity diagonal deviates from 1")
         if arr.min() < -1.0 or arr.max() > 1.0:
@@ -130,7 +138,9 @@ def similarity_matrix(p: PrototypeMatrix, epoch_tag: int = 0, dtype=np.float64) 
     for i in range(n):
         s[i] = np.sum(rows[i][None, :] * rows, axis=1)
     np.clip(s, -1.0, 1.0, out=s)
-    return SimilarityMatrix(s=s.astype(dtype, copy=False), epoch_tag=epoch_tag)
+    s = s.astype(dtype, copy=False)
+    s.setflags(write=False)  # handed over without a copy
+    return SimilarityMatrix(s=s, epoch_tag=epoch_tag)
 
 
 def top_similar(sim: SimilarityMatrix, speaker_index: int, k: int) -> list[int]:

@@ -26,11 +26,16 @@ from .errors import (
     ValidationError,
 )
 from .prototypes import PrototypeMatrix
-from .vecmath import Domain, Embedding, Language, average_embedding, cosine, l2_normalize
+from .vecmath import cosine  # noqa: F401  (unused; perfbench counts calls via scoring.cosine)
+from .vecmath import Domain, Embedding, Language, average_embedding, l2_normalize, unit_rows
 
 log = logging.getLogger(__name__)
 
 DEFAULT_TOP_N = 40
+
+#: Trials per block of the raw-score kernel.  Its temporaries stay cache-sized
+#: (256 KB each at dim 256); 512-trial blocks measured 3-4x slower.
+TRIAL_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,6 @@ class Cohort:
         return len(self.entries)
 
     @property
-    def dim(self) -> int:
-        return self.entries[0].vec.shape[0]
-
-    @property
     def unit_rows(self) -> np.ndarray:
         return self._unit_rows
 
@@ -102,15 +103,6 @@ class Cohort:
         if not kept:
             raise EmptySet(f"no cohort entries left for domains {names}")
         return Cohort(kept, tag=f"{self.tag}|{names}" if self.tag else names)
-
-    def excluding_speakers(self, speaker_ids: Iterable[str]) -> "Cohort":
-        drop = set(speaker_ids)
-        kept = tuple(e for e in self.entries if e.speaker_id not in drop)
-        if not kept:
-            raise EmptySet("excluding enrollment speakers emptied the cohort")
-        if len(kept) == len(self.entries):
-            return self
-        return Cohort(kept, tag=self.tag)
 
 
 @dataclass(frozen=True)
@@ -155,34 +147,21 @@ class ScoringMode(enum.Enum):
     SNORM_LID = "snorm-lid"
 
 
-@dataclass(frozen=True)
-class TrialScore:
-    model_id: str
-    test_utt_id: str
-    raw: float
-    normalized: float
-    calibrated: float | None = None
-
-
-def build_enrollment_model(utts: Sequence[Embedding]) -> np.ndarray:
-    """Average of the L2-normalized enrollment embeddings (not re-normalized)."""
-    return average_embedding(utts)
-
-
-def snorm_stats(x, cohort: Cohort, top_n: int = DEFAULT_TOP_N) -> SnormStats:
+def snorm_stats(x, rows: np.ndarray, top_n: int = DEFAULT_TOP_N) -> SnormStats:
     """Statistics of the top-N cohort scores for one vector.
 
-    Scores x against every cohort entry by cosine, keeps the top_n highest,
-    and returns their mean and population standard deviation.  A top_n
-    beyond the cohort size falls back to the whole cohort with a warning so
-    small runs stay usable.
+    Scores x by cosine against every row of ``rows`` (unit-normalized cohort
+    vectors, e.g. :attr:`Cohort.unit_rows` or a row subset of it), keeps the
+    top_n highest, and returns their mean and population standard
+    deviation.  A top_n beyond the cohort size falls back to the whole
+    cohort with a warning so small runs stay usable.
     """
     if top_n < 2:
         raise ParamInvalid(f"top_n must be >= 2, got {top_n}")
     xhat = l2_normalize(x)
-    if xhat.shape[0] != cohort.dim:
-        raise DimensionMismatch(f"vector dim {xhat.shape[0]} vs cohort dim {cohort.dim}")
-    scores = cohort.unit_rows @ xhat
+    if xhat.shape[0] != rows.shape[1]:
+        raise DimensionMismatch(f"vector dim {xhat.shape[0]} vs cohort dim {rows.shape[1]}")
+    scores = rows @ xhat
     if top_n > len(scores):
         log.warning(
             "top_n=%d exceeds cohort size %d; using the whole cohort", top_n, len(scores)
@@ -193,12 +172,17 @@ def snorm_stats(x, cohort: Cohort, top_n: int = DEFAULT_TOP_N) -> SnormStats:
     sigma = float(np.std(selected))
     if sigma <= 0.0:
         raise DegenerateCohort("selected cohort scores have zero variance")
-    return SnormStats(mu=mu, sigma=sigma, top_n=top_n, cohort_tag=cohort.tag)
+    return SnormStats(mu=mu, sigma=sigma, top_n=top_n)
+
+
+def _snorm(raw, mu_e, sigma_e, mu_t, sigma_t, shift):
+    """Two-sided s-norm, elementwise; ``shift`` lowers mu_e, and 0.0 is an exact no-op."""
+    return (raw - mu_t) / sigma_t + (raw - (mu_e - shift)) / sigma_e
 
 
 def adaptive_snorm(raw: float, stats_e: SnormStats, stats_t: SnormStats) -> float:
     """Two-sided adaptive score normalization."""
-    return (raw - stats_t.mu) / stats_t.sigma + (raw - stats_e.mu) / stats_e.sigma
+    return _snorm(raw, stats_e.mu, stats_e.sigma, stats_t.mu, stats_t.sigma, 0.0)
 
 
 def language_dependent_snorm(
@@ -212,7 +196,7 @@ def language_dependent_snorm(
     ``alpha`` when the test utterance is English; otherwise identical
     (bit-exactly) to :func:`adaptive_snorm`."""
     alpha = offset.alpha if test_is_english else 0.0
-    return (raw - stats_t.mu) / stats_t.sigma + (raw - (stats_e.mu - alpha)) / stats_e.sigma
+    return _snorm(raw, stats_e.mu, stats_e.sigma, stats_t.mu, stats_t.sigma, alpha)
 
 
 def estimate_alpha(protos: PrototypeMatrix, top_n: int = DEFAULT_TOP_N) -> LanguageOffset:
@@ -234,30 +218,17 @@ def estimate_alpha(protos: PrototypeMatrix, top_n: int = DEFAULT_TOP_N) -> Langu
         raise ClassTooSmall("need at least one English-labeled prototype")
 
     unit = protos.unit_rows
-    farsi_entries = tuple(
-        CohortEntry(
-            speaker_id=protos.speakers[i].speaker_id,
-            vec=unit[i],
-            domain=protos.speakers[i].domain,
-            language=protos.speakers[i].language,
-        )
-        for i in farsi
-    )
-    full = Cohort(farsi_entries, tag="alpha-farsi-prototypes")
-
+    # normalized once more, as a cohort normalizes its entries
+    farsi_rows = unit_rows([unit[i] for i in farsi], protos.dim)
     mu_fa = float(
         np.mean(
             [
-                snorm_stats(
-                    unit[i],
-                    Cohort(farsi_entries[:k] + farsi_entries[k + 1 :], tag=full.tag),
-                    top_n,
-                ).mu
+                snorm_stats(unit[i], np.delete(farsi_rows, k, 0), top_n).mu
                 for k, i in enumerate(farsi)
             ]
         )
     )
-    mu_usa = float(np.mean([snorm_stats(unit[i], full, top_n).mu for i in usa]))
+    mu_usa = float(np.mean([snorm_stats(unit[i], farsi_rows, top_n).mu for i in usa]))
     return LanguageOffset(
         alpha=mu_fa - mu_usa,
         provenance=AlphaProvenance(
@@ -279,16 +250,16 @@ def score_trials(
     offset: LanguageOffset | None = None,
     lid_decisions: Mapping[str, Language] | None = None,
     top_n: int = DEFAULT_TOP_N,
-    cache_stats: bool = True,
-) -> list[TrialScore]:
+) -> np.ndarray:
     """Score every (model, test utterance) trial in the requested mode.
 
-    Normalization statistics for each enrollment model and each test
-    utterance are computed once and reused across trials; pass
-    ``cache_stats=False`` to recompute per trial (same results, for
-    equivalence checking).  Cohort entries sharing a speaker_id with a
-    model's enrollment utterances are excluded from that model's imposter
-    statistics.
+    Returns a structured array aligned with ``trials`` whose float fields
+    ``raw`` (cosine of enrollment model and test vector) and ``normalized``
+    (the score in ``mode``) hold one entry per trial.  Each enrollment
+    model is the average of its L2-normalized utterances.  Normalization
+    statistics are computed once per model and once per test utterance;
+    cohort entries sharing a speaker_id with a model's enrollment
+    utterances are left out of that model's imposter statistics.
     """
     if isinstance(embeddings, Mapping):
         emb = dict(embeddings)
@@ -309,48 +280,63 @@ def score_trials(
         except KeyError:
             raise MissingEmbedding(f"no embedding for utterance {utt_id!r}") from None
 
-    model_vecs: dict[str, np.ndarray] = {}
-    model_speakers: dict[str, frozenset[str]] = {}
-    for model_id, utt_ids in enrollment_map.items():
-        members = [embedding_of(u) for u in utt_ids]
-        model_vecs[model_id] = build_enrollment_model(members)
-        model_speakers[model_id] = frozenset(m.speaker_id for m in members)
+    model_ids = list(enrollment_map)
+    model_row = {m: k for k, m in enumerate(model_ids)}
+    model_vecs, model_speakers = [], []
+    for model_id in model_ids:
+        members = [embedding_of(u) for u in enrollment_map[model_id]]
+        model_vecs.append(average_embedding(members))
+        model_speakers.append({m.speaker_id for m in members})
 
-    def model_stats(model_id: str) -> SnormStats:
-        pruned = cohort.excluding_speakers(model_speakers[model_id])
-        return snorm_stats(model_vecs[model_id], pruned, top_n)
-
-    def test_stats(utt_id: str) -> SnormStats:
-        return snorm_stats(embedding_of(utt_id).vec, cohort, top_n)
-
-    e_cache: dict[str, SnormStats] = {}
-    t_cache: dict[str, SnormStats] = {}
-
-    results: list[TrialScore] = []
-    for model_id, utt_id in trials:
-        if model_id not in model_vecs:
+    # trial -> (model row, test row); test rows in order of first appearance
+    n = len(trials)
+    mi = np.empty(n, dtype=np.intp)
+    ti = np.empty(n, dtype=np.intp)
+    test_row: dict[str, int] = {}
+    test_vecs = []
+    for k, (model_id, utt_id) in enumerate(trials):
+        if model_id not in model_row:
             raise MissingEmbedding(f"trial references unknown model {model_id!r}")
-        test_emb = embedding_of(utt_id)
-        raw = cosine(model_vecs[model_id], test_emb.vec)
-        if mode is ScoringMode.RAW:
-            normalized = raw
-        else:
-            if cache_stats:
-                if model_id not in e_cache:
-                    e_cache[model_id] = model_stats(model_id)
-                if utt_id not in t_cache:
-                    t_cache[utt_id] = test_stats(utt_id)
-                st_e, st_t = e_cache[model_id], t_cache[utt_id]
-            else:
-                st_e, st_t = model_stats(model_id), test_stats(utt_id)
-            if mode is ScoringMode.SNORM:
-                normalized = adaptive_snorm(raw, st_e, st_t)
-            else:
-                if utt_id not in lid_decisions:
-                    raise MissingLidDecision(f"no language decision for {utt_id!r}")
-                is_en = lid_decisions[utt_id] is Language.ENGLISH
-                normalized = language_dependent_snorm(raw, st_e, st_t, offset, is_en)
-        results.append(
-            TrialScore(model_id=model_id, test_utt_id=utt_id, raw=raw, normalized=normalized)
-        )
-    return results
+        mi[k] = model_row[model_id]
+        row = test_row.get(utt_id)
+        if row is None:
+            row = test_row[utt_id] = len(test_vecs)
+            test_vecs.append(embedding_of(utt_id).vec)
+        ti[k] = row
+
+    out = np.empty(n, dtype=[("raw", np.float64), ("normalized", np.float64)])
+    raw = out["raw"]
+    if n:
+        # same pairwise-summation kernel and clip as scalar ``cosine``
+        dim = len(model_vecs[0])
+        model_unit, test_unit = unit_rows(model_vecs, dim), unit_rows(test_vecs, dim)
+        for s in range(0, n, TRIAL_CHUNK):
+            c = slice(s, s + TRIAL_CHUNK)
+            raw[c] = np.sum(model_unit[mi[c]] * test_unit[ti[c]], axis=1)
+        np.clip(raw, -1.0, 1.0, out=raw)
+    if mode is ScoringMode.RAW:
+        out["normalized"] = raw
+        return out
+
+    rows = cohort.unit_rows
+    cohort_speakers = np.array([e.speaker_id for e in cohort.entries])
+    mu_e, sigma_e = np.zeros(len(model_ids)), np.ones(len(model_ids))
+    for m in dict.fromkeys(mi.tolist()):
+        keep = ~np.isin(cohort_speakers, list(model_speakers[m]))
+        if not keep.any():
+            raise EmptySet("excluding enrollment speakers emptied the cohort")
+        st = snorm_stats(model_vecs[m], rows if keep.all() else rows[keep], top_n)
+        mu_e[m], sigma_e[m] = st.mu, st.sigma
+    mu_t, sigma_t = np.empty(len(test_vecs)), np.empty(len(test_vecs))
+    for t, vec in enumerate(test_vecs):
+        st = snorm_stats(vec, rows, top_n)
+        mu_t[t], sigma_t[t] = st.mu, st.sigma
+    shift = np.zeros(len(test_vecs))
+    if mode is ScoringMode.SNORM_LID:
+        for t, utt_id in enumerate(test_row):
+            if utt_id not in lid_decisions:
+                raise MissingLidDecision(f"no language decision for {utt_id!r}")
+            if lid_decisions[utt_id] is Language.ENGLISH:
+                shift[t] = offset.alpha
+    out["normalized"] = _snorm(raw, mu_e[mi], sigma_e[mi], mu_t[ti], sigma_t[ti], shift[ti])
+    return out

@@ -104,6 +104,14 @@ def l2_normalize(v, eps: float = NORM_EPS) -> np.ndarray:
     return arr / norm
 
 
+def unit_rows(vecs: Iterable, dim: int) -> np.ndarray:
+    """(n, dim) array of the vectors, each scaled by :func:`l2_normalize`."""
+    unit = [l2_normalize(v) for v in vecs]
+    if any(u.shape[0] != dim for u in unit):
+        raise DimensionMismatch(f"vectors must all have dimension {dim}")
+    return np.reshape(unit, (len(unit), dim))
+
+
 def cosine(a, b, eps: float = NORM_EPS) -> float:
     """Cosine similarity ``<a,b> / (|a||b|)``, symmetric in its arguments.
 

@@ -3,7 +3,11 @@
 Everything here deliberately avoids the code paths under test: metrics are
 computed by explicit per-threshold counting loops, the margin-loss oracle
 goes through scipy's log_softmax, gradients come from central differences,
-and calibration is re-fit with a generic quasi-Newton optimizer.
+and calibration is re-fit with a generic quasi-Newton optimizer.  The
+scalar scoring, alpha and LID references are the per-item loops the batch
+implementations replaced: one ``cosine`` per trial, one rebuilt ``Cohort``
+per left-out prototype or enrollment model, and two triangular solves per
+llr.
 """
 
 from __future__ import annotations
@@ -11,6 +15,18 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import log_softmax
+
+from svbackend.errors import EmptySet, MissingEmbedding, MissingLidDecision, ParamInvalid
+from svbackend.scoring import (
+    Cohort,
+    CohortEntry,
+    LanguageOffset,
+    ScoringMode,
+    adaptive_snorm,
+    language_dependent_snorm,
+    snorm_stats,
+)
+from svbackend.vecmath import Language, average_embedding, cosine, l2_normalize
 
 
 def roc_points(scores, labels):
@@ -112,3 +128,98 @@ def fit_logreg_reference(scores, labels, l2=1e-6):
         objective, x0=np.zeros(2), jac=gradient, method="BFGS", options={"gtol": 1e-12}
     )
     return float(res.x[0]), float(res.x[1])
+
+
+def excluding_speakers(cohort, speaker_ids):
+    """A new Cohort without the given speakers (the cohort itself if none
+    of them is in it)."""
+    drop = set(speaker_ids)
+    kept = tuple(e for e in cohort.entries if e.speaker_id not in drop)
+    if not kept:
+        raise EmptySet("excluding enrollment speakers emptied the cohort")
+    if len(kept) == len(cohort.entries):
+        return cohort
+    return Cohort(kept, tag=cohort.tag)
+
+
+def score_trials_loop(
+    trials, enrollment_map, embeddings, cohort, mode, offset=None, lid_decisions=None, top_n=40
+):
+    """Per-trial scoring: a list of (raw, normalized) pairs aligned with
+    ``trials``.  Statistics are recomputed for every trial on a cohort
+    rebuilt without the model's enrollment speakers."""
+    emb = dict(embeddings)
+    if mode is not ScoringMode.RAW and cohort is None:
+        raise ParamInvalid(f"mode {mode.value} requires a cohort")
+    if mode is ScoringMode.SNORM_LID and (offset is None or lid_decisions is None):
+        raise ParamInvalid("mode snorm-lid requires an offset and language decisions")
+
+    def embedding_of(utt_id):
+        try:
+            return emb[utt_id]
+        except KeyError:
+            raise MissingEmbedding(f"no embedding for utterance {utt_id!r}") from None
+
+    model_vecs, model_speakers = {}, {}
+    for model_id, utt_ids in enrollment_map.items():
+        members = [embedding_of(u) for u in utt_ids]
+        model_vecs[model_id] = average_embedding(members)
+        model_speakers[model_id] = {m.speaker_id for m in members}
+
+    out = []
+    for model_id, utt_id in trials:
+        if model_id not in model_vecs:
+            raise MissingEmbedding(f"trial references unknown model {model_id!r}")
+        test_vec = embedding_of(utt_id).vec
+        raw = cosine(model_vecs[model_id], test_vec)
+        if mode is ScoringMode.RAW:
+            out.append((raw, raw))
+            continue
+        pruned = excluding_speakers(cohort, model_speakers[model_id])
+        st_e = snorm_stats(model_vecs[model_id], pruned.unit_rows, top_n)
+        st_t = snorm_stats(test_vec, cohort.unit_rows, top_n)
+        if mode is ScoringMode.SNORM:
+            out.append((raw, adaptive_snorm(raw, st_e, st_t)))
+            continue
+        if utt_id not in lid_decisions:
+            raise MissingLidDecision(f"no language decision for {utt_id!r}")
+        is_en = lid_decisions[utt_id] is Language.ENGLISH
+        out.append((raw, language_dependent_snorm(raw, st_e, st_t, offset, is_en)))
+    return out
+
+
+def estimate_alpha_rebuild(protos, top_n=40):
+    """alpha with one Cohort built per left-out Farsi prototype."""
+    farsi = [i for i, sp in enumerate(protos.speakers) if sp.language is Language.FARSI]
+    usa = [i for i, sp in enumerate(protos.speakers) if sp.language is Language.ENGLISH]
+    unit = protos.unit_rows
+    speakers = [protos.speakers[i] for i in farsi]
+    entries = tuple(
+        CohortEntry(sp.speaker_id, unit[i], sp.domain, sp.language)
+        for i, sp in zip(farsi, speakers)
+    )
+    full = Cohort(entries)
+    mu_fa = float(
+        np.mean(
+            [
+                snorm_stats(unit[i], Cohort(entries[:k] + entries[k + 1 :]).unit_rows, top_n).mu
+                for k, i in enumerate(farsi)
+            ]
+        )
+    )
+    mu_usa = float(np.mean([snorm_stats(unit[i], full.unit_rows, top_n).mu for i in usa]))
+    return LanguageOffset(alpha=mu_fa - mu_usa)
+
+
+def log_density(gb, x, mu):
+    """log N(x; mu, shared_cov) through the Cholesky factor of the covariance."""
+    chol = np.linalg.cholesky(gb.shared_cov)
+    u = np.linalg.solve(chol, x - mu)
+    logdet = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+    return -0.5 * (float(u @ u) + logdet + gb.dim * np.log(2.0 * np.pi))
+
+
+def log_likelihood_ratio(gb, vec):
+    """log N(x; mu_EN, cov) - log N(x; mu_FA, cov) on the normalized input."""
+    x = l2_normalize(vec)
+    return log_density(gb, x, gb.mu_english_effective) - log_density(gb, x, gb.mu_farsi)

@@ -18,7 +18,7 @@ import numpy as np
 import svbackend
 from svbackend.aam import AamConfig, LabeledBatch, aam_grad, aam_loss
 from svbackend.calibration import fit_calibration, fuse
-from svbackend.lid import adapt_english_mean, affine_coefficients, classify, log_likelihood_ratio, train_gb
+from svbackend.lid import adapt_english_mean, affine_coefficients, classify, train_gb
 from svbackend.metrics import eer, min_dcf
 from svbackend.planner import (
     PlannerConfig,
@@ -42,12 +42,13 @@ from svbackend.scoring import (
 from svbackend.synth import CorpusSpec, generate_corpus
 from svbackend.vecmath import Domain, Language, l2_normalize
 
-from conftest import make_embedding, make_protos
+from conftest import make_protos
 from oracles import (
     brute_force_eer,
     brute_force_min_dcf,
     central_difference_grads,
     fit_logreg_reference,
+    log_likelihood_ratio,
     rel_err,
     softmax_ce_on_cosines,
 )
@@ -314,7 +315,7 @@ def _pipeline_eers(corpus, top_n=40):
         return eer(
             ScoreSet(
                 keys=tuple(corpus.trials),
-                scores=np.array([t.normalized for t in ts]),
+                scores=ts["normalized"],
                 labels=labels,
             )
         )
@@ -407,13 +408,17 @@ def test_criterion_09_lid_quality_and_affine_form():
         a, b = affine_coefficients(gb)
         correct = 0
         n = 1000
+        vecs, truths = [], []
         for k in range(n):
             if k % 2 == 0:
                 vec, truth = c_fa + spread * rng.normal(size=dim), Language.FARSI
             else:
                 vec, truth = c_us + spread * rng.normal(size=dim), Language.ENGLISH
-            lang, llr = classify(gb, make_embedding(f"u{k}", "s", vec))
-            correct += lang is truth
+            vecs.append(vec)
+            truths.append(truth)
+        is_english, llrs = classify(gb, vecs)
+        for vec, truth, en, llr in zip(vecs, truths, is_english, llrs):
+            correct += (Language.ENGLISH if en else Language.FARSI) is truth
             affine_llr = float(a @ l2_normalize(vec) + b)
             assert abs(llr - affine_llr) <= 1e-9
         accuracy = correct / n

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svbackend.calibration import apply_calibration, fit_calibration, fuse
+from svbackend.calibration import GRAD_TOL, L2_PENALTY, apply_calibration, fit_calibration, fuse
 from svbackend.calibration import CalibrationModel
 from svbackend.errors import DegenerateLabels, KeyMismatch, WeightInvalid
 from svbackend.scores import ScoreSet
@@ -51,6 +51,24 @@ class TestFit:
             ref_a, ref_b = fit_logreg_reference(scores, labels)
             assert model.a == pytest.approx(ref_a, abs=1e-5)
             assert model.b == pytest.approx(ref_b, abs=1e-5)
+
+    @pytest.mark.parametrize("seed", [3, 144])
+    def test_no_stall_below_objective_resolution(self, seed):
+        # these score sets once ran all MAX_ITER iterations and raised
+        # NonConvergence: near the optimum the Newton decrement fell below
+        # the float resolution of the objective, so step halving found no
+        # decrease while the gradient norm stayed above GRAD_TOL
+        rng = np.random.default_rng(seed)
+        labels = rng.uniform(size=60) < 0.3
+        scores = rng.normal(size=60) + 2.0 * labels
+        model = fit_calibration(score_set(scores, labels))
+        z = model.a * scores + model.b
+        r = 1.0 / (1.0 + np.exp(-z)) - labels
+        grad = [np.sum(r * scores) + L2_PENALTY * model.a, np.sum(r) + L2_PENALTY * model.b]
+        assert np.max(np.abs(grad)) < GRAD_TOL
+        ref_a, ref_b = fit_logreg_reference(scores, labels)
+        assert model.a == pytest.approx(ref_a, abs=1e-5)
+        assert model.b == pytest.approx(ref_b, abs=1e-5)
 
     def test_log_odds_input_recovers_identity(self, rng):
         # scores already in log-odds with labels drawn from those odds:

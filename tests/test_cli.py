@@ -389,10 +389,83 @@ class TestCalibrateFuseEval:
         assert "error: DegenerateLabels" in capsys.readouterr().err
 
 
+def assert_one_error_line(rc, capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 3
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
 class TestErrors:
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         rc = main(["eval", "--scores", str(tmp_path / "nope.tsv")])
         assert rc == 3
+
+    @pytest.mark.parametrize("bad", ["trials", "enroll", "embeddings"])
+    def test_non_utf8_text_input(self, data_dir, tmp_path, capsys, bad):
+        files = {
+            "trials": b"#fmt:trials:1\nm1\tu\xff1\ttarget\n",
+            "enroll": b"#fmt:enroll:1\nm\xff1\tu1\n",
+            "embeddings": b"#fmt:embeddings:1\xff\n",
+        }
+        paths = {
+            "trials": data_dir / "trials.tsv",
+            "enroll": data_dir / "enroll.tsv",
+            "embeddings": data_dir / "eval_embeddings.tsv",
+        }
+        paths[bad] = tmp_path / f"{bad}.tsv"
+        paths[bad].write_bytes(files[bad])
+        rc = main(
+            [
+                "score", "--mode", "raw", "--out", str(tmp_path / "s.tsv"),
+                "--embeddings", str(paths["embeddings"]),
+                "--trials", str(paths["trials"]),
+                "--enroll", str(paths["enroll"]),
+            ]
+        )
+        assert_one_error_line(rc, capsys)
+
+    def test_non_utf8_binary_string_table(self, data_dir, tmp_path, capsys):
+        path = tmp_path / "e.sveb"
+        formats.write_embeddings_binary(path, [formats.Embedding(
+            "u1", "s1", formats.Domain.VOX, formats.Language.FARSI, np.ones(4)
+        )])
+        path.write_bytes(path.read_bytes().replace(b"u1", b"u\xff"))
+        rc = main(
+            [
+                "score", "--mode", "raw", "--out", str(tmp_path / "s.tsv"),
+                "--embeddings", str(path),
+                "--trials", str(data_dir / "trials.tsv"),
+                "--enroll", str(data_dir / "enroll.tsv"),
+            ]
+        )
+        assert "string table" in assert_one_error_line(rc, capsys)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"mu_farsi": "x", "mu_usa": [1.0], "mu_english_effective": [1.0],'
+            b' "shared_cov": [[1.0]], "interpolation_weight": 1.0, "diagonal": false}',
+            b'{"mu_farsi": 5, "mu_usa": 5, "mu_english_effective": 5,'
+            b' "shared_cov": 5, "interpolation_weight": 1.0, "diagonal": false}',
+            b'{"mu_farsi": [1.0], "mu_usa": [1.0], "mu_english_effective": [1.0],'
+            b' "shared_cov": [[1.0], []], "interpolation_weight": null, "diagonal": false}',
+            b"[1, 2, 3]",
+            b'{"mu_farsi": "\xff"}',
+        ],
+        ids=["string-field", "scalar-fields", "ragged-cov", "list-body", "non-utf8"],
+    )
+    def test_malformed_backend_model(self, data_dir, tmp_path, capsys, body):
+        model = tmp_path / "gb.json"
+        model.write_bytes(b"#fmt:gb-model:1\n" + body + b"\n")
+        rc = main(
+            [
+                "lid-classify", "--model", str(model),
+                "--embeddings", str(data_dir / "eval_embeddings.tsv"),
+                "--out", str(tmp_path / "lid.tsv"),
+            ]
+        )
+        assert_one_error_line(rc, capsys)
 
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2

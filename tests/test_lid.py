@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svbackend.errors import ClassTooSmall, WeightOutOfRange
+from svbackend.errors import ClassTooSmall, DimensionMismatch, NormUnderflow, WeightOutOfRange
 from svbackend.lid import (
     CLASS_FARSI,
     CLASS_USA,
@@ -9,12 +9,12 @@ from svbackend.lid import (
     affine_coefficients,
     classes_from_language_labels,
     classify,
-    log_likelihood_ratio,
     train_gb,
 )
 from svbackend.vecmath import Domain, Language, l2_normalize
 
-from conftest import make_embedding, make_protos
+from conftest import make_protos
+from oracles import log_likelihood_ratio
 
 
 def two_cluster_protos(rng, n_per_class=20, dim=8, spread=0.15, angle_scale=1.0):
@@ -131,16 +131,14 @@ class TestAdapt:
 class TestClassify:
     def test_class_means_classify_to_their_class(self, rng):
         gb = train_gb(two_cluster_protos(rng))
-        lang_fa, llr_fa = classify(gb, make_embedding("u1", "s1", gb.mu_farsi))
-        lang_en, llr_en = classify(gb, make_embedding("u2", "s2", gb.mu_english_effective))
-        assert lang_fa is Language.FARSI and llr_fa < 0
-        assert lang_en is Language.ENGLISH and llr_en > 0
+        (en_fa, en_en), (llr_fa, llr_en) = classify(gb, [gb.mu_farsi, gb.mu_english_effective])
+        assert not en_fa and llr_fa < 0
+        assert en_en and llr_en > 0
 
     def test_scale_invariance(self, rng):
         gb = train_gb(two_cluster_protos(rng))
         v = rng.normal(size=gb.dim)
-        _, llr1 = classify(gb, make_embedding("u", "s", v))
-        _, llr2 = classify(gb, make_embedding("u", "s", 100.0 * v))
+        _, (llr1, llr2) = classify(gb, [v, 100.0 * v])
         assert llr1 == pytest.approx(llr2, abs=1e-9)
 
     def test_affine_form_agrees(self, rng):
@@ -149,6 +147,29 @@ class TestClassify:
         for _ in range(100):
             x = l2_normalize(rng.normal(size=gb.dim))
             assert log_likelihood_ratio(gb, x) == pytest.approx(float(a @ x + b), abs=1e-9)
+
+    def test_batch_matches_scalar_oracle(self, rng):
+        # unnormalized rows of mixed scale; the oracle normalizes each one
+        gb = adapt_english_mean(train_gb(two_cluster_protos(rng)), 0.75)
+        vecs = rng.normal(size=(300, gb.dim)) * rng.uniform(0.01, 100.0, size=(300, 1))
+        vecs[:150, 0] += 3.0  # half of them near the Farsi mean direction
+        for tau in (0.0, 0.5, -2.0):
+            is_english, llrs = classify(gb, vecs, tau=tau)
+            oracle = np.array([log_likelihood_ratio(gb, v) for v in vecs])
+            assert np.max(np.abs(llrs - oracle)) <= 1e-9
+            assert np.array_equal(is_english, oracle > tau)
+        assert 0 < is_english.sum() < len(vecs)
+
+    def test_batch_shapes_and_degenerate_rows(self, rng):
+        gb = train_gb(two_cluster_protos(rng))
+        is_english, llrs = classify(gb, [])
+        assert is_english.shape == (0,) and llrs.shape == (0,)
+        with pytest.raises(DimensionMismatch):
+            classify(gb, [np.ones(gb.dim + 1)])
+        vecs = rng.normal(size=(3, gb.dim))
+        vecs[1] = 0.0
+        with pytest.raises(NormUnderflow):
+            classify(gb, vecs)
 
     def test_monte_carlo_accuracy(self, rng):
         # >= 30 degree separation, high concentration: held-out accuracy >= 99%
@@ -168,13 +189,13 @@ class TestClassify:
             else:
                 v = c_us + 0.1 * rng.normal(size=gb.dim)
                 truth = Language.ENGLISH
-            lang, _ = classify(gb, make_embedding(f"u{i}", "s", v))
-            correct += lang is truth
+            (is_english,), _ = classify(gb, [v])
+            correct += (Language.ENGLISH if is_english else Language.FARSI) is truth
         assert correct / n >= 0.99
 
     def test_tau_threshold(self, rng):
         gb = train_gb(two_cluster_protos(rng))
-        emb = make_embedding("u", "s", gb.mu_english_effective)
-        _, llr = classify(gb, emb)
-        lang_strict, _ = classify(gb, emb, tau=llr + 1.0)
-        assert lang_strict is Language.FARSI
+        vec = gb.mu_english_effective
+        _, (llr,) = classify(gb, [vec])
+        (strict,), _ = classify(gb, [vec], tau=llr + 1.0)
+        assert not strict

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from svbackend.errors import IndexOutOfRange, KTooLarge, NormUnderflow, ValidationError
-from svbackend.prototypes import SimilarityMatrix, similarity_matrix, top_similar
+from svbackend.prototypes import CHECK_BLOCK_ROWS, SimilarityMatrix, similarity_matrix, top_similar
 from svbackend.vecmath import cosine
 
 from conftest import make_protos
@@ -98,6 +98,25 @@ class TestSimilarityMatrix:
         bad = np.array([[1.0, 0.5], [0.4, 1.0]])
         with pytest.raises(ValidationError):
             SimilarityMatrix(s=bad)
+        # the check runs in row blocks: asymmetry in a later block, and
+        # below a block's diagonal, is found as well
+        n = 2 * CHECK_BLOCK_ROWS + 7
+        for i, j in ((n - 1, 3), (3, n - 1), (CHECK_BLOCK_ROWS + 1, CHECK_BLOCK_ROWS + 5)):
+            for dtype, eps in ((np.float64, 1e-8), (np.float32, 1e-5)):
+                s = np.eye(n, dtype=dtype)
+                s[i, j] = eps
+                with pytest.raises(ValidationError):
+                    SimilarityMatrix(s=s)
+                s[j, i] = eps
+                SimilarityMatrix(s=s)
+
+    def test_storage_is_private(self, rng):
+        s = similarity_matrix(make_protos(rng.normal(size=(5, 4)))).s
+        assert not s.flags.writeable
+        caller = np.eye(3)
+        held = SimilarityMatrix(s=caller)
+        caller[0, 1] = caller[1, 0] = 0.5
+        assert held.s[0, 1] == 0.0
 
 
 class TestTopSimilar:

@@ -9,24 +9,27 @@ from svbackend.errors import (
     EmptySet,
     MissingEmbedding,
     MissingLidDecision,
+    NormUnderflow,
     ParamInvalid,
 )
 from svbackend.scoring import (
+    TRIAL_CHUNK,
     Cohort,
     CohortEntry,
     LanguageOffset,
     ScoringMode,
     SnormStats,
     adaptive_snorm,
-    build_enrollment_model,
     estimate_alpha,
     language_dependent_snorm,
     score_trials,
     snorm_stats,
 )
+from svbackend.synth import CorpusSpec, generate_corpus
 from svbackend.vecmath import Domain, Language, average_embedding, cosine, l2_normalize
 
 from conftest import make_embedding, make_protos
+from oracles import estimate_alpha_rebuild, excluding_speakers, score_trials_loop
 
 
 def entry(sid, vec, domain=Domain.DEEPMINE, language=Language.FARSI):
@@ -44,37 +47,42 @@ def cohort_with_cosines(values):
 class TestEnrollmentModel:
     def test_single_utterance(self):
         e = make_embedding("u", "s", [3.0, 4.0])
-        np.testing.assert_allclose(build_enrollment_model([e]), [0.6, 0.8], atol=1e-15)
+        np.testing.assert_allclose(average_embedding([e]), [0.6, 0.8], atol=1e-15)
 
     def test_copies_keep_direction(self):
         es = [make_embedding(f"u{i}", "s", [2.0, 1.0]) for i in range(3)]
-        one = build_enrollment_model(es[:1])
-        three = build_enrollment_model(es)
+        one = average_embedding(es[:1])
+        three = average_embedding(es)
         assert cosine(one, three) == pytest.approx(1.0, abs=1e-12)
 
     def test_equals_average_embedding(self, rng):
+        # score_trials scores a model as the average of its utterances
         es = [make_embedding(f"u{i}", "s", rng.normal(size=6)) for i in range(5)]
-        assert np.array_equal(build_enrollment_model(es), average_embedding(es))
+        test = make_embedding("t", "x", rng.normal(size=6))
+        embs = {e.utt_id: e for e in es + [test]}
+        enroll = {"m": tuple(e.utt_id for e in es)}
+        out = score_trials([("m", "t")], enroll, embs, cohort=None, mode=ScoringMode.RAW)
+        assert out["raw"][0] == cosine(average_embedding(es), test.vec)
 
 
 class TestSnormStats:
     def test_hand_fixture(self):
         cohort = cohort_with_cosines([0.9, 0.5, 0.1])
-        stats = snorm_stats([1.0, 0.0], cohort, top_n=2)
+        stats = snorm_stats([1.0, 0.0], cohort.unit_rows, top_n=2)
         assert stats.mu == pytest.approx(0.7, abs=1e-12)
         assert stats.sigma == pytest.approx(0.2, abs=1e-12)
         assert stats.top_n == 2
 
     def test_top_selection_includes_max(self):
         cohort = cohort_with_cosines([0.9, 0.5, 0.1])
-        stats = snorm_stats([0.9, math.sqrt(1 - 0.81)], cohort, top_n=2)
+        stats = snorm_stats([0.9, math.sqrt(1 - 0.81)], cohort.unit_rows, top_n=2)
         # self-identical entry scores 1.0 and must be part of the selection
         assert stats.mu > 0.5
 
     def test_fallback_to_whole_cohort(self, caplog):
         cohort = cohort_with_cosines([0.9, 0.5, 0.1])
         with caplog.at_level("WARNING"):
-            stats = snorm_stats([1.0, 0.0], cohort, top_n=10)
+            stats = snorm_stats([1.0, 0.0], cohort.unit_rows, top_n=10)
         assert stats.top_n == 3
         assert stats.mu == pytest.approx((0.9 + 0.5 + 0.1) / 3, abs=1e-12)
         assert any("cohort" in r.message for r in caplog.records)
@@ -82,17 +90,17 @@ class TestSnormStats:
     def test_population_std(self, rng):
         vals = [0.8, 0.6, 0.4, 0.2]
         cohort = cohort_with_cosines(vals)
-        stats = snorm_stats([1.0, 0.0], cohort, top_n=4)
+        stats = snorm_stats([1.0, 0.0], cohort.unit_rows, top_n=4)
         assert stats.sigma == pytest.approx(np.std(vals), abs=1e-12)
 
     def test_top_n_minimum(self):
         with pytest.raises(ParamInvalid):
-            snorm_stats([1.0, 0.0], cohort_with_cosines([0.5, 0.1]), top_n=1)
+            snorm_stats([1.0, 0.0], cohort_with_cosines([0.5, 0.1]).unit_rows, top_n=1)
 
     def test_degenerate_cohort(self):
         cohort = cohort_with_cosines([0.5, 0.5])
         with pytest.raises(DegenerateCohort):
-            snorm_stats([1.0, 0.0], cohort, top_n=2)
+            snorm_stats([1.0, 0.0], cohort.unit_rows, top_n=2)
 
 
 class TestSnormFormulas:
@@ -223,12 +231,28 @@ class TestCohort:
             cohort.restrict_domains([Domain.LIBRI])
 
     def test_excluding_speakers(self):
-        entries = (entry("a", [1.0, 0.0]), entry("b", [0.0, 1.0]))
+        # the model's own speaker "a" scores 1.0 against it and must not
+        # enter its imposter statistics; the test side keeps every entry
+        entries = (
+            entry("a", [1.0, 0.0]),
+            entry("b", [0.8, 0.6]),
+            entry("c", [0.6, 0.8]),
+            entry("d", [0.0, 1.0]),
+        )
         cohort = Cohort(entries)
-        assert len(cohort.excluding_speakers({"a"})) == 1
-        assert cohort.excluding_speakers({"zz"}) is cohort
+        embs = {
+            "e0": make_embedding("e0", "a", [1.0, 0.0]),
+            "t0": make_embedding("t0", "x", [0.28, 0.96]),
+        }
+        out = score_trials([("m", "t0")], {"m": ("e0",)}, embs, cohort, ScoringMode.SNORM, top_n=2)
+        st_e = snorm_stats([1.0, 0.0], cohort.unit_rows[1:], 2)
+        st_t = snorm_stats([0.28, 0.96], cohort.unit_rows, 2)
+        assert st_e.mu == pytest.approx(0.7, abs=1e-12)
+        assert out["normalized"][0] == adaptive_snorm(out["raw"][0], st_e, st_t)
         with pytest.raises(EmptySet):
-            cohort.excluding_speakers({"a", "b"})
+            score_trials(
+                [("m", "t0")], {"m": ("e0",)}, embs, Cohort(entries[:1]), ScoringMode.SNORM
+            )
 
 
 def tiny_trial_setup(rng, n_cohort=24, dim=8):
@@ -261,20 +285,21 @@ class TestScoreTrials:
         out = score_trials(
             [("m", "t0")], {"m": ("e0",)}, embs, cohort=None, mode=ScoringMode.RAW
         )
-        assert out[0].raw == 1.0
-        assert out[0].normalized == 1.0
+        assert out["raw"][0] == 1.0
+        assert out["normalized"][0] == 1.0
 
     def test_snorm_matches_manual_composition(self, rng):
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
         out = score_trials(trials, enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
-        for ts in out:
-            model_vec = build_enrollment_model([embs[u] for u in enroll[ts.model_id]])
-            speakers = {embs[u].speaker_id for u in enroll[ts.model_id]}
-            st_e = snorm_stats(model_vec, cohort.excluding_speakers(speakers), 5)
-            st_t = snorm_stats(embs[ts.test_utt_id].vec, cohort, 5)
-            raw = cosine(model_vec, embs[ts.test_utt_id].vec)
-            assert ts.raw == raw
-            assert ts.normalized == adaptive_snorm(raw, st_e, st_t)
+        assert len(out) == len(trials)
+        for (model_id, utt_id), ts in zip(trials, out):
+            model_vec = average_embedding([embs[u] for u in enroll[model_id]])
+            speakers = {embs[u].speaker_id for u in enroll[model_id]}
+            st_e = snorm_stats(model_vec, excluding_speakers(cohort, speakers).unit_rows, 5)
+            st_t = snorm_stats(embs[utt_id].vec, cohort.unit_rows, 5)
+            raw = cosine(model_vec, embs[utt_id].vec)
+            assert ts["raw"] == raw
+            assert ts["normalized"] == adaptive_snorm(raw, st_e, st_t)
 
     def test_lid_mode_all_farsi_equals_snorm(self, rng):
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
@@ -290,7 +315,7 @@ class TestScoreTrials:
             lid_decisions=decisions,
             top_n=5,
         )
-        assert [t.normalized for t in lid] == [t.normalized for t in plain]
+        assert np.array_equal(lid["normalized"], plain["normalized"])
 
     def test_lid_mode_english_shifts(self, rng):
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
@@ -306,19 +331,19 @@ class TestScoreTrials:
             lid_decisions=decisions,
             top_n=5,
         )
-        for p, l in zip(plain, lid):
-            if l.test_utt_id == "t0":
-                assert l.normalized == p.normalized
+        for (_, utt_id), p, l in zip(trials, plain["normalized"], lid["normalized"]):
+            if utt_id == "t0":
+                assert l == p
             else:
-                assert l.normalized > p.normalized
+                assert l > p
 
     def test_cache_equivalence(self, rng):
+        # statistics computed once per model and test utterance equal the
+        # per-trial recomputation of the scalar oracle
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
         cached = score_trials(trials, enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
-        uncached = score_trials(
-            trials, enroll, embs, cohort, ScoringMode.SNORM, top_n=5, cache_stats=False
-        )
-        assert [t.normalized for t in cached] == [t.normalized for t in uncached]
+        uncached = score_trials_loop(trials, enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
+        assert cached["normalized"].tolist() == [norm for _, norm in uncached]
 
     def test_missing_embedding(self, rng):
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
@@ -347,3 +372,122 @@ class TestScoreTrials:
             score_trials(trials, enroll, embs, None, ScoringMode.SNORM)
         with pytest.raises(ParamInvalid):
             score_trials(trials, enroll, embs, cohort, ScoringMode.SNORM_LID)
+
+
+def differential_setup(rng, dim=8, n_distinct=10, copies=3, n_models=6, n_tests=110):
+    """Trials scored against a cohort in which every vector appears
+    ``copies`` times (exact ties at any top-N boundary) and which holds the
+    enrollment speakers of half the models; more trials than one chunk."""
+    cohort_embs = [
+        make_embedding(f"c{i}-{c}", f"coh{i}-{c}", vec)
+        for i, vec in enumerate(rng.normal(size=(n_distinct, dim)))
+        for c in range(copies)
+    ]
+    embs, enroll = {}, {}
+    for m in range(n_models):
+        utts = []
+        for u in range(1 + m % 3):
+            e = make_embedding(f"e{m}-{u}", f"spk{m}", rng.normal(size=dim))
+            embs[e.utt_id] = e
+            utts.append(e.utt_id)
+        enroll[f"model{m}"] = tuple(utts)
+        if m % 2 == 0:
+            cohort_embs.append(make_embedding(f"c-spk{m}", f"spk{m}", rng.normal(size=dim)))
+    for t in range(n_tests):
+        e = make_embedding(f"t{t}", f"spk{t % (n_models + 3)}", rng.normal(size=dim))
+        embs[e.utt_id] = e
+    # a model and a test utterance with one vector whose unclipped cosine
+    # overshoots 1.0, so the clip is exercised
+    while True:
+        v = rng.normal(size=dim)
+        u = l2_normalize(v)
+        if np.sum(l2_normalize(u) * u) > 1.0:
+            break
+    embs["e-copy"] = make_embedding("e-copy", "spk-copy", v)
+    embs[f"t{n_tests}"] = make_embedding(f"t{n_tests}", "spk-copy", v)
+    enroll["model-copy"] = ("e-copy",)
+    n_tests += 1
+    cohort = Cohort.from_embeddings(cohort_embs, tag="train")
+    trials = [(m, f"t{t}") for t in range(n_tests) for m in enroll]
+    decisions = {
+        f"t{t}": Language.ENGLISH if rng.uniform() < 0.4 else Language.FARSI
+        for t in range(n_tests)
+    }
+    return trials, enroll, embs, cohort, decisions
+
+
+class TestScoreTrialsAgainstOracle:
+    MODES = [ScoringMode.RAW, ScoringMode.SNORM, ScoringMode.SNORM_LID]
+
+    def check(self, trials, enroll, embs, cohort, decisions, top_n):
+        offset = LanguageOffset(alpha=0.0731)
+        for mode in self.MODES:
+            out = score_trials(
+                trials, enroll, embs, cohort, mode,
+                offset=offset, lid_decisions=decisions, top_n=top_n,
+            )
+            ref = score_trials_loop(
+                trials, enroll, embs, cohort, mode,
+                offset=offset, lid_decisions=decisions, top_n=top_n,
+            )
+            assert out["raw"].tolist() == [raw for raw, _ in ref]
+            assert out["normalized"].tolist() == [norm for _, norm in ref]
+
+    def test_ties_and_enrollment_speakers_over_several_chunks(self, rng):
+        trials, enroll, embs, cohort, decisions = differential_setup(rng)
+        assert len(trials) > 1.2 * TRIAL_CHUNK
+        assert {e.speaker_id for e in cohort.entries} & {"spk0", "spk2", "spk4"}
+        # top_n=5 over triplicated vectors: the boundary falls inside a tie
+        self.check(trials, enroll, embs, cohort, decisions, top_n=5)
+        raw = score_trials([("model-copy", "t110")], enroll, embs, None, ScoringMode.RAW)["raw"]
+        assert raw[0] == 1.0
+
+    def test_top_n_beyond_pruned_cohort_falls_back(self, rng, caplog):
+        trials, enroll, embs, cohort, decisions = differential_setup(rng)
+        # the full cohort holds exactly top_n entries, a pruned one fewer
+        with caplog.at_level("WARNING"):
+            self.check(trials, enroll, embs, cohort, decisions, top_n=len(cohort))
+        assert any("exceeds cohort size" in r.message for r in caplog.records)
+
+    def test_restricted_cohort(self, rng):
+        trials, enroll, embs, cohort, decisions = differential_setup(rng, n_tests=20)
+        mixed = Cohort(
+            tuple(
+                CohortEntry(e.speaker_id, e.vec, Domain.VOX if k % 3 else Domain.DEEPMINE, e.language)
+                for k, e in enumerate(cohort.entries)
+            )
+        )
+        self.check(trials, enroll, embs, mixed.restrict_domains([Domain.VOX]), decisions, 4)
+
+    def test_zero_norm_test_vector_raises(self, rng):
+        trials, enroll, embs, cohort, decisions = differential_setup(rng, n_tests=4)
+        embs["t2"] = make_embedding("t2", "spkZ", np.zeros(8))
+        for mode in self.MODES:
+            for impl in (score_trials, score_trials_loop):
+                with pytest.raises(NormUnderflow):
+                    impl(
+                        trials, enroll, embs, cohort, mode,
+                        offset=LanguageOffset(0.1), lid_decisions=decisions, top_n=5,
+                    )
+
+    def test_empty_trial_list(self, rng):
+        _, enroll, embs, cohort, decisions = differential_setup(rng, n_tests=2)
+        out = score_trials([], enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
+        assert out.shape == (0,)
+
+
+class TestEstimateAlphaAgainstOracle:
+    def test_synthetic_corpus(self):
+        protos = generate_corpus(CorpusSpec(seed=3, dim=12)).prototypes
+        for top_n in (2, 7, 20):
+            assert estimate_alpha(protos, top_n).alpha == estimate_alpha_rebuild(protos, top_n).alpha
+
+    def test_duplicate_prototypes_tie_at_boundary(self, rng):
+        base = rng.normal(size=(6, 5))
+        fa = [base[k % 4] * (1 + k) for k in range(12)]  # four directions, three scales each
+        us = [base[4], base[5], base[0]]
+        cols = np.stack(fa + us, axis=1)
+        langs = [Language.FARSI] * 12 + [Language.ENGLISH] * 3
+        protos = make_protos(cols, languages=langs)
+        for top_n in (4, 7, 11):
+            assert estimate_alpha(protos, top_n).alpha == estimate_alpha_rebuild(protos, top_n).alpha
