@@ -33,7 +33,7 @@ from .scoring import (
     snorm_stats,
 )
 from .synth import CorpusSpec, SyntheticCorpus, generate_corpus
-from .vecmath import Domain, Embedding, Language, average_embedding, cosine, l2_normalize
+from .vecmath import Domain, EmbeddingTable, Language, average_embedding, cosine, l2_normalize
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "Cohort",
     "CorpusSpec",
     "Domain",
-    "Embedding",
+    "EmbeddingTable",
     "GaussianBackend",
     "LabeledBatch",
     "Language",

@@ -115,10 +115,10 @@ def cmd_aam_check(args) -> None:
     if args.prototypes and args.embeddings:
         cfg = AamConfig(margin=args.margin, scale=args.scale)
         protos = formats.read_prototypes(args.prototypes)
-        embs = formats.read_embeddings(args.embeddings)
+        table = formats.read_embeddings(args.embeddings)
         batch = LabeledBatch(
-            embeddings=np.stack([e.vec for e in embs]),
-            labels=np.array([protos.index_of(e.speaker_id) for e in embs]),
+            embeddings=table.vectors,
+            labels=np.array([protos.index_of(s) for s in table.speaker_ids]),
         )
         print(f"loss on {batch.size} embeddings: {aam_loss(batch, protos, cfg)!r}")
         return
@@ -162,11 +162,11 @@ def cmd_lid_train(args) -> None:
 
 def cmd_lid_classify(args) -> None:
     gb = formats.read_gb_model(args.model)
-    embeddings = formats.read_embeddings(args.embeddings)
-    is_english, llrs = classify(gb, [e.vec for e in embeddings], tau=args.threshold)
+    table = formats.read_embeddings(args.embeddings)
+    is_english, llrs = classify(gb, table.vectors, tau=args.threshold)
     decisions = {
-        e.utt_id: (Language.ENGLISH if en else Language.FARSI, llr)
-        for e, en, llr in zip(embeddings, is_english.tolist(), llrs.tolist())
+        utt_id: (Language.ENGLISH if en else Language.FARSI, llr)
+        for utt_id, en, llr in zip(table.utt_ids, is_english.tolist(), llrs.tolist())
     }
     formats.write_lid_decisions(args.out, decisions)
     n_en = int(is_english.sum())
@@ -191,16 +191,16 @@ def cmd_score(args, parser: argparse.ArgumentParser) -> None:
     if mode is ScoringMode.SNORM_LID and not args.alpha:
         parser.error("--mode snorm-lid requires --alpha")
 
-    embeddings = formats.read_embeddings(args.embeddings)
+    table = formats.read_embeddings(args.embeddings)
     trials, labels = formats.read_trials(args.trials)
     enrollment_map = formats.read_enroll_map(args.enroll)
     cohort = None
     if args.cohort_embeddings:
         cohort = Cohort.from_embeddings(
-            formats.read_embeddings(args.cohort_embeddings), tag=str(args.cohort_embeddings)
+            formats.read_embeddings(args.cohort_embeddings),
+            tag=str(args.cohort_embeddings),
+            domains=args.cohort_domains or None,
         )
-        if args.cohort_domains:
-            cohort = cohort.restrict_domains(args.cohort_domains)
     offset = formats.read_alpha(args.alpha) if args.alpha else None
     lid_decisions = None
     if args.lid:
@@ -209,7 +209,7 @@ def cmd_score(args, parser: argparse.ArgumentParser) -> None:
     scored = score_trials(
         trials,
         enrollment_map,
-        embeddings,
+        table,
         cohort,
         mode,
         offset=offset,

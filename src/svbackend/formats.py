@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .planner import BatchManifest
 from .prototypes import PrototypeMatrix, SpeakerInfo
 from .scores import LABEL_NONTARGET, LABEL_TARGET, ScoreSet
 from .scoring import AlphaProvenance, LanguageOffset
-from .vecmath import Domain, Embedding, Language
+from .vecmath import Domain, EmbeddingTable, Language
 
 FORMAT_VERSIONS = {
     "embeddings": 1,
@@ -42,6 +43,8 @@ FORMAT_VERSIONS = {
 }
 
 _BIN_MAGIC = b"SVEB"
+_DOMAINS = list(Domain)
+_LANGUAGES = list(Language)
 
 
 def _fmt_header(name: str) -> str:
@@ -76,14 +79,39 @@ def _f(x: float) -> str:
 
 
 def _vec_str(vec: np.ndarray) -> str:
-    return ",".join(_f(v) for v in vec)
+    return ",".join(map(repr, vec.tolist()))  # repr of a Python float, as in _f
 
 
-def _parse_vec(text: str, where: str) -> np.ndarray:
+def _vector_rows(path, fmt: str, n_fields: int) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """Rows of ``n_fields`` tab-separated fields whose last field is a
+    comma-separated vector: one column per leading field, and the vectors
+    as one read-only (n, D) float64 array.  The values stream through
+    ``float`` into one buffer, with no per-row arrays."""
+    heads: list[list[str]] = []
+    counts: list[int] = []
+
+    def vector_fields():
+        for line in _data_lines(Path(path), fmt):
+            parts = line.split("\t")
+            if len(parts) != n_fields:
+                raise FormatError(f"{fmt} row needs {n_fields} fields, got {len(parts)}")
+            fields = parts[-1].split(",")
+            if counts and len(fields) != counts[0]:
+                raise FormatError(
+                    f"mixed dimensions: {fmt} row {parts[0]!r} has {len(fields)} values, "
+                    f"earlier rows {counts[0]}"
+                )
+            heads.append(parts[:-1])
+            counts.append(len(fields))
+            yield fields
+
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=np.float64)
+        flat = np.fromiter(chain.from_iterable(map(float, f) for f in vector_fields()), np.float64)
     except ValueError:
-        raise FormatError(f"malformed vector in {where}") from None
+        raise FormatError(f"malformed vector in {fmt} row {heads[-1][0]!r}") from None
+    flat = flat.reshape(len(counts), counts[0] if counts else 0)
+    flat.setflags(write=False)
+    return list(zip(*heads)) or [()] * (n_fields - 1), flat
 
 
 def _data_lines(path: Path, fmt: str):
@@ -100,9 +128,9 @@ def _data_lines(path: Path, fmt: str):
             raise FormatError(f"{path} is not valid UTF-8: {exc.reason}") from None
 
 
-def _utf8(raw: bytes, where: str) -> str:
+def _utf8(raw, where: str) -> str:
     try:
-        return raw.decode("utf-8")
+        return str(raw, "utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{where} is not valid UTF-8: {exc.reason}") from None
 
@@ -113,57 +141,46 @@ def _open_out(path) -> Path:
     return p
 
 
-def _enum_value(enum_cls, text: str, where: str):
+def _enum_column(enum_cls, texts, where: str) -> list:
+    by_value = {member.value: member for member in enum_cls}
     try:
-        return enum_cls(text)
-    except ValueError:
-        raise FormatError(f"unknown {enum_cls.__name__} {text!r} in {where}") from None
+        return [by_value[t] for t in texts]
+    except KeyError as exc:
+        raise FormatError(f"unknown {enum_cls.__name__} {exc.args[0]!r} in {where}") from None
 
 
 # -- embeddings (text) -------------------------------------------------------
 
 
-def write_embeddings_text(path, embeddings: Iterable[Embedding]):
+def write_embeddings_text(path, table: EmbeddingTable):
     p = _open_out(path)
     with open(p, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_fmt_header("embeddings") + "\n")
-        for e in embeddings:
+        for utt, spk, dom, lang, vec in zip(
+            table.utt_ids, table.speaker_ids, table.domains, table.languages, table.vectors
+        ):
             fh.write(
-                "\t".join(
-                    (
-                        _check_id(e.utt_id, "utt_id"),
-                        _check_id(e.speaker_id, "speaker_id"),
-                        e.domain.value,
-                        e.language.value,
-                        _vec_str(e.vec),
-                    )
-                )
-                + "\n"
+                f"{_check_id(utt, 'utt_id')}\t{_check_id(spk, 'speaker_id')}\t"
+                f"{dom.value}\t{lang.value}\t{_vec_str(vec)}\n"
             )
 
 
-def read_embeddings_text(path) -> list[Embedding]:
-    out = []
-    for line in _data_lines(Path(path), "embeddings"):
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise FormatError(f"embedding row needs 5 fields, got {len(parts)}")
-        out.append(
-            Embedding(
-                utt_id=parts[0],
-                speaker_id=parts[1],
-                domain=_enum_value(Domain, parts[2], "embeddings"),
-                language=_enum_value(Language, parts[3], "embeddings"),
-                vec=_parse_vec(parts[4], f"embedding {parts[0]}"),
-            )
-        )
-    return out
+def read_embeddings_text(path) -> EmbeddingTable:
+    (utts, speakers, domains, languages), vectors = _vector_rows(path, "embeddings", 5)
+    domains = _enum_column(Domain, domains, "embeddings")
+    return EmbeddingTable(
+        utts, speakers, domains, _enum_column(Language, languages, "embeddings"), vectors
+    )
 
 
 # -- embeddings (binary) ------------------------------------------------------
 
+#: One record of the binary container: utt and speaker string-table
+#: indices, then Domain and Language indices in declaration order.
+_BIN_RECORD = np.dtype([("utt", "<u4"), ("spk", "<u4"), ("dom", "u1"), ("lang", "u1")])
 
-def write_embeddings_binary(path, embeddings: Sequence[Embedding]):
+
+def write_embeddings_binary(path, table: EmbeddingTable):
     """float32 vector payload plus a string table for utterance/speaker ids.
 
     Layout after the header line: magic ``SVEB``, u16 version, u32 dim,
@@ -171,45 +188,36 @@ def write_embeddings_binary(path, embeddings: Sequence[Embedding]):
     table (u32 count, each u32 length + UTF-8 bytes) and per-record id/enum
     references (u32 utt, u32 speaker, u8 domain, u8 language).
     """
-    embeddings = list(embeddings)
-    dims = {e.dim for e in embeddings}
-    if len(dims) > 1:
-        raise FormatError(f"mixed embedding dimensions: {sorted(dims)}")
-    dim = dims.pop() if dims else 0
-    domains = list(Domain)
-    languages = list(Language)
     strings: dict[str, int] = {}
 
     def intern(s: str) -> int:
         return strings.setdefault(_check_id(s, "id"), len(strings))
 
-    records = [
-        (intern(e.utt_id), intern(e.speaker_id), domains.index(e.domain), languages.index(e.language))
-        for e in embeddings
-    ]
+    ids = [(intern(u), intern(s)) for u, s in zip(table.utt_ids, table.speaker_ids)]
+    records = np.zeros(len(table), dtype=_BIN_RECORD)
+    records["utt"], records["spk"] = np.array(ids, dtype=np.uint32).reshape(-1, 2).T
+    records["dom"] = [_DOMAINS.index(d) for d in table.domains]
+    records["lang"] = [_LANGUAGES.index(lang) for lang in table.languages]
     p = _open_out(path)
     with open(p, "wb") as fh:
         fh.write((_fmt_header("embeddings-bin") + "\n").encode("utf-8"))
         fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<HIQ", FORMAT_VERSIONS["embeddings-bin"], dim, len(embeddings)))
-        if embeddings:
-            mat = np.stack([e.vec for e in embeddings]).astype("<f4")
-            fh.write(mat.tobytes(order="C"))
+        fh.write(struct.pack("<HIQ", FORMAT_VERSIONS["embeddings-bin"], table.dim, len(table)))
+        fh.write(table.vectors.astype("<f4").tobytes(order="C"))
         fh.write(struct.pack("<I", len(strings)))
         for s in strings:
             raw = s.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-        for utt_i, spk_i, dom_i, lang_i in records:
-            fh.write(struct.pack("<IIBB", utt_i, spk_i, dom_i, lang_i))
+        fh.write(records.tobytes())
 
 
-def read_embeddings_binary(path) -> list[Embedding]:
+def read_embeddings_binary(path) -> EmbeddingTable:
     p = Path(path)
     with open(p, "rb") as fh:
         header = _utf8(fh.readline(), f"header of {p}")
         _parse_header(header, "embeddings-bin")
-        payload = fh.read()
+        payload = memoryview(fh.read())  # slices below are views, not copies
 
     def take(n: int, what: str) -> bytes:
         nonlocal offset
@@ -231,29 +239,25 @@ def read_embeddings_binary(path) -> list[Embedding]:
     for _ in range(n_strings):
         (slen,) = struct.unpack("<I", take(4, "string length"))
         strings.append(_utf8(take(slen, "string"), f"string table of {p}"))
-    domains = list(Domain)
-    languages = list(Language)
-    out = []
-    for row in range(count):
-        utt_i, spk_i, dom_i, lang_i = struct.unpack("<IIBB", take(10, "record"))
-        try:
-            out.append(
-                Embedding(
-                    utt_id=strings[utt_i],
-                    speaker_id=strings[spk_i],
-                    domain=domains[dom_i],
-                    language=languages[lang_i],
-                    vec=mat[row].astype(np.float64),
-                )
-            )
-        except IndexError:
-            raise FormatError(f"record {row} references a missing table entry") from None
+    rec = np.frombuffer(take(_BIN_RECORD.itemsize * count, "records"), dtype=_BIN_RECORD)
     if offset != len(payload):
         raise FormatError("trailing bytes after binary embeddings payload")
-    return out
+    bad = np.maximum(rec["utt"], rec["spk"]) >= n_strings
+    bad |= (rec["dom"] >= len(_DOMAINS)) | (rec["lang"] >= len(_LANGUAGES))
+    if bad.any():
+        raise FormatError(f"record {int(bad.argmax())} references a missing table entry")
+    vectors = mat.astype(np.float64)
+    vectors.setflags(write=False)
+    return EmbeddingTable(
+        utt_ids=[strings[i] for i in rec["utt"].tolist()],
+        speaker_ids=[strings[i] for i in rec["spk"].tolist()],
+        domains=[_DOMAINS[i] for i in rec["dom"].tolist()],
+        languages=[_LANGUAGES[i] for i in rec["lang"].tolist()],
+        vectors=vectors,
+    )
 
 
-def read_embeddings(path) -> list[Embedding]:
+def read_embeddings(path) -> EmbeddingTable:
     """Dispatch on the header line: text or binary embedding file."""
     p = Path(path)
     with open(p, "rb") as fh:
@@ -270,38 +274,20 @@ def write_prototypes(path, protos: PrototypeMatrix):
     p = _open_out(path)
     with open(p, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_fmt_header("prototypes") + "\n")
-        for j, sp in enumerate(protos.speakers):
+        for sp, vec in zip(protos.speakers, protos.w.T):
             fh.write(
-                "\t".join(
-                    (
-                        _check_id(sp.speaker_id, "speaker_id"),
-                        sp.domain.value,
-                        sp.language.value,
-                        _vec_str(protos.w[:, j]),
-                    )
-                )
-                + "\n"
+                f"{_check_id(sp.speaker_id, 'speaker_id')}\t{sp.domain.value}\t"
+                f"{sp.language.value}\t{_vec_str(vec)}\n"
             )
 
 
 def read_prototypes(path) -> PrototypeMatrix:
-    speakers = []
-    cols = []
-    for line in _data_lines(Path(path), "prototypes"):
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise FormatError(f"prototype row needs 4 fields, got {len(parts)}")
-        speakers.append(
-            SpeakerInfo(
-                speaker_id=parts[0],
-                domain=_enum_value(Domain, parts[1], "prototypes"),
-                language=_enum_value(Language, parts[2], "prototypes"),
-            )
-        )
-        cols.append(_parse_vec(parts[3], f"prototype {parts[0]}"))
-    if not cols:
+    (ids, domains, languages), vectors = _vector_rows(path, "prototypes", 4)
+    if not ids:
         raise FormatError("prototype file holds no rows")
-    return PrototypeMatrix(w=np.stack(cols, axis=1), speakers=tuple(speakers))
+    domains = _enum_column(Domain, domains, "prototypes")
+    speakers = zip(ids, domains, _enum_column(Language, languages, "prototypes"))
+    return PrototypeMatrix(w=vectors.T, speakers=tuple(SpeakerInfo(*sp) for sp in speakers))
 
 
 # -- trials and enrollment map ------------------------------------------------
@@ -384,7 +370,7 @@ def read_lid_decisions(path) -> dict[str, tuple[Language, float]]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"LID row needs 3 fields, got {len(parts)}")
-        lang = _enum_value(Language, parts[1], "lid")
+        (lang,) = _enum_column(Language, parts[1:2], "lid")
         if lang not in (Language.FARSI, Language.ENGLISH):
             raise FormatError(f"LID decision must be FARSI or ENGLISH, got {parts[1]!r}")
         try:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .prototypes import PrototypeMatrix, SimilarityMatrix, top_similar
-from .vecmath import Domain, Embedding
+from .vecmath import Domain, EmbeddingTable
 
 _STREAM_ANCHORS = 0
 _STREAM_UTTS = 1
@@ -90,12 +90,12 @@ class UtteranceInventory:
 
     @classmethod
     def from_embeddings(
-        cls, embeddings: Iterable[Embedding], protos: PrototypeMatrix
+        cls, table: EmbeddingTable, protos: PrototypeMatrix
     ) -> "UtteranceInventory":
         by_speaker: dict[str, list[str]] = {sp.speaker_id: [] for sp in protos.speakers}
-        for e in embeddings:
-            if e.speaker_id in by_speaker:
-                by_speaker[e.speaker_id].append(e.utt_id)
+        for utt_id, speaker_id in zip(table.utt_ids, table.speaker_ids):
+            if speaker_id in by_speaker:
+                by_speaker[speaker_id].append(utt_id)
         for sp in protos.speakers:
             if not by_speaker[sp.speaker_id]:
                 raise InventoryGap(f"speaker {sp.speaker_id!r} has no utterances")

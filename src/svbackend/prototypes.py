@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IndexOutOfRange, KTooLarge, ParamInvalid, ValidationError
-from .vecmath import Domain, Language, l2_normalize
+from .vecmath import Domain, Language, unit_rows
 
 
 class SpeakerInfo(NamedTuple):
@@ -48,15 +48,13 @@ class PrototypeMatrix:
         ids = [s.speaker_id for s in speakers]
         if len(set(ids)) != n:
             raise ValidationError("speaker_ids must be unique")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("prototype matrix contains non-finite entries")
-        # l2_normalize also raises NormUnderflow on any degenerate column
-        unit_rows = np.stack([l2_normalize(arr[:, j]) for j in range(n)])
+        # rejects non-finite entries, and degenerate columns with NormUnderflow
+        unit = unit_rows(arr.T, d)
         arr.setflags(write=False)
-        unit_rows.setflags(write=False)
+        unit.setflags(write=False)
         object.__setattr__(self, "w", arr)
         object.__setattr__(self, "speakers", speakers)
-        object.__setattr__(self, "_unit_rows", unit_rows)
+        object.__setattr__(self, "_unit_rows", unit)
         object.__setattr__(self, "_index", {sid: j for j, sid in enumerate(ids)})
 
     @property
@@ -127,8 +125,10 @@ def similarity_matrix(p: PrototypeMatrix, epoch_tag: int = 0, dtype=np.float64) 
     Entries are produced by the same pairwise-summation kernel as scalar
     ``cosine`` calls, so ``S[i, j] == cosine(w[:, i], w[:, j])`` exactly
     (before the guard clip at +/-1, which only engages on duplicate
-    prototypes).  ``dtype=np.float32`` stores the result at half the memory
-    for large N at the cost of ~1e-7 entry precision.
+    prototypes).  Only ``S[i, i:]`` is computed and mirrored into ``S[i:, i]``:
+    IEEE products commute, so every entry keeps the kernel's bits.
+    ``dtype=np.float32`` stores the result at half the memory for large N
+    at the cost of ~1e-7 entry precision.
     """
     if dtype not in (np.float64, np.float32):
         raise ParamInvalid("similarity dtype must be float64 or float32")
@@ -136,7 +136,8 @@ def similarity_matrix(p: PrototypeMatrix, epoch_tag: int = 0, dtype=np.float64) 
     n = p.count
     s = np.empty((n, n), dtype=np.float64)
     for i in range(n):
-        s[i] = np.sum(rows[i][None, :] * rows, axis=1)
+        s[i, i:] = np.sum(rows[i] * rows[i:], axis=1)
+        s[i:, i] = s[i, i:]
     np.clip(s, -1.0, 1.0, out=s)
     s = s.astype(dtype, copy=False)
     s.setflags(write=False)  # handed over without a copy

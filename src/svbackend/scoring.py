@@ -27,7 +27,8 @@ from .errors import (
 )
 from .prototypes import PrototypeMatrix
 from .vecmath import cosine  # noqa: F401  (unused; perfbench counts calls via scoring.cosine)
-from .vecmath import Domain, Embedding, Language, average_embedding, l2_normalize, unit_rows
+from .vecmath import Domain, EmbeddingTable, Language, average_embedding, l2_normalize
+from .vecmath import mean_of_units, unit_rows
 
 log = logging.getLogger(__name__)
 
@@ -60,10 +61,7 @@ class Cohort:
         ids = [e.speaker_id for e in entries]
         if len(set(ids)) != len(ids):
             raise ValidationError("cohort speaker_ids must be unique")
-        dims = {e.vec.shape[0] for e in entries}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"mixed cohort dimensions: {sorted(dims)}")
-        unit = np.stack([l2_normalize(e.vec) for e in entries])
+        unit = unit_rows([e.vec for e in entries])
         unit.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_unit_rows", unit)
@@ -76,33 +74,36 @@ class Cohort:
         return self._unit_rows
 
     @classmethod
-    def from_embeddings(cls, embeddings: Iterable[Embedding], tag: str = "") -> "Cohort":
+    def from_embeddings(
+        cls, table: EmbeddingTable, tag: str = "", domains: Iterable[Domain] | None = None
+    ) -> "Cohort":
         """Average each speaker's length-normalized embeddings into one entry.
 
         Speaker order follows first appearance; the entry's domain/language
-        labels are taken from the speaker's first utterance.
+        labels are taken from the speaker's first utterance.  With
+        ``domains``, only speakers whose first utterance is in one of them
+        are kept (and only those are averaged), and the domain names join
+        the tag.  Every row is normalized, so a degenerate row raises
+        NormUnderflow wherever it is.
         """
-        groups: dict[str, list[Embedding]] = {}
-        for e in embeddings:
-            groups.setdefault(e.speaker_id, []).append(e)
-        entries = [
+        unit = unit_rows(table.vectors, table.dim)
+        groups: dict[str, list[int]] = {}
+        for row, sid in enumerate(table.speaker_ids):
+            groups.setdefault(sid, []).append(row)
+        allowed = set(Domain if domains is None else domains)
+        entries = tuple(
             CohortEntry(
-                speaker_id=sid,
-                vec=average_embedding(members),
-                domain=members[0].domain,
-                language=members[0].language,
+                sid, mean_of_units(unit[rows]), table.domains[rows[0]], table.languages[rows[0]]
             )
-            for sid, members in groups.items()
-        ]
-        return cls(entries=tuple(entries), tag=tag)
-
-    def restrict_domains(self, domains: Iterable[Domain]) -> "Cohort":
-        allowed = set(domains)
-        kept = tuple(e for e in self.entries if e.domain in allowed)
-        names = "+".join(sorted(d.value for d in allowed))
-        if not kept:
-            raise EmptySet(f"no cohort entries left for domains {names}")
-        return Cohort(kept, tag=f"{self.tag}|{names}" if self.tag else names)
+            for sid, rows in groups.items()
+            if table.domains[rows[0]] in allowed
+        )
+        if domains is not None:
+            names = "+".join(sorted(d.value for d in allowed))
+            if not entries:
+                raise EmptySet(f"no cohort entries left for domains {names}")
+            tag = f"{tag}|{names}" if tag else names
+        return cls(entries=entries, tag=tag)
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,7 @@ def estimate_alpha(protos: PrototypeMatrix, top_n: int = DEFAULT_TOP_N) -> Langu
 
     unit = protos.unit_rows
     # normalized once more, as a cohort normalizes its entries
-    farsi_rows = unit_rows([unit[i] for i in farsi], protos.dim)
+    farsi_rows = unit_rows(unit[farsi], protos.dim)
     mu_fa = float(
         np.mean(
             [
@@ -244,7 +245,7 @@ def estimate_alpha(protos: PrototypeMatrix, top_n: int = DEFAULT_TOP_N) -> Langu
 def score_trials(
     trials: Sequence[tuple[str, str]],
     enrollment_map: Mapping[str, Sequence[str]],
-    embeddings: Mapping[str, Embedding] | Iterable[Embedding],
+    table: EmbeddingTable,
     cohort: Cohort | None,
     mode: ScoringMode,
     offset: LanguageOffset | None = None,
@@ -253,6 +254,7 @@ def score_trials(
 ) -> np.ndarray:
     """Score every (model, test utterance) trial in the requested mode.
 
+    Enrollment and test utterances are looked up in ``table`` by id.
     Returns a structured array aligned with ``trials`` whose float fields
     ``raw`` (cosine of enrollment model and test vector) and ``normalized``
     (the score in ``mode``) hold one entry per trial.  Each enrollment
@@ -261,22 +263,17 @@ def score_trials(
     cohort entries sharing a speaker_id with a model's enrollment
     utterances are left out of that model's imposter statistics.
     """
-    if isinstance(embeddings, Mapping):
-        emb = dict(embeddings)
-    else:
-        emb = {e.utt_id: e for e in embeddings}
-    if mode is not ScoringMode.RAW:
-        if cohort is None:
-            raise ParamInvalid(f"mode {mode.value} requires a cohort")
+    if mode is not ScoringMode.RAW and cohort is None:
+        raise ParamInvalid(f"mode {mode.value} requires a cohort")
     if mode is ScoringMode.SNORM_LID:
         if offset is None:
             raise ParamInvalid("mode snorm-lid requires a language offset")
         if lid_decisions is None:
             raise ParamInvalid("mode snorm-lid requires language decisions")
 
-    def embedding_of(utt_id: str) -> Embedding:
+    def row_of(utt_id: str) -> int:
         try:
-            return emb[utt_id]
+            return table.row_of[utt_id]
         except KeyError:
             raise MissingEmbedding(f"no embedding for utterance {utt_id!r}") from None
 
@@ -284,32 +281,27 @@ def score_trials(
     model_row = {m: k for k, m in enumerate(model_ids)}
     model_vecs, model_speakers = [], []
     for model_id in model_ids:
-        members = [embedding_of(u) for u in enrollment_map[model_id]]
-        model_vecs.append(average_embedding(members))
-        model_speakers.append({m.speaker_id for m in members})
+        rows = [row_of(u) for u in enrollment_map[model_id]]
+        model_vecs.append(average_embedding(table.vectors[rows]))
+        model_speakers.append({table.speaker_ids[r] for r in rows})
 
     # trial -> (model row, test row); test rows in order of first appearance
     n = len(trials)
     mi = np.empty(n, dtype=np.intp)
     ti = np.empty(n, dtype=np.intp)
     test_row: dict[str, int] = {}
-    test_vecs = []
     for k, (model_id, utt_id) in enumerate(trials):
         if model_id not in model_row:
             raise MissingEmbedding(f"trial references unknown model {model_id!r}")
         mi[k] = model_row[model_id]
-        row = test_row.get(utt_id)
-        if row is None:
-            row = test_row[utt_id] = len(test_vecs)
-            test_vecs.append(embedding_of(utt_id).vec)
-        ti[k] = row
+        ti[k] = test_row.setdefault(utt_id, len(test_row))
+    test_vecs = table.vectors[[row_of(u) for u in test_row]]
 
     out = np.empty(n, dtype=[("raw", np.float64), ("normalized", np.float64)])
     raw = out["raw"]
     if n:
         # same pairwise-summation kernel and clip as scalar ``cosine``
-        dim = len(model_vecs[0])
-        model_unit, test_unit = unit_rows(model_vecs, dim), unit_rows(test_vecs, dim)
+        model_unit, test_unit = unit_rows(model_vecs, table.dim), unit_rows(test_vecs)
         for s in range(0, n, TRIAL_CHUNK):
             c = slice(s, s + TRIAL_CHUNK)
             raw[c] = np.sum(model_unit[mi[c]] * test_unit[ti[c]], axis=1)

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import SpecInvalid
 from .planner import UtteranceInventory
 from .prototypes import PrototypeMatrix, SpeakerInfo
-from .vecmath import Domain, Embedding, Language, l2_normalize
+from .vecmath import Domain, EmbeddingTable, Language, l2_normalize
 
 _STREAM_SHIFT = 0
 _STREAM_SPEAKERS = 1
@@ -90,8 +90,9 @@ class CorpusSpec:
 @dataclass(frozen=True)
 class SyntheticCorpus:
     spec: CorpusSpec
-    train_embeddings: tuple[Embedding, ...]
-    eval_embeddings: tuple[Embedding, ...]
+    #: the training utterances, then (from row ``n_train`` on) the eval ones
+    embeddings: EmbeddingTable
+    n_train: int
     prototypes: PrototypeMatrix
     inventory: UtteranceInventory
     enrollment_map: Mapping[str, tuple[str, ...]]
@@ -99,8 +100,12 @@ class SyntheticCorpus:
     labels: Mapping[tuple[str, str], bool]
 
     @property
-    def embeddings(self) -> tuple[Embedding, ...]:
-        return self.train_embeddings + self.eval_embeddings
+    def train_embeddings(self) -> EmbeddingTable:
+        return self.embeddings[: self.n_train]
+
+    @property
+    def eval_embeddings(self) -> EmbeddingTable:
+        return self.embeddings[self.n_train :]
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
@@ -135,7 +140,7 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
         (Domain.LIBRI, "lib", spec.libri_speakers, Language.ENGLISH),
         (Domain.DEEPMINE, "dm", spec.deepmine_speakers, Language.FARSI),
     ]
-    train_embeddings: list[Embedding] = []
+    rows: list[tuple] = []  # (utt_id, speaker_id, domain, language, vector)
     proto_cols: list[np.ndarray] = []
     speakers: list[SpeakerInfo] = []
     inventory_utts: list[tuple[str, ...]] = []
@@ -149,15 +154,7 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
             utt_ids = []
             for u in range(n_utts):
                 uid = f"{sid}-u{u:03d}"
-                train_embeddings.append(
-                    Embedding(
-                        utt_id=uid,
-                        speaker_id=sid,
-                        domain=domain,
-                        language=native,
-                        vec=utterance(base, native),
-                    )
-                )
+                rows.append((uid, sid, domain, native, utterance(base, native)))
                 utt_ids.append(uid)
             inventory_utts.append(tuple(utt_ids))
 
@@ -166,7 +163,7 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
         utterances=tuple(inventory_utts), domains=tuple(sp.domain for sp in speakers)
     )
 
-    eval_embeddings: list[Embedding] = []
+    n_train = len(rows)
     enrollment_map: dict[str, tuple[str, ...]] = {}
     test_utts_by_speaker: dict[str, list[str]] = {}
     for k in range(spec.eval_speakers):
@@ -175,14 +172,8 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
         enroll_ids = []
         for u in range(spec.enroll_utts):
             uid = f"{sid}-e{u:03d}"
-            eval_embeddings.append(
-                Embedding(
-                    utt_id=uid,
-                    speaker_id=sid,
-                    domain=Domain.DEEPMINE,
-                    language=Language.FARSI,
-                    vec=utterance(base, Language.FARSI),
-                )
+            rows.append(
+                (uid, sid, Domain.DEEPMINE, Language.FARSI, utterance(base, Language.FARSI))
             )
             enroll_ids.append(uid)
         enrollment_map[sid] = tuple(enroll_ids)
@@ -195,15 +186,7 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
                 if float(g_lang.uniform()) < spec.english_fraction
                 else Language.FARSI
             )
-            eval_embeddings.append(
-                Embedding(
-                    utt_id=uid,
-                    speaker_id=sid,
-                    domain=Domain.DEEPMINE,
-                    language=lang,
-                    vec=utterance(base, lang),
-                )
-            )
+            rows.append((uid, sid, Domain.DEEPMINE, lang, utterance(base, lang)))
             test_ids.append(uid)
         test_utts_by_speaker[sid] = test_ids
 
@@ -232,10 +215,11 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
     trials = [target_pool[int(i)] for i in t_idx] + [nontarget_pool[int(i)] for i in n_idx]
     labels = {key: i < spec.target_trials for i, key in enumerate(trials)}
 
+    columns = tuple(zip(*rows))
     return SyntheticCorpus(
         spec=spec,
-        train_embeddings=tuple(train_embeddings),
-        eval_embeddings=tuple(eval_embeddings),
+        embeddings=EmbeddingTable(*columns[:4], vectors=np.stack(columns[4])),
+        n_train=n_train,
         prototypes=prototypes,
         inventory=inventory,
         enrollment_map=enrollment_map,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,30 +53,55 @@ def as_f64_vector(v) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """One utterance embedding plus its bookkeeping metadata.
+_ID_COLUMNS = ("utt_ids", "speaker_ids", "domains", "languages")
 
-    ``vec`` is stored as a read-only float64 copy; all embeddings of one
-    corpus share the same dimension (enforced where collections are built).
+
+@dataclass(frozen=True)
+class EmbeddingTable:
+    """Utterance embeddings as columns: row ``r`` is utterance ``utt_ids[r]``.
+
+    ``vectors`` is an (n, D) float64 matrix, stored read-only and
+    C-contiguous with finite entries; a read-only C-contiguous float64
+    array is kept as given, anything else is copied.  ``row_of`` maps an
+    utterance id to its row; on a repeated id the last row wins.
     """
 
-    utt_id: str
-    speaker_id: str
-    domain: Domain
-    language: Language
-    vec: np.ndarray
+    utt_ids: tuple[str, ...]
+    speaker_ids: tuple[str, ...]
+    domains: tuple[Domain, ...]
+    languages: tuple[Language, ...]
+    vectors: np.ndarray
 
     def __post_init__(self):
-        arr = as_f64_vector(self.vec).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "vec", arr)
-        if not self.utt_id or not self.speaker_id:
+        cols = {name: tuple(getattr(self, name)) for name in _ID_COLUMNS}
+        vecs = np.asarray(self.vectors, dtype=np.float64)
+        if vecs.flags.writeable or not vecs.flags.c_contiguous:
+            vecs = np.array(vecs, order="C")
+        n = len(cols["utt_ids"])
+        if vecs.ndim != 2 or len(vecs) != n or any(len(c) != n for c in cols.values()):
+            raise DimensionMismatch(f"{n} utterance ids for vectors of shape {vecs.shape}")
+        if not np.isfinite(vecs).all():
+            raise ValidationError("vector contains non-finite entries")
+        if not (all(cols["utt_ids"]) and all(cols["speaker_ids"])):
             raise ValidationError("utt_id and speaker_id must be non-empty")
+        vecs.setflags(write=False)
+        for name, col in cols.items():
+            object.__setattr__(self, name, col)
+        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "row_of", dict(zip(cols["utt_ids"], range(n))))
+
+    def __len__(self) -> int:
+        return len(self.utt_ids)
+
+    def __getitem__(self, rows) -> "EmbeddingTable":
+        """The table of the selected rows (a slice or a sequence of row indices)."""
+        idx = np.arange(len(self))[rows].tolist()
+        picked = {name: [getattr(self, name)[i] for i in idx] for name in _ID_COLUMNS}
+        return EmbeddingTable(**picked, vectors=self.vectors[idx])
 
     @property
     def dim(self) -> int:
-        return self.vec.shape[0]
+        return self.vectors.shape[1]
 
 
 def unit_dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -104,12 +128,24 @@ def l2_normalize(v, eps: float = NORM_EPS) -> np.ndarray:
     return arr / norm
 
 
-def unit_rows(vecs: Iterable, dim: int) -> np.ndarray:
-    """(n, dim) array of the vectors, each scaled by :func:`l2_normalize`."""
-    unit = [l2_normalize(v) for v in vecs]
-    if any(u.shape[0] != dim for u in unit):
-        raise DimensionMismatch(f"vectors must all have dimension {dim}")
-    return np.reshape(unit, (len(unit), dim))
+def unit_rows(vecs, dim: int | None = None) -> np.ndarray:
+    """(n, dim) array of the vectors (a sequence or the rows of an array),
+    each scaled exactly as :func:`l2_normalize` scales it: the same pairwise
+    sum of squares, correctly rounded sqrt and division, one pass for all."""
+    try:
+        x = np.asarray(vecs, dtype=np.float64, order="C")
+    except ValueError:
+        raise DimensionMismatch("vectors have mixed dimensions") from None
+    if x.size == 0:
+        x = x.reshape(len(x), dim or 0)
+    if x.ndim != 2 or (dim is not None and x.shape[1] != dim):
+        raise DimensionMismatch(f"expected (n, {dim}) vectors, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValidationError("vector contains non-finite entries")
+    norms = np.sqrt(np.sum(x * x, axis=1))
+    if len(x) and norms.min() <= NORM_EPS:
+        raise NormUnderflow(f"vector norm {norms.min():g} <= {NORM_EPS:g}")
+    return x / norms[:, None]
 
 
 def cosine(a, b, eps: float = NORM_EPS) -> float:
@@ -125,27 +161,26 @@ def cosine(a, b, eps: float = NORM_EPS) -> float:
     return min(1.0, max(-1.0, unit_dot(l2_normalize(av, eps), l2_normalize(bv, eps))))
 
 
-def average_embedding(members: Sequence[Embedding] | Iterable[Embedding]) -> np.ndarray:
-    """Arithmetic mean of the L2-normalized member vectors.
+def average_embedding(vectors) -> np.ndarray:
+    """Arithmetic mean of the L2-normalized vectors (see :func:`mean_of_units`)."""
+    return mean_of_units(unit_rows(vectors))
+
+
+def mean_of_units(unit: np.ndarray) -> np.ndarray:
+    """Column mean of unit-normalized rows, e.g. from :func:`unit_rows`.
 
     The result is intentionally not re-normalized: cosine scoring is
     scale-invariant, so the extra division would be immaterial downstream.
     Accumulation uses exact summation, making the result independent of
-    member order.
+    row order.
 
     Raises:
-        EmptySet: no members.
-        NormUnderflow: a member is degenerate.
-        DegenerateAverage: the members cancel to (near) zero.
+        EmptySet: no rows.
+        DegenerateAverage: the rows cancel to (near) zero.
     """
-    units = [l2_normalize(m.vec) for m in members]
-    if not units:
+    if not len(unit):
         raise EmptySet("cannot average an empty set of embeddings")
-    dims = {u.shape[0] for u in units}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"mixed embedding dimensions: {sorted(dims)}")
-    stacked = np.stack(units)
-    mean = np.array([math.fsum(col) for col in stacked.T]) / len(units)
+    mean = np.array([math.fsum(col) for col in unit.T.tolist()]) / len(unit)
     if math.sqrt(unit_dot(mean, mean)) <= NORM_EPS:
         raise DegenerateAverage("member vectors cancel; average is degenerate")
     return mean

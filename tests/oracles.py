@@ -7,16 +7,29 @@ and calibration is re-fit with a generic quasi-Newton optimizer.  The
 scalar scoring, alpha and LID references are the per-item loops the batch
 implementations replaced: one ``cosine`` per trial, one rebuilt ``Cohort``
 per left-out prototype or enrollment model, and two triangular solves per
-llr.
+llr.  The embedding readers are the per-row parsers the columnar ones
+replaced (one ``float`` list or one ``struct.unpack`` per row).
 """
 
 from __future__ import annotations
+
+import math
+import struct
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import log_softmax
 
-from svbackend.errors import EmptySet, MissingEmbedding, MissingLidDecision, ParamInvalid
+from svbackend import formats
+from svbackend.errors import (
+    DegenerateAverage,
+    EmptySet,
+    FormatError,
+    MissingEmbedding,
+    MissingLidDecision,
+    ParamInvalid,
+)
 from svbackend.scoring import (
     Cohort,
     CohortEntry,
@@ -26,7 +39,7 @@ from svbackend.scoring import (
     language_dependent_snorm,
     snorm_stats,
 )
-from svbackend.vecmath import Language, average_embedding, cosine, l2_normalize
+from svbackend.vecmath import NORM_EPS, Domain, Language, cosine, l2_normalize
 
 
 def roc_points(scores, labels):
@@ -130,6 +143,48 @@ def fit_logreg_reference(scores, labels, l2=1e-6):
     return float(res.x[0]), float(res.x[1])
 
 
+def average_vectors(vecs):
+    """Mean of the vectors after one ``l2_normalize`` call each, summed
+    exactly column by column."""
+    units = [l2_normalize(v) for v in vecs]
+    if not units:
+        raise EmptySet("cannot average an empty set of embeddings")
+    mean = np.array([math.fsum(col) for col in np.stack(units).T]) / len(units)
+    if math.sqrt(float(np.sum(mean * mean))) <= NORM_EPS:
+        raise DegenerateAverage("member vectors cancel; average is degenerate")
+    return mean
+
+
+def full_cohort(table, tag=""):
+    """Cohort of every speaker in the table, each averaged from its rows with
+    :func:`average_vectors`; labels from the speaker's first row."""
+    groups = {}
+    for k, sid in enumerate(table.speaker_ids):
+        groups.setdefault(sid, []).append(k)
+    return Cohort(
+        tuple(
+            CohortEntry(
+                sid,
+                average_vectors([table.vectors[k] for k in rows]),
+                table.domains[rows[0]],
+                table.languages[rows[0]],
+            )
+            for sid, rows in groups.items()
+        ),
+        tag=tag,
+    )
+
+
+def restrict_domains(cohort, domains):
+    """The cohort entries whose domain is one of ``domains``."""
+    allowed = set(domains)
+    kept = tuple(e for e in cohort.entries if e.domain in allowed)
+    names = "+".join(sorted(d.value for d in allowed))
+    if not kept:
+        raise EmptySet(f"no cohort entries left for domains {names}")
+    return Cohort(kept, tag=f"{cohort.tag}|{names}" if cohort.tag else names)
+
+
 def excluding_speakers(cohort, speaker_ids):
     """A new Cohort without the given speakers (the cohort itself if none
     of them is in it)."""
@@ -143,12 +198,12 @@ def excluding_speakers(cohort, speaker_ids):
 
 
 def score_trials_loop(
-    trials, enrollment_map, embeddings, cohort, mode, offset=None, lid_decisions=None, top_n=40
+    trials, enrollment_map, table, cohort, mode, offset=None, lid_decisions=None, top_n=40
 ):
     """Per-trial scoring: a list of (raw, normalized) pairs aligned with
     ``trials``.  Statistics are recomputed for every trial on a cohort
     rebuilt without the model's enrollment speakers."""
-    emb = dict(embeddings)
+    emb = {u: (s, v) for u, s, v in zip(table.utt_ids, table.speaker_ids, table.vectors)}
     if mode is not ScoringMode.RAW and cohort is None:
         raise ParamInvalid(f"mode {mode.value} requires a cohort")
     if mode is ScoringMode.SNORM_LID and (offset is None or lid_decisions is None):
@@ -163,14 +218,14 @@ def score_trials_loop(
     model_vecs, model_speakers = {}, {}
     for model_id, utt_ids in enrollment_map.items():
         members = [embedding_of(u) for u in utt_ids]
-        model_vecs[model_id] = average_embedding(members)
-        model_speakers[model_id] = {m.speaker_id for m in members}
+        model_vecs[model_id] = average_vectors([vec for _, vec in members])
+        model_speakers[model_id] = {speaker for speaker, _ in members}
 
     out = []
     for model_id, utt_id in trials:
         if model_id not in model_vecs:
             raise MissingEmbedding(f"trial references unknown model {model_id!r}")
-        test_vec = embedding_of(utt_id).vec
+        test_vec = embedding_of(utt_id)[1]
         raw = cosine(model_vecs[model_id], test_vec)
         if mode is ScoringMode.RAW:
             out.append((raw, raw))
@@ -211,6 +266,15 @@ def estimate_alpha_rebuild(protos, top_n=40):
     return LanguageOffset(alpha=mu_fa - mu_usa)
 
 
+def similarity_matrix_full(protos):
+    """Every row of S from the full row-wise kernel, with no use of symmetry."""
+    rows = protos.unit_rows
+    s = np.empty((protos.count, protos.count))
+    for i in range(protos.count):
+        s[i] = np.sum(rows[i][None, :] * rows, axis=1)
+    return np.clip(s, -1.0, 1.0)
+
+
 def log_density(gb, x, mu):
     """log N(x; mu, shared_cov) through the Cholesky factor of the covariance."""
     chol = np.linalg.cholesky(gb.shared_cov)
@@ -223,3 +287,51 @@ def log_likelihood_ratio(gb, vec):
     """log N(x; mu_EN, cov) - log N(x; mu_FA, cov) on the normalized input."""
     x = l2_normalize(vec)
     return log_density(gb, x, gb.mu_english_effective) - log_density(gb, x, gb.mu_farsi)
+
+
+def read_embeddings_text_rows(path):
+    """(utt_id, speaker_id, domain, language, vector) per row, parsed one row
+    at a time."""
+    out = []
+    for line in formats._data_lines(Path(path), "embeddings"):
+        utt_id, speaker_id, domain, language, values = line.split("\t")
+        vec = np.array([float(v) for v in values.split(",")], dtype=np.float64)
+        out.append((utt_id, speaker_id, Domain(domain), Language(language), vec))
+    return out
+
+
+def read_embeddings_binary_rows(path):
+    """The same rows from the binary container, one ``struct.unpack`` and
+    one float32 -> float64 cast per record."""
+    data = Path(path).read_bytes()
+    payload = data[data.index(b"\n") + 1 :]
+    if payload[:4] != b"SVEB":
+        raise FormatError("bad magic")
+    _, dim, count = struct.unpack_from("<HIQ", payload, 4)
+    offset = 18
+    mat = np.frombuffer(payload, dtype="<f4", count=dim * count, offset=offset)
+    mat = mat.reshape(count, dim)
+    offset += 4 * dim * count
+    (n_strings,) = struct.unpack_from("<I", payload, offset)
+    offset += 4
+    strings = []
+    for _ in range(n_strings):
+        (slen,) = struct.unpack_from("<I", payload, offset)
+        strings.append(payload[offset + 4 : offset + 4 + slen].decode("utf-8"))
+        offset += 4 + slen
+    out = []
+    for row in range(count):
+        utt_i, spk_i, dom_i, lang_i = struct.unpack_from("<IIBB", payload, offset)
+        offset += 10
+        out.append(
+            (
+                strings[utt_i],
+                strings[spk_i],
+                list(Domain)[dom_i],
+                list(Language)[lang_i],
+                mat[row].astype(np.float64),
+            )
+        )
+    if offset != len(payload):
+        raise FormatError("trailing bytes")
+    return out

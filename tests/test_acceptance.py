@@ -292,12 +292,12 @@ def _structure_spec(seed, shift):
 
 
 def _pipeline_eers(corpus, top_n=40):
-    emb = {e.utt_id: e for e in corpus.embeddings}
-    full = Cohort.from_embeddings(corpus.train_embeddings, tag="train")
+    emb = corpus.embeddings
+    train = corpus.train_embeddings
     cohorts = {
-        "farsi": full.restrict_domains([Domain.DEEPMINE]),
-        "mixed": full,
-        "ood": full.restrict_domains([Domain.VOX, Domain.LIBRI]),
+        "farsi": Cohort.from_embeddings(train, tag="train", domains=[Domain.DEEPMINE]),
+        "mixed": Cohort.from_embeddings(train, tag="train"),
+        "ood": Cohort.from_embeddings(train, tag="train", domains=[Domain.VOX, Domain.LIBRI]),
     }
     labels = np.array([corpus.labels[k] for k in corpus.trials])
 
@@ -348,7 +348,8 @@ def test_criterion_08_language_offset_mechanism():
         cohorts, eer_of = _pipeline_eers(corpus)
         offset = estimate_alpha(corpus.prototypes, top_n=40)
         assert offset.alpha > 0
-        oracle_lid = {e.utt_id: e.language for e in corpus.eval_embeddings}
+        ev = corpus.eval_embeddings
+        oracle_lid = dict(zip(ev.utt_ids, ev.languages))
         plain = eer_of(ScoringMode.SNORM, cohorts["farsi"])
         with_lid = eer_of(ScoringMode.SNORM_LID, cohorts["farsi"], offset, oracle_lid)
         print(
@@ -369,7 +370,7 @@ def test_criterion_08_language_offset_mechanism():
         flat = generate_corpus(_structure_spec(seed=2, shift=0.0))
         cohorts0, eer0_of = _pipeline_eers(flat)
         offset0 = estimate_alpha(flat.prototypes, top_n=40)
-        lid0 = {e.utt_id: e.language for e in flat.eval_embeddings}
+        lid0 = dict(zip(flat.eval_embeddings.utt_ids, flat.eval_embeddings.languages))
         plain0 = eer0_of(ScoringMode.SNORM, cohorts0["farsi"])
         with_lid0 = eer0_of(ScoringMode.SNORM_LID, cohorts0["farsi"], offset0, lid0)
         print(

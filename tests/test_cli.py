@@ -1,10 +1,17 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from svbackend import formats
 from svbackend.cli import main
+from svbackend.errors import FormatError
 from svbackend.metrics import eer, min_dcf
 from svbackend.scores import ScoreSet
+from svbackend.vecmath import Language
+
+from conftest import make_embedding, make_table
 
 
 @pytest.fixture(scope="module")
@@ -427,9 +434,9 @@ class TestErrors:
 
     def test_non_utf8_binary_string_table(self, data_dir, tmp_path, capsys):
         path = tmp_path / "e.sveb"
-        formats.write_embeddings_binary(path, [formats.Embedding(
-            "u1", "s1", formats.Domain.VOX, formats.Language.FARSI, np.ones(4)
-        )])
+        formats.write_embeddings_binary(
+            path, make_table([make_embedding("u1", "s1", np.ones(4), language=Language.FARSI)])
+        )
         path.write_bytes(path.read_bytes().replace(b"u1", b"u\xff"))
         rc = main(
             [
@@ -466,6 +473,126 @@ class TestErrors:
             ]
         )
         assert_one_error_line(rc, capsys)
+
+    @staticmethod
+    def edit_row(text, k, edit):
+        """The embedding file text with data row ``k`` split into its five
+        fields (the vector as a list of values) and passed through ``edit``."""
+        lines = text.splitlines(keepends=True)
+        fields = lines[1 + k].rstrip("\n").split("\t")
+        fields[4] = fields[4].split(",")
+        fields = edit(fields)
+        lines[1 + k] = "\t".join(",".join(f) if isinstance(f, list) else f for f in fields) + "\n"
+        return "".join(lines), fields[0]
+
+    HOSTILE_TEXT = {
+        "field-count": lambda f: f[:3] + f[4:],
+        "malformed-float": lambda f: f[:4] + [f[4][:7] + ["0.1x"] + f[4][8:]],
+        "nan": lambda f: f[:4] + [f[4][:3] + ["nan"] + f[4][4:]],
+        "inf": lambda f: f[:4] + [f[4][:3] + ["-inf"] + f[4][4:]],
+        "empty-utt-id": lambda f: [""] + f[1:],
+        "empty-speaker-id": lambda f: f[:1] + [""] + f[2:],
+        "unknown-domain": lambda f: f[:2] + ["MARS"] + f[3:],
+        "unknown-language": lambda f: f[:3] + ["KLINGON"] + f[4:],
+        "mixed-dimensions": lambda f: f[:4] + [f[4][:-1]],
+        "empty-vector": lambda f: f[:4] + [[""]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_TEXT))
+    def test_hostile_text_embeddings(self, data_dir, tmp_path, capsys, case):
+        text, utt_id = self.edit_row(
+            (data_dir / "eval_embeddings.tsv").read_text(), 5, self.HOSTILE_TEXT[case]
+        )
+        path = tmp_path / "e.tsv"
+        path.write_text(text)
+        rc = main(
+            [
+                "score", "--mode", "raw", "--out", str(tmp_path / "s.tsv"),
+                "--embeddings", str(path),
+                "--trials", str(data_dir / "trials.tsv"),
+                "--enroll", str(data_dir / "enroll.tsv"),
+            ]
+        )
+        line = assert_one_error_line(rc, capsys)
+        if case in ("malformed-float", "mixed-dimensions"):
+            assert utt_id in line  # names the row, not just the file
+
+    @staticmethod
+    def binary_file(tmp_path):
+        table = make_table(
+            [make_embedding(f"u{k}", f"s{k % 2}", np.arange(1.0, 5.0) + k) for k in range(3)]
+        )
+        path = tmp_path / "e.sveb"
+        formats.write_embeddings_binary(path, table)
+        head, payload = path.read_bytes().split(b"\n", 1)
+        return path, head + b"\n", payload
+
+    # payload bytes of binary_file: magic 0-3, version 4-5, dim 6-9, count
+    # 10-17, 3 x 4 float32 values 18-65, string count 66-69, and the three
+    # 10-byte records last
+    HOSTILE_BINARY = {
+        "truncated-vectors": lambda p: p[:30],
+        "truncated-records": lambda p: p[:-4],
+        "trailing-bytes": lambda p: p + b"\x00",
+        "huge-count": lambda p: p[:10] + struct.pack("<Q", 1 << 40) + p[18:],
+        "huge-dim": lambda p: p[:6] + struct.pack("<I", 1 << 31) + p[10:],
+        "bad-magic": lambda p: b"SVEX" + p[4:],
+        "utt-index": lambda p: p[:-10] + struct.pack("<IIBB", 99, 0, 0, 0),
+        "speaker-index": lambda p: p[:-10] + struct.pack("<IIBB", 0, 99, 0, 0),
+        "domain-index": lambda p: p[:-10] + struct.pack("<IIBB", 0, 1, 3, 0),
+        "language-index": lambda p: p[:-10] + struct.pack("<IIBB", 0, 1, 0, 4),
+        "string-count": lambda p: p[:66] + struct.pack("<I", 1 << 30) + p[70:],
+    }
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_BINARY))
+    def test_hostile_binary_embeddings(self, data_dir, tmp_path, capsys, case):
+        path, head, payload = self.binary_file(tmp_path)
+        path.write_bytes(head + self.HOSTILE_BINARY[case](payload))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                formats.read_embeddings_binary(path)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20  # no allocation sized by the header
+        finally:
+            tracemalloc.stop()
+        rc = main(
+            [
+                "score", "--mode", "raw", "--out", str(tmp_path / "s.tsv"),
+                "--embeddings", str(path),
+                "--trials", str(data_dir / "trials.tsv"),
+                "--enroll", str(data_dir / "enroll.tsv"),
+            ]
+        )
+        assert_one_error_line(rc, capsys)
+
+    def test_aam_check_mixed_dimensions(self, data_dir, tmp_path, capsys):
+        text, utt_id = self.edit_row(
+            (data_dir / "train_embeddings.tsv").read_text(), 1, lambda f: f[:4] + [f[4][:2]]
+        )
+        path = tmp_path / "mixed.tsv"
+        path.write_text(text)
+        rc = main(
+            [
+                "aam-check", "--prototypes", str(data_dir / "prototypes.tsv"),
+                "--embeddings", str(path),
+            ]
+        )
+        assert utt_id in assert_one_error_line(rc, capsys)
+
+    def test_plan_batches_rejects_mixed_dimensions(self, data_dir, tmp_path, capsys):
+        text, _ = self.edit_row(
+            (data_dir / "train_embeddings.tsv").read_text(), 3, lambda f: f[:4] + [f[4] + ["0.5"]]
+        )
+        path = tmp_path / "mixed.tsv"
+        path.write_text(text)
+        rc = main(
+            [
+                "plan-batches", "--prototypes", str(data_dir / "prototypes.tsv"),
+                "--embeddings", str(path), "--out", str(tmp_path / "m.tsv"),
+                "--batch-size", "12", "--anchors", "3", "--imposters", "4",
+            ]
+        )
+        assert "mixed dimensions" in assert_one_error_line(rc, capsys)
 
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2

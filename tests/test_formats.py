@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from svbackend.prototypes import similarity_matrix
 from svbackend.scores import ScoreSet
 from svbackend.scoring import AlphaProvenance, LanguageOffset
 from svbackend.synth import CorpusSpec, generate_corpus
-from svbackend.vecmath import Language
+from svbackend.vecmath import Domain, Language
+
+from conftest import make_embedding, make_table, rows_of
+from oracles import read_embeddings_binary_rows, read_embeddings_text_rows
 
 SMALL = dict(
     vox_speakers=8,
@@ -27,13 +32,21 @@ def corpus():
     return generate_corpus(CorpusSpec(**SMALL, seed=21))
 
 
+def same_rows(table, rows):
+    """Ids and labels equal, vectors bitwise equal."""
+    assert len(table) == len(rows)
+    for got, (utt, spk, dom, lang, vec) in zip(rows_of(table), rows):
+        assert (got.utt_id, got.speaker_id, got.domain, got.language) == (utt, spk, dom, lang)
+        assert got.vec.tobytes() == vec.tobytes()
+
+
 class TestEmbeddingsText:
     def test_roundtrip_exact(self, corpus, tmp_path):
         path = tmp_path / "embs.tsv"
         formats.write_embeddings_text(path, corpus.train_embeddings)
         back = formats.read_embeddings_text(path)
         assert len(back) == len(corpus.train_embeddings)
-        for a, b in zip(corpus.train_embeddings, back):
+        for a, b in zip(rows_of(corpus.train_embeddings), rows_of(back)):
             assert (a.utt_id, a.speaker_id, a.domain, a.language) == (
                 b.utt_id,
                 b.speaker_id,
@@ -60,11 +73,30 @@ class TestEmbeddingsText:
             formats.read_embeddings_text(path)
 
     def test_whitespace_id_rejected_on_write(self, tmp_path, corpus):
-        from conftest import make_embedding
-
-        bad = make_embedding("utt 1", "s", [1.0, 0.0])
+        bad = make_table([make_embedding("utt 1", "s", [1.0, 0.0])])
         with pytest.raises(FormatError):
-            formats.write_embeddings_text(tmp_path / "bad.tsv", [bad])
+            formats.write_embeddings_text(tmp_path / "bad.tsv", bad)
+
+    def test_write_read_write_reproduces_bytes(self, corpus, tmp_path):
+        p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        formats.write_embeddings_text(p1, corpus.embeddings)
+        formats.write_embeddings_text(p2, formats.read_embeddings_text(p1))
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_matches_per_row_reader(self, corpus, tmp_path, rng):
+        path = tmp_path / "a.tsv"
+        # extreme magnitudes and subnormals next to the synthetic rows
+        odd = rng.normal(size=(3, corpus.embeddings.dim)) * [[1e-310], [1e300], [1.0]]
+        extra = [make_embedding(f"x{k}", "sx", v) for k, v in enumerate(odd)]
+        table = make_table(rows_of(corpus.embeddings) + extra)
+        formats.write_embeddings_text(path, table)
+        same_rows(formats.read_embeddings_text(path), read_embeddings_text_rows(path))
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "e.tsv"
+        path.write_text("#fmt:embeddings:1\n# only a comment\n\n")
+        table = formats.read_embeddings_text(path)
+        assert len(table) == 0 and table.vectors.shape == (0, 0)
 
 
 class TestEmbeddingsBinary:
@@ -80,15 +112,16 @@ class TestEmbeddingsBinary:
         path = tmp_path / "a.sveb"
         formats.write_embeddings_binary(path, corpus.train_embeddings)
         back = formats.read_embeddings_binary(path)
-        for a, b in zip(corpus.train_embeddings, back):
-            assert np.array_equal(a.vec.astype(np.float32).astype(np.float64), b.vec)
+        assert np.array_equal(
+            corpus.train_embeddings.vectors.astype(np.float32).astype(np.float64), back.vectors
+        )
 
     def test_metadata_preserved(self, corpus, tmp_path):
         path = tmp_path / "a.sveb"
         formats.write_embeddings_binary(path, corpus.eval_embeddings)
         back = formats.read_embeddings_binary(path)
-        assert [(e.utt_id, e.speaker_id, e.domain, e.language) for e in back] == [
-            (e.utt_id, e.speaker_id, e.domain, e.language) for e in corpus.eval_embeddings
+        assert [(e.utt_id, e.speaker_id, e.domain, e.language) for e in rows_of(back)] == [
+            (e.utt_id, e.speaker_id, e.domain, e.language) for e in rows_of(corpus.eval_embeddings)
         ]
 
     def test_dispatcher_sniffs_both(self, corpus, tmp_path):
@@ -96,9 +129,7 @@ class TestEmbeddingsBinary:
         b = tmp_path / "b.sveb"
         formats.write_embeddings_text(t, corpus.eval_embeddings[:3])
         formats.write_embeddings_binary(b, corpus.eval_embeddings[:3])
-        assert [e.utt_id for e in formats.read_embeddings(t)] == [
-            e.utt_id for e in formats.read_embeddings(b)
-        ]
+        assert formats.read_embeddings(t).utt_ids == formats.read_embeddings(b).utt_ids
 
     def test_truncation_detected(self, corpus, tmp_path):
         path = tmp_path / "a.sveb"
@@ -107,6 +138,43 @@ class TestEmbeddingsBinary:
         path.write_bytes(data[:-4])
         with pytest.raises(FormatError):
             formats.read_embeddings_binary(path)
+
+    def test_write_read_write_reproduces_bytes(self, corpus, tmp_path):
+        # the first write quantizes; every later write reproduces its bytes
+        p1, p2, p3 = (tmp_path / f"{k}.sveb" for k in range(3))
+        formats.write_embeddings_binary(p1, corpus.embeddings)
+        formats.write_embeddings_binary(p2, formats.read_embeddings_binary(p1))
+        formats.write_embeddings_binary(p3, formats.read_embeddings(p2))
+        assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+
+    def test_matches_per_record_reader(self, corpus, tmp_path):
+        path = tmp_path / "a.sveb"
+        formats.write_embeddings_binary(path, corpus.embeddings)
+        same_rows(formats.read_embeddings_binary(path), read_embeddings_binary_rows(path))
+
+    def test_string_table_is_interned_in_row_order(self, tmp_path):
+        table = make_table(
+            [
+                make_embedding("u1", "s1", [1.0, 2.0]),
+                make_embedding("u2", "s1", [3.0, 4.0], domain=Domain.DEEPMINE),
+                make_embedding("u3", "s2", [5.0, 6.0], language=Language.ENGLISH),
+            ]
+        )
+        path = tmp_path / "a.sveb"
+        formats.write_embeddings_binary(path, table)
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        # ids interned as they first appear, utterance before speaker
+        names = [b"u1", b"s1", b"u2", b"u3", b"s2"]
+        string_table = struct.pack("<I", 5) + b"".join(struct.pack("<I", 2) + n for n in names)
+        records = [(0, 1, 0, 3), (2, 1, 2, 3), (3, 4, 0, 1)]
+        assert payload[18 + 4 * 6 :] == string_table + b"".join(
+            struct.pack("<IIBB", *rec) for rec in records
+        )
+
+    def test_empty_table(self, tmp_path):
+        path = tmp_path / "e.sveb"
+        formats.write_embeddings_binary(path, make_table([]))
+        assert len(formats.read_embeddings_binary(path)) == 0
 
 
 class TestPrototypes:

@@ -14,7 +14,7 @@ from svbackend.planner import (
 from svbackend.prototypes import similarity_matrix, top_similar
 from svbackend.vecmath import Domain
 
-from conftest import make_embedding, make_protos
+from conftest import make_embedding, make_protos, make_table
 
 
 def make_inventory(n_speakers, utts_each=3, domains=None):
@@ -284,9 +284,9 @@ class TestInventoryFromEmbeddings:
             make_embedding("u2", "spk000", rng.normal(size=4)),
         ]
         with pytest.raises(InventoryGap):
-            UtteranceInventory.from_embeddings(embs, protos)
+            UtteranceInventory.from_embeddings(make_table(embs), protos)
         embs.append(make_embedding("u3", "spk002", rng.normal(size=4)))
-        inv = UtteranceInventory.from_embeddings(embs, protos)
+        inv = UtteranceInventory.from_embeddings(make_table(embs), protos)
         assert inv.utterances[0] == ("u0", "u2")
         assert inv.utterances[2] == ("u3",)
 

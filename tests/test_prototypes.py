@@ -3,9 +3,10 @@ import pytest
 
 from svbackend.errors import IndexOutOfRange, KTooLarge, NormUnderflow, ValidationError
 from svbackend.prototypes import CHECK_BLOCK_ROWS, SimilarityMatrix, similarity_matrix, top_similar
-from svbackend.vecmath import cosine
+from svbackend.vecmath import cosine, l2_normalize
 
 from conftest import make_protos
+from oracles import similarity_matrix_full
 
 
 class TestPrototypeMatrix:
@@ -39,7 +40,21 @@ class TestPrototypeMatrix:
             )
 
 
+    def test_unit_rows_bit_identical_to_l2_normalize(self, rng):
+        w = rng.normal(size=(37, 9)) * rng.uniform(1e-3, 1e3, size=9)
+        p = make_protos(w)
+        assert np.array_equal(p.unit_rows, np.stack([l2_normalize(w[:, j]) for j in range(9)]))
+
+
 class TestSimilarityMatrix:
+    def test_equals_full_row_kernel(self, rng):
+        # only the upper triangle is computed; the mirror must keep every bit
+        for d, n in ((256, 150), (7, 33), (3, 2)):
+            w = rng.normal(size=(d, n))
+            w[:, 1] = w[:, 0] * 3.0  # a duplicate direction, clipped at 1
+            p = make_protos(w)
+            assert np.array_equal(similarity_matrix(p).s, similarity_matrix_full(p))
+
     def test_orthogonal_prototypes(self):
         s = similarity_matrix(make_protos(np.eye(2)))
         np.testing.assert_array_equal(s.s, np.eye(2))

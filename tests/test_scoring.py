@@ -5,6 +5,7 @@ import pytest
 
 from svbackend.errors import (
     ClassTooSmall,
+    DegenerateAverage,
     DegenerateCohort,
     EmptySet,
     MissingEmbedding,
@@ -28,8 +29,14 @@ from svbackend.scoring import (
 from svbackend.synth import CorpusSpec, generate_corpus
 from svbackend.vecmath import Domain, Language, average_embedding, cosine, l2_normalize
 
-from conftest import make_embedding, make_protos
-from oracles import estimate_alpha_rebuild, excluding_speakers, score_trials_loop
+from conftest import make_embedding, make_protos, make_table, rows_of
+from oracles import (
+    estimate_alpha_rebuild,
+    excluding_speakers,
+    full_cohort,
+    restrict_domains,
+    score_trials_loop,
+)
 
 
 def entry(sid, vec, domain=Domain.DEEPMINE, language=Language.FARSI):
@@ -46,23 +53,22 @@ def cohort_with_cosines(values):
 
 class TestEnrollmentModel:
     def test_single_utterance(self):
-        e = make_embedding("u", "s", [3.0, 4.0])
-        np.testing.assert_allclose(average_embedding([e]), [0.6, 0.8], atol=1e-15)
+        np.testing.assert_allclose(average_embedding([[3.0, 4.0]]), [0.6, 0.8], atol=1e-15)
 
     def test_copies_keep_direction(self):
-        es = [make_embedding(f"u{i}", "s", [2.0, 1.0]) for i in range(3)]
-        one = average_embedding(es[:1])
-        three = average_embedding(es)
+        vecs = [[2.0, 1.0]] * 3
+        one = average_embedding(vecs[:1])
+        three = average_embedding(vecs)
         assert cosine(one, three) == pytest.approx(1.0, abs=1e-12)
 
     def test_equals_average_embedding(self, rng):
         # score_trials scores a model as the average of its utterances
         es = [make_embedding(f"u{i}", "s", rng.normal(size=6)) for i in range(5)]
         test = make_embedding("t", "x", rng.normal(size=6))
-        embs = {e.utt_id: e for e in es + [test]}
         enroll = {"m": tuple(e.utt_id for e in es)}
-        out = score_trials([("m", "t")], enroll, embs, cohort=None, mode=ScoringMode.RAW)
-        assert out["raw"][0] == cosine(average_embedding(es), test.vec)
+        table = make_table(es + [test])
+        out = score_trials([("m", "t")], enroll, table, cohort=None, mode=ScoringMode.RAW)
+        assert out["raw"][0] == cosine(average_embedding([e.vec for e in es]), test.vec)
 
 
 class TestSnormStats:
@@ -215,20 +221,61 @@ class TestCohort:
             make_embedding("a1", "spkA", [0.0, 1.0]),
             make_embedding("b0", "spkB", [1.0, 1.0]),
         ]
-        cohort = Cohort.from_embeddings(es)
+        cohort = Cohort.from_embeddings(make_table(es))
         assert len(cohort) == 2
         np.testing.assert_allclose(cohort.entries[0].vec, [0.5, 0.5], atol=1e-15)
 
     def test_restrict_domains(self):
-        entries = (
-            entry("a", [1.0, 0.0], domain=Domain.DEEPMINE),
-            entry("b", [0.0, 1.0], domain=Domain.VOX),
+        table = make_table(
+            [
+                make_embedding("a0", "a", [1.0, 0.0], domain=Domain.DEEPMINE),
+                make_embedding("b0", "b", [0.0, 1.0], domain=Domain.VOX),
+            ]
         )
-        cohort = Cohort(entries, tag="t")
-        kept = cohort.restrict_domains([Domain.VOX])
+        kept = Cohort.from_embeddings(table, tag="t", domains=[Domain.VOX])
         assert [e.speaker_id for e in kept.entries] == ["b"]
+        assert kept.tag == "t|VOX"
         with pytest.raises(EmptySet):
-            cohort.restrict_domains([Domain.LIBRI])
+            Cohort.from_embeddings(table, domains=[Domain.LIBRI])
+
+    def test_domains_equal_build_all_then_restrict(self, rng):
+        # speakers in order of first appearance, interleaved rows, and one
+        # speaker ("mix") whose rows span two domains: its first row decides
+        doms = [Domain.VOX, Domain.LIBRI, Domain.DEEPMINE]
+        rows = [
+            make_embedding(f"u{k}", f"spk{k % 7}", rng.normal(size=9), domain=doms[(k % 7) % 3])
+            for k in range(40)
+        ]
+        rows[3:3] = [
+            make_embedding("m0", "mix", rng.normal(size=9), domain=Domain.DEEPMINE),
+            make_embedding("m1", "mix", rng.normal(size=9), domain=Domain.VOX),
+        ]
+        rows.append(make_embedding("m2", "mix", rng.normal(size=9), domain=Domain.VOX))
+        table = make_table(rows)
+        full = full_cohort(table, tag="train")
+        assert np.array_equal(Cohort.from_embeddings(table, tag="train").unit_rows, full.unit_rows)
+        for domains in ([Domain.DEEPMINE], [Domain.VOX, Domain.LIBRI], [Domain.VOX]):
+            new = Cohort.from_embeddings(table, tag="train", domains=domains)
+            old = restrict_domains(full, domains)
+            assert [e.speaker_id for e in new.entries] == [e.speaker_id for e in old.entries]
+            assert np.array_equal(new.unit_rows, old.unit_rows)
+            assert new.tag == old.tag
+            assert ("mix" in [e.speaker_id for e in new.entries]) == (Domain.DEEPMINE in domains)
+
+    def test_degenerate_rows(self):
+        cancel = [
+            make_embedding("a0", "a", [1.0, 0.0], domain=Domain.VOX),
+            make_embedding("a1", "a", [-1.0, 0.0], domain=Domain.VOX),
+            make_embedding("b0", "b", [1.0, 1.0], domain=Domain.DEEPMINE),
+        ]
+        # a speaker whose rows cancel matters only when it is kept
+        with pytest.raises(DegenerateAverage):
+            Cohort.from_embeddings(make_table(cancel))
+        assert len(Cohort.from_embeddings(make_table(cancel), domains=[Domain.DEEPMINE])) == 1
+        # a zero row fails the build even when its speaker is dropped
+        zero = cancel[:1] + [make_embedding("a1", "a", [0.0, 0.0])] + cancel[2:]
+        with pytest.raises(NormUnderflow):
+            Cohort.from_embeddings(make_table(zero), domains=[Domain.DEEPMINE])
 
     def test_excluding_speakers(self):
         # the model's own speaker "a" scores 1.0 against it and must not
@@ -240,10 +287,9 @@ class TestCohort:
             entry("d", [0.0, 1.0]),
         )
         cohort = Cohort(entries)
-        embs = {
-            "e0": make_embedding("e0", "a", [1.0, 0.0]),
-            "t0": make_embedding("t0", "x", [0.28, 0.96]),
-        }
+        embs = make_table(
+            [make_embedding("e0", "a", [1.0, 0.0]), make_embedding("t0", "x", [0.28, 0.96])]
+        )
         out = score_trials([("m", "t0")], {"m": ("e0",)}, embs, cohort, ScoringMode.SNORM, top_n=2)
         st_e = snorm_stats([1.0, 0.0], cohort.unit_rows[1:], 2)
         st_t = snorm_stats([0.28, 0.96], cohort.unit_rows, 2)
@@ -259,18 +305,20 @@ def tiny_trial_setup(rng, n_cohort=24, dim=8):
     cohort_embs = [
         make_embedding(f"c{i}-u0", f"coh{i}", rng.normal(size=dim)) for i in range(n_cohort)
     ]
-    cohort = Cohort.from_embeddings(cohort_embs, tag="train")
+    cohort = Cohort.from_embeddings(make_table(cohort_embs), tag="train")
     enroll = {
         "modelA": ("ea0", "ea1"),
         "modelB": ("eb0",),
     }
-    embs = {
-        "ea0": make_embedding("ea0", "sA", rng.normal(size=dim)),
-        "ea1": make_embedding("ea1", "sA", rng.normal(size=dim)),
-        "eb0": make_embedding("eb0", "sB", rng.normal(size=dim)),
-        "t0": make_embedding("t0", "sA", rng.normal(size=dim), language=Language.FARSI),
-        "t1": make_embedding("t1", "sX", rng.normal(size=dim), language=Language.ENGLISH),
-    }
+    embs = make_table(
+        [
+            make_embedding("ea0", "sA", rng.normal(size=dim)),
+            make_embedding("ea1", "sA", rng.normal(size=dim)),
+            make_embedding("eb0", "sB", rng.normal(size=dim)),
+            make_embedding("t0", "sA", rng.normal(size=dim), language=Language.FARSI),
+            make_embedding("t1", "sX", rng.normal(size=dim), language=Language.ENGLISH),
+        ]
+    )
     trials = [("modelA", "t0"), ("modelA", "t1"), ("modelB", "t0"), ("modelB", "t1")]
     return trials, enroll, embs, cohort
 
@@ -278,10 +326,7 @@ def tiny_trial_setup(rng, n_cohort=24, dim=8):
 class TestScoreTrials:
     def test_raw_identical_vectors(self, rng):
         v = rng.normal(size=5)
-        embs = {
-            "e0": make_embedding("e0", "s", v),
-            "t0": make_embedding("t0", "s", 2.0 * v),
-        }
+        embs = make_table([make_embedding("e0", "s", v), make_embedding("t0", "s", 2.0 * v)])
         out = score_trials(
             [("m", "t0")], {"m": ("e0",)}, embs, cohort=None, mode=ScoringMode.RAW
         )
@@ -292,12 +337,13 @@ class TestScoreTrials:
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
         out = score_trials(trials, enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
         assert len(out) == len(trials)
+        by_id = {e.utt_id: e for e in rows_of(embs)}
         for (model_id, utt_id), ts in zip(trials, out):
-            model_vec = average_embedding([embs[u] for u in enroll[model_id]])
-            speakers = {embs[u].speaker_id for u in enroll[model_id]}
+            model_vec = average_embedding([by_id[u].vec for u in enroll[model_id]])
+            speakers = {by_id[u].speaker_id for u in enroll[model_id]}
             st_e = snorm_stats(model_vec, excluding_speakers(cohort, speakers).unit_rows, 5)
-            st_t = snorm_stats(embs[utt_id].vec, cohort.unit_rows, 5)
-            raw = cosine(model_vec, embs[utt_id].vec)
+            st_t = snorm_stats(by_id[utt_id].vec, cohort.unit_rows, 5)
+            raw = cosine(model_vec, by_id[utt_id].vec)
             assert ts["raw"] == raw
             assert ts["normalized"] == adaptive_snorm(raw, st_e, st_t)
 
@@ -407,13 +453,13 @@ def differential_setup(rng, dim=8, n_distinct=10, copies=3, n_models=6, n_tests=
     embs[f"t{n_tests}"] = make_embedding(f"t{n_tests}", "spk-copy", v)
     enroll["model-copy"] = ("e-copy",)
     n_tests += 1
-    cohort = Cohort.from_embeddings(cohort_embs, tag="train")
+    cohort = Cohort.from_embeddings(make_table(cohort_embs), tag="train")
     trials = [(m, f"t{t}") for t in range(n_tests) for m in enroll]
     decisions = {
         f"t{t}": Language.ENGLISH if rng.uniform() < 0.4 else Language.FARSI
         for t in range(n_tests)
     }
-    return trials, enroll, embs, cohort, decisions
+    return trials, enroll, make_table(embs), cohort, decisions
 
 
 class TestScoreTrialsAgainstOracle:
@@ -457,11 +503,11 @@ class TestScoreTrialsAgainstOracle:
                 for k, e in enumerate(cohort.entries)
             )
         )
-        self.check(trials, enroll, embs, mixed.restrict_domains([Domain.VOX]), decisions, 4)
+        self.check(trials, enroll, embs, restrict_domains(mixed, [Domain.VOX]), decisions, 4)
 
     def test_zero_norm_test_vector_raises(self, rng):
         trials, enroll, embs, cohort, decisions = differential_setup(rng, n_tests=4)
-        embs["t2"] = make_embedding("t2", "spkZ", np.zeros(8))
+        embs = make_table(rows_of(embs) + [make_embedding("t2", "spkZ", np.zeros(8))])
         for mode in self.MODES:
             for impl in (score_trials, score_trials_loop):
                 with pytest.raises(NormUnderflow):

@@ -9,6 +9,8 @@ from svbackend.scoring import estimate_alpha
 from svbackend.synth import CorpusSpec, SyntheticCorpus, generate_corpus
 from svbackend.vecmath import Domain, Language, cosine
 
+from conftest import rows_of
+
 
 SMALL = dict(
     vox_speakers=20,
@@ -43,8 +45,8 @@ class TestStructure:
         corpus = generate_corpus(CorpusSpec(**SMALL, seed=3))
         assert corpus.prototypes.count == 55
         assert len(corpus.inventory) == 55
-        train_speakers = {e.speaker_id for e in corpus.train_embeddings}
-        eval_speakers = {e.speaker_id for e in corpus.eval_embeddings}
+        train_speakers = {e.speaker_id for e in rows_of(corpus.train_embeddings)}
+        eval_speakers = {e.speaker_id for e in rows_of(corpus.eval_embeddings)}
         assert train_speakers.isdisjoint(eval_speakers)
         assert len(corpus.enrollment_map) == 10
         assert len(corpus.trials) == 240
@@ -53,14 +55,14 @@ class TestStructure:
     def test_trial_keys_unique_and_resolvable(self):
         corpus = generate_corpus(CorpusSpec(**SMALL, seed=3))
         assert len(set(corpus.trials)) == len(corpus.trials)
-        eval_utts = {e.utt_id for e in corpus.eval_embeddings}
+        eval_utts = {e.utt_id for e in rows_of(corpus.eval_embeddings)}
         for model_id, utt_id in corpus.trials:
             assert model_id in corpus.enrollment_map
             assert utt_id in eval_utts
 
     def test_labels_match_speaker_identity(self):
         corpus = generate_corpus(CorpusSpec(**SMALL, seed=3))
-        by_id = {e.utt_id: e for e in corpus.eval_embeddings}
+        by_id = {e.utt_id: e for e in rows_of(corpus.eval_embeddings)}
         for (model_id, utt_id), is_target in corpus.labels.items():
             assert (by_id[utt_id].speaker_id == model_id) == is_target
 
@@ -68,7 +70,7 @@ class TestStructure:
         a = generate_corpus(CorpusSpec(**SMALL, seed=9))
         b = generate_corpus(CorpusSpec(**SMALL, seed=9))
         assert a.trials == b.trials
-        for ea, eb in zip(a.embeddings, b.embeddings):
+        for ea, eb in zip(rows_of(a.embeddings), rows_of(b.embeddings)):
             assert ea.utt_id == eb.utt_id
             assert np.array_equal(ea.vec, eb.vec)
         assert np.array_equal(a.prototypes.w, b.prototypes.w)
@@ -84,10 +86,10 @@ class TestLanguageShift:
         # same seed, opposite label assignments: vectors must be identical
         all_en = generate_corpus(CorpusSpec(**SMALL, seed=5, language_shift=0.0, english_fraction=1.0))
         all_fa = generate_corpus(CorpusSpec(**SMALL, seed=5, language_shift=0.0, english_fraction=0.0))
-        langs_en = {e.utt_id: e.language for e in all_en.eval_embeddings}
-        langs_fa = {e.utt_id: e.language for e in all_fa.eval_embeddings}
+        langs_en = {e.utt_id: e.language for e in rows_of(all_en.eval_embeddings)}
+        langs_fa = {e.utt_id: e.language for e in rows_of(all_fa.eval_embeddings)}
         assert any(langs_en[u] != langs_fa[u] for u in langs_en)
-        for ea, eb in zip(all_en.embeddings, all_fa.embeddings):
+        for ea, eb in zip(rows_of(all_en.embeddings), rows_of(all_fa.embeddings)):
             assert ea.utt_id == eb.utt_id
             assert np.array_equal(ea.vec, eb.vec)
 
@@ -96,7 +98,7 @@ class TestLanguageShift:
             CorpusSpec(**SMALL, seed=7, concentration=1e9)
         )
         by_speaker = {sp.speaker_id: j for j, sp in enumerate(corpus.prototypes.speakers)}
-        for e in corpus.train_embeddings:
+        for e in rows_of(corpus.train_embeddings):
             proto = corpus.prototypes.w[:, by_speaker[e.speaker_id]]
             assert np.max(np.abs(e.vec - proto)) < 1e-6
 
@@ -104,7 +106,7 @@ class TestLanguageShift:
         corpus = generate_corpus(CorpusSpec(**SMALL, seed=11, concentration=20.0))
         rng = np.random.default_rng(0)
         by_speaker: dict[str, list] = {}
-        for e in corpus.train_embeddings:
+        for e in rows_of(corpus.train_embeddings):
             if e.language is Language.FARSI:
                 by_speaker.setdefault(e.speaker_id, []).append(e)
         speakers = [s for s, es in by_speaker.items() if len(es) >= 2]
@@ -122,7 +124,7 @@ class TestLanguageShift:
         corpus = generate_corpus(CorpusSpec(**SMALL, seed=13, language_shift=1.0))
         same_lang, cross_lang = [], []
         by_speaker: dict[str, list] = {}
-        for e in corpus.eval_embeddings:
+        for e in rows_of(corpus.eval_embeddings):
             by_speaker.setdefault(e.speaker_id, []).append(e)
         for es in by_speaker.values():
             fa = [e for e in es if e.language is Language.FARSI]
@@ -148,11 +150,11 @@ class TestLanguageShift:
     def test_golden_fingerprint(self):
         # regression fixture: first utterance vector of the default-seed corpus
         corpus = generate_corpus(CorpusSpec(**SMALL, seed=0))
-        e = corpus.train_embeddings[0]
+        e = rows_of(corpus.train_embeddings)[0]
         assert e.utt_id == "vox000-u000"
         assert e.domain is Domain.VOX and e.language is Language.ENGLISH
         assert np.linalg.norm(e.vec) == pytest.approx(1.0, abs=1e-9)
-        fingerprint = float(np.sum(e.vec * np.arange(1, e.dim + 1)))
+        fingerprint = float(np.sum(e.vec * np.arange(1, len(e.vec) + 1)))
         assert fingerprint == pytest.approx(-6.966771186753838, abs=1e-12)
 
     def test_embeddings_property_concatenates(self):
@@ -161,3 +163,7 @@ class TestLanguageShift:
         assert len(corpus.embeddings) == len(corpus.train_embeddings) + len(
             corpus.eval_embeddings
         )
+        train, ev = corpus.train_embeddings, corpus.eval_embeddings
+        assert corpus.embeddings.utt_ids == train.utt_ids + ev.utt_ids
+        stacked = np.concatenate([train.vectors, ev.vectors])
+        assert np.array_equal(corpus.embeddings.vectors, stacked)

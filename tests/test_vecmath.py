@@ -10,9 +10,18 @@ from svbackend.errors import (
     NormUnderflow,
     ValidationError,
 )
-from svbackend.vecmath import Embedding, average_embedding, cosine, l2_normalize
+from svbackend.vecmath import (
+    Domain,
+    EmbeddingTable,
+    Language,
+    average_embedding,
+    cosine,
+    l2_normalize,
+    unit_rows,
+)
 
-from conftest import make_embedding
+from conftest import make_embedding, make_table
+from oracles import average_vectors
 
 
 class TestL2Normalize:
@@ -85,62 +94,120 @@ class TestCosine:
 
 class TestAverageEmbedding:
     def test_single_member_is_normalized(self):
-        e = make_embedding("u1", "s1", [3.0, 4.0])
-        np.testing.assert_allclose(average_embedding([e]), [0.6, 0.8], atol=1e-15)
+        np.testing.assert_allclose(average_embedding([[3.0, 4.0]]), [0.6, 0.8], atol=1e-15)
 
     def test_two_orthogonal_members(self):
-        es = [make_embedding("u1", "s1", [1.0, 0.0]), make_embedding("u2", "s1", [0.0, 1.0])]
-        np.testing.assert_allclose(average_embedding(es), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(
+            average_embedding([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5], atol=1e-15
+        )
 
     def test_cancellation_degenerates(self):
-        es = [make_embedding("u1", "s1", [1.0, 0.0]), make_embedding("u2", "s1", [-1.0, 0.0])]
         with pytest.raises(DegenerateAverage):
-            average_embedding(es)
+            average_embedding([[1.0, 0.0], [-1.0, 0.0]])
 
     def test_empty_set(self):
         with pytest.raises(EmptySet):
             average_embedding([])
 
     def test_mixed_dimensions(self):
-        es = [make_embedding("u1", "s1", [1.0, 0.0]), make_embedding("u2", "s1", [1.0, 0.0, 0.0])]
         with pytest.raises(DimensionMismatch):
-            average_embedding(es)
+            average_embedding([np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])])
 
     def test_permutation_invariance_exact(self, rng):
-        es = [make_embedding(f"u{i}", "s1", rng.normal(size=7)) for i in range(9)]
-        ref = average_embedding(es)
+        vecs = rng.normal(size=(9, 7))
+        ref = average_embedding(vecs)
         for _ in range(20):
-            perm = rng.permutation(len(es))
-            shuffled = [es[int(i)] for i in perm]
-            assert np.array_equal(average_embedding(shuffled), ref)
+            assert np.array_equal(average_embedding(vecs[rng.permutation(len(vecs))]), ref)
 
     def test_not_renormalized(self, rng):
-        es = [make_embedding(f"u{i}", "s1", rng.normal(size=5)) for i in range(4)]
-        mean = average_embedding(es)
-        units = np.stack([l2_normalize(e.vec) for e in es])
+        vecs = rng.normal(size=(4, 5))
+        mean = average_embedding(vecs)
+        units = np.stack([l2_normalize(v) for v in vecs])
         np.testing.assert_allclose(mean, units.mean(axis=0), atol=1e-12)
         assert abs(np.linalg.norm(mean) - 1.0) > 1e-3  # stays an un-normalized mean
+
+    def test_equals_scalar_oracle(self, rng):
+        for n in (1, 2, 5, 9):
+            vecs = rng.normal(size=(n, 33)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+            assert np.array_equal(average_embedding(vecs), average_vectors(list(vecs)))
+
+
+class TestUnitRows:
+    def test_bit_identical_to_l2_normalize(self, rng):
+        for dim in (1, 2, 7, 64, 256, 1000):
+            x = rng.normal(size=(13, dim)) * rng.uniform(1e-6, 1e6, size=(13, 1))
+            expected = np.stack([l2_normalize(v) for v in x])
+            assert np.array_equal(unit_rows(x, dim), expected)
+            assert np.array_equal(unit_rows(np.asfortranarray(x)), expected)
+            assert np.array_equal(unit_rows(list(x), dim), expected)
+
+    def test_zero_row_underflows(self, rng):
+        x = rng.normal(size=(5, 4))
+        x[3] = 0.0
+        with pytest.raises(NormUnderflow):
+            unit_rows(x)
+
+    def test_shapes(self):
+        assert unit_rows([], 6).shape == (0, 6)
+        with pytest.raises(DimensionMismatch):
+            unit_rows([[1.0, 2.0]], 3)
+        with pytest.raises(DimensionMismatch):
+            unit_rows([1.0, 2.0])
+        with pytest.raises(ValidationError):
+            unit_rows([[1.0, math.nan]])
 
 
 class TestEmbeddingType:
     def test_vec_is_readonly_float64(self):
-        e = make_embedding("u1", "s1", [1, 2, 3])
-        assert e.vec.dtype == np.float64
+        t = make_table([make_embedding("u1", "s1", [1, 2, 3])])
+        assert t.vectors.dtype == np.float64 and t.vectors.flags.c_contiguous
         with pytest.raises(ValueError):
-            e.vec[0] = 5.0
+            t.vectors[0, 0] = 5.0
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
-            make_embedding("u1", "s1", [1.0, math.inf])
+            make_table([make_embedding("u1", "s1", [1.0, math.inf])])
 
     def test_rejects_empty_ids(self):
-        from svbackend.vecmath import Domain, Language
-
         with pytest.raises(ValidationError):
-            Embedding(
-                utt_id="",
-                speaker_id="s",
-                domain=Domain.VOX,
-                language=Language.UNKNOWN,
-                vec=[1.0, 0.0],
+            EmbeddingTable(
+                utt_ids=[""],
+                speaker_ids=["s"],
+                domains=[Domain.VOX],
+                languages=[Language.UNKNOWN],
+                vectors=[[1.0, 0.0]],
             )
+
+    def test_input_array_is_copied_unless_read_only(self):
+        cols = (("a", "b"), ("s", "s"), (Domain.VOX,) * 2, (Language.FARSI,) * 2)
+        vecs = np.ones((2, 3))
+        t = EmbeddingTable(*cols, vectors=vecs)
+        vecs[0, 0] = 7.0
+        assert t.vectors[0, 0] == 1.0 and vecs.flags.writeable
+        vecs.setflags(write=False)
+        assert EmbeddingTable(*cols, vectors=vecs).vectors is vecs
+
+    def test_shape_checks(self):
+        cols = (("a", "b"), ("s", "s"), (Domain.VOX,) * 2, (Language.FARSI,) * 2)
+        with pytest.raises(DimensionMismatch):
+            EmbeddingTable(*cols, vectors=np.ones((3, 4)))
+        with pytest.raises(DimensionMismatch):
+            EmbeddingTable(*cols[:3], (Language.FARSI,), vectors=np.ones((2, 4)))
+        with pytest.raises(DimensionMismatch):
+            EmbeddingTable(*cols, vectors=np.ones(2))
+
+    def test_row_lookup_last_wins_and_selection(self):
+        t = make_table(
+            [
+                make_embedding("u", "s1", [1.0, 0.0]),
+                make_embedding("v", "s2", [0.0, 1.0], domain=Domain.LIBRI),
+                make_embedding("u", "s3", [2.0, 0.0]),
+            ]
+        )
+        assert len(t) == 3 and t.dim == 2
+        assert t.row_of == {"u": 2, "v": 1}
+        sub = t[1:]
+        assert sub.utt_ids == ("v", "u") and sub.domains == (Domain.LIBRI, Domain.VOX)
+        assert np.array_equal(sub.vectors, [[0.0, 1.0], [2.0, 0.0]])
+        assert t[[2, 0]].speaker_ids == ("s3", "s1")
+        assert len(t[:0]) == 0 and t[:0].dim == 2
