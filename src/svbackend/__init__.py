@@ -13,7 +13,6 @@ from .metrics import eer, min_dcf
 from .planner import (
     BatchManifest,
     PlannerConfig,
-    PlannerMode,
     UtteranceInventory,
     plan_pass_balanced,
     plan_pass_broad,
@@ -50,7 +49,6 @@ __all__ = [
     "Language",
     "LanguageOffset",
     "PlannerConfig",
-    "PlannerMode",
     "PrototypeMatrix",
     "ScoreSet",
     "ScoringMode",

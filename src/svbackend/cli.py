@@ -20,13 +20,7 @@ from .calibration import apply_calibration, fit_calibration, fuse
 from .errors import NumericalError, PipelineError
 from .lid import adapt_english_mean, classify, train_gb
 from .metrics import eer, min_dcf
-from .planner import (
-    PlannerConfig,
-    PlannerMode,
-    UtteranceInventory,
-    plan_pass_balanced,
-    plan_pass_broad,
-)
+from .planner import PlannerConfig, UtteranceInventory, plan_pass_balanced, plan_pass_broad
 from .prototypes import PrototypeMatrix, SpeakerInfo, similarity_matrix
 from .scores import ScoreSet
 from .scoring import Cohort, ScoringMode, score_trials
@@ -93,12 +87,11 @@ def cmd_plan_batches(args) -> None:
         anchors_per_batch=args.anchors,
         imposters_per_anchor=args.imposters,
         utts_per_speaker=args.utts_per_speaker,
-        mode=PlannerMode(args.mode),
         seed=args.seed,
     )
     manifests = []
     for pass_id in range(args.passes):
-        if cfg.mode is PlannerMode.BROAD:
+        if args.mode == "broad":
             manifests.append(plan_pass_broad(cfg, sim, inventory, pass_id=pass_id))
         else:
             manifests.append(
@@ -197,9 +190,7 @@ def cmd_score(args, parser: argparse.ArgumentParser) -> None:
     cohort = None
     if args.cohort_embeddings:
         cohort = Cohort.from_embeddings(
-            formats.read_embeddings(args.cohort_embeddings),
-            tag=str(args.cohort_embeddings),
-            domains=args.cohort_domains or None,
+            formats.read_embeddings(args.cohort_embeddings), domains=args.cohort_domains or None
         )
     offset = formats.read_alpha(args.alpha) if args.alpha else None
     lid_decisions = None
@@ -304,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prototypes", required=True)
     p.add_argument("--embeddings", required=True, help="training embeddings (inventory source)")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=[m.value for m in PlannerMode], default="broad", help="planning mode")
+    p.add_argument("--mode", choices=["broad", "balanced"], default="broad", help="planning mode")
     p.add_argument("--batch-size", type=int, default=128, help="entries per batch")
     p.add_argument("--anchors", type=int, default=16, help="anchor speakers per batch")
     p.add_argument("--imposters", type=int, default=8, help="similar speakers per anchor")

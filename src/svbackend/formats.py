@@ -68,8 +68,9 @@ def _parse_header(line: str, expected: str) -> int:
 
 
 def _check_id(value: str, what: str) -> str:
-    if not value or any(ch.isspace() for ch in value):
-        raise FormatError(f"{what} {value!r} is empty or contains whitespace")
+    # a leading '#' would make the row read back as a comment
+    if value.split() != [value] or value.startswith("#"):
+        raise FormatError(f"{what} {value!r} is empty, contains whitespace or starts with '#'")
     return value
 
 

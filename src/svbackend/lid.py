@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from .errors import (
 )
 from .prototypes import PrototypeMatrix
 from .vecmath import Language, unit_rows
-
-CLASS_FARSI = "FARSI"
-CLASS_USA = "USA"
 
 #: Ridge on the pooled covariance, as a fraction of the mean eigenvalue.
 #: Prototype counts are far below the embedding dimension, so the raw
@@ -77,49 +74,23 @@ class GaussianBackend:
         return self.mu_farsi.shape[0]
 
 
-def classes_from_language_labels(protos: PrototypeMatrix) -> dict[str, str]:
-    """Map FARSI-labeled speakers to the Farsi class and ENGLISH-labeled
-    speakers to the USA class; other labels are left out (no inference of
-    nationality beyond the explicit metadata)."""
-    out: dict[str, str] = {}
-    for sp in protos.speakers:
-        if sp.language is Language.FARSI:
-            out[sp.speaker_id] = CLASS_FARSI
-        elif sp.language is Language.ENGLISH:
-            out[sp.speaker_id] = CLASS_USA
-    return out
-
-
-def train_gb(
-    protos: PrototypeMatrix,
-    class_of: Mapping[str, str] | None = None,
-    diagonal: bool = False,
-) -> GaussianBackend:
+def train_gb(protos: PrototypeMatrix, diagonal: bool = False) -> GaussianBackend:
     """Fit class means and a shared covariance on unit-normalized prototypes.
 
-    ``class_of`` maps speaker_id to CLASS_FARSI / CLASS_USA; unmapped
-    speakers are ignored.  Defaults to the prototype language labels.  The
-    pooled within-class covariance (n-2 divisor) gets a ridge of
-    ``RIDGE_SCALE * trace/D`` (floored for zero scatter); ``diagonal=True``
-    keeps only its diagonal.
+    FARSI-labeled prototypes form the Farsi class and ENGLISH-labeled ones
+    the USA class; other labels are left out (no inference of nationality
+    beyond the explicit metadata).  The pooled within-class covariance
+    (n-2 divisor) gets a ridge of ``RIDGE_SCALE * trace/D`` (floored for
+    zero scatter); ``diagonal=True`` keeps only its diagonal.
     """
-    if class_of is None:
-        class_of = classes_from_language_labels(protos)
     unit = protos.unit_rows
-    members: dict[str, list[int]] = {CLASS_FARSI: [], CLASS_USA: []}
-    for j, sp in enumerate(protos.speakers):
-        cls = class_of.get(sp.speaker_id)
-        if cls is None:
-            continue
-        if cls not in members:
-            raise ValidationError(f"unknown class {cls!r} for {sp.speaker_id!r}")
-        members[cls].append(j)
-    for cls, idx in members.items():
-        if len(idx) < 2:
-            raise ClassTooSmall(f"class {cls} has {len(idx)} prototypes, need >= 2")
+    langs = [sp.language for sp in protos.speakers]
+    fa = unit[[j for j, lang in enumerate(langs) if lang is Language.FARSI]]
+    us = unit[[j for j, lang in enumerate(langs) if lang is Language.ENGLISH]]
+    for name, rows in (("FARSI", fa), ("USA", us)):
+        if len(rows) < 2:
+            raise ClassTooSmall(f"class {name} has {len(rows)} prototypes, need >= 2")
 
-    fa = unit[members[CLASS_FARSI]]
-    us = unit[members[CLASS_USA]]
     mu_fa = fa.mean(axis=0)
     mu_us = us.mean(axis=0)
     centered = np.concatenate([fa - mu_fa, us - mu_us])

@@ -3,7 +3,7 @@
 Builds training batch manifests from a speaker-similarity matrix and an
 utterance inventory.  Each anchor speaker contributes utterances from its
 most similar speakers (itself included), so batches concentrate confusable
-speakers.  Two modes: a broad pass anchoring every speaker once, and a
+speakers.  Two passes: a broad pass anchoring every speaker once, and a
 domain-balanced pass anchoring all target-domain speakers plus an equal
 number of freshly drawn out-of-domain speakers.
 
@@ -11,8 +11,8 @@ The planner never touches the similarity matrix's provenance: the caller
 supplies a fresh snapshot (new ``epoch_tag``) between passes.
 
 Randomness: counter-based Philox streams, split per purpose -
-``(pass_id, 0)`` drives anchor ordering (and the out-of-domain draw in
-balanced mode), ``(pass_id, 1, anchor_position)`` drives the utterance
+``(pass_id, 0)`` drives anchor ordering (and the out-of-domain draw of
+the balanced pass), ``(pass_id, 1, anchor_position)`` drives the utterance
 sampling of that anchor's group.  Identical (config, similarity matrix,
 inventory, pass_id) therefore reproduce byte-identical manifests on any
 platform.
@@ -20,10 +20,8 @@ platform.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,23 +40,13 @@ _STREAM_UTTS = 1
 _SEED_MASK = (1 << 64) - 1
 
 
-class PlannerMode(enum.Enum):
-    BROAD = "broad"
-    BALANCED = "balanced"
-
-
 @dataclass(frozen=True)
 class PlannerConfig:
     batch_size: int
     anchors_per_batch: int
     imposters_per_anchor: int
     utts_per_speaker: int
-    mode: PlannerMode
     seed: int
-    #: Balanced-mode escape hatch: restrict imposter candidates to the
-    #: target domain (plus the anchor itself).  Off by default; the normal
-    #: behaviour searches imposters across all speakers.
-    restrict_imposters: bool = False
 
     def __post_init__(self):
         a, i, u = self.anchors_per_batch, self.imposters_per_anchor, self.utts_per_speaker
@@ -162,52 +150,41 @@ def sample_utterances(
     return [utts[int(i)] for i in idx]
 
 
-def _check_inventory(inv: UtteranceInventory, n: int):
-    if len(inv) != n:
-        raise ValidationError(f"inventory covers {len(inv)} speakers, similarity has {n}")
-    for j, utts in enumerate(inv.utterances):
-        if not utts:
-            raise InventoryGap(f"speaker index {j} has no utterances")
-
-
-def _top_similar_restricted(
-    sim: SimilarityMatrix, anchor: int, k: int, allowed: Sequence[int]
-) -> list[int]:
-    candidates = np.array(sorted(set(allowed) | {anchor}), dtype=np.int64)
-    if k > len(candidates):
-        raise KTooLarge(f"k={k} exceeds {len(candidates)} allowed imposter candidates")
-    row = np.asarray(sim.s[anchor], dtype=np.float64)
-    others = candidates[candidates != anchor]
-    order = others[np.lexsort((others, -row[others]))]
-    return [anchor] + [int(j) for j in order[: k - 1]]
-
-
 def _build_batches(
     cfg: PlannerConfig,
     sim: SimilarityMatrix,
     inv: UtteranceInventory,
-    anchors: np.ndarray,
+    anchor_order: np.ndarray,
     pass_id: int,
-    allowed_imposters: Sequence[int] | None,
 ) -> BatchManifest:
+    """Group each anchor with its top-similar speakers, cycling
+    ``anchor_order`` until the final batch is full."""
     a = cfg.anchors_per_batch
+    anchors = np.resize(anchor_order, math.ceil(len(anchor_order) / a) * a)
     batches = []
     entries: list[tuple[str, int]] = []
     for pos, anchor in enumerate(int(x) for x in anchors):
-        if allowed_imposters is None:
-            group_speakers = top_similar(sim, anchor, cfg.imposters_per_anchor)
-        else:
-            group_speakers = _top_similar_restricted(
-                sim, anchor, cfg.imposters_per_anchor, allowed_imposters
-            )
         g_utts = _rng(cfg.seed, pass_id, _STREAM_UTTS, pos)
-        for spk in group_speakers:
+        for spk in top_similar(sim, anchor, cfg.imposters_per_anchor):
             for utt in sample_utterances(inv, spk, cfg.utts_per_speaker, g_utts):
                 entries.append((utt, spk))
         if (pos + 1) % a == 0:
             batches.append(tuple(entries))
             entries = []
     return BatchManifest(batches=tuple(batches), pass_id=pass_id, epoch_tag=sim.epoch_tag)
+
+
+def _check_pass(cfg: PlannerConfig, sim: SimilarityMatrix, inv: UtteranceInventory) -> int:
+    """Guards shared by both passes; returns the speaker count N."""
+    n = sim.count
+    if cfg.imposters_per_anchor > n:
+        raise KTooLarge(f"imposters_per_anchor={cfg.imposters_per_anchor} exceeds N={n}")
+    if len(inv) != n:
+        raise ValidationError(f"inventory covers {len(inv)} speakers, similarity has {n}")
+    for j, utts in enumerate(inv.utterances):
+        if not utts:
+            raise InventoryGap(f"speaker index {j} has no utterances")
+    return n
 
 
 def plan_pass_broad(
@@ -222,16 +199,9 @@ def plan_pass_broad(
     When anchors_per_batch does not divide N, the final batch is filled by
     wrapping to the start of the same permutation, so every batch is full.
     """
-    if cfg.mode is not PlannerMode.BROAD:
-        raise ConfigInvalid(f"broad planning requires mode=broad, got {cfg.mode.value}")
-    n = sim.count
-    if cfg.imposters_per_anchor > n:
-        raise KTooLarge(f"imposters_per_anchor={cfg.imposters_per_anchor} exceeds N={n}")
-    _check_inventory(inv, n)
+    n = _check_pass(cfg, sim, inv)
     perm = _rng(cfg.seed, pass_id, _STREAM_ANCHORS).permutation(n)
-    total = math.ceil(n / cfg.anchors_per_batch) * cfg.anchors_per_batch
-    anchors = np.resize(perm, total)  # cycles when the pad exceeds one lap
-    return _build_batches(cfg, sim, inv, anchors, pass_id, allowed_imposters=None)
+    return _build_batches(cfg, sim, inv, perm, pass_id)
 
 
 def plan_pass_balanced(
@@ -245,19 +215,13 @@ def plan_pass_balanced(
 
     The anchor set is every target-domain speaker plus an equal number of
     out-of-domain speakers drawn uniformly without replacement for this
-    pass; the 2F anchors are consumed in seeded random order.  Imposter
-    selection per anchor stays global across all speakers (the balancing
-    constrains who anchors, not who may appear as imposter) unless the
-    ``restrict_imposters`` escape hatch is enabled.  Each new pass_id draws
-    a fresh out-of-domain set; the caller supplies a refreshed similarity
-    matrix between passes.
+    pass; the 2F anchors are consumed in seeded random order, wrapping as
+    in :func:`plan_pass_broad`.  Imposter selection per anchor stays global
+    across all speakers: the balancing constrains who anchors, not who may
+    appear as imposter.  Each new pass_id draws a fresh out-of-domain set;
+    the caller supplies a refreshed similarity matrix between passes.
     """
-    if cfg.mode is not PlannerMode.BALANCED:
-        raise ConfigInvalid(f"balanced planning requires mode=balanced, got {cfg.mode.value}")
-    n = sim.count
-    if cfg.imposters_per_anchor > n:
-        raise KTooLarge(f"imposters_per_anchor={cfg.imposters_per_anchor} exceeds N={n}")
-    _check_inventory(inv, n)
+    _check_pass(cfg, sim, inv)
     targets = [j for j, d in enumerate(inv.domains) if d is target_domain]
     pool = np.array([j for j, d in enumerate(inv.domains) if d is not target_domain])
     f = len(targets)
@@ -270,8 +234,4 @@ def plan_pass_balanced(
     g = _rng(cfg.seed, pass_id, _STREAM_ANCHORS)
     ood = pool[g.choice(len(pool), size=f, replace=False)]
     anchor_set = np.concatenate([np.array(targets, dtype=np.int64), ood])
-    anchor_set = anchor_set[g.permutation(2 * f)]
-    total = math.ceil(2 * f / cfg.anchors_per_batch) * cfg.anchors_per_batch
-    anchors = np.resize(anchor_set, total)  # cycles when the pad exceeds one lap
-    allowed = targets if cfg.restrict_imposters else None
-    return _build_batches(cfg, sim, inv, anchors, pass_id, allowed_imposters=allowed)
+    return _build_batches(cfg, sim, inv, anchor_set[g.permutation(2 * f)], pass_id)

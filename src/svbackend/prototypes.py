@@ -86,8 +86,8 @@ class SimilarityMatrix:
     """N x N cosine similarities between speaker prototypes.
 
     ``epoch_tag`` identifies the prototype snapshot this was derived from;
-    it is caller-supplied and purely bookkeeping.  A read-only float array
-    that owns its memory is stored as given; anything else is copied.
+    it is caller-supplied and purely bookkeeping.  A read-only float64
+    array that owns its memory is stored as given; anything else is copied.
     """
 
     s: np.ndarray
@@ -95,19 +95,17 @@ class SimilarityMatrix:
 
     def __post_init__(self):
         arr = np.asarray(self.s)
-        if arr.dtype not in (np.float64, np.float32):
+        if arr.dtype != np.float64:
             arr = arr.astype(np.float64)
         elif arr.flags.writeable or not arr.flags.owndata:
             arr = arr.copy()
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"similarity matrix must be square, got {arr.shape}")
-        # float32 is a storage option; its resolution near 1.0 is ~6e-8
-        atol = 1e-9 if arr.dtype == np.float64 else 1e-6
         for r in range(0, arr.shape[0], CHECK_BLOCK_ROWS):
             rows = slice(r, r + CHECK_BLOCK_ROWS)
-            if not np.allclose(arr[rows], arr[:, rows].T, atol=atol, rtol=0):
+            if not np.allclose(arr[rows], arr[:, rows].T, atol=1e-9, rtol=0):
                 raise ValidationError("similarity matrix is not symmetric")
-        if not np.allclose(np.diagonal(arr), 1.0, atol=atol, rtol=0):
+        if not np.allclose(np.diagonal(arr), 1.0, atol=1e-9, rtol=0):
             raise ValidationError("similarity diagonal deviates from 1")
         if arr.min() < -1.0 or arr.max() > 1.0:
             raise ValidationError("similarity entries outside [-1, 1]")
@@ -119,19 +117,16 @@ class SimilarityMatrix:
         return self.s.shape[0]
 
 
-def similarity_matrix(p: PrototypeMatrix, epoch_tag: int = 0, dtype=np.float64) -> SimilarityMatrix:
+def similarity_matrix(p: PrototypeMatrix, epoch_tag: int = 0) -> SimilarityMatrix:
     """All pairwise prototype cosines, computed on unit-normalized columns.
 
     Entries are produced by the same pairwise-summation kernel as scalar
     ``cosine`` calls, so ``S[i, j] == cosine(w[:, i], w[:, j])`` exactly
     (before the guard clip at +/-1, which only engages on duplicate
     prototypes).  Only ``S[i, i:]`` is computed and mirrored into ``S[i:, i]``:
-    IEEE products commute, so every entry keeps the kernel's bits.
-    ``dtype=np.float32`` stores the result at half the memory for large N
-    at the cost of ~1e-7 entry precision.
+    IEEE products commute, so every entry keeps the kernel's bits.  The
+    float64 result is handed to :class:`SimilarityMatrix` without a copy.
     """
-    if dtype not in (np.float64, np.float32):
-        raise ParamInvalid("similarity dtype must be float64 or float32")
     rows = p.unit_rows
     n = p.count
     s = np.empty((n, n), dtype=np.float64)
@@ -139,8 +134,7 @@ def similarity_matrix(p: PrototypeMatrix, epoch_tag: int = 0, dtype=np.float64) 
         s[i, i:] = np.sum(rows[i] * rows[i:], axis=1)
         s[i:, i] = s[i, i:]
     np.clip(s, -1.0, 1.0, out=s)
-    s = s.astype(dtype, copy=False)
-    s.setflags(write=False)  # handed over without a copy
+    s.setflags(write=False)
     return SimilarityMatrix(s=s, epoch_tag=epoch_tag)
 
 
@@ -158,7 +152,7 @@ def top_similar(sim: SimilarityMatrix, speaker_index: int, k: int) -> list[int]:
         raise ParamInvalid(f"k must be >= 1, got {k}")
     if k > n:
         raise KTooLarge(f"k={k} exceeds speaker count {n}")
-    row = np.asarray(sim.s[speaker_index], dtype=np.float64)
+    row = sim.s[speaker_index]
     others = np.delete(np.arange(n), speaker_index)
     # lexsort: primary key last -> sort by -similarity, then ascending index
     order = others[np.lexsort((others, -row[others]))]

@@ -62,9 +62,3 @@ class ScoreSet:
 
     def with_scores(self, new_scores) -> "ScoreSet":
         return ScoreSet(self.keys, new_scores, self.labels)
-
-    def target_scores(self) -> np.ndarray:
-        return self.scores[self.require_labels()]
-
-    def nontarget_scores(self) -> np.ndarray:
-        return self.scores[~self.require_labels()]

@@ -40,34 +40,31 @@ TRIAL_CHUNK = 128
 
 
 @dataclass(frozen=True)
-class CohortEntry:
-    speaker_id: str
-    vec: np.ndarray
-    domain: Domain
-    language: Language
-
-
-@dataclass(frozen=True)
 class Cohort:
-    """Imposter cohort: one (typically averaged) vector per speaker."""
+    """Imposter cohort as columns: ``speaker_ids``, one (typically averaged)
+    ``means`` row per speaker, and the unit-normalized :attr:`unit_rows`."""
 
-    entries: tuple[CohortEntry, ...]
-    tag: str = ""
+    speaker_ids: tuple[str, ...]
+    means: np.ndarray
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        if not entries:
-            raise EmptySet("cohort must contain at least one entry")
-        ids = [e.speaker_id for e in entries]
+        ids = tuple(self.speaker_ids)
+        if not ids:
+            raise EmptySet("cohort must contain at least one speaker")
         if len(set(ids)) != len(ids):
             raise ValidationError("cohort speaker_ids must be unique")
-        unit = unit_rows([e.vec for e in entries])
+        means = np.array(self.means, dtype=np.float64)
+        unit = unit_rows(means)
+        if len(means) != len(ids):
+            raise ValidationError(f"{len(means)} cohort means for {len(ids)} speakers")
+        means.setflags(write=False)
         unit.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "speaker_ids", ids)
+        object.__setattr__(self, "means", means)
         object.__setattr__(self, "_unit_rows", unit)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.speaker_ids)
 
     @property
     def unit_rows(self) -> np.ndarray:
@@ -75,35 +72,25 @@ class Cohort:
 
     @classmethod
     def from_embeddings(
-        cls, table: EmbeddingTable, tag: str = "", domains: Iterable[Domain] | None = None
+        cls, table: EmbeddingTable, domains: Iterable[Domain] | None = None
     ) -> "Cohort":
-        """Average each speaker's length-normalized embeddings into one entry.
+        """Average each speaker's length-normalized embeddings into one mean.
 
-        Speaker order follows first appearance; the entry's domain/language
-        labels are taken from the speaker's first utterance.  With
-        ``domains``, only speakers whose first utterance is in one of them
-        are kept (and only those are averaged), and the domain names join
-        the tag.  Every row is normalized, so a degenerate row raises
-        NormUnderflow wherever it is.
+        Speaker order follows first appearance.  With ``domains``, only
+        speakers whose first utterance is in one of them are kept (and only
+        those are averaged).  Every row is normalized, so a degenerate row
+        raises NormUnderflow wherever it is.
         """
         unit = unit_rows(table.vectors, table.dim)
         groups: dict[str, list[int]] = {}
         for row, sid in enumerate(table.speaker_ids):
             groups.setdefault(sid, []).append(row)
         allowed = set(Domain if domains is None else domains)
-        entries = tuple(
-            CohortEntry(
-                sid, mean_of_units(unit[rows]), table.domains[rows[0]], table.languages[rows[0]]
-            )
-            for sid, rows in groups.items()
-            if table.domains[rows[0]] in allowed
-        )
-        if domains is not None:
+        kept = {sid: rows for sid, rows in groups.items() if table.domains[rows[0]] in allowed}
+        if domains is not None and not kept:
             names = "+".join(sorted(d.value for d in allowed))
-            if not entries:
-                raise EmptySet(f"no cohort entries left for domains {names}")
-            tag = f"{tag}|{names}" if tag else names
-        return cls(entries=entries, tag=tag)
+            raise EmptySet(f"no cohort speakers left for domains {names}")
+        return cls(tuple(kept), [mean_of_units(unit[rows]) for rows in kept.values()])
 
 
 @dataclass(frozen=True)
@@ -113,7 +100,6 @@ class SnormStats:
     mu: float
     sigma: float
     top_n: int
-    cohort_tag: str = ""
 
     def __post_init__(self):
         if not self.sigma > 0.0:
@@ -311,7 +297,7 @@ def score_trials(
         return out
 
     rows = cohort.unit_rows
-    cohort_speakers = np.array([e.speaker_id for e in cohort.entries])
+    cohort_speakers = np.array(cohort.speaker_ids)
     mu_e, sigma_e = np.zeros(len(model_ids)), np.ones(len(model_ids))
     for m in dict.fromkeys(mi.tolist()):
         keep = ~np.isin(cohort_speakers, list(model_speakers[m]))

@@ -5,10 +5,11 @@ computed by explicit per-threshold counting loops, the margin-loss oracle
 goes through scipy's log_softmax, gradients come from central differences,
 and calibration is re-fit with a generic quasi-Newton optimizer.  The
 scalar scoring, alpha and LID references are the per-item loops the batch
-implementations replaced: one ``cosine`` per trial, one rebuilt ``Cohort``
-per left-out prototype or enrollment model, and two triangular solves per
-llr.  The embedding readers are the per-row parsers the columnar ones
-replaced (one ``float`` list or one ``struct.unpack`` per row).
+implementations replaced: one ``cosine`` and one written-out s-norm per
+trial, one rebuilt ``Cohort`` per left-out prototype or enrollment model,
+and two triangular solves per llr.  The embedding readers are the per-row
+parsers the columnar ones replaced (one ``float`` list or one
+``struct.unpack`` per row).
 """
 
 from __future__ import annotations
@@ -30,15 +31,7 @@ from svbackend.errors import (
     MissingLidDecision,
     ParamInvalid,
 )
-from svbackend.scoring import (
-    Cohort,
-    CohortEntry,
-    LanguageOffset,
-    ScoringMode,
-    adaptive_snorm,
-    language_dependent_snorm,
-    snorm_stats,
-)
+from svbackend.scoring import Cohort, LanguageOffset, ScoringMode, snorm_stats
 from svbackend.vecmath import NORM_EPS, Domain, Language, cosine, l2_normalize
 
 
@@ -155,46 +148,49 @@ def average_vectors(vecs):
     return mean
 
 
-def full_cohort(table, tag=""):
+def full_cohort(table):
     """Cohort of every speaker in the table, each averaged from its rows with
-    :func:`average_vectors`; labels from the speaker's first row."""
+    :func:`average_vectors`."""
     groups = {}
     for k, sid in enumerate(table.speaker_ids):
         groups.setdefault(sid, []).append(k)
-    return Cohort(
-        tuple(
-            CohortEntry(
-                sid,
-                average_vectors([table.vectors[k] for k in rows]),
-                table.domains[rows[0]],
-                table.languages[rows[0]],
-            )
-            for sid, rows in groups.items()
-        ),
-        tag=tag,
-    )
+    means = [average_vectors([table.vectors[k] for k in rows]) for rows in groups.values()]
+    return Cohort(tuple(groups), np.array(means))
 
 
-def restrict_domains(cohort, domains):
-    """The cohort entries whose domain is one of ``domains``."""
+def first_row_domains(table):
+    """speaker_id -> domain of the speaker's first row."""
+    out = {}
+    for sid, domain in zip(table.speaker_ids, table.domains):
+        out.setdefault(sid, domain)
+    return out
+
+
+def _keep_rows(cohort, rows):
+    return Cohort(tuple(cohort.speaker_ids[k] for k in rows), cohort.means[rows])
+
+
+def restrict_domains(cohort, domain_of, domains):
+    """The cohort speakers whose ``domain_of[speaker_id]`` is one of
+    ``domains``."""
     allowed = set(domains)
-    kept = tuple(e for e in cohort.entries if e.domain in allowed)
-    names = "+".join(sorted(d.value for d in allowed))
-    if not kept:
-        raise EmptySet(f"no cohort entries left for domains {names}")
-    return Cohort(kept, tag=f"{cohort.tag}|{names}" if cohort.tag else names)
+    rows = [k for k, sid in enumerate(cohort.speaker_ids) if domain_of[sid] in allowed]
+    if not rows:
+        names = "+".join(sorted(d.value for d in allowed))
+        raise EmptySet(f"no cohort speakers left for domains {names}")
+    return _keep_rows(cohort, rows)
 
 
 def excluding_speakers(cohort, speaker_ids):
     """A new Cohort without the given speakers (the cohort itself if none
     of them is in it)."""
     drop = set(speaker_ids)
-    kept = tuple(e for e in cohort.entries if e.speaker_id not in drop)
-    if not kept:
+    rows = [k for k, sid in enumerate(cohort.speaker_ids) if sid not in drop]
+    if not rows:
         raise EmptySet("excluding enrollment speakers emptied the cohort")
-    if len(kept) == len(cohort.entries):
+    if len(rows) == len(cohort):
         return cohort
-    return Cohort(kept, tag=cohort.tag)
+    return _keep_rows(cohort, rows)
 
 
 def score_trials_loop(
@@ -233,13 +229,13 @@ def score_trials_loop(
         pruned = excluding_speakers(cohort, model_speakers[model_id])
         st_e = snorm_stats(model_vecs[model_id], pruned.unit_rows, top_n)
         st_t = snorm_stats(test_vec, cohort.unit_rows, top_n)
-        if mode is ScoringMode.SNORM:
-            out.append((raw, adaptive_snorm(raw, st_e, st_t)))
-            continue
-        if utt_id not in lid_decisions:
-            raise MissingLidDecision(f"no language decision for {utt_id!r}")
-        is_en = lid_decisions[utt_id] is Language.ENGLISH
-        out.append((raw, language_dependent_snorm(raw, st_e, st_t, offset, is_en)))
+        mu_e = st_e.mu
+        if mode is ScoringMode.SNORM_LID:
+            if utt_id not in lid_decisions:
+                raise MissingLidDecision(f"no language decision for {utt_id!r}")
+            if lid_decisions[utt_id] is Language.ENGLISH:
+                mu_e = st_e.mu - offset.alpha
+        out.append((raw, (raw - st_t.mu) / st_t.sigma + (raw - mu_e) / st_e.sigma))
     return out
 
 
@@ -248,16 +244,12 @@ def estimate_alpha_rebuild(protos, top_n=40):
     farsi = [i for i, sp in enumerate(protos.speakers) if sp.language is Language.FARSI]
     usa = [i for i, sp in enumerate(protos.speakers) if sp.language is Language.ENGLISH]
     unit = protos.unit_rows
-    speakers = [protos.speakers[i] for i in farsi]
-    entries = tuple(
-        CohortEntry(sp.speaker_id, unit[i], sp.domain, sp.language)
-        for i, sp in zip(farsi, speakers)
-    )
-    full = Cohort(entries)
+    ids = tuple(protos.speakers[i].speaker_id for i in farsi)
+    full = Cohort(ids, unit[farsi])
     mu_fa = float(
         np.mean(
             [
-                snorm_stats(unit[i], Cohort(entries[:k] + entries[k + 1 :]).unit_rows, top_n).mu
+                snorm_stats(unit[i], excluding_speakers(full, [ids[k]]).unit_rows, top_n).mu
                 for k, i in enumerate(farsi)
             ]
         )

@@ -22,7 +22,6 @@ from svbackend.lid import adapt_english_mean, affine_coefficients, classify, tra
 from svbackend.metrics import eer, min_dcf
 from svbackend.planner import (
     PlannerConfig,
-    PlannerMode,
     UtteranceInventory,
     plan_pass_balanced,
     plan_pass_broad,
@@ -164,7 +163,6 @@ def test_criterion_04_broad_plan_exhaustive_oracle():
                             anchors_per_batch=a,
                             imposters_per_anchor=i,
                             utts_per_speaker=u,
-                            mode=PlannerMode.BROAD,
                             seed=17,
                         )
                         m1 = plan_pass_broad(cfg, sim, inv, pass_id=1)
@@ -221,7 +219,6 @@ def test_criterion_05_balanced_plan_domain_balance():
             anchors_per_batch=10,
             imposters_per_anchor=5,
             utts_per_speaker=2,
-            mode=PlannerMode.BALANCED,
             seed=99,
         )
         t0 = time.perf_counter()
@@ -295,9 +292,9 @@ def _pipeline_eers(corpus, top_n=40):
     emb = corpus.embeddings
     train = corpus.train_embeddings
     cohorts = {
-        "farsi": Cohort.from_embeddings(train, tag="train", domains=[Domain.DEEPMINE]),
-        "mixed": Cohort.from_embeddings(train, tag="train"),
-        "ood": Cohort.from_embeddings(train, tag="train", domains=[Domain.VOX, Domain.LIBRI]),
+        "farsi": Cohort.from_embeddings(train, domains=[Domain.DEEPMINE]),
+        "mixed": Cohort.from_embeddings(train),
+        "ood": Cohort.from_embeddings(train, domains=[Domain.VOX, Domain.LIBRI]),
     }
     labels = np.array([corpus.labels[k] for k in corpus.trials])
 

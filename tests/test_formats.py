@@ -5,10 +5,10 @@ import pytest
 
 from svbackend import formats
 from svbackend.calibration import CalibrationModel
-from svbackend.errors import FormatError, VersionUnsupported
+from svbackend.errors import FormatError, ValidationError, VersionUnsupported
 from svbackend.lid import adapt_english_mean, train_gb
-from svbackend.planner import PlannerConfig, PlannerMode, plan_pass_broad
-from svbackend.prototypes import similarity_matrix
+from svbackend.planner import BatchManifest, PlannerConfig, plan_pass_broad
+from svbackend.prototypes import PrototypeMatrix, SpeakerInfo, similarity_matrix
 from svbackend.scores import ScoreSet
 from svbackend.scoring import AlphaProvenance, LanguageOffset
 from svbackend.synth import CorpusSpec, generate_corpus
@@ -245,7 +245,6 @@ class TestManifests:
             anchors_per_batch=2,
             imposters_per_anchor=3,
             utts_per_speaker=1,
-            mode=PlannerMode.BROAD,
             seed=5,
         )
         manifests = [
@@ -256,6 +255,76 @@ class TestManifests:
         back = formats.read_manifests(path)
         assert back == manifests
         assert all(m.epoch_tag == 4 for m in back)
+
+
+#: name -> (payload carrying ids a and b, writer, reader) for every text
+#: format with ids; each reader's result is accepted by its writer
+ID_FORMATS = {
+    "embeddings": (
+        lambda a, b: make_table(
+            [make_embedding(a, b, [1.0, 0.5]), make_embedding("u2", b, [0.0, 1.0])]
+        ),
+        formats.write_embeddings_text,
+        formats.read_embeddings_text,
+    ),
+    "prototypes": (
+        lambda a, b: PrototypeMatrix(
+            np.array([[1.0, 0.5], [0.0, 1.0]]),
+            (
+                SpeakerInfo(a, Domain.VOX, Language.ENGLISH),
+                SpeakerInfo(b, Domain.DEEPMINE, Language.FARSI),
+            ),
+        ),
+        formats.write_prototypes,
+        formats.read_prototypes,
+    ),
+    "trials": (
+        lambda a, b: ([(b, a), (b, "u2")], {(b, a): True, (b, "u2"): False}),
+        lambda path, trials_labels: formats.write_trials(path, *trials_labels),
+        formats.read_trials,
+    ),
+    "enroll": (lambda a, b: {b: (a, "u2")}, formats.write_enroll_map, formats.read_enroll_map),
+    "lid": (
+        lambda a, b: {a: (Language.ENGLISH, 0.5), b: (Language.FARSI, -1.0)},
+        formats.write_lid_decisions,
+        formats.read_lid_decisions,
+    ),
+    "scores": (
+        lambda a, b: ScoreSet(((b, a), (b, "u2")), [0.5, -0.25], [True, False]),
+        formats.write_scores,
+        formats.read_scores,
+    ),
+    "manifest": (
+        lambda a, b: [BatchManifest(batches=(((a, 0), (b, 1)),), pass_id=0, epoch_tag=3)],
+        formats.write_manifests,
+        formats.read_manifests,
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", list(ID_FORMATS))
+class TestIds:
+    def test_write_read_write_keeps_every_id(self, fmt, tmp_path):
+        make, write, read = ID_FORMATS[fmt]
+        for a, b in (("u1", "m1"), ("u#1", "m#"), ("ü-ß", "м.1"), ("a,b;c", "x|y")):
+            p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
+            write(p1, make(a, b))
+            write(p2, read(p1))
+            assert p1.read_bytes() == p2.read_bytes()
+            text = p2.read_text(encoding="utf-8")
+            assert a in text and b in text
+
+    def test_bad_id_rejected_on_write(self, fmt, tmp_path):
+        # a leading '#' would read back as a comment row and vanish
+        make, write, _ = ID_FORMATS[fmt]
+        for bad in ("#u1", "#", "", "u 1", "u\t1", "u\xa01", "u\u20281"):
+            for a, b in ((bad, "m1"), ("u1", bad)):
+                try:
+                    payload = make(a, b)
+                except ValidationError:  # EmbeddingTable refuses empty ids itself
+                    continue
+                with pytest.raises(FormatError):
+                    write(tmp_path / "bad.tsv", payload)
 
 
 class TestModels:

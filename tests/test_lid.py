@@ -1,16 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from svbackend.errors import ClassTooSmall, DimensionMismatch, NormUnderflow, WeightOutOfRange
-from svbackend.lid import (
-    CLASS_FARSI,
-    CLASS_USA,
-    adapt_english_mean,
-    affine_coefficients,
-    classes_from_language_labels,
-    classify,
-    train_gb,
-)
+from svbackend.lid import adapt_english_mean, affine_coefficients, classify, train_gb
 from svbackend.vecmath import Domain, Language, l2_normalize
 
 from conftest import make_protos
@@ -38,10 +32,20 @@ def two_cluster_protos(rng, n_per_class=20, dim=8, spread=0.15, angle_scale=1.0)
 
 class TestTrain:
     def test_class_mapping_from_labels(self, rng):
+        # only FARSI and ENGLISH labels pick rows: interleaving OTHER- and
+        # UNKNOWN-labeled prototypes leaves every field bit-identical
         protos = two_cluster_protos(rng, n_per_class=3)
-        mapping = classes_from_language_labels(protos)
-        assert sum(1 for v in mapping.values() if v == CLASS_FARSI) == 3
-        assert sum(1 for v in mapping.values() if v == CLASS_USA) == 3
+        extra = rng.normal(size=(protos.dim, 4))
+        w, langs = protos.w, [sp.language for sp in protos.speakers]
+        mixed = make_protos(
+            np.concatenate([extra[:, :2], w[:, :3], extra[:, 2:], w[:, 3:]], axis=1),
+            languages=[Language.OTHER, Language.UNKNOWN, *langs[:3]]
+            + [Language.UNKNOWN, Language.OTHER, *langs[3:]],
+        )
+        for diagonal in (False, True):
+            want, got = train_gb(protos, diagonal=diagonal), train_gb(mixed, diagonal=diagonal)
+            for f in dataclasses.fields(want):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
     def test_zero_scatter_gives_ridge_identity(self):
         # both classes concentrated at a single repeated prototype: the

@@ -5,7 +5,6 @@ from svbackend.errors import ConfigInvalid, DomainTooSmall, InventoryGap, KTooLa
 from svbackend.planner import (
     BatchManifest,
     PlannerConfig,
-    PlannerMode,
     UtteranceInventory,
     plan_pass_balanced,
     plan_pass_broad,
@@ -31,41 +30,28 @@ def make_sim(rng, n, epoch_tag=0):
     return similarity_matrix(make_protos(rng.normal(size=(max(4, n), n))), epoch_tag=epoch_tag)
 
 
-def broad_cfg(batch_size, a, i, u, seed=7):
+def make_cfg(batch_size, a, i, u, seed=7):
     return PlannerConfig(
         batch_size=batch_size,
         anchors_per_batch=a,
         imposters_per_anchor=i,
         utts_per_speaker=u,
-        mode=PlannerMode.BROAD,
         seed=seed,
-    )
-
-
-def balanced_cfg(batch_size, a, i, u, seed=7, restrict=False):
-    return PlannerConfig(
-        batch_size=batch_size,
-        anchors_per_batch=a,
-        imposters_per_anchor=i,
-        utts_per_speaker=u,
-        mode=PlannerMode.BALANCED,
-        seed=seed,
-        restrict_imposters=restrict,
     )
 
 
 class TestConfig:
     def test_product_constraint(self):
         with pytest.raises(ConfigInvalid):
-            broad_cfg(128, 3, 8, 1)
+            make_cfg(128, 3, 8, 1)
 
     def test_paper_style_shape(self):
-        cfg = broad_cfg(128, 16, 8, 1)
+        cfg = make_cfg(128, 16, 8, 1)
         assert cfg.anchors_per_batch * cfg.imposters_per_anchor * cfg.utts_per_speaker == 128
 
     def test_positive_counts(self):
         with pytest.raises(ConfigInvalid):
-            broad_cfg(0, 0, 1, 1)
+            make_cfg(0, 0, 1, 1)
 
 
 class TestSampleUtterances:
@@ -119,7 +105,7 @@ class TestBroad:
     def test_toy_two_batches(self, rng):
         sim = make_sim(rng, 4)
         inv = make_inventory(4)
-        cfg = broad_cfg(4, 2, 2, 1)
+        cfg = make_cfg(4, 2, 2, 1)
         manifest = plan_pass_broad(cfg, sim, inv)
         assert manifest.n_batches == 2
         anchors = manifest.anchor_sequence(cfg)
@@ -139,14 +125,14 @@ class TestBroad:
                         if n not in sim_cache:
                             sim_cache[n] = make_sim(rng, n)
                         inv = make_inventory(n)
-                        cfg = broad_cfg(n_batch, a, i, u, seed=11)
+                        cfg = make_cfg(n_batch, a, i, u, seed=11)
                         manifest = plan_pass_broad(cfg, sim_cache[n], inv)
                         check_broad_pass(manifest, cfg, sim_cache[n], inv, n)
 
     def test_deterministic(self, rng):
         sim = make_sim(rng, 9)
         inv = make_inventory(9)
-        cfg = broad_cfg(8, 2, 4, 1, seed=3)
+        cfg = make_cfg(8, 2, 4, 1, seed=3)
         m1 = plan_pass_broad(cfg, sim, inv, pass_id=2)
         m2 = plan_pass_broad(cfg, sim, inv, pass_id=2)
         assert m1 == m2
@@ -154,7 +140,7 @@ class TestBroad:
     def test_pass_id_changes_plan(self, rng):
         sim = make_sim(rng, 9)
         inv = make_inventory(9)
-        cfg = broad_cfg(8, 2, 4, 1, seed=3)
+        cfg = make_cfg(8, 2, 4, 1, seed=3)
         m1 = plan_pass_broad(cfg, sim, inv, pass_id=0)
         m2 = plan_pass_broad(cfg, sim, inv, pass_id=1)
         assert m1 != m2
@@ -163,32 +149,38 @@ class TestBroad:
     def test_padding_wraps_permutation(self, rng):
         sim = make_sim(rng, 5)
         inv = make_inventory(5)
-        cfg = broad_cfg(6, 3, 2, 1)
+        cfg = make_cfg(6, 3, 2, 1)
         manifest = plan_pass_broad(cfg, sim, inv)
         anchors = manifest.anchor_sequence(cfg)
         assert len(anchors) == 6
         assert sorted(anchors[:5]) == [0, 1, 2, 3, 4]
         assert anchors[5] == anchors[0]
 
-    def test_mode_guard(self, rng):
-        sim = make_sim(rng, 4)
-        inv = make_inventory(4)
-        with pytest.raises(ConfigInvalid):
-            plan_pass_broad(balanced_cfg(4, 2, 2, 1), sim, inv)
 
-    def test_imposters_exceed_speakers(self, rng):
+PASSES = {
+    "broad": plan_pass_broad,
+    "balanced": lambda cfg, sim, inv: plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE),
+}
+
+
+@pytest.mark.parametrize("plan", list(PASSES.values()), ids=list(PASSES))
+class TestPassGuards:
+    """Guards both passes share.  The inventories hold no DEEPMINE speaker,
+    so a balanced pass that drew anchors first would raise DomainTooSmall."""
+
+    def test_imposters_exceed_speakers(self, rng, plan):
         sim = make_sim(rng, 3)
         inv = make_inventory(3)
         with pytest.raises(KTooLarge):
-            plan_pass_broad(broad_cfg(4, 1, 4, 1), sim, inv)
+            plan(make_cfg(4, 1, 4, 1), sim, inv)
 
-    def test_inventory_gap(self, rng):
+    def test_inventory_gap(self, rng, plan):
         sim = make_sim(rng, 3)
         inv = UtteranceInventory(
             utterances=(("a",), (), ("c",)), domains=(Domain.VOX,) * 3
         )
         with pytest.raises(InventoryGap):
-            plan_pass_broad(broad_cfg(3, 1, 3, 1), sim, inv)
+            plan(make_cfg(3, 1, 3, 1), sim, inv)
 
 
 class TestBalanced:
@@ -199,7 +191,7 @@ class TestBalanced:
     def test_anchor_set_size_and_balance(self, rng):
         inv = self.make_domain_inventory(3, 10)
         sim = make_sim(rng, 13)
-        cfg = balanced_cfg(6, 2, 3, 1)
+        cfg = make_cfg(6, 2, 3, 1)
         manifest = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE)
         anchors = manifest.anchor_sequence(cfg)
         core = anchors[:6]  # 2F = 6 anchors before padding
@@ -213,7 +205,7 @@ class TestBalanced:
     def test_fresh_out_of_domain_draw_per_pass(self, rng):
         inv = self.make_domain_inventory(3, 30)
         sim = make_sim(rng, 33)
-        cfg = balanced_cfg(6, 2, 3, 1)
+        cfg = make_cfg(6, 2, 3, 1)
         draws = []
         for pass_id in range(8):
             manifest = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE, pass_id=pass_id)
@@ -226,7 +218,7 @@ class TestBalanced:
         # out-of-domain speaker anchors in ~3/10 of passes
         inv = self.make_domain_inventory(3, 10)
         sim = make_sim(rng, 13)
-        cfg = balanced_cfg(6, 2, 3, 1, seed=5)
+        cfg = make_cfg(6, 2, 3, 1, seed=5)
         counts = np.zeros(13)
         n_passes = 1000
         for pass_id in range(n_passes):
@@ -239,7 +231,7 @@ class TestBalanced:
     def test_imposters_stay_global(self, rng):
         inv = self.make_domain_inventory(3, 10)
         sim = make_sim(rng, 13)
-        cfg = balanced_cfg(8, 2, 4, 1)
+        cfg = make_cfg(8, 2, 4, 1)
         manifest = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE)
         anchors = manifest.anchor_sequence(cfg)
         flat = [e for b in manifest.batches for e in b]
@@ -247,29 +239,18 @@ class TestBalanced:
             group = flat[g * 4 : (g + 1) * 4]
             assert [s for _, s in group] == top_similar(sim, anchor, 4)
 
-    def test_restricted_imposters_escape_hatch(self, rng):
-        inv = self.make_domain_inventory(6, 10)
-        sim = make_sim(rng, 16)
-        cfg = balanced_cfg(8, 2, 4, 1, restrict=True)
-        manifest = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE)
-        anchors = manifest.anchor_sequence(cfg)
-        flat = [e for b in manifest.batches for e in b]
-        for g, anchor in enumerate(anchors):
-            speakers = {s for _, s in flat[g * 4 : (g + 1) * 4]}
-            assert speakers <= (set(range(6)) | {anchor})
-
     def test_domain_too_small(self, rng):
         inv = self.make_domain_inventory(5, 3)
         sim = make_sim(rng, 8)
         with pytest.raises(DomainTooSmall):
-            plan_pass_balanced(balanced_cfg(5, 1, 5, 1), sim, inv, Domain.DEEPMINE)
+            plan_pass_balanced(make_cfg(5, 1, 5, 1), sim, inv, Domain.DEEPMINE)
         with pytest.raises(DomainTooSmall):
-            plan_pass_balanced(balanced_cfg(5, 1, 5, 1), sim, inv, Domain.LIBRI)
+            plan_pass_balanced(make_cfg(5, 1, 5, 1), sim, inv, Domain.LIBRI)
 
     def test_deterministic(self, rng):
         inv = self.make_domain_inventory(4, 12)
         sim = make_sim(rng, 16)
-        cfg = balanced_cfg(8, 4, 2, 1, seed=9)
+        cfg = make_cfg(8, 4, 2, 1, seed=9)
         m1 = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE, pass_id=3)
         m2 = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE, pass_id=3)
         assert m1 == m2
@@ -295,7 +276,7 @@ class TestManifestType:
     def test_anchor_sequence_roundtrip(self, rng):
         sim = make_sim(rng, 6)
         inv = make_inventory(6)
-        cfg = broad_cfg(6, 3, 2, 1)
+        cfg = make_cfg(6, 3, 2, 1)
         manifest = plan_pass_broad(cfg, sim, inv)
         rebuilt = BatchManifest(
             batches=manifest.batches, pass_id=manifest.pass_id, epoch_tag=manifest.epoch_tag

@@ -12,11 +12,11 @@ from svbackend.errors import (
     MissingLidDecision,
     NormUnderflow,
     ParamInvalid,
+    ValidationError,
 )
 from svbackend.scoring import (
     TRIAL_CHUNK,
     Cohort,
-    CohortEntry,
     LanguageOffset,
     ScoringMode,
     SnormStats,
@@ -33,22 +33,19 @@ from conftest import make_embedding, make_protos, make_table, rows_of
 from oracles import (
     estimate_alpha_rebuild,
     excluding_speakers,
+    first_row_domains,
     full_cohort,
     restrict_domains,
     score_trials_loop,
 )
 
 
-def entry(sid, vec, domain=Domain.DEEPMINE, language=Language.FARSI):
-    return CohortEntry(speaker_id=sid, vec=np.asarray(vec, dtype=np.float64), domain=domain, language=language)
-
-
 def cohort_with_cosines(values):
     """Cohort whose scores against x=[1,0] are exactly the given values."""
-    entries = [
-        entry(f"c{i}", [v, math.sqrt(1.0 - v * v)]) for i, v in enumerate(values)
-    ]
-    return Cohort(tuple(entries), tag="fixture")
+    return Cohort(
+        tuple(f"c{i}" for i in range(len(values))),
+        [[v, math.sqrt(1.0 - v * v)] for v in values],
+    )
 
 
 class TestEnrollmentModel:
@@ -223,7 +220,19 @@ class TestCohort:
         ]
         cohort = Cohort.from_embeddings(make_table(es))
         assert len(cohort) == 2
-        np.testing.assert_allclose(cohort.entries[0].vec, [0.5, 0.5], atol=1e-15)
+        assert cohort.speaker_ids == ("spkA", "spkB")
+        np.testing.assert_allclose(cohort.means[0], [0.5, 0.5], atol=1e-15)
+
+    def test_columns_validated(self):
+        cohort = Cohort(["a", "b"], [[3.0, 4.0], [0.0, 2.0]])
+        assert cohort.speaker_ids == ("a", "b") and not cohort.means.flags.writeable
+        np.testing.assert_array_equal(cohort.unit_rows, [[0.6, 0.8], [0.0, 1.0]])
+        with pytest.raises(ValidationError):
+            Cohort(("a", "b"), [[1.0, 0.0]])
+        with pytest.raises(ValidationError):
+            Cohort(("a", "a"), [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(EmptySet):
+            Cohort((), np.empty((0, 2)))
 
     def test_restrict_domains(self):
         table = make_table(
@@ -232,9 +241,8 @@ class TestCohort:
                 make_embedding("b0", "b", [0.0, 1.0], domain=Domain.VOX),
             ]
         )
-        kept = Cohort.from_embeddings(table, tag="t", domains=[Domain.VOX])
-        assert [e.speaker_id for e in kept.entries] == ["b"]
-        assert kept.tag == "t|VOX"
+        kept = Cohort.from_embeddings(table, domains=[Domain.VOX])
+        assert kept.speaker_ids == ("b",)
         with pytest.raises(EmptySet):
             Cohort.from_embeddings(table, domains=[Domain.LIBRI])
 
@@ -252,15 +260,14 @@ class TestCohort:
         ]
         rows.append(make_embedding("m2", "mix", rng.normal(size=9), domain=Domain.VOX))
         table = make_table(rows)
-        full = full_cohort(table, tag="train")
-        assert np.array_equal(Cohort.from_embeddings(table, tag="train").unit_rows, full.unit_rows)
+        full = full_cohort(table)
+        assert np.array_equal(Cohort.from_embeddings(table).unit_rows, full.unit_rows)
         for domains in ([Domain.DEEPMINE], [Domain.VOX, Domain.LIBRI], [Domain.VOX]):
-            new = Cohort.from_embeddings(table, tag="train", domains=domains)
-            old = restrict_domains(full, domains)
-            assert [e.speaker_id for e in new.entries] == [e.speaker_id for e in old.entries]
+            new = Cohort.from_embeddings(table, domains=domains)
+            old = restrict_domains(full, first_row_domains(table), domains)
+            assert new.speaker_ids == old.speaker_ids
             assert np.array_equal(new.unit_rows, old.unit_rows)
-            assert new.tag == old.tag
-            assert ("mix" in [e.speaker_id for e in new.entries]) == (Domain.DEEPMINE in domains)
+            assert ("mix" in new.speaker_ids) == (Domain.DEEPMINE in domains)
 
     def test_degenerate_rows(self):
         cancel = [
@@ -280,13 +287,8 @@ class TestCohort:
     def test_excluding_speakers(self):
         # the model's own speaker "a" scores 1.0 against it and must not
         # enter its imposter statistics; the test side keeps every entry
-        entries = (
-            entry("a", [1.0, 0.0]),
-            entry("b", [0.8, 0.6]),
-            entry("c", [0.6, 0.8]),
-            entry("d", [0.0, 1.0]),
-        )
-        cohort = Cohort(entries)
+        means = [[1.0, 0.0], [0.8, 0.6], [0.6, 0.8], [0.0, 1.0]]
+        cohort = Cohort(("a", "b", "c", "d"), means)
         embs = make_table(
             [make_embedding("e0", "a", [1.0, 0.0]), make_embedding("t0", "x", [0.28, 0.96])]
         )
@@ -297,7 +299,7 @@ class TestCohort:
         assert out["normalized"][0] == adaptive_snorm(out["raw"][0], st_e, st_t)
         with pytest.raises(EmptySet):
             score_trials(
-                [("m", "t0")], {"m": ("e0",)}, embs, Cohort(entries[:1]), ScoringMode.SNORM
+                [("m", "t0")], {"m": ("e0",)}, embs, Cohort(("a",), means[:1]), ScoringMode.SNORM
             )
 
 
@@ -305,7 +307,7 @@ def tiny_trial_setup(rng, n_cohort=24, dim=8):
     cohort_embs = [
         make_embedding(f"c{i}-u0", f"coh{i}", rng.normal(size=dim)) for i in range(n_cohort)
     ]
-    cohort = Cohort.from_embeddings(make_table(cohort_embs), tag="train")
+    cohort = Cohort.from_embeddings(make_table(cohort_embs))
     enroll = {
         "modelA": ("ea0", "ea1"),
         "modelB": ("eb0",),
@@ -453,7 +455,7 @@ def differential_setup(rng, dim=8, n_distinct=10, copies=3, n_models=6, n_tests=
     embs[f"t{n_tests}"] = make_embedding(f"t{n_tests}", "spk-copy", v)
     enroll["model-copy"] = ("e-copy",)
     n_tests += 1
-    cohort = Cohort.from_embeddings(make_table(cohort_embs), tag="train")
+    cohort = Cohort.from_embeddings(make_table(cohort_embs))
     trials = [(m, f"t{t}") for t in range(n_tests) for m in enroll]
     decisions = {
         f"t{t}": Language.ENGLISH if rng.uniform() < 0.4 else Language.FARSI
@@ -482,7 +484,7 @@ class TestScoreTrialsAgainstOracle:
     def test_ties_and_enrollment_speakers_over_several_chunks(self, rng):
         trials, enroll, embs, cohort, decisions = differential_setup(rng)
         assert len(trials) > 1.2 * TRIAL_CHUNK
-        assert {e.speaker_id for e in cohort.entries} & {"spk0", "spk2", "spk4"}
+        assert set(cohort.speaker_ids) & {"spk0", "spk2", "spk4"}
         # top_n=5 over triplicated vectors: the boundary falls inside a tie
         self.check(trials, enroll, embs, cohort, decisions, top_n=5)
         raw = score_trials([("model-copy", "t110")], enroll, embs, None, ScoringMode.RAW)["raw"]
@@ -497,13 +499,12 @@ class TestScoreTrialsAgainstOracle:
 
     def test_restricted_cohort(self, rng):
         trials, enroll, embs, cohort, decisions = differential_setup(rng, n_tests=20)
-        mixed = Cohort(
-            tuple(
-                CohortEntry(e.speaker_id, e.vec, Domain.VOX if k % 3 else Domain.DEEPMINE, e.language)
-                for k, e in enumerate(cohort.entries)
-            )
-        )
-        self.check(trials, enroll, embs, restrict_domains(mixed, [Domain.VOX]), decisions, 4)
+        domain_of = {
+            sid: Domain.VOX if k % 3 else Domain.DEEPMINE
+            for k, sid in enumerate(cohort.speaker_ids)
+        }
+        restricted = restrict_domains(cohort, domain_of, [Domain.VOX])
+        self.check(trials, enroll, embs, restricted, decisions, 4)
 
     def test_zero_norm_test_vector_raises(self, rng):
         trials, enroll, embs, cohort, decisions = differential_setup(rng, n_tests=4)
