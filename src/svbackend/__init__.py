@@ -18,7 +18,7 @@ from .planner import (
     plan_pass_broad,
     sample_utterances,
 )
-from .prototypes import PrototypeMatrix, SimilarityMatrix, SpeakerInfo, similarity_matrix, top_similar
+from .prototypes import PrototypeMatrix, SimilaritySnapshot, SpeakerInfo, similarity_matrix, top_similar
 from .scores import ScoreSet
 from .scoring import (
     Cohort,
@@ -52,7 +52,7 @@ __all__ = [
     "PrototypeMatrix",
     "ScoreSet",
     "ScoringMode",
-    "SimilarityMatrix",
+    "SimilaritySnapshot",
     "SnormStats",
     "SpeakerInfo",
     "SyntheticCorpus",

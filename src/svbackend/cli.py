@@ -77,7 +77,9 @@ def cmd_synth(args) -> None:
     )
 
 
-def cmd_plan_batches(args) -> None:
+def cmd_plan_batches(args, parser: argparse.ArgumentParser) -> None:
+    if args.passes < 1:
+        parser.error(f"argument --passes: must be >= 1, got {args.passes}")
     protos = formats.read_prototypes(args.prototypes)
     embeddings = formats.read_embeddings(args.embeddings)
     inventory = UtteranceInventory.from_embeddings(embeddings, protos)
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--imposters", type=int, default=8, help="similar speakers per anchor")
     p.add_argument("--utts-per-speaker", type=int, default=1, help="utterances sampled per group speaker")
     p.add_argument("--target-domain", choices=[d.value for d in Domain], default="DEEPMINE", help="balanced-mode anchor domain")
-    p.add_argument("--passes", type=int, default=1, help="passes to plan")
+    p.add_argument("--passes", type=int, default=1, help="passes to plan (>= 1)")
     p.add_argument("--seed", type=int, default=0, help="plan seed")
     p.add_argument(
         "--epoch-tag",
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="similarity snapshot tag recorded in the manifest",
     )
-    p.set_defaults(func=cmd_plan_batches)
+    p.set_defaults(func=cmd_plan_batches, needs_parser=True)
 
     p = sub.add_parser("aam-check", **sub_kwargs, help="margin-loss self-test / desk-scale loss oracle")
     p.add_argument("--seed", type=int, default=0, help="instance seed")

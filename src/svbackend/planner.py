@@ -1,19 +1,20 @@
 """Hard-prototype batch planning.
 
-Builds training batch manifests from a speaker-similarity matrix and an
+Builds training batch manifests from a speaker-similarity snapshot and an
 utterance inventory.  Each anchor speaker contributes utterances from its
 most similar speakers (itself included), so batches concentrate confusable
 speakers.  Two passes: a broad pass anchoring every speaker once, and a
 domain-balanced pass anchoring all target-domain speakers plus an equal
-number of freshly drawn out-of-domain speakers.
+number of freshly drawn out-of-domain speakers.  A pass ranks all its
+anchors with one :func:`top_similar` call; no N x N matrix is built.
 
-The planner never touches the similarity matrix's provenance: the caller
-supplies a fresh snapshot (new ``epoch_tag``) between passes.
+The planner never touches the snapshot's provenance: the caller supplies a
+fresh snapshot (new ``epoch_tag``) between passes.
 
 Randomness: counter-based Philox streams, split per purpose -
 ``(pass_id, 0)`` drives anchor ordering (and the out-of-domain draw of
 the balanced pass), ``(pass_id, 1, anchor_position)`` drives the utterance
-sampling of that anchor's group.  Identical (config, similarity matrix,
+sampling of that anchor's group.  Identical (config, prototypes,
 inventory, pass_id) therefore reproduce byte-identical manifests on any
 platform.
 """
@@ -32,7 +33,7 @@ from .errors import (
     KTooLarge,
     ValidationError,
 )
-from .prototypes import PrototypeMatrix, SimilarityMatrix, top_similar
+from .prototypes import PrototypeMatrix, SimilaritySnapshot, top_similar
 from .vecmath import Domain, EmbeddingTable
 
 _STREAM_ANCHORS = 0
@@ -152,7 +153,7 @@ def sample_utterances(
 
 def _build_batches(
     cfg: PlannerConfig,
-    sim: SimilarityMatrix,
+    sim: SimilaritySnapshot,
     inv: UtteranceInventory,
     anchor_order: np.ndarray,
     pass_id: int,
@@ -163,9 +164,9 @@ def _build_batches(
     anchors = np.resize(anchor_order, math.ceil(len(anchor_order) / a) * a)
     batches = []
     entries: list[tuple[str, int]] = []
-    for pos, anchor in enumerate(int(x) for x in anchors):
+    for pos, group in enumerate(top_similar(sim, anchors, cfg.imposters_per_anchor).tolist()):
         g_utts = _rng(cfg.seed, pass_id, _STREAM_UTTS, pos)
-        for spk in top_similar(sim, anchor, cfg.imposters_per_anchor):
+        for spk in group:
             for utt in sample_utterances(inv, spk, cfg.utts_per_speaker, g_utts):
                 entries.append((utt, spk))
         if (pos + 1) % a == 0:
@@ -174,9 +175,9 @@ def _build_batches(
     return BatchManifest(batches=tuple(batches), pass_id=pass_id, epoch_tag=sim.epoch_tag)
 
 
-def _check_pass(cfg: PlannerConfig, sim: SimilarityMatrix, inv: UtteranceInventory) -> int:
+def _check_pass(cfg: PlannerConfig, sim: SimilaritySnapshot, inv: UtteranceInventory) -> int:
     """Guards shared by both passes; returns the speaker count N."""
-    n = sim.count
+    n = sim.protos.count
     if cfg.imposters_per_anchor > n:
         raise KTooLarge(f"imposters_per_anchor={cfg.imposters_per_anchor} exceeds N={n}")
     if len(inv) != n:
@@ -189,7 +190,7 @@ def _check_pass(cfg: PlannerConfig, sim: SimilarityMatrix, inv: UtteranceInvento
 
 def plan_pass_broad(
     cfg: PlannerConfig,
-    sim: SimilarityMatrix,
+    sim: SimilaritySnapshot,
     inv: UtteranceInventory,
     pass_id: int = 0,
 ) -> BatchManifest:
@@ -206,7 +207,7 @@ def plan_pass_broad(
 
 def plan_pass_balanced(
     cfg: PlannerConfig,
-    sim: SimilarityMatrix,
+    sim: SimilaritySnapshot,
     inv: UtteranceInventory,
     target_domain: Domain,
     pass_id: int = 0,
@@ -219,7 +220,7 @@ def plan_pass_balanced(
     in :func:`plan_pass_broad`.  Imposter selection per anchor stays global
     across all speakers: the balancing constrains who anchors, not who may
     appear as imposter.  Each new pass_id draws a fresh out-of-domain set;
-    the caller supplies a refreshed similarity matrix between passes.
+    the caller supplies a refreshed similarity snapshot between passes.
     """
     _check_pass(cfg, sim, inv)
     targets = [j for j, d in enumerate(inv.domains) if d is target_domain]

@@ -1,9 +1,12 @@
-"""Speaker prototype storage and the derived speaker-speaker similarity matrix.
+"""Speaker prototype storage and the speaker-speaker similarity ranking.
 
 The prototype matrix snapshots the classifier-layer weight columns of an
 external trainer.  This store never recomputes anything implicitly: a new
 snapshot arrives as a new matrix, and the caller stamps the similarity
-matrix it derives with an ``epoch_tag``.
+snapshot it derives with an ``epoch_tag``.
+
+No N x N similarity matrix is built: :func:`top_similar` ranks a batch of
+anchors on demand, in O(TOP_BLOCK_ROWS * N) memory beyond the prototypes.
 """
 
 from __future__ import annotations
@@ -77,83 +80,67 @@ class PrototypeMatrix:
             raise IndexOutOfRange(f"unknown speaker_id {speaker_id!r}") from None
 
 
-#: Rows per block of the symmetry check (keeps its temporaries off N x N).
-CHECK_BLOCK_ROWS = 64
+#: Anchor rows per block of :func:`top_similar`'s BLAS filter (larger raised peak RSS).
+TOP_BLOCK_ROWS = 64
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """N x N cosine similarities between speaker prototypes.
+class SimilaritySnapshot(NamedTuple):
+    """One snapshot's speaker similarities: the prototypes (their unit rows)
+    and the caller's ``epoch_tag`` (bookkeeping).  No N x N matrix is held:
+    :func:`top_similar` computes the rows of its anchors on demand."""
 
-    ``epoch_tag`` identifies the prototype snapshot this was derived from;
-    it is caller-supplied and purely bookkeeping.  A read-only float64
-    array that owns its memory is stored as given; anything else is copied.
-    """
-
-    s: np.ndarray
+    protos: PrototypeMatrix
     epoch_tag: int = 0
 
-    def __post_init__(self):
-        arr = np.asarray(self.s)
-        if arr.dtype != np.float64:
-            arr = arr.astype(np.float64)
-        elif arr.flags.writeable or not arr.flags.owndata:
-            arr = arr.copy()
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"similarity matrix must be square, got {arr.shape}")
-        for r in range(0, arr.shape[0], CHECK_BLOCK_ROWS):
-            rows = slice(r, r + CHECK_BLOCK_ROWS)
-            if not np.allclose(arr[rows], arr[:, rows].T, atol=1e-9, rtol=0):
-                raise ValidationError("similarity matrix is not symmetric")
-        if not np.allclose(np.diagonal(arr), 1.0, atol=1e-9, rtol=0):
-            raise ValidationError("similarity diagonal deviates from 1")
-        if arr.min() < -1.0 or arr.max() > 1.0:
-            raise ValidationError("similarity entries outside [-1, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "s", arr)
 
-    @property
-    def count(self) -> int:
-        return self.s.shape[0]
+def similarity_matrix(p: PrototypeMatrix, epoch_tag: int = 0) -> SimilaritySnapshot:
+    """The O(1) similarity snapshot of ``p``, stamped with ``epoch_tag``."""
+    return SimilaritySnapshot(p, epoch_tag)
 
 
-def similarity_matrix(p: PrototypeMatrix, epoch_tag: int = 0) -> SimilarityMatrix:
-    """All pairwise prototype cosines, computed on unit-normalized columns.
+def top_similar(sim: SimilaritySnapshot, anchors, k: int) -> np.ndarray:
+    """(len(anchors), k) int array: each anchor, then its k-1 most similar
+    other speakers by ``clip(np.sum(U[a] * U[j]), -1, 1)`` over the unit
+    rows U (bit for bit scalar ``cosine``), descending, ties by ascending
+    index.  Per block of TOP_BLOCK_ROWS anchors a clipped BLAS product
+    ``U[block] @ U.T`` filters: with t the (k-1)-th largest filtered value
+    of the others, those >= t - 2*delta (delta = 8*D*eps) are re-ranked by
+    (-exact kernel, index).
 
-    Entries are produced by the same pairwise-summation kernel as scalar
-    ``cosine`` calls, so ``S[i, j] == cosine(w[:, i], w[:, j])`` exactly
-    (before the guard clip at +/-1, which only engages on duplicate
-    prototypes).  Only ``S[i, i:]`` is computed and mirrored into ``S[i:, i]``:
-    IEEE products commute, so every entry keeps the kernel's bits.  The
-    float64 result is handed to :class:`SimilarityMatrix` without a copy.
+    Exactness.  Any floating-point D-term dot product (any order, blocking,
+    threads, FMA) is within gamma_D * sum|u_i v_i| + D*2**-1074 of the real
+    one (Higham, Accuracy and Stability, 3.1; gamma_D = D*u/(1 - D*u), u =
+    eps/2).  Unit rows have norms within 2*D*eps of 1, so for D*eps <= 0.01
+    filter and kernel differ by < 2.1*gamma_D + 2*D*2**-1074 < 2*D*eps <=
+    delta, clipped or not.  The k-1 others filtered >= t have exact values
+    >= t - delta, so the (k-1)-th largest exact value e* >= t - delta; each
+    of the exact top k-1 (ties at e* included) is >= e*, so it filters >=
+    t - 2*delta and is a candidate.  The filter's bits vary with the BLAS;
+    the output does not.  Raises IndexOutOfRange (an anchor outside
+    [0, N)), then ParamInvalid (k < 1), then KTooLarge (k > N).
     """
-    rows = p.unit_rows
-    n = p.count
-    s = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        s[i, i:] = np.sum(rows[i] * rows[i:], axis=1)
-        s[i:, i] = s[i, i:]
-    np.clip(s, -1.0, 1.0, out=s)
-    s.setflags(write=False)
-    return SimilarityMatrix(s=s, epoch_tag=epoch_tag)
-
-
-def top_similar(sim: SimilarityMatrix, speaker_index: int, k: int) -> list[int]:
-    """Indices of the ``k`` speakers most similar to ``speaker_index``.
-
-    The speaker itself is always first; the remainder is ordered by
-    descending similarity with ties broken by ascending speaker index,
-    which keeps batch plans reproducible.
-    """
-    n = sim.count
-    if not 0 <= speaker_index < n:
-        raise IndexOutOfRange(f"speaker index {speaker_index} outside [0, {n})")
+    n = sim.protos.count
+    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
+    if len(anchors) and not (0 <= anchors.min() and anchors.max() < n):
+        bad = anchors[(anchors < 0) | (anchors >= n)][0]
+        raise IndexOutOfRange(f"speaker index {bad} outside [0, {n})")
     if k < 1:
         raise ParamInvalid(f"k must be >= 1, got {k}")
     if k > n:
         raise KTooLarge(f"k={k} exceeds speaker count {n}")
-    row = sim.s[speaker_index]
-    others = np.delete(np.arange(n), speaker_index)
-    # lexsort: primary key last -> sort by -similarity, then ascending index
-    order = others[np.lexsort((others, -row[others]))]
-    return [speaker_index] + [int(j) for j in order[: k - 1]]
+    out = np.repeat(anchors[:, None], k, axis=1)  # every row starts with its anchor
+    if k == 1:
+        return out
+    u = sim.protos.unit_rows
+    window = 2 * (8 * u.shape[1] * np.finfo(np.float64).eps)  # 2 * delta
+    kth = n - k + 1  # ascending position of the (k-1)-th largest other speaker
+    for start in range(0, len(anchors), TOP_BLOCK_ROWS):
+        block = anchors[start : start + TOP_BLOCK_ROWS]
+        approx = np.clip(u[block] @ u.T, -1.0, 1.0)
+        approx[np.arange(len(block)), block] = -np.inf
+        floor = np.partition(approx, kth, axis=1)[:, kth] - window
+        for r, a in enumerate(block.tolist()):
+            cand = np.flatnonzero(approx[r] >= floor[r])
+            exact = np.clip(np.sum(u[a] * u[cand], axis=1), -1.0, 1.0)
+            out[start + r, 1:] = cand[np.lexsort((cand, -exact))][: k - 1]
+    return out

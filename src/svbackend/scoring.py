@@ -28,7 +28,7 @@ from .errors import (
 from .prototypes import PrototypeMatrix
 from .vecmath import cosine  # noqa: F401  (unused; perfbench counts calls via scoring.cosine)
 from .vecmath import Domain, EmbeddingTable, Language, average_embedding, l2_normalize
-from .vecmath import mean_of_units, unit_rows
+from .vecmath import check_row_norms, mean_of_units, unit_rows
 
 log = logging.getLogger(__name__)
 
@@ -77,11 +77,11 @@ class Cohort:
         """Average each speaker's length-normalized embeddings into one mean.
 
         Speaker order follows first appearance.  With ``domains``, only
-        speakers whose first utterance is in one of them are kept (and only
-        those are averaged).  Every row is normalized, so a degenerate row
-        raises NormUnderflow wherever it is.
+        speakers whose first utterance is in one of them are kept, and only
+        their rows are normalized and averaged.  Every row's norm is still
+        checked, so a degenerate row raises NormUnderflow wherever it is.
         """
-        unit = unit_rows(table.vectors, table.dim)
+        check_row_norms(table.vectors)
         groups: dict[str, list[int]] = {}
         for row, sid in enumerate(table.speaker_ids):
             groups.setdefault(sid, []).append(row)
@@ -90,7 +90,8 @@ class Cohort:
         if domains is not None and not kept:
             names = "+".join(sorted(d.value for d in allowed))
             raise EmptySet(f"no cohort speakers left for domains {names}")
-        return cls(tuple(kept), [mean_of_units(unit[rows]) for rows in kept.values()])
+        units = (unit_rows(table.vectors[rows]) for rows in kept.values())
+        return cls(tuple(kept), [mean_of_units(unit) for unit in units])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ normalization statistics and cost sweeps downstream are sensitive to
 accumulation error, so nothing here computes in float32.
 
 Dot products go through :func:`unit_dot`'s pairwise-summation kernel.  The
-speaker-similarity matrix reuses the same kernel row-wise, which keeps its
-entries bit-identical to scalar ``cosine`` calls on the same vectors.
+speaker-similarity ranking re-ranks with the same kernel row-wise, which
+keeps its values bit-identical to scalar ``cosine`` calls on the same vectors.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def unit_dot(a: np.ndarray, b: np.ndarray) -> float:
 
     Deliberately not BLAS: the reduction is order-stable, symmetric in its
     arguments, and identical between a scalar call and a row of the
-    similarity-matrix kernel, which downstream exactness checks rely on.
+    similarity re-rank kernel, which downstream exactness checks rely on.
     """
     return float(np.sum(a * b))
 
@@ -146,6 +146,15 @@ def unit_rows(vecs, dim: int | None = None) -> np.ndarray:
     if len(x) and norms.min() <= NORM_EPS:
         raise NormUnderflow(f"vector norm {norms.min():g} <= {NORM_EPS:g}")
     return x / norms[:, None]
+
+
+def check_row_norms(x: np.ndarray) -> None:
+    """Raise NormUnderflow as :func:`unit_rows` would on ``x``, from the same
+    sums of squares taken 256 rows at a time (no (n, D) temporary)."""
+    blocks = (x[r : r + 256] for r in range(0, len(x), 256))
+    low = min((np.sqrt(np.sum(b * b, axis=1)).min() for b in blocks), default=np.inf)
+    if low <= NORM_EPS:
+        raise NormUnderflow(f"vector norm {low:g} <= {NORM_EPS:g}")
 
 
 def cosine(a, b, eps: float = NORM_EPS) -> float:

@@ -32,7 +32,15 @@ from svbackend.errors import (
     ParamInvalid,
 )
 from svbackend.scoring import Cohort, LanguageOffset, ScoringMode, snorm_stats
-from svbackend.vecmath import NORM_EPS, Domain, Language, cosine, l2_normalize
+from svbackend.vecmath import (
+    NORM_EPS,
+    Domain,
+    Language,
+    cosine,
+    l2_normalize,
+    mean_of_units,
+    unit_rows,
+)
 
 
 def roc_points(scores, labels):
@@ -158,6 +166,17 @@ def full_cohort(table):
     return Cohort(tuple(groups), np.array(means))
 
 
+def cohort_from_all_rows(table, domains):
+    """Cohort.from_embeddings as it was built from every row normalized at
+    once: unit rows of the whole table, then the kept speakers' means."""
+    unit = unit_rows(table.vectors, table.dim)
+    groups = {}
+    for k, sid in enumerate(table.speaker_ids):
+        groups.setdefault(sid, []).append(k)
+    kept = {sid: rows for sid, rows in groups.items() if table.domains[rows[0]] in set(domains)}
+    return Cohort(tuple(kept), [mean_of_units(unit[rows]) for rows in kept.values()])
+
+
 def first_row_domains(table):
     """speaker_id -> domain of the speaker's first row."""
     out = {}
@@ -265,6 +284,15 @@ def similarity_matrix_full(protos):
     for i in range(protos.count):
         s[i] = np.sum(rows[i][None, :] * rows, axis=1)
     return np.clip(s, -1.0, 1.0)
+
+
+def top_similar_full(s, speaker_index, k):
+    """The ``k`` speakers most similar to ``speaker_index`` from its full row
+    of ``s`` (from :func:`similarity_matrix_full`): the speaker first, then
+    the others by descending similarity, ties by ascending index."""
+    others = np.delete(np.arange(len(s)), speaker_index)
+    order = others[np.lexsort((others, -s[speaker_index, others]))]
+    return [speaker_index] + order[: k - 1].tolist()
 
 
 def log_density(gb, x, mu):

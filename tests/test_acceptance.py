@@ -49,6 +49,7 @@ from oracles import (
     fit_logreg_reference,
     log_likelihood_ratio,
     rel_err,
+    similarity_matrix_full,
     softmax_ce_on_cosines,
 )
 
@@ -176,9 +177,10 @@ def test_criterion_04_broad_plan_exhaustive_oracle():
                         assert anchors[n_speakers:] == anchors[:pad]
                         flat = [e for b in m1.batches for e in b]
                         group = i * u
+                        s = similarity_matrix_full(protos)
                         for g, anchor in enumerate(anchors):
                             entries = flat[g * group : (g + 1) * group]
-                            row = sim.s[anchor]
+                            row = s[anchor]
                             expected = [anchor] + sorted(
                                 (j for j in range(n_speakers) if j != anchor),
                                 key=lambda j: (-row[j], j),

@@ -1,9 +1,14 @@
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import svbackend
 from svbackend import formats
 from svbackend.cli import main
 from svbackend.errors import FormatError
@@ -11,7 +16,7 @@ from svbackend.metrics import eer, min_dcf
 from svbackend.scores import ScoreSet
 from svbackend.vecmath import Language
 
-from conftest import make_embedding, make_table
+from conftest import make_embedding, make_protos, make_table
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +174,55 @@ class TestPlanBatches:
         )
         assert rc == 2
         assert "error: ConfigInvalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("passes", ["0", "-2"])
+    def test_passes_below_one_is_usage_error(self, data_dir, tmp_path, capsys, passes):
+        out = tmp_path / "m.tsv"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "plan-batches", "--prototypes", str(data_dir / "prototypes.tsv"),
+                    "--embeddings", str(data_dir / "train_embeddings.tsv"),
+                    "--out", str(out), "--passes", passes,
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--passes: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_independent_of_blas_threads(self, tmp_path, rng):
+        # the BLAS filter's bits may depend on the thread count; the ranking
+        # does not.  Scaled copies of a few columns add exact and near ties.
+        w = rng.normal(size=(256, 600))
+        w[:, 500:] = w[:, :100] * rng.uniform(0.5, 2.0, size=100)
+        protos = make_protos(w)
+        formats.write_prototypes(tmp_path / "p.tsv", protos)
+        formats.write_embeddings_binary(
+            tmp_path / "e.sveb",
+            make_table(
+                make_embedding(f"u{j}", sp.speaker_id, rng.normal(size=4))
+                for j, sp in enumerate(protos.speakers)
+            ),
+        )
+        src = str(Path(svbackend.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"m{threads}.tsv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "svbackend", "plan-batches",
+                    "--prototypes", str(tmp_path / "p.tsv"),
+                    "--embeddings", str(tmp_path / "e.sveb"),
+                    "--out", str(out), "--passes", "2", "--seed", "3",
+                ],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestAamCheck:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from svbackend.planner import (
     plan_pass_broad,
     sample_utterances,
 )
-from svbackend.prototypes import similarity_matrix, top_similar
+from svbackend.prototypes import similarity_matrix
 from svbackend.vecmath import Domain
 
 from conftest import make_embedding, make_protos, make_table
+from oracles import similarity_matrix_full, top_similar_full
 
 
 def make_inventory(n_speakers, utts_each=3, domains=None):
@@ -90,9 +93,10 @@ def check_broad_pass(manifest, cfg, sim, inv, n):
     assert anchors[n:] == anchors[: len(anchors) - n]
     # each anchor group holds exactly the top-similar speakers, in order
     flat = [e for b in manifest.batches for e in b]
+    s = similarity_matrix_full(sim.protos)
     for g, anchor in enumerate(anchors):
         entries = flat[g * group : (g + 1) * group]
-        expected = top_similar(sim, anchor, cfg.imposters_per_anchor)
+        expected = top_similar_full(s, anchor, cfg.imposters_per_anchor)
         got_speakers = [entries[k * cfg.utts_per_speaker][1] for k in range(cfg.imposters_per_anchor)]
         assert got_speakers == expected
         for k, spk in enumerate(expected):
@@ -235,9 +239,10 @@ class TestBalanced:
         manifest = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE)
         anchors = manifest.anchor_sequence(cfg)
         flat = [e for b in manifest.batches for e in b]
+        s = similarity_matrix_full(sim.protos)
         for g, anchor in enumerate(anchors):
             group = flat[g * 4 : (g + 1) * 4]
-            assert [s for _, s in group] == top_similar(sim, anchor, 4)
+            assert [spk for _, spk in group] == top_similar_full(s, anchor, 4)
 
     def test_domain_too_small(self, rng):
         inv = self.make_domain_inventory(5, 3)
@@ -254,6 +259,21 @@ class TestBalanced:
         m1 = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE, pass_id=3)
         m2 = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE, pass_id=3)
         assert m1 == m2
+
+    def test_no_n_by_n_allocation(self, rng):
+        # a 3,000 x 3,000 float64 matrix is 72 MB; the pass must stay far below
+        n, f = 3000, 320
+        protos = make_protos(rng.normal(size=(16, n)))
+        inv = self.make_domain_inventory(f, n - f)
+        cfg = make_cfg(128, 16, 8, 1)
+        tracemalloc.start()
+        try:
+            manifest = plan_pass_balanced(cfg, similarity_matrix(protos), inv, Domain.DEEPMINE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert manifest.n_batches == 2 * f // 16
+        assert peak < n * n * 8 / 4
 
 
 class TestInventoryFromEmbeddings:

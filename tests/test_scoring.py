@@ -31,6 +31,7 @@ from svbackend.vecmath import Domain, Language, average_embedding, cosine, l2_no
 
 from conftest import make_embedding, make_protos, make_table, rows_of
 from oracles import (
+    cohort_from_all_rows,
     estimate_alpha_rebuild,
     excluding_speakers,
     first_row_domains,
@@ -268,6 +269,27 @@ class TestCohort:
             assert new.speaker_ids == old.speaker_ids
             assert np.array_equal(new.unit_rows, old.unit_rows)
             assert ("mix" in new.speaker_ids) == (Domain.DEEPMINE in domains)
+
+    def test_kept_rows_only_equal_all_rows(self, rng):
+        # 700 rows over 3 check blocks; a quarter of the speakers are kept
+        doms = [Domain.VOX, Domain.LIBRI, Domain.DEEPMINE, Domain.VOX]
+        spk = rng.integers(0, 90, size=700)
+        table = make_table(
+            make_embedding(f"u{k}", f"s{s}", rng.normal(size=16), domain=doms[s % 4])
+            for k, s in enumerate(spk)
+        )
+        for domains in ([Domain.DEEPMINE], [Domain.VOX, Domain.LIBRI], list(Domain)):
+            new = Cohort.from_embeddings(table, domains=domains)
+            old = cohort_from_all_rows(table, domains)
+            assert new.speaker_ids == old.speaker_ids
+            assert np.array_equal(new.means, old.means)
+            assert np.array_equal(new.unit_rows, old.unit_rows)
+        # a zero row of a dropped speaker, in a later block, still fails
+        rows = rows_of(table)
+        k = next(k for k in range(600, 700) if rows[k].domain is Domain.VOX)
+        rows[k] = rows[k]._replace(vec=np.zeros(16))
+        with pytest.raises(NormUnderflow):
+            Cohort.from_embeddings(make_table(rows), domains=[Domain.DEEPMINE])
 
     def test_degenerate_rows(self):
         cancel = [

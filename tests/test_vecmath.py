@@ -15,6 +15,7 @@ from svbackend.vecmath import (
     EmbeddingTable,
     Language,
     average_embedding,
+    check_row_norms,
     cosine,
     l2_normalize,
     unit_rows,
@@ -146,6 +147,22 @@ class TestUnitRows:
         x[3] = 0.0
         with pytest.raises(NormUnderflow):
             unit_rows(x)
+
+    def test_check_row_norms_agrees(self, rng):
+        # the check, in blocks of 256 rows, raises when unit_rows raises,
+        # with its message
+        check_row_norms(np.empty((0, 3)))
+        x = rng.normal(size=(700, 5))
+        check_row_norms(x)
+        for rows, scale in (([3], 0.0), ([600], 0.0), ([255, 256], 1e-13), ([10, 650], 0.0)):
+            y = x.copy()
+            y[rows] *= scale
+            y[rows[-1]] *= 0.5
+            with pytest.raises(NormUnderflow) as want:
+                unit_rows(y)
+            with pytest.raises(NormUnderflow) as got:
+                check_row_norms(y)
+            assert str(got.value) == str(want.value)
 
     def test_shapes(self):
         assert unit_rows([], 6).shape == (0, 6)
