@@ -106,7 +106,11 @@ def cmd_plan_batches(args, parser: argparse.ArgumentParser) -> None:
     print(f"wrote {total} batches over {args.passes} pass(es) to {args.out}")
 
 
-def cmd_aam_check(args) -> None:
+def cmd_aam_check(args, parser: argparse.ArgumentParser) -> None:
+    if args.instances < 1:
+        parser.error(f"argument --instances: must be >= 1, got {args.instances}")
+    if not args.tolerance >= 0:
+        parser.error(f"argument --tolerance: must be >= 0, got {args.tolerance}")
     if args.prototypes and args.embeddings:
         cfg = AamConfig(margin=args.margin, scale=args.scale)
         protos = formats.read_prototypes(args.prototypes)
@@ -315,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aam-check", **sub_kwargs, help="margin-loss self-test / desk-scale loss oracle")
     p.add_argument("--seed", type=int, default=0, help="instance seed")
-    p.add_argument("--instances", type=int, default=25, help="random gradient-check instances")
+    p.add_argument("--instances", type=int, default=25, help="random gradient-check instances (>= 1)")
     p.add_argument("--margin", type=float, default=0.2, help="loss margin (file mode)")
     p.add_argument("--scale", type=float, default=30.0, help="logit scale (file mode)")
-    p.add_argument("--tolerance", type=float, default=1e-4, help="max allowed relative gradient error")
+    p.add_argument("--tolerance", type=float, default=1e-4, help="max allowed relative gradient error (>= 0)")
     p.add_argument("--prototypes", help="with --embeddings: print the loss on this batch")
     p.add_argument("--embeddings")
-    p.set_defaults(func=cmd_aam_check)
+    p.set_defaults(func=cmd_aam_check, needs_parser=True)
 
     p = sub.add_parser("lid-train", **sub_kwargs, help="train the Gaussian language backend on prototypes")
     p.add_argument("--prototypes", required=True)

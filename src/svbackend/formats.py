@@ -443,13 +443,12 @@ def write_manifests(path, manifests: Sequence[BatchManifest]):
     with open(p, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_fmt_header("manifest") + "\n")
         for man in manifests:
+            for utt_id in dict.fromkeys(u for batch in man.batches for u, _ in batch):
+                _check_id(utt_id, "utt_id")
             fh.write(f"#pass\t{man.pass_id}\t{man.epoch_tag}\n")
             for b, batch in enumerate(man.batches):
-                for pos, (utt_id, speaker_idx) in enumerate(batch):
-                    fh.write(
-                        f"{man.pass_id}\t{b}\t{pos}\t"
-                        f"{_check_id(utt_id, 'utt_id')}\t{speaker_idx}\n"
-                    )
+                rows = (f"{man.pass_id}\t{b}\t{i}\t{u}\t{s}\n" for i, (u, s) in enumerate(batch))
+                fh.write("".join(rows))
 
 
 def read_manifests(path) -> list[BatchManifest]:

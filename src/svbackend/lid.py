@@ -17,6 +17,7 @@ from .errors import (
     ClassTooSmall,
     CovarianceSingular,
     DimensionMismatch,
+    ParamInvalid,
     ValidationError,
     WeightOutOfRange,
 )
@@ -131,8 +132,10 @@ def classify(
     Each vector is L2-normalized and scored with the affine llr
     ``log N(x; mu_EN, cov) - log N(x; mu_FA, cov) = a.x + b`` of
     :func:`affine_coefficients`.  Returns ``(is_english, llr)``, two arrays
-    aligned with the input, with ``is_english = llr > tau``.
+    aligned with the input, with ``is_english = llr > tau`` for a finite ``tau``.
     """
+    if not np.isfinite(tau):
+        raise ParamInvalid(f"threshold must be finite, got {tau}")
     a, b = affine_coefficients(gb)
     llr = unit_rows(vectors, gb.dim) @ a + b
     return llr > tau, llr

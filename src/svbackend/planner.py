@@ -14,9 +14,9 @@ fresh snapshot (new ``epoch_tag``) between passes.
 Randomness: counter-based Philox streams, split per purpose -
 ``(pass_id, 0)`` drives anchor ordering (and the out-of-domain draw of
 the balanced pass), ``(pass_id, 1, anchor_position)`` drives the utterance
-sampling of that anchor's group.  Identical (config, prototypes,
-inventory, pass_id) therefore reproduce byte-identical manifests on any
-platform.
+sampling of that anchor's group, one ``integers`` draw per group when
+utts_per_speaker is 1.  Identical (config, prototypes, inventory, pass_id)
+therefore reproduce byte-identical manifests on any platform.
 """
 
 from __future__ import annotations
@@ -159,16 +159,24 @@ def _build_batches(
     pass_id: int,
 ) -> BatchManifest:
     """Group each anchor with its top-similar speakers, cycling
-    ``anchor_order`` until the final batch is full."""
-    a = cfg.anchors_per_batch
+    ``anchor_order`` until the final batch is full.  With u = 1, one
+    ``integers(0, lens[group])`` call draws a group: numpy's ``choice(n, 1,
+    replace=False)`` is one bounded draw on [0, n) (none for n == 1), so the
+    indices equal per-speaker :func:`sample_utterances` calls.  Floyd's
+    algorithm plus a shuffle (u > 1) has no bit-exact batched form."""
+    a, u = cfg.anchors_per_batch, cfg.utts_per_speaker
     anchors = np.resize(anchor_order, math.ceil(len(anchor_order) / a) * a)
+    lens = np.array([len(utts) for utts in inv.utterances])
     batches = []
     entries: list[tuple[str, int]] = []
     for pos, group in enumerate(top_similar(sim, anchors, cfg.imposters_per_anchor).tolist()):
         g_utts = _rng(cfg.seed, pass_id, _STREAM_UTTS, pos)
-        for spk in group:
-            for utt in sample_utterances(inv, spk, cfg.utts_per_speaker, g_utts):
-                entries.append((utt, spk))
+        if u == 1:
+            picks = g_utts.integers(0, lens[group]).tolist()
+            entries.extend((inv.utterances[s][i], s) for s, i in zip(group, picks))
+        else:
+            for spk in group:
+                entries.extend((utt, spk) for utt in sample_utterances(inv, spk, u, g_utts))
         if (pos + 1) % a == 0:
             batches.append(tuple(entries))
             entries = []

@@ -82,6 +82,8 @@ class PrototypeMatrix:
 
 #: Anchor rows per block of :func:`top_similar`'s BLAS filter (larger raised peak RSS).
 TOP_BLOCK_ROWS = 64
+#: (anchor, candidate) pairs per exact-kernel chunk (64 or more raised peak RSS).
+TOP_PAIR_CHUNK = 32
 
 
 class SimilaritySnapshot(NamedTuple):
@@ -105,7 +107,7 @@ def top_similar(sim: SimilaritySnapshot, anchors, k: int) -> np.ndarray:
     index.  Per block of TOP_BLOCK_ROWS anchors a clipped BLAS product
     ``U[block] @ U.T`` filters: with t the (k-1)-th largest filtered value
     of the others, those >= t - 2*delta (delta = 8*D*eps) are re-ranked by
-    (-exact kernel, index).
+    (-exact kernel, index) in one sort per block.
 
     Exactness.  Any floating-point D-term dot product (any order, blocking,
     threads, FMA) is within gamma_D * sum|u_i v_i| + D*2**-1074 of the real
@@ -139,8 +141,12 @@ def top_similar(sim: SimilaritySnapshot, anchors, k: int) -> np.ndarray:
         approx = np.clip(u[block] @ u.T, -1.0, 1.0)
         approx[np.arange(len(block)), block] = -np.inf
         floor = np.partition(approx, kth, axis=1)[:, kth] - window
-        for r, a in enumerate(block.tolist()):
-            cand = np.flatnonzero(approx[r] >= floor[r])
-            exact = np.clip(np.sum(u[a] * u[cand], axis=1), -1.0, 1.0)
-            out[start + r, 1:] = cand[np.lexsort((cand, -exact))][: k - 1]
+        rows, cand = np.nonzero(approx >= floor[:, None])
+        exact = np.empty(len(rows))
+        for p in range(0, len(rows), TOP_PAIR_CHUNK):
+            pairs = slice(p, p + TOP_PAIR_CHUNK)
+            exact[pairs] = np.sum(u[block[rows[pairs]]] * u[cand[pairs]], axis=1)
+        order = np.lexsort((cand, -np.clip(exact, -1.0, 1.0), rows))
+        first = np.searchsorted(rows, np.arange(len(block)))  # rows ascend in both orders
+        out[start : start + len(block), 1:] = cand[order[first[:, None] + np.arange(k - 1)]]
     return out

@@ -9,7 +9,8 @@ implementations replaced: one ``cosine`` and one written-out s-norm per
 trial, one rebuilt ``Cohort`` per left-out prototype or enrollment model,
 and two triangular solves per llr.  The embedding readers are the per-row
 parsers the columnar ones replaced (one ``float`` list or one
-``struct.unpack`` per row).
+``struct.unpack`` per row).  The batch planner's reference draws each
+group speaker's utterances with its own ``choice`` call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import log_softmax
 
-from svbackend import formats
+from svbackend import formats, planner
 from svbackend.errors import (
     DegenerateAverage,
     EmptySet,
@@ -293,6 +294,25 @@ def top_similar_full(s, speaker_index, k):
     others = np.delete(np.arange(len(s)), speaker_index)
     order = others[np.lexsort((others, -s[speaker_index, others]))]
     return [speaker_index] + order[: k - 1].tolist()
+
+
+def build_batches_loop(cfg, sim, inv, anchor_order, pass_id):
+    """``planner._build_batches`` with one ``sample_utterances`` call per
+    group speaker, whatever ``utts_per_speaker``, and each group ranked by
+    :func:`top_similar_full`."""
+    s = similarity_matrix_full(sim.protos)
+    a = cfg.anchors_per_batch
+    anchors = np.resize(anchor_order, math.ceil(len(anchor_order) / a) * a)
+    batches, entries = [], []
+    for pos, anchor in enumerate(anchors.tolist()):
+        g_utts = planner._rng(cfg.seed, pass_id, planner._STREAM_UTTS, pos)
+        for spk in top_similar_full(s, anchor, cfg.imposters_per_anchor):
+            for utt in planner.sample_utterances(inv, spk, cfg.utts_per_speaker, g_utts):
+                entries.append((utt, spk))
+        if (pos + 1) % a == 0:
+            batches.append(tuple(entries))
+            entries = []
+    return planner.BatchManifest(batches=tuple(batches), pass_id=pass_id, epoch_tag=sim.epoch_tag)
 
 
 def log_density(gb, x, mu):

@@ -242,6 +242,22 @@ class TestAamCheck:
         )
         assert "loss on" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--instances", "0", "--instances: must be >= 1"),
+            ("--instances", "-1", "--instances: must be >= 1"),
+            ("--tolerance", "nan", "--tolerance: must be >= 0"),
+            ("--tolerance", "-1e-4", "--tolerance: must be >= 0"),
+        ],
+    )
+    def test_check_that_checks_nothing_is_usage_error(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["aam-check", f"{flag}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "gradient check" not in captured.out
+
 
 @pytest.fixture(scope="module")
 def pipeline_files(data_dir, tmp_path_factory):
@@ -316,6 +332,22 @@ def pipeline_files(data_dir, tmp_path_factory):
         == 0
     )
     return work
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_lid_classify_non_finite_threshold(pipeline_files, data_dir, tmp_path, capsys, threshold):
+    out = tmp_path / "lid.tsv"
+    rc = main(
+        [
+            "lid-classify", "--model", str(pipeline_files / "gb.json"),
+            "--embeddings", str(data_dir / "eval_embeddings.tsv"),
+            "--out", str(out), f"--threshold={threshold}",
+        ]
+    )
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ParamInvalid"), err
+    assert not out.exists()
 
 
 class TestScore:

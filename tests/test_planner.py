@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from svbackend import planner
 from svbackend.errors import ConfigInvalid, DomainTooSmall, InventoryGap, KTooLarge
 from svbackend.planner import (
     BatchManifest,
@@ -16,7 +17,7 @@ from svbackend.prototypes import similarity_matrix
 from svbackend.vecmath import Domain
 
 from conftest import make_embedding, make_protos, make_table
-from oracles import similarity_matrix_full, top_similar_full
+from oracles import build_batches_loop, similarity_matrix_full, top_similar_full
 
 
 def make_inventory(n_speakers, utts_each=3, domains=None):
@@ -163,7 +164,9 @@ class TestBroad:
 
 PASSES = {
     "broad": plan_pass_broad,
-    "balanced": lambda cfg, sim, inv: plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE),
+    "balanced": lambda cfg, sim, inv, pass_id=0: plan_pass_balanced(
+        cfg, sim, inv, Domain.DEEPMINE, pass_id
+    ),
 }
 
 
@@ -274,6 +277,73 @@ class TestBalanced:
             tracemalloc.stop()
         assert manifest.n_batches == 2 * f // 16
         assert peak < n * n * 8 / 4
+
+
+class TestGroupSampling:
+    """Whole passes against ``oracles.build_batches_loop``, which draws every
+    group speaker's utterances with its own ``choice`` call."""
+
+    @staticmethod
+    def plans(plan, cfg, sim, inv, monkeypatch):
+        got = [plan(cfg, sim, inv, pass_id) for pass_id in range(3)]
+        monkeypatch.setattr(planner, "_build_batches", build_batches_loop)
+        want = [plan(cfg, sim, inv, pass_id) for pass_id in range(3)]
+        monkeypatch.undo()
+        return got, want
+
+    @pytest.mark.parametrize("u", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["broad", "balanced"])
+    def test_passes_equal_per_speaker_loop(self, rng, monkeypatch, mode, u):
+        # 19 speakers with 1-6 utterances each (some fewer than u, drawn
+        # with replacement); 3 anchors per batch wraps both 19 and 2F = 10
+        n = 19
+        domains = [Domain.DEEPMINE] * 5 + [Domain.VOX] * (n - 5)
+        inv = UtteranceInventory(
+            utterances=tuple(
+                tuple(f"s{j}-u{k}" for k in range(1 + 7 * j % 6)) for j in range(n)
+            ),
+            domains=tuple(domains),
+        )
+        assert min(map(len, inv.utterances)) == 1 and max(map(len, inv.utterances)) == 6
+        cfg = make_cfg(3 * 4 * u, 3, 4, u, seed=13)
+        got, want = self.plans(PASSES[mode], cfg, make_sim(rng, n), inv, monkeypatch)
+        assert got == want
+        assert len(set(got)) == 3  # each pass draws afresh
+
+    @pytest.mark.parametrize("u", [1, 2, 3])
+    def test_single_utterance_speakers(self, rng, monkeypatch, u):
+        inv = make_inventory(7, utts_each=1)
+        cfg = make_cfg(2 * 3 * u, 2, 3, u, seed=4)
+        got, want = self.plans(plan_pass_broad, cfg, make_sim(rng, 7), inv, monkeypatch)
+        assert got == want
+
+    def test_many_utterances_and_wrapped_anchors(self, rng):
+        # 1-200 utterances per speaker; 50 anchors cycle to fill 4 batches of 16
+        n = 40
+        inv = UtteranceInventory(
+            utterances=tuple(
+                tuple(f"s{j}-u{k}" for k in range(int(rng.integers(1, 201)))) for j in range(n)
+            ),
+            domains=(Domain.VOX,) * n,
+        )
+        sim = make_sim(rng, n)
+        order = rng.integers(0, n, size=50)
+        cfg = make_cfg(128, 16, 8, 1, seed=2)
+        got = planner._build_batches(cfg, sim, inv, order, pass_id=5)
+        assert got.n_batches == 4
+        assert got == build_batches_loop(cfg, sim, inv, order, pass_id=5)
+
+    def test_one_integers_call_equals_sequential_choice(self):
+        # the numpy behaviour the one-draw-per-group path relies on:
+        # choice(n, 1, replace=False) is one bounded draw on [0, n), none for n == 1
+        ns = np.arange(1, 65)
+        for seed in range(100):
+            order = np.random.default_rng(seed).permutation(ns)
+            fast = planner._rng(seed, 0, 1, seed)
+            loop = planner._rng(seed, 0, 1, seed)
+            got = fast.integers(0, order).tolist()
+            assert got == [int(loop.choice(n, size=1, replace=False)[0]) for n in order]
+            assert repr(fast.bit_generator.state) == repr(loop.bit_generator.state)
 
 
 class TestInventoryFromEmbeddings:

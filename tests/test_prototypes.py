@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from svbackend.errors import IndexOutOfRange, KTooLarge, NormUnderflow, ParamInvalid, ValidationError
-from svbackend.prototypes import TOP_BLOCK_ROWS, similarity_matrix, top_similar
+from svbackend.prototypes import TOP_BLOCK_ROWS, TOP_PAIR_CHUNK, similarity_matrix, top_similar
 from svbackend.vecmath import cosine, l2_normalize
 
 from conftest import make_protos
@@ -285,3 +287,32 @@ class TestTopSimilarAgainstFullRows:
         anchors = rng.integers(0, 150, size=3 * TOP_BLOCK_ROWS + 5).tolist()
         for k in (1, 8, 150):
             self.check(p, anchors, k)
+
+    @staticmethod
+    def tie_group_protos(rng, d=256):
+        """300 identical prototypes, then 20 random ones: an anchor in the
+        group ties with the other 299, so a block of such anchors holds
+        TOP_BLOCK_ROWS * 299 candidate pairs."""
+        tied = np.repeat(rng.normal(size=(d, 1)), 300, axis=1)
+        return make_protos(np.concatenate([tied, rng.normal(size=(d, 20))], axis=1))
+
+    def test_tie_group_spans_several_pair_chunks(self, rng):
+        p = self.tie_group_protos(rng)
+        assert TOP_BLOCK_ROWS * 299 > 8 * TOP_PAIR_CHUNK
+        anchors = list(range(0, 320, 2)) + [299, 300, 0]
+        for k in (2, 8, 299, 300, 301, 320):
+            self.check(p, anchors, k)
+
+    def test_tie_group_temporaries_stay_chunked(self, rng):
+        p = self.tie_group_protos(rng)
+        sim = similarity_matrix(p)
+        tracemalloc.start()
+        try:
+            top_similar(sim, range(TOP_BLOCK_ROWS), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (pairs, D) float64 product over the whole block would be 39 MB;
+        # the chunked kernel keeps a few per-pair columns (about 1.3 MB)
+        pairs = TOP_BLOCK_ROWS * 299
+        assert peak < pairs * p.dim * 8 / 8
