@@ -81,8 +81,8 @@ def cmd_plan_batches(args, parser: argparse.ArgumentParser) -> None:
     if args.passes < 1:
         parser.error(f"argument --passes: must be >= 1, got {args.passes}")
     protos = formats.read_prototypes(args.prototypes)
-    embeddings = formats.read_embeddings(args.embeddings)
-    inventory = UtteranceInventory.from_embeddings(embeddings, protos)
+    ids = formats.read_embedding_ids(args.embeddings)
+    inventory = UtteranceInventory.from_embeddings(ids, protos)
     sim = similarity_matrix(protos, epoch_tag=args.epoch_tag)
     cfg = PlannerConfig(
         batch_size=args.batch_size,

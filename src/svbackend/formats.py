@@ -11,6 +11,8 @@ re-writing what was read reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
+import re
 import struct
 from itertools import chain
 from pathlib import Path
@@ -19,13 +21,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calibration import CalibrationModel
-from .errors import FormatError, VersionUnsupported
+from .errors import FormatError, ValidationError, VersionUnsupported
 from .lid import GaussianBackend
 from .planner import BatchManifest
 from .prototypes import PrototypeMatrix, SpeakerInfo
 from .scores import LABEL_NONTARGET, LABEL_TARGET, ScoreSet
 from .scoring import AlphaProvenance, LanguageOffset
-from .vecmath import Domain, EmbeddingTable, Language
+from .vecmath import Domain, EmbeddingIds, EmbeddingTable, Language
 
 FORMAT_VERSIONS = {
     "embeddings": 1,
@@ -83,34 +85,34 @@ def _vec_str(vec: np.ndarray) -> str:
     return ",".join(map(repr, vec.tolist()))  # repr of a Python float, as in _f
 
 
+def _vector_fields(path, fmt: str, n_fields: int, heads: list):
+    """The vector field of each row of ``n_fields`` tab-separated fields, after
+    its leading fields go to ``heads``; checks field count and dimension."""
+    dim = 0
+    for line in _data_lines(Path(path), fmt):
+        parts = line.split("\t")
+        if len(parts) != n_fields:
+            raise FormatError(f"{fmt} row needs {n_fields} fields, got {len(parts)}")
+        n = parts[-1].count(",") + 1
+        dim = dim or n
+        if n != dim:
+            raise FormatError(
+                f"mixed dimensions: {fmt} row {parts[0]!r} has {n} values, earlier rows {dim}"
+            )
+        heads.append(parts[:-1])
+        yield parts[-1]
+
+
 def _vector_rows(path, fmt: str, n_fields: int) -> tuple[list[tuple[str, ...]], np.ndarray]:
-    """Rows of ``n_fields`` tab-separated fields whose last field is a
-    comma-separated vector: one column per leading field, and the vectors
-    as one read-only (n, D) float64 array.  The values stream through
-    ``float`` into one buffer, with no per-row arrays."""
+    """The rows of :func:`_vector_fields`: one column per leading field, and the
+    vectors as one read-only (n, D) float64 array filled by ``float``."""
     heads: list[list[str]] = []
-    counts: list[int] = []
-
-    def vector_fields():
-        for line in _data_lines(Path(path), fmt):
-            parts = line.split("\t")
-            if len(parts) != n_fields:
-                raise FormatError(f"{fmt} row needs {n_fields} fields, got {len(parts)}")
-            fields = parts[-1].split(",")
-            if counts and len(fields) != counts[0]:
-                raise FormatError(
-                    f"mixed dimensions: {fmt} row {parts[0]!r} has {len(fields)} values, "
-                    f"earlier rows {counts[0]}"
-                )
-            heads.append(parts[:-1])
-            counts.append(len(fields))
-            yield fields
-
+    rows = _vector_fields(path, fmt, n_fields, heads)
     try:
-        flat = np.fromiter(chain.from_iterable(map(float, f) for f in vector_fields()), np.float64)
+        flat = np.fromiter(chain.from_iterable(map(float, v.split(",")) for v in rows), np.float64)
     except ValueError:
         raise FormatError(f"malformed vector in {fmt} row {heads[-1][0]!r}") from None
-    flat = flat.reshape(len(counts), counts[0] if counts else 0)
+    flat = flat.reshape(len(heads), -1 if heads else 0)
     flat.setflags(write=False)
     return list(zip(*heads)) or [()] * (n_fields - 1), flat
 
@@ -258,14 +260,50 @@ def read_embeddings_binary(path) -> EmbeddingTable:
     )
 
 
+def _is_binary(path) -> bool:
+    with open(path, "rb") as fh:
+        return fh.readline().startswith(b"#fmt:embeddings-bin:")
+
+
 def read_embeddings(path) -> EmbeddingTable:
     """Dispatch on the header line: text or binary embedding file."""
-    p = Path(path)
-    with open(p, "rb") as fh:
-        head = fh.readline().decode("utf-8", errors="replace")
-    if head.startswith("#fmt:embeddings-bin:"):
-        return read_embeddings_binary(p)
-    return read_embeddings_text(p)
+    return (read_embeddings_binary if _is_binary(path) else read_embeddings_text)(path)
+
+
+_ZERO_DIGITS = str.maketrans("123456789", "000000000")
+#: Shapes (digits 1-9 mapped to 0) of decimals that ``float`` parses to a finite
+#: value, |x| <= 1e116: every ``repr`` of a float64 with |x| < 1e100 has one.
+_FINITE_SHAPE = re.compile(r"-?0{1,17}(\.0+)?(e-0+|e\+00?)?")
+
+
+def read_embedding_ids(path) -> EmbeddingIds:
+    """The id columns of :func:`read_embeddings` after its checks, in its order,
+    and the writers' id check; text rows of finite value shapes stay unconverted."""
+    if _is_binary(path):
+        table = read_embeddings_binary(path)
+        utts, speakers = table.utt_ids, table.speaker_ids
+    else:
+        heads, shapes, finite = [], set(), True
+        for vec in _vector_fields(path, "embeddings", 5, heads):
+            new = set(vec.translate(_ZERO_DIGITS).split(",")) - shapes
+            if all(map(_FINITE_SHAPE.fullmatch, new)):
+                shapes |= new
+                continue
+            try:
+                finite &= all([math.isfinite(float(v)) for v in vec.split(",")])
+            except ValueError:
+                raise FormatError(f"malformed vector in embeddings row {heads[-1][0]!r}") from None
+        utts, speakers, domains, languages = list(zip(*heads)) or [()] * 4
+        _enum_column(Domain, domains, "embeddings")
+        _enum_column(Language, languages, "embeddings")
+        if not finite:  # EmbeddingTable's checks, with its messages
+            raise ValidationError("vector contains non-finite entries")
+        if not (all(utts) and all(speakers)):
+            raise ValidationError("utt_id and speaker_id must be non-empty")
+    for r, (utt, spk) in enumerate(zip(utts, speakers)):
+        _check_id(utt, f"embeddings row {r} utt_id")
+        _check_id(spk, f"embeddings row {r} speaker_id")
+    return EmbeddingIds(utts, speakers)
 
 
 # -- prototypes ---------------------------------------------------------------
@@ -439,12 +477,13 @@ def read_scores(path) -> ScoreSet:
 def write_manifests(path, manifests: Sequence[BatchManifest]):
     """One row per entry (pass_id, batch_idx, pos, utt_id, speaker_idx);
     a ``#pass`` meta line carries each pass's similarity epoch tag."""
+    for man in manifests:  # before the file is opened, so a bad id leaves no partial file
+        for utt_id in dict.fromkeys(u for batch in man.batches for u, _ in batch):
+            _check_id(utt_id, "utt_id")
     p = _open_out(path)
     with open(p, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_fmt_header("manifest") + "\n")
         for man in manifests:
-            for utt_id in dict.fromkeys(u for batch in man.batches for u, _ in batch):
-                _check_id(utt_id, "utt_id")
             fh.write(f"#pass\t{man.pass_id}\t{man.epoch_tag}\n")
             for b, batch in enumerate(man.batches):
                 rows = (f"{man.pass_id}\t{b}\t{i}\t{u}\t{s}\n" for i, (u, s) in enumerate(batch))

@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .prototypes import PrototypeMatrix, SimilaritySnapshot, top_similar
-from .vecmath import Domain, EmbeddingTable
+from .vecmath import Domain, EmbeddingIds, EmbeddingTable
 
 _STREAM_ANCHORS = 0
 _STREAM_UTTS = 1
@@ -79,7 +79,7 @@ class UtteranceInventory:
 
     @classmethod
     def from_embeddings(
-        cls, table: EmbeddingTable, protos: PrototypeMatrix
+        cls, table: EmbeddingTable | EmbeddingIds, protos: PrototypeMatrix
     ) -> "UtteranceInventory":
         by_speaker: dict[str, list[str]] = {sp.speaker_id: [] for sp in protos.speakers}
         for utt_id, speaker_id in zip(table.utt_ids, table.speaker_ids):

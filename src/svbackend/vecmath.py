@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +55,11 @@ def as_f64_vector(v) -> np.ndarray:
 
 
 _ID_COLUMNS = ("utt_ids", "speaker_ids", "domains", "languages")
+
+
+class EmbeddingIds(NamedTuple):  # the two id columns of an EmbeddingTable
+    utt_ids: tuple[str, ...]
+    speaker_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ def test_wrapped_callees_are_functions():
 
 def test_counted_and_spanned_names():
     for name in (
+        "read_embedding_ids",
         "read_embeddings_text",
         "read_embeddings_binary",
         "read_prototypes",
@@ -89,3 +90,31 @@ def test_install_runs_a_stage(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "scoring.cohort_builds" in json.loads(spans.read_text())["counts"]
+
+
+def test_traced_plan_batches_reads_only_the_ids_of_a_text_inventory(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert cli.main(
+        ["synth", "--out-dir", str(corpus), "--seed", "3", "--vox", "6", "--libri", "3",
+         "--deepmine", "6", "--eval-speakers", "4", "--targets", "8", "--nontargets", "20"]
+    ) == 0
+    src = str(Path(svbackend.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [
+            sys.executable, str(TRACED_CLI), str(spans), "plan-batches",
+            "--prototypes", str(corpus / "prototypes.tsv"),
+            "--embeddings", str(corpus / "train_embeddings.tsv"),
+            "--batch-size", "12", "--anchors", "3", "--imposters", "4",
+            "--out", str(tmp_path / "manifest.tsv"),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(spans.read_text())
+    assert record["spans"]["formats.read_embedding_ids"]["calls"] == 1
+    assert "formats.read_embeddings_text" not in record["spans"]
+    assert "formats.embedding_rows_read" not in record["counts"]

@@ -11,7 +11,7 @@ import pytest
 import svbackend
 from svbackend import formats
 from svbackend.cli import main
-from svbackend.errors import FormatError
+from svbackend.errors import FormatError, PipelineError
 from svbackend.metrics import eer, min_dcf
 from svbackend.scores import ScoreSet
 from svbackend.vecmath import Language
@@ -482,6 +482,11 @@ class TestCalibrateFuseEval:
         assert "error: DegenerateLabels" in capsys.readouterr().err
 
 
+def values_from_2(*values):
+    """An ``edit_row`` edit that puts ``values`` at vector positions 2, 3, ..."""
+    return lambda f: f[:4] + [f[4][:2] + list(values) + f[4][2 + len(values) :]]
+
+
 def assert_one_error_line(rc, capsys):
     err = capsys.readouterr().err.splitlines()
     assert rc == 3
@@ -602,6 +607,95 @@ class TestErrors:
         line = assert_one_error_line(rc, capsys)
         if case in ("malformed-float", "mixed-dimensions"):
             assert utt_id in line  # names the row, not just the file
+
+    @staticmethod
+    def plan(data_dir, tmp_path, embeddings):
+        return main(
+            [
+                "plan-batches", "--prototypes", str(data_dir / "prototypes.tsv"),
+                "--embeddings", str(embeddings), "--out", str(tmp_path / "m.tsv"),
+                "--batch-size", "12", "--anchors", "3", "--imposters", "4",
+            ]
+        )
+
+    def assert_plans_as_read_embeddings(self, data_dir, tmp_path, capsys, path):
+        """plan-batches on the inventory ``path`` fails with the error line of
+        ``read_embeddings(path)``, or both read the same ids; returns the line."""
+        rc = self.plan(data_dir, tmp_path, path)
+        try:
+            table = formats.read_embeddings(path)
+        except PipelineError as exc:
+            line = assert_one_error_line(rc, capsys)
+            assert line == f"error: {type(exc).__name__}: {exc}"
+            assert not (tmp_path / "m.tsv").exists()
+            return line
+        assert rc == 0
+        assert formats.read_embedding_ids(path) == (table.utt_ids, table.speaker_ids)
+        return None
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_TEXT))
+    def test_hostile_text_inventory(self, data_dir, tmp_path, capsys, case):
+        text, utt_id = self.edit_row(
+            (data_dir / "train_embeddings.tsv").read_text(), 5, self.HOSTILE_TEXT[case]
+        )
+        path = tmp_path / "e.tsv"
+        path.write_text(text)
+        line = self.assert_plans_as_read_embeddings(data_dir, tmp_path, capsys, path)
+        assert line is not None
+        if case in ("malformed-float", "mixed-dimensions"):
+            assert utt_id in line
+
+    #: values that ``float`` decides on (overflow, odd spellings), and rows
+    #: with two faults, where the one ``read_embeddings`` reports must win
+    ODD_TEXT = {
+        "1e400": values_from_2("1e400"),
+        "long-integer": values_from_2("9" * 400),
+        "spaced": values_from_2(" 0.5 "),
+        "underscore": values_from_2("1_0"),
+        "file-separator": values_from_2("\x1c1"),
+        "upper-exponent": values_from_2("1E-5"),
+        "three-digit-exponent": values_from_2("1e+100"),
+        "large-repr": values_from_2(repr(1.5e300)),
+        "nan-then-malformed": values_from_2("nan", "0.5", "0.1x"),
+        "unknown-domain-and-nan": lambda f: f[:2] + ["MARS", f[3], ["nan"] + f[4][1:]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(ODD_TEXT))
+    def test_odd_values_in_text_inventory(self, data_dir, tmp_path, capsys, case):
+        text, _ = self.edit_row(
+            (data_dir / "train_embeddings.tsv").read_text(), 4, self.ODD_TEXT[case]
+        )
+        path = tmp_path / "e.tsv"
+        path.write_text(text)
+        line = self.assert_plans_as_read_embeddings(data_dir, tmp_path, capsys, path)
+        first = {"unknown-domain-and-nan": "unknown Domain", "nan-then-malformed": "malformed"}
+        if case in first:
+            assert first[case] in line
+
+    def test_plan_batches_rejects_whitespace_id_before_planning(self, data_dir, tmp_path, capsys):
+        text, utt_id = self.edit_row(
+            (data_dir / "train_embeddings.tsv").read_text(), 7, lambda f: [f[0] + " x"] + f[1:]
+        )
+        path, out = tmp_path / "e.tsv", tmp_path / "m.tsv"
+        path.write_text(text)
+        out.write_text("kept\n")
+        line = assert_one_error_line(self.plan(data_dir, tmp_path, path), capsys)
+        assert f"embeddings row 7 utt_id {utt_id!r}" in line
+        assert out.read_text() == "kept\n"
+
+    def test_plan_batches_rejects_whitespace_id_in_binary_inventory(
+        self, data_dir, tmp_path, capsys
+    ):
+        table = formats.read_embeddings(data_dir / "train_embeddings.tsv")
+        path = tmp_path / "e.sveb"
+        formats.write_embeddings_binary(path, table)
+        utt = table.utt_ids[3].encode()
+        raw = path.read_bytes()
+        assert raw.count(utt) == 1
+        path.write_bytes(raw.replace(utt, utt[:-1] + b" "))  # same length, same layout
+        line = assert_one_error_line(self.plan(data_dir, tmp_path, path), capsys)
+        assert "embeddings row 3 utt_id" in line
+        assert not (tmp_path / "m.tsv").exists()
 
     @staticmethod
     def binary_file(tmp_path):

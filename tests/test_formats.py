@@ -1,4 +1,6 @@
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +179,97 @@ class TestEmbeddingsBinary:
         assert len(formats.read_embeddings_binary(path)) == 0
 
 
+def shape_accepted(token: str) -> bool:
+    """Whether the inventory reader takes ``token`` as finite without ``float``."""
+    return formats._FINITE_SHAPE.fullmatch(token.translate(formats._ZERO_DIGITS)) is not None
+
+
+class TestEmbeddingIds:
+    def test_match_read_embeddings_text_and_binary(self, corpus, tmp_path):
+        for write, name in (
+            (formats.write_embeddings_text, "e.tsv"),
+            (formats.write_embeddings_binary, "e.sveb"),
+        ):
+            path = tmp_path / name
+            write(path, corpus.train_embeddings)
+            table = formats.read_embeddings(path)
+            assert formats.read_embedding_ids(path) == (table.utt_ids, table.speaker_ids)
+
+    def test_match_read_embeddings_on_rows_left_to_float(self, corpus, tmp_path):
+        path = tmp_path / "e.tsv"
+        formats.write_embeddings_text(path, corpus.train_embeddings)
+        lines = path.read_text().splitlines(keepends=True)
+        tokens = [" 0.5 ", "1_0", "1E-5", "1e+100", "+2.5", "9" * 18, "1.", ".5", "1e+300"]
+        for k, token in enumerate(tokens, start=1):
+            assert not shape_accepted(token)
+            head, vec = lines[k].rsplit("\t", 1)
+            lines[k] = head + "\t" + ",".join([token] + vec.split(",")[1:])
+        path.write_text("".join(lines))
+        table = formats.read_embeddings(path)
+        assert formats.read_embedding_ids(path) == (table.utt_ids, table.speaker_ids)
+        assert table.vectors[len(tokens) - 1, 0] == float(tokens[-1])
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "e.tsv"
+        path.write_text("#fmt:embeddings:1\n# only a comment\n\n")
+        assert formats.read_embedding_ids(path) == ((), ())
+
+    def test_builds_no_vector_buffer(self, tmp_path, rng):
+        n, dim = 2000, 256
+        vectors = rng.normal(size=(n, dim)) * rng.choice([1e-6, 1.0, 1e20], size=(n, 1))
+        path = tmp_path / "e.tsv"
+        formats.write_embeddings_text(
+            path, make_table([make_embedding(f"u{k}", f"s{k % 50}", v) for k, v in enumerate(vectors)])
+        )
+        tracemalloc.start()
+        try:
+            ids = formats.read_embedding_ids(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ids.utt_ids) == n
+        assert peak < n * dim * 8 / 4  # a quarter of one (n, D) float64 array
+
+
+class TestFiniteShapeRule:
+    """The digit shapes that the inventory reader accepts without ``float``."""
+
+    def test_every_float64_repr_below_1e100_is_accepted(self, rng):
+        n = 20_000
+        random_bits = np.frombuffer(rng.bytes(8 * n), dtype=np.float64)
+        subnormal = rng.integers(1, 1 << 52, size=n).view(np.float64)
+        large = 10.0 ** rng.uniform(16, 100, size=n)
+        values = np.concatenate([random_bits, subnormal, -subnormal, large, -large]).tolist()
+        values += [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 9.999999999999999e99]
+        values += [2.2250738585072014e-308, 1e-5, 0.1, 123456789.123]
+        below = [v for v in values if abs(v) < 1e100]
+        assert len(below) > 4 * n
+        assert not [v for v in below if not shape_accepted(repr(v))]
+        # a three-digit exponent could be e+999: those rows go through float
+        above = [v for v in values if 1e100 <= abs(v) < math.inf]
+        assert len(above) > n / 4 and not any(shape_accepted(repr(v)) for v in above)
+
+    def test_accepted_tokens_are_finite_floats(self):
+        ints = ["0", "9", "-9", "9" * 16, "9" * 17, "-" + "9" * 17, "9" * 18, "1" + "0" * 17]
+        fracs = ["", ".0", ".9", "." + "9" * 40]
+        exps = ["", "e+0", "e+9", "e+99", "e+100", "e+099", "e-0", "e-99", "e-400", "e-" + "9" * 40]
+        accepted = [i + f + e for i in ints for f in fracs for e in exps]
+        accepted = [t for t in accepted if shape_accepted(t)]
+        assert len(accepted) == 6 * 4 * 8  # 17 integer digits at most, exponents up to e+99
+        for token in accepted:
+            assert math.isfinite(float(token)), token
+        assert abs(float("9" * 17 + "." + "9" * 40 + "e+99")) <= 1e116
+        assert not shape_accepted("9" * 18) and not shape_accepted("1e+100")
+
+    @pytest.mark.parametrize(
+        "token",
+        ["nan", "-nan", "inf", "-inf", "1e400", " 1", "1 ", "1_0", "\x1c1", "1.", ".5", "1e",
+         "--1", "+1", "1E5", "1e5", "", "-", "0x1", "١"],
+    )
+    def test_hostile_tokens_are_left_to_float(self, token):
+        assert not shape_accepted(token)
+
+
 class TestPrototypes:
     def test_roundtrip_exact(self, corpus, tmp_path):
         path = tmp_path / "p.tsv"
@@ -255,6 +348,19 @@ class TestManifests:
         back = formats.read_manifests(path)
         assert back == manifests
         assert all(m.epoch_tag == 4 for m in back)
+
+    def test_bad_id_in_a_later_pass_writes_nothing(self, tmp_path):
+        good = BatchManifest(batches=((("u1", 0), ("u2", 1)),), pass_id=0, epoch_tag=3)
+        bad = BatchManifest(batches=((("u1", 0), ("u2 x", 1)),), pass_id=1, epoch_tag=3)
+        path = tmp_path / "new" / "manifest.tsv"
+        with pytest.raises(FormatError, match="u2 x"):
+            formats.write_manifests(path, [good, bad])
+        assert not path.parent.exists()
+        formats.write_manifests(path, [good])
+        before = path.read_bytes()
+        with pytest.raises(FormatError):
+            formats.write_manifests(path, [good, bad])
+        assert path.read_bytes() == before
 
 
 #: name -> (payload carrying ids a and b, writer, reader) for every text
