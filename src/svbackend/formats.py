@@ -85,14 +85,55 @@ def _vec_str(vec: np.ndarray) -> str:
     return ",".join(map(repr, vec.tolist()))  # repr of a Python float, as in _f
 
 
+def _write_text(path, fmt: str, lines, ids=()):
+    """Write the ``#fmt`` header and ``lines`` (each ending in a newline).
+
+    ``ids`` holds ``(what, values)`` id columns, each checked once per distinct
+    value before the directory is made or the file opened.  ``lines`` is
+    written as it is generated, so a writer makes every other value check
+    before the call: a refused payload leaves no file and no new directory.
+    """
+    for what, values in ids:
+        for value in dict.fromkeys(values):
+            _check_id(value, what)
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    with open(p, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_fmt_header(fmt) + "\n")
+        fh.writelines(lines)
+
+
+def _rows(path, fmt: str, what: str, *counts: int):
+    """The tab-separated fields of each data row of a ``fmt`` file; every row
+    has one of ``counts`` fields, and all rows have the same number."""
+    arity = None
+    for line in _data_lines(path, fmt):
+        parts = line.split("\t")
+        if len(parts) != arity:
+            if len(parts) not in counts:
+                needs = " or ".join(map(str, counts))
+                raise FormatError(f"{what} row needs {needs} fields, got {len(parts)}")
+            if arity is not None:
+                raise FormatError(f"{what} file mixes labeled and unlabeled rows")
+            arity = len(parts)
+        yield parts
+
+
+def _tag(is_target) -> str:
+    return LABEL_TARGET if is_target else LABEL_NONTARGET
+
+
+def _label(text: str, what: str) -> bool:
+    if text not in (LABEL_TARGET, LABEL_NONTARGET):
+        raise FormatError(f"unknown {what} label {text!r}")
+    return text == LABEL_TARGET
+
+
 def _vector_fields(path, fmt: str, n_fields: int, heads: list):
     """The vector field of each row of ``n_fields`` tab-separated fields, after
     its leading fields go to ``heads``; checks field count and dimension."""
     dim = 0
-    for line in _data_lines(Path(path), fmt):
-        parts = line.split("\t")
-        if len(parts) != n_fields:
-            raise FormatError(f"{fmt} row needs {n_fields} fields, got {len(parts)}")
+    for parts in _rows(path, fmt, fmt, n_fields):
         n = parts[-1].count(",") + 1
         dim = dim or n
         if n != dim:
@@ -117,14 +158,17 @@ def _vector_rows(path, fmt: str, n_fields: int) -> tuple[list[tuple[str, ...]], 
     return list(zip(*heads)) or [()] * (n_fields - 1), flat
 
 
-def _data_lines(path: Path, fmt: str):
+def _data_lines(path, fmt: str, keep: tuple[str, ...] = ()):
+    """The non-empty lines after the header, less the ``#`` comment lines that
+    do not start with one of ``keep``."""
+    path = Path(path)
     with open(path, encoding="utf-8") as fh:
         try:
             header = fh.readline()
             _parse_header(header, fmt)
             for raw in fh:
                 line = raw.rstrip("\n")
-                if not line or line.startswith("#"):
+                if not line or line.startswith("#") and not line.startswith(keep):
                     continue
                 yield line
         except UnicodeDecodeError as exc:
@@ -136,12 +180,6 @@ def _utf8(raw, where: str) -> str:
         return str(raw, "utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{where} is not valid UTF-8: {exc.reason}") from None
-
-
-def _open_out(path) -> Path:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    return p
 
 
 def _enum_column(enum_cls, texts, where: str) -> list:
@@ -156,16 +194,13 @@ def _enum_column(enum_cls, texts, where: str) -> list:
 
 
 def write_embeddings_text(path, table: EmbeddingTable):
-    p = _open_out(path)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_fmt_header("embeddings") + "\n")
-        for utt, spk, dom, lang, vec in zip(
-            table.utt_ids, table.speaker_ids, table.domains, table.languages, table.vectors
-        ):
-            fh.write(
-                f"{_check_id(utt, 'utt_id')}\t{_check_id(spk, 'speaker_id')}\t"
-                f"{dom.value}\t{lang.value}\t{_vec_str(vec)}\n"
-            )
+    columns = (table.utt_ids, table.speaker_ids, table.domains, table.languages, table.vectors)
+    lines = (
+        f"{utt}\t{spk}\t{dom.value}\t{lang.value}\t{_vec_str(vec)}\n"
+        for utt, spk, dom, lang, vec in zip(*columns)
+    )
+    ids = [("utt_id", table.utt_ids), ("speaker_id", table.speaker_ids)]
+    _write_text(path, "embeddings", lines, ids)
 
 
 def read_embeddings_text(path) -> EmbeddingTable:
@@ -201,7 +236,8 @@ def write_embeddings_binary(path, table: EmbeddingTable):
     records["utt"], records["spk"] = np.array(ids, dtype=np.uint32).reshape(-1, 2).T
     records["dom"] = [_DOMAINS.index(d) for d in table.domains]
     records["lang"] = [_LANGUAGES.index(lang) for lang in table.languages]
-    p = _open_out(path)
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "wb") as fh:
         fh.write((_fmt_header("embeddings-bin") + "\n").encode("utf-8"))
         fh.write(_BIN_MAGIC)
@@ -310,14 +346,12 @@ def read_embedding_ids(path) -> EmbeddingIds:
 
 
 def write_prototypes(path, protos: PrototypeMatrix):
-    p = _open_out(path)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_fmt_header("prototypes") + "\n")
-        for sp, vec in zip(protos.speakers, protos.w.T):
-            fh.write(
-                f"{_check_id(sp.speaker_id, 'speaker_id')}\t{sp.domain.value}\t"
-                f"{sp.language.value}\t{_vec_str(vec)}\n"
-            )
+    lines = (
+        f"{sp.speaker_id}\t{sp.domain.value}\t{sp.language.value}\t{_vec_str(vec)}\n"
+        for sp, vec in zip(protos.speakers, protos.w.T)
+    )
+    ids = [("speaker_id", [sp.speaker_id for sp in protos.speakers])]
+    _write_text(path, "prototypes", lines, ids)
 
 
 def read_prototypes(path) -> PrototypeMatrix:
@@ -332,61 +366,41 @@ def read_prototypes(path) -> PrototypeMatrix:
 # -- trials and enrollment map ------------------------------------------------
 
 
+def _key_ids(keys) -> list:
+    return [("model_id", [m for m, _ in keys]), ("utt_id", [u for _, u in keys])]
+
+
 def write_trials(
     path,
     trials: Sequence[tuple[str, str]],
     labels: Mapping[tuple[str, str], bool] | None = None,
 ):
-    p = _open_out(path)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_fmt_header("trials") + "\n")
-        for model_id, utt_id in trials:
-            row = [_check_id(model_id, "model_id"), _check_id(utt_id, "utt_id")]
-            if labels is not None:
-                row.append(LABEL_TARGET if labels[(model_id, utt_id)] else LABEL_NONTARGET)
-            fh.write("\t".join(row) + "\n")
+    tails = [""] * len(trials) if labels is None else ["\t" + _tag(labels[k]) for k in trials]
+    lines = (f"{m}\t{u}{tail}\n" for (m, u), tail in zip(trials, tails))
+    _write_text(path, "trials", lines, _key_ids(trials))
 
 
 def read_trials(path):
     """Returns (trial list, labels dict or None); labels are all-or-nothing."""
     trials: list[tuple[str, str]] = []
     labels: dict[tuple[str, str], bool] = {}
-    arity = None
-    for line in _data_lines(Path(path), "trials"):
-        parts = line.split("\t")
-        if len(parts) not in (2, 3):
-            raise FormatError(f"trial row needs 2 or 3 fields, got {len(parts)}")
-        if arity is None:
-            arity = len(parts)
-        elif arity != len(parts):
-            raise FormatError("trial file mixes labeled and unlabeled rows")
+    for parts in _rows(path, "trials", "trial", 2, 3):
         key = (parts[0], parts[1])
         trials.append(key)
         if len(parts) == 3:
-            if parts[2] not in (LABEL_TARGET, LABEL_NONTARGET):
-                raise FormatError(f"unknown trial label {parts[2]!r}")
-            labels[key] = parts[2] == LABEL_TARGET
-    return trials, (labels if arity == 3 else None)
+            labels[key] = _label(parts[2], "trial")
+    return trials, (labels or None)
 
 
 def write_enroll_map(path, enrollment_map: Mapping[str, Sequence[str]]):
-    p = _open_out(path)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_fmt_header("enroll") + "\n")
-        for model_id, utt_ids in enrollment_map.items():
-            for utt_id in utt_ids:
-                fh.write(
-                    f"{_check_id(model_id, 'model_id')}\t{_check_id(utt_id, 'utt_id')}\n"
-                )
+    pairs = [(m, u) for m, utt_ids in enrollment_map.items() for u in utt_ids]
+    _write_text(path, "enroll", (f"{m}\t{u}\n" for m, u in pairs), _key_ids(pairs))
 
 
 def read_enroll_map(path) -> dict[str, tuple[str, ...]]:
     out: dict[str, list[str]] = {}
-    for line in _data_lines(Path(path), "enroll"):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"enroll row needs 2 fields, got {len(parts)}")
-        out.setdefault(parts[0], []).append(parts[1])
+    for model_id, utt_id in _rows(path, "enroll", "enroll", 2):
+        out.setdefault(model_id, []).append(utt_id)
     return {m: tuple(u) for m, u in out.items()}
 
 
@@ -394,31 +408,26 @@ def read_enroll_map(path) -> dict[str, tuple[str, ...]]:
 
 
 def write_lid_decisions(path, decisions: Mapping[str, tuple[Language, float]]):
-    p = _open_out(path)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_fmt_header("lid") + "\n")
-        for utt_id, (language, llr) in decisions.items():
-            if language not in (Language.FARSI, Language.ENGLISH):
-                raise FormatError(f"LID decision must be FARSI or ENGLISH, got {language}")
-            fh.write(f"{_check_id(utt_id, 'utt_id')}\t{language.value}\t{_f(llr)}\n")
+    for language, _ in decisions.values():
+        if language not in (Language.FARSI, Language.ENGLISH):
+            raise FormatError(f"LID decision must be FARSI or ENGLISH, got {language}")
+    lines = (f"{u}\t{lang.value}\t{_f(llr)}\n" for u, (lang, llr) in decisions.items())
+    _write_text(path, "lid", lines, [("utt_id", decisions)])
 
 
 def read_lid_decisions(path) -> dict[str, tuple[Language, float]]:
     out: dict[str, tuple[Language, float]] = {}
-    for line in _data_lines(Path(path), "lid"):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError(f"LID row needs 3 fields, got {len(parts)}")
-        (lang,) = _enum_column(Language, parts[1:2], "lid")
+    for utt_id, language, llr in _rows(path, "lid", "LID", 3):
+        (lang,) = _enum_column(Language, [language], "lid")
         if lang not in (Language.FARSI, Language.ENGLISH):
-            raise FormatError(f"LID decision must be FARSI or ENGLISH, got {parts[1]!r}")
+            raise FormatError(f"LID decision must be FARSI or ENGLISH, got {language!r}")
         try:
-            llr = float(parts[2])
+            value = float(llr)
         except ValueError:
-            raise FormatError(f"malformed llr for {parts[0]!r}") from None
-        if parts[0] in out:
-            raise FormatError(f"duplicate LID decision for {parts[0]!r}")
-        out[parts[0]] = (lang, llr)
+            raise FormatError(f"malformed llr for {utt_id!r}") from None
+        if utt_id in out:
+            raise FormatError(f"duplicate LID decision for {utt_id!r}")
+        out[utt_id] = (lang, value)
     return out
 
 
@@ -426,48 +435,29 @@ def read_lid_decisions(path) -> dict[str, tuple[Language, float]]:
 
 
 def write_scores(path, scores: ScoreSet):
-    p = _open_out(path)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_fmt_header("scores") + "\n")
-        for i, (model_id, utt_id) in enumerate(scores.keys):
-            row = [
-                _check_id(model_id, "model_id"),
-                _check_id(utt_id, "utt_id"),
-                _f(scores.scores[i]),
-            ]
-            if scores.labels is not None:
-                row.append(LABEL_TARGET if scores.labels[i] else LABEL_NONTARGET)
-            fh.write("\t".join(row) + "\n")
+    labels = scores.labels
+    tails = [""] * len(scores) if labels is None else ["\t" + _tag(t) for t in labels.tolist()]
+    rows = zip(scores.keys, scores.scores.tolist(), tails)
+    lines = (f"{m}\t{u}\t{_f(s)}{tail}\n" for (m, u), s, tail in rows)
+    _write_text(path, "scores", lines, _key_ids(scores.keys))
 
 
 def read_scores(path) -> ScoreSet:
-    keys = []
-    values = []
-    labels = []
-    arity = None
-    for line in _data_lines(Path(path), "scores"):
-        parts = line.split("\t")
-        if len(parts) not in (3, 4):
-            raise FormatError(f"score row needs 3 or 4 fields, got {len(parts)}")
-        if arity is None:
-            arity = len(parts)
-        elif arity != len(parts):
-            raise FormatError("score file mixes labeled and unlabeled rows")
+    keys, values, labels = [], [], []
+    for parts in _rows(path, "scores", "score", 3, 4):
         keys.append((parts[0], parts[1]))
         try:
             values.append(float(parts[2]))
         except ValueError:
             raise FormatError(f"malformed score for {parts[0]}/{parts[1]}") from None
         if len(parts) == 4:
-            if parts[3] not in (LABEL_TARGET, LABEL_NONTARGET):
-                raise FormatError(f"unknown score label {parts[3]!r}")
-            labels.append(parts[3] == LABEL_TARGET)
-    if arity is None:
+            labels.append(_label(parts[3], "score"))
+    if not keys:
         raise FormatError("score file holds no rows")
     return ScoreSet(
         keys=tuple(keys),
         scores=np.array(values, dtype=np.float64),
-        labels=np.array(labels, dtype=bool) if arity == 4 else None,
+        labels=np.array(labels, dtype=bool) if labels else None,
     )
 
 
@@ -477,71 +467,57 @@ def read_scores(path) -> ScoreSet:
 def write_manifests(path, manifests: Sequence[BatchManifest]):
     """One row per entry (pass_id, batch_idx, pos, utt_id, speaker_idx);
     a ``#pass`` meta line carries each pass's similarity epoch tag."""
-    for man in manifests:  # before the file is opened, so a bad id leaves no partial file
-        for utt_id in dict.fromkeys(u for batch in man.batches for u, _ in batch):
-            _check_id(utt_id, "utt_id")
-    p = _open_out(path)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_fmt_header("manifest") + "\n")
+
+    def lines():
         for man in manifests:
-            fh.write(f"#pass\t{man.pass_id}\t{man.epoch_tag}\n")
+            yield f"#pass\t{man.pass_id}\t{man.epoch_tag}\n"
             for b, batch in enumerate(man.batches):
                 rows = (f"{man.pass_id}\t{b}\t{i}\t{u}\t{s}\n" for i, (u, s) in enumerate(batch))
-                fh.write("".join(rows))
+                yield "".join(rows)
+
+    utt_ids = (u for man in manifests for batch in man.batches for u, _ in batch)
+    _write_text(path, "manifest", lines(), [("utt_id", utt_ids)])
 
 
 def read_manifests(path) -> list[BatchManifest]:
-    p = Path(path)
-    passes: dict[int, dict] = {}
-    order: list[int] = []
-    with open(p, encoding="utf-8") as fh:
-        _parse_header(fh.readline(), "manifest")
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#pass\t"):
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise FormatError("malformed #pass meta line")
-                try:
-                    pass_id, epoch_tag = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise FormatError("malformed #pass meta line") from None
-                if pass_id in passes:
-                    raise FormatError(f"duplicate #pass line for pass {pass_id}")
-                passes[pass_id] = {"epoch_tag": epoch_tag, "batches": {}}
-                order.append(pass_id)
-                continue
-            if line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise FormatError(f"manifest row needs 5 fields, got {len(parts)}")
+    passes: dict[int, tuple[int, dict]] = {}  # pass_id -> (epoch tag, batches), in file order
+    for line in _data_lines(path, "manifest", ("#pass\t",)):
+        parts = line.split("\t")
+        if parts[0] == "#pass":
+            if len(parts) != 3:
+                raise FormatError("malformed #pass meta line")
             try:
-                pass_id, batch_idx, pos = int(parts[0]), int(parts[1]), int(parts[2])
-                speaker_idx = int(parts[4])
+                pass_id, epoch_tag = int(parts[1]), int(parts[2])
             except ValueError:
-                raise FormatError("malformed manifest row") from None
-            if pass_id not in passes:
-                raise FormatError(f"manifest row for pass {pass_id} before its #pass line")
-            batch = passes[pass_id]["batches"].setdefault(batch_idx, [])
-            if pos != len(batch):
-                raise FormatError(
-                    f"manifest positions out of order in pass {pass_id} batch {batch_idx}"
-                )
-            batch.append((parts[3], speaker_idx))
+                raise FormatError("malformed #pass meta line") from None
+            if pass_id in passes:
+                raise FormatError(f"duplicate #pass line for pass {pass_id}")
+            passes[pass_id] = (epoch_tag, {})
+            continue
+        if len(parts) != 5:
+            raise FormatError(f"manifest row needs 5 fields, got {len(parts)}")
+        try:
+            pass_id, batch_idx, pos = int(parts[0]), int(parts[1]), int(parts[2])
+            speaker_idx = int(parts[4])
+        except ValueError:
+            raise FormatError("malformed manifest row") from None
+        if pass_id not in passes:
+            raise FormatError(f"manifest row for pass {pass_id} before its #pass line")
+        batch = passes[pass_id][1].setdefault(batch_idx, [])
+        if pos != len(batch):
+            raise FormatError(
+                f"manifest positions out of order in pass {pass_id} batch {batch_idx}"
+            )
+        batch.append((parts[3], speaker_idx))
     out = []
-    for pass_id in order:
-        info = passes[pass_id]
-        batches = info["batches"]
+    for pass_id, (epoch_tag, batches) in passes.items():
         if sorted(batches) != list(range(len(batches))):
             raise FormatError(f"pass {pass_id} has non-consecutive batch indices")
         out.append(
             BatchManifest(
                 batches=tuple(tuple(batches[b]) for b in range(len(batches))),
                 pass_id=pass_id,
-                epoch_tag=info["epoch_tag"],
+                epoch_tag=epoch_tag,
             )
         )
     return out
@@ -551,7 +527,6 @@ def read_manifests(path) -> list[BatchManifest]:
 
 
 def write_gb_model(path, gb: GaussianBackend):
-    p = _open_out(path)
     body = {
         "dim": gb.dim,
         "interpolation_weight": gb.interpolation_weight,
@@ -561,10 +536,9 @@ def write_gb_model(path, gb: GaussianBackend):
         "mu_english_effective": [float(v) for v in gb.mu_english_effective],
         "shared_cov": [[float(v) for v in row] for row in gb.shared_cov],
     }
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_fmt_header("gb-model") + "\n")
-        json.dump(body, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    # streamed as json.dump does: json.dumps would hold every chunk (7 MB at D = 256)
+    chunks = json.JSONEncoder(indent=1, sort_keys=True).iterencode(body)
+    _write_text(path, "gb-model", chain(chunks, "\n"))
 
 
 def read_gb_model(path) -> GaussianBackend:
@@ -594,22 +568,18 @@ def read_gb_model(path) -> GaussianBackend:
 
 
 def _write_kv(path, fmt: str, pairs: Sequence[tuple[str, str]]):
-    p = _open_out(path)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_fmt_header(fmt) + "\n")
-        for key, value in pairs:
-            fh.write(f"{key}\t{value}\n")
+    for key, value in pairs:
+        if "\t" in value or "\r" in value or "\n" in value:  # would split the row on reading
+            raise FormatError(f"{fmt} value of {key!r} contains a tab or line break: {value!r}")
+    _write_text(path, fmt, (f"{key}\t{value}\n" for key, value in pairs))
 
 
 def _read_kv(path, fmt: str, required: Sequence[str]) -> dict[str, str]:
     out: dict[str, str] = {}
-    for line in _data_lines(Path(path), fmt):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"{fmt} row needs 2 fields, got {len(parts)}")
-        if parts[0] in out:
-            raise FormatError(f"duplicate {fmt} key {parts[0]!r}")
-        out[parts[0]] = parts[1]
+    for key, value in _rows(path, fmt, fmt, 2):
+        if key in out:
+            raise FormatError(f"duplicate {fmt} key {key!r}")
+        out[key] = value
     missing = [k for k in required if k not in out]
     if missing:
         raise FormatError(f"{fmt} file is missing keys: {', '.join(missing)}")
@@ -667,9 +637,7 @@ def read_alpha(path) -> LanguageOffset:
 
 
 def write_metrics_record(path, record: Mapping[str, float | int]):
-    pairs = []
-    for key, value in record.items():
-        pairs.append((key, str(value) if isinstance(value, int) else _f(value)))
+    pairs = [(key, str(v) if isinstance(v, int) else _f(v)) for key, v in record.items()]
     _write_kv(path, "metrics", pairs)
 
 

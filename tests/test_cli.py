@@ -683,6 +683,38 @@ class TestErrors:
         assert f"embeddings row 7 utt_id {utt_id!r}" in line
         assert out.read_text() == "kept\n"
 
+    def test_lid_classify_whitespace_id_writes_no_decisions(
+        self, pipeline_files, data_dir, tmp_path, capsys
+    ):
+        # read_embeddings takes the id; the writer refuses it before opening its output
+        text, utt_id = self.edit_row(
+            (data_dir / "eval_embeddings.tsv").read_text(), 20, lambda f: [f[0] + " x"] + f[1:]
+        )
+        path, out = tmp_path / "e.tsv", tmp_path / "lid.tsv"
+        path.write_text(text)
+        rc = main(
+            [
+                "lid-classify", "--model", str(pipeline_files / "gb.json"),
+                "--embeddings", str(path), "--out", str(out),
+            ]
+        )
+        assert f"utt_id {utt_id!r}" in assert_one_error_line(rc, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["s\tcores.tsv", "s\rcores.tsv", "s\ncores.tsv"])
+    def test_calibrate_refuses_a_scores_name_the_model_cannot_hold(
+        self, pipeline_files, tmp_path, capsys, name
+    ):
+        # the model records the scores file name, and its reader splits rows on these
+        scores = tmp_path / name
+        scores.write_bytes((pipeline_files / "scores.tsv").read_bytes())
+        model, out = tmp_path / "cal.tsv", tmp_path / "calibrated.tsv"
+        rc = main(
+            ["calibrate", "--scores", str(scores), "--model-out", str(model), "--out", str(out)]
+        )
+        assert "trained_on" in assert_one_error_line(rc, capsys)
+        assert not model.exists() and not out.exists()
+
     def test_plan_batches_rejects_whitespace_id_in_binary_inventory(
         self, data_dir, tmp_path, capsys
     ):

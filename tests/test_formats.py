@@ -8,7 +8,7 @@ import pytest
 from svbackend import formats
 from svbackend.calibration import CalibrationModel
 from svbackend.errors import FormatError, ValidationError, VersionUnsupported
-from svbackend.lid import adapt_english_mean, train_gb
+from svbackend.lid import GaussianBackend, adapt_english_mean, train_gb
 from svbackend.planner import BatchManifest, PlannerConfig, plan_pass_broad
 from svbackend.prototypes import PrototypeMatrix, SpeakerInfo, similarity_matrix
 from svbackend.scores import ScoreSet
@@ -362,6 +362,12 @@ class TestManifests:
             formats.write_manifests(path, [good, bad])
         assert path.read_bytes() == before
 
+    def test_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"#fmt:manifest:1\n#pass\t0\t3\n0\t0\t0\tu\xff1\t0\n")
+        with pytest.raises(FormatError, match="not valid UTF-8"):
+            formats.read_manifests(path)
+
 
 #: name -> (payload carrying ids a and b, writer, reader) for every text
 #: format with ids; each reader's result is accepted by its writer
@@ -421,16 +427,135 @@ class TestIds:
             assert a in text and b in text
 
     def test_bad_id_rejected_on_write(self, fmt, tmp_path):
-        # a leading '#' would read back as a comment row and vanish
+        # a leading '#' would read back as a comment row and vanish; a refused
+        # id leaves no file, no new directory, and an existing file as it was
         make, write, _ = ID_FORMATS[fmt]
+        existing = tmp_path / "old.tsv"
+        write(existing, make("u1", "m1"))
+        before = existing.read_bytes()
         for bad in ("#u1", "#", "", "u 1", "u\t1", "u\xa01", "u\u20281"):
             for a, b in ((bad, "m1"), ("u1", bad)):
                 try:
                     payload = make(a, b)
                 except ValidationError:  # EmbeddingTable refuses empty ids itself
                     continue
-                with pytest.raises(FormatError):
-                    write(tmp_path / "bad.tsv", payload)
+                fresh = tmp_path / "new" / "bad.tsv"
+                for path in (fresh, existing):
+                    with pytest.raises(FormatError):
+                        write(path, payload)
+                assert not fresh.parent.exists()
+                assert existing.read_bytes() == before
+
+
+#: name -> (writer, payload, the exact file text the writer produces)
+LITERAL_FORMATS = {
+    "embeddings": (
+        formats.write_embeddings_text,
+        make_table(
+            [
+                make_embedding("u1", "s1", [0.1, -2.0], Domain.DEEPMINE, Language.FARSI),
+                make_embedding("u2", "s2", [1e-310, 3e20]),
+            ]
+        ),
+        "#fmt:embeddings:1\n"
+        "u1\ts1\tDEEPMINE\tFARSI\t0.1,-2.0\n"
+        "u2\ts2\tVOX\tUNKNOWN\t1e-310,3e+20\n",
+    ),
+    "prototypes": (
+        formats.write_prototypes,
+        PrototypeMatrix(
+            np.array([[0.5, 1.0], [-0.25, 1e-7]]),
+            (
+                SpeakerInfo("s1", Domain.VOX, Language.ENGLISH),
+                SpeakerInfo("s2", Domain.LIBRI, Language.UNKNOWN),
+            ),
+        ),
+        "#fmt:prototypes:1\ns1\tVOX\tENGLISH\t0.5,-0.25\ns2\tLIBRI\tUNKNOWN\t1.0,1e-07\n",
+    ),
+    "trials": (
+        formats.write_trials,
+        [("m1", "u1"), ("m1", "u2")],
+        "#fmt:trials:1\nm1\tu1\nm1\tu2\n",
+    ),
+    "trials-labeled": (
+        lambda path, payload: formats.write_trials(path, *payload),
+        ([("m1", "u1"), ("m1", "u2")], {("m1", "u1"): True, ("m1", "u2"): False}),
+        "#fmt:trials:1\nm1\tu1\ttarget\nm1\tu2\tnontarget\n",
+    ),
+    "enroll": (
+        formats.write_enroll_map,
+        {"m1": ("u1", "u2"), "m2": ("u3",)},
+        "#fmt:enroll:1\nm1\tu1\nm1\tu2\nm2\tu3\n",
+    ),
+    "lid": (
+        formats.write_lid_decisions,
+        {"u1": (Language.FARSI, -1.5), "u2": (Language.ENGLISH, 0.1)},
+        "#fmt:lid:1\nu1\tFARSI\t-1.5\nu2\tENGLISH\t0.1\n",
+    ),
+    "scores": (
+        formats.write_scores,
+        ScoreSet((("m1", "u1"), ("m1", "u2")), [0.1, -3.0]),
+        "#fmt:scores:1\nm1\tu1\t0.1\nm1\tu2\t-3.0\n",
+    ),
+    "scores-labeled": (
+        formats.write_scores,
+        ScoreSet((("m1", "u1"), ("m1", "u2")), [0.1, -3.0], [True, False]),
+        "#fmt:scores:1\nm1\tu1\t0.1\ttarget\nm1\tu2\t-3.0\tnontarget\n",
+    ),
+    "manifest": (
+        formats.write_manifests,
+        [
+            BatchManifest(batches=((("u1", 0), ("u2", 1)), (("u3", 1),)), pass_id=0, epoch_tag=3),
+            BatchManifest(batches=((("u2", 1),),), pass_id=1, epoch_tag=3),
+        ],
+        "#fmt:manifest:1\n"
+        "#pass\t0\t3\n0\t0\t0\tu1\t0\n0\t0\t1\tu2\t1\n0\t1\t0\tu3\t1\n"
+        "#pass\t1\t3\n1\t0\t0\tu2\t1\n",
+    ),
+    "gb-model": (
+        formats.write_gb_model,
+        GaussianBackend(
+            mu_farsi=np.array([1.0, 0.0]),
+            mu_usa=np.array([0.0, 2.0]),
+            mu_english_effective=np.array([0.5, 1.0]),
+            shared_cov=np.array([[2.0, 0.5], [0.5, 1.0]]),
+            interpolation_weight=0.5,
+        ),
+        '#fmt:gb-model:1\n{\n "diagonal": false,\n "dim": 2,\n "interpolation_weight": 0.5,\n'
+        ' "mu_english_effective": [\n  0.5,\n  1.0\n ],\n "mu_farsi": [\n  1.0,\n  0.0\n ],\n'
+        ' "mu_usa": [\n  0.0,\n  2.0\n ],\n "shared_cov": [\n  [\n   2.0,\n   0.5\n  ],\n'
+        "  [\n   0.5,\n   1.0\n  ]\n ]\n}\n",
+    ),
+    "cal-model": (
+        formats.write_cal_model,
+        CalibrationModel(a=1.5, b=-0.1, trained_on="scores.tsv"),
+        "#fmt:cal-model:1\na\t1.5\nb\t-0.1\ntrained_on\tscores.tsv\n",
+    ),
+    "alpha": (
+        formats.write_alpha,
+        LanguageOffset(
+            alpha=0.1,
+            provenance=AlphaProvenance(
+                top_n=8, n_farsi=3, n_usa=2, mu_imposter_farsi=0.4, mu_imposter_usa=0.3
+            ),
+        ),
+        "#fmt:alpha:1\nalpha\t0.1\ntop_n\t8\nn_farsi\t3\nn_usa\t2\n"
+        "mu_imposter_farsi\t0.4\nmu_imposter_usa\t0.3\n",
+    ),
+    "metrics": (
+        formats.write_metrics_record,
+        {"eer": 0.25, "n_target": 4},
+        "#fmt:metrics:1\neer\t0.25\nn_target\t4\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", list(LITERAL_FORMATS))
+def test_writer_bytes_are_pinned(fmt, tmp_path):
+    write, payload, text = LITERAL_FORMATS[fmt]
+    path = tmp_path / "out"
+    write(path, payload)
+    assert path.read_bytes() == text.encode("utf-8")
 
 
 class TestModels:
