@@ -25,14 +25,12 @@ from .scoring import (
     LanguageOffset,
     ScoringMode,
     SnormStats,
-    adaptive_snorm,
     estimate_alpha,
-    language_dependent_snorm,
     score_trials,
     snorm_stats,
 )
 from .synth import CorpusSpec, SyntheticCorpus, generate_corpus
-from .vecmath import Domain, EmbeddingTable, Language, average_embedding, cosine, l2_normalize
+from .vecmath import Domain, EmbeddingTable, Language, average_embedding, cosine
 
 __version__ = "0.1.0"
 
@@ -60,7 +58,6 @@ __all__ = [
     "aam_grad",
     "aam_loss",
     "adapt_english_mean",
-    "adaptive_snorm",
     "apply_calibration",
     "average_embedding",
     "classify",
@@ -70,8 +67,6 @@ __all__ = [
     "fit_calibration",
     "fuse",
     "generate_corpus",
-    "l2_normalize",
-    "language_dependent_snorm",
     "min_dcf",
     "plan_pass_balanced",
     "plan_pass_broad",

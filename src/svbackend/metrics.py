@@ -71,8 +71,8 @@ def min_dcf(
     """
     if not 0.0 < p_target < 1.0:
         raise ParamInvalid(f"p_target must be in (0, 1), got {p_target}")
-    if c_miss <= 0.0 or c_fa <= 0.0:
-        raise ParamInvalid("costs must be positive")
+    if not (0.0 < c_miss < np.inf and 0.0 < c_fa < np.inf):
+        raise ParamInvalid(f"costs must be positive and finite, got {c_miss} and {c_fa}")
     far, frr = roc_vertices(scores)
     miss_weight = c_miss * p_target
     fa_weight = c_fa * (1.0 - p_target)

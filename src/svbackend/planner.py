@@ -126,10 +126,10 @@ class BatchManifest:
         return anchors
 
 
-def _rng(seed: int, pass_id: int, stream: int, *extra: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(
-        entropy=int(seed) & _SEED_MASK, spawn_key=(int(pass_id), stream, *extra)
-    )
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """The Philox stream of ``key`` under ``seed`` (any int; taken mod 2**64).
+    The planner's keys start with the pass id; ``synth`` keys by purpose."""
+    ss = np.random.SeedSequence(entropy=int(seed) & _SEED_MASK, spawn_key=tuple(map(int, key)))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .prototypes import PrototypeMatrix
 from .vecmath import cosine  # noqa: F401  (unused; perfbench counts calls via scoring.cosine)
-from .vecmath import Domain, EmbeddingTable, Language, average_embedding, l2_normalize
+from .vecmath import Domain, EmbeddingTable, Language, average_embedding
 from .vecmath import check_row_norms, mean_of_units, unit_rows
 
 log = logging.getLogger(__name__)
@@ -146,7 +146,7 @@ def snorm_stats(x, rows: np.ndarray, top_n: int = DEFAULT_TOP_N) -> SnormStats:
     """
     if top_n < 2:
         raise ParamInvalid(f"top_n must be >= 2, got {top_n}")
-    xhat = l2_normalize(x)
+    (xhat,) = unit_rows([x])
     if xhat.shape[0] != rows.shape[1]:
         raise DimensionMismatch(f"vector dim {xhat.shape[0]} vs cohort dim {rows.shape[1]}")
     scores = rows @ xhat
@@ -166,25 +166,6 @@ def snorm_stats(x, rows: np.ndarray, top_n: int = DEFAULT_TOP_N) -> SnormStats:
 def _snorm(raw, mu_e, sigma_e, mu_t, sigma_t, shift):
     """Two-sided s-norm, elementwise; ``shift`` lowers mu_e, and 0.0 is an exact no-op."""
     return (raw - mu_t) / sigma_t + (raw - (mu_e - shift)) / sigma_e
-
-
-def adaptive_snorm(raw: float, stats_e: SnormStats, stats_t: SnormStats) -> float:
-    """Two-sided adaptive score normalization."""
-    return _snorm(raw, stats_e.mu, stats_e.sigma, stats_t.mu, stats_t.sigma, 0.0)
-
-
-def language_dependent_snorm(
-    raw: float,
-    stats_e: SnormStats,
-    stats_t: SnormStats,
-    offset: LanguageOffset,
-    test_is_english: bool,
-) -> float:
-    """Adaptive s-norm with the enrollment-side imposter mean lowered by
-    ``alpha`` when the test utterance is English; otherwise identical
-    (bit-exactly) to :func:`adaptive_snorm`."""
-    alpha = offset.alpha if test_is_english else 0.0
-    return _snorm(raw, stats_e.mu, stats_e.sigma, stats_t.mu, stats_t.sigma, alpha)
 
 
 def estimate_alpha(protos: PrototypeMatrix, top_n: int = DEFAULT_TOP_N) -> LanguageOffset:

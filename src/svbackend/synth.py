@@ -31,9 +31,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SpecInvalid
-from .planner import UtteranceInventory
+from .planner import UtteranceInventory, _rng
 from .prototypes import PrototypeMatrix, SpeakerInfo
-from .vecmath import Domain, EmbeddingTable, Language, l2_normalize
+from .vecmath import Domain, EmbeddingTable, Language, unit_rows
 
 _STREAM_SHIFT = 0
 _STREAM_SPEAKERS = 1
@@ -41,7 +41,6 @@ _STREAM_COUNTS = 2
 _STREAM_NOISE = 3
 _STREAM_LANGUAGE = 4
 _STREAM_TRIALS = 5
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,8 @@ class CorpusSpec:
             raise SpecInvalid("dimension must be >= 2")
         if not self.concentration > 0.0:
             raise SpecInvalid("concentration must be positive")
-        if self.language_shift < 0.0:
-            raise SpecInvalid("language shift must be nonnegative")
+        if not 0.0 <= self.language_shift < np.inf:
+            raise SpecInvalid(f"language shift must be finite and >= 0: {self.language_shift}")
         if not 0.0 <= self.english_fraction <= 1.0:
             raise SpecInvalid("english fraction must be in [0, 1]")
 
@@ -108,86 +107,74 @@ class SyntheticCorpus:
         return self.embeddings[self.n_train :]
 
 
-def _stream(seed: int, tag: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed) & _SEED_MASK, spawn_key=(tag,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
-    g_shift = _stream(spec.seed, _STREAM_SHIFT)
-    g_speakers = _stream(spec.seed, _STREAM_SPEAKERS)
-    g_counts = _stream(spec.seed, _STREAM_COUNTS)
-    g_noise = _stream(spec.seed, _STREAM_NOISE)
-    g_lang = _stream(spec.seed, _STREAM_LANGUAGE)
-    g_trials = _stream(spec.seed, _STREAM_TRIALS)
-
-    shift_dir = l2_normalize(g_shift.normal(size=spec.dim))
-    half_shift = 0.5 * spec.language_shift * shift_dir
-    lo, hi = spec.utts_per_speaker
-
-    def speaker_base() -> np.ndarray:
-        return l2_normalize(g_speakers.normal(size=spec.dim))
-
-    def language_center(base: np.ndarray, lang: Language) -> np.ndarray:
-        return base + half_shift if lang is Language.ENGLISH else base - half_shift
-
-    def utterance(base: np.ndarray, lang: Language) -> np.ndarray:
-        noise = g_noise.normal(size=spec.dim) / spec.concentration
-        return l2_normalize(language_center(base, lang) + noise)
+    g_shift = _rng(spec.seed, _STREAM_SHIFT)
+    g_speakers = _rng(spec.seed, _STREAM_SPEAKERS)
+    g_counts = _rng(spec.seed, _STREAM_COUNTS)
+    g_noise = _rng(spec.seed, _STREAM_NOISE)
+    g_lang = _rng(spec.seed, _STREAM_LANGUAGE)
+    g_trials = _rng(spec.seed, _STREAM_TRIALS)
 
     train_plan = [
         (Domain.VOX, "vox", spec.vox_speakers, Language.ENGLISH),
         (Domain.LIBRI, "lib", spec.libri_speakers, Language.ENGLISH),
         (Domain.DEEPMINE, "dm", spec.deepmine_speakers, Language.FARSI),
     ]
-    rows: list[tuple] = []  # (utt_id, speaker_id, domain, language, vector)
-    proto_cols: list[np.ndarray] = []
+    n_train_speakers = spec.vox_speakers + spec.libri_speakers + spec.deepmine_speakers
+    n_speakers = n_train_speakers + spec.eval_speakers
+    (shift_dir,) = unit_rows(g_shift.normal(size=(1, spec.dim)))
+    half_shift = 0.5 * spec.language_shift * shift_dir
+    bases = unit_rows(g_speakers.normal(size=(n_speakers, spec.dim)))
+    lo, hi = spec.utts_per_speaker
+
+    def language_center(base: np.ndarray, lang: Language) -> np.ndarray:
+        return base + half_shift if lang is Language.ENGLISH else base - half_shift
+
+    cols: tuple[list, ...] = ([], [], [], [])  # utt_ids, speaker_ids, domains, languages
+    blocks: list[np.ndarray] = []
+
+    def add_speaker(sid, domain, base, langs: list[Language], utt_ids: list[str]) -> None:
+        """Append one speaker's utterances, one noise draw and one
+        normalization for all of them."""
+        n = len(langs)
+        centers = np.array([language_center(base, lang) for lang in langs])
+        noise = g_noise.normal(size=(n, spec.dim)) / spec.concentration
+        blocks.append(unit_rows(centers + noise))
+        for col, values in zip(cols, (utt_ids, [sid] * n, [domain] * n, langs)):
+            col.extend(values)
+
     speakers: list[SpeakerInfo] = []
     inventory_utts: list[tuple[str, ...]] = []
     for domain, prefix, count, native in train_plan:
         for k in range(count):
             sid = f"{prefix}{k:03d}"
-            base = speaker_base()
-            proto_cols.append(l2_normalize(language_center(base, native)))
             speakers.append(SpeakerInfo(speaker_id=sid, domain=domain, language=native))
             n_utts = int(g_counts.integers(lo, hi + 1))
-            utt_ids = []
-            for u in range(n_utts):
-                uid = f"{sid}-u{u:03d}"
-                rows.append((uid, sid, domain, native, utterance(base, native)))
-                utt_ids.append(uid)
+            utt_ids = [f"{sid}-u{u:03d}" for u in range(n_utts)]
+            add_speaker(sid, domain, bases[len(inventory_utts)], [native] * n_utts, utt_ids)
             inventory_utts.append(tuple(utt_ids))
 
-    prototypes = PrototypeMatrix(w=np.stack(proto_cols, axis=1), speakers=tuple(speakers))
+    proto_rows = [language_center(b, sp.language) for b, sp in zip(bases, speakers)]
+    prototypes = PrototypeMatrix(w=unit_rows(proto_rows).T, speakers=tuple(speakers))
     inventory = UtteranceInventory(
         utterances=tuple(inventory_utts), domains=tuple(sp.domain for sp in speakers)
     )
 
-    n_train = len(rows)
+    n_train = len(cols[0])
     enrollment_map: dict[str, tuple[str, ...]] = {}
     test_utts_by_speaker: dict[str, list[str]] = {}
     for k in range(spec.eval_speakers):
         sid = f"ev{k:03d}"
-        base = speaker_base()
-        enroll_ids = []
-        for u in range(spec.enroll_utts):
-            uid = f"{sid}-e{u:03d}"
-            rows.append(
-                (uid, sid, Domain.DEEPMINE, Language.FARSI, utterance(base, Language.FARSI))
-            )
-            enroll_ids.append(uid)
-        enrollment_map[sid] = tuple(enroll_ids)
+        enroll_ids = [f"{sid}-e{u:03d}" for u in range(spec.enroll_utts)]
         n_test = int(g_counts.integers(lo, hi + 1))
-        test_ids = []
-        for u in range(n_test):
-            uid = f"{sid}-t{u:03d}"
-            lang = (
-                Language.ENGLISH
-                if float(g_lang.uniform()) < spec.english_fraction
-                else Language.FARSI
-            )
-            rows.append((uid, sid, Domain.DEEPMINE, lang, utterance(base, lang)))
-            test_ids.append(uid)
+        test_ids = [f"{sid}-t{u:03d}" for u in range(n_test)]
+        english = (g_lang.uniform(size=n_test) < spec.english_fraction).tolist()
+        langs = [Language.FARSI] * spec.enroll_utts + [
+            Language.ENGLISH if en else Language.FARSI for en in english
+        ]
+        base = bases[n_train_speakers + k]
+        add_speaker(sid, Domain.DEEPMINE, base, langs, enroll_ids + test_ids)
+        enrollment_map[sid] = tuple(enroll_ids)
         test_utts_by_speaker[sid] = test_ids
 
     model_ids = list(enrollment_map)
@@ -215,10 +202,9 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
     trials = [target_pool[int(i)] for i in t_idx] + [nontarget_pool[int(i)] for i in n_idx]
     labels = {key: i < spec.target_trials for i, key in enumerate(trials)}
 
-    columns = tuple(zip(*rows))
     return SyntheticCorpus(
         spec=spec,
-        embeddings=EmbeddingTable(*columns[:4], vectors=np.stack(columns[4])),
+        embeddings=EmbeddingTable(*cols, vectors=np.concatenate(blocks)),
         n_train=n_train,
         prototypes=prototypes,
         inventory=inventory,

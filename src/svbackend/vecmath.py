@@ -4,9 +4,10 @@ All arithmetic runs in float64 regardless of how inputs were stored;
 normalization statistics and cost sweeps downstream are sensitive to
 accumulation error, so nothing here computes in float32.
 
-Dot products go through :func:`unit_dot`'s pairwise-summation kernel.  The
-speaker-similarity ranking re-ranks with the same kernel row-wise, which
-keeps its values bit-identical to scalar ``cosine`` calls on the same vectors.
+:func:`unit_rows` is the one place that divides a vector by its norm.  Exact
+dot products are numpy's pairwise ``np.sum`` over elementwise products, not
+BLAS: ``cosine``, the trial kernel and the speaker-similarity re-rank all
+use it row-wise, so their values agree bit for bit on the same vectors.
 """
 
 from __future__ import annotations
@@ -42,16 +43,6 @@ class Language(enum.Enum):
     ENGLISH = "ENGLISH"
     OTHER = "OTHER"
     UNKNOWN = "UNKNOWN"
-
-
-def as_f64_vector(v) -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting non-finite entries."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("vector contains non-finite entries")
-    return arr
 
 
 _ID_COLUMNS = ("utt_ids", "speaker_ids", "domains", "languages")
@@ -110,34 +101,16 @@ class EmbeddingTable:
         return self.vectors.shape[1]
 
 
-def unit_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product via numpy's pairwise reduction.
-
-    Deliberately not BLAS: the reduction is order-stable, symmetric in its
-    arguments, and identical between a scalar call and a row of the
-    similarity re-rank kernel, which downstream exactness checks rely on.
-    """
-    return float(np.sum(a * b))
-
-
-def l2_normalize(v, eps: float = NORM_EPS) -> np.ndarray:
-    """Scale ``v`` to unit Euclidean norm, preserving direction.
-
-    Raises:
-        NormUnderflow: if the norm is at or below ``eps`` (degenerate
-            embedding, e.g. an all-zero vector).
-    """
-    arr = as_f64_vector(v)
-    norm = math.sqrt(unit_dot(arr, arr))
-    if norm <= eps:
-        raise NormUnderflow(f"vector norm {norm:g} <= {eps:g}")
-    return arr / norm
-
-
 def unit_rows(vecs, dim: int | None = None) -> np.ndarray:
     """(n, dim) array of the vectors (a sequence or the rows of an array),
-    each scaled exactly as :func:`l2_normalize` scales it: the same pairwise
-    sum of squares, correctly rounded sqrt and division, one pass for all."""
+    each divided by its Euclidean norm: the pairwise sum of squares along
+    the row, a correctly rounded sqrt and division, one pass for all.
+
+    Raises:
+        ValidationError: a non-finite entry.
+        NormUnderflow: a norm at or below ``NORM_EPS`` (degenerate vector,
+            e.g. all zeros).
+    """
     try:
         x = np.asarray(vecs, dtype=np.float64, order="C")
     except ValueError:
@@ -163,17 +136,16 @@ def check_row_norms(x: np.ndarray) -> None:
         raise NormUnderflow(f"vector norm {low:g} <= {NORM_EPS:g}")
 
 
-def cosine(a, b, eps: float = NORM_EPS) -> float:
-    """Cosine similarity ``<a,b> / (|a||b|)``, symmetric in its arguments.
+def cosine(a, b) -> float:
+    """Cosine similarity ``<a,b> / (|a||b|)`` of two vectors, symmetric in its
+    arguments: both go through one :func:`unit_rows` call, then the pairwise
+    ``np.sum`` of their product.
 
     Clipped to [-1, 1]: the raw quotient can overshoot by an ulp on
     (near-)parallel vectors, and downstream consumers rely on the bound.
     """
-    av = as_f64_vector(a)
-    bv = as_f64_vector(b)
-    if av.shape != bv.shape:
-        raise DimensionMismatch(f"vector shapes differ: {av.shape} vs {bv.shape}")
-    return min(1.0, max(-1.0, unit_dot(l2_normalize(av, eps), l2_normalize(bv, eps))))
+    ua, ub = unit_rows([a, b])
+    return min(1.0, max(-1.0, float(np.sum(ua * ub))))
 
 
 def average_embedding(vectors) -> np.ndarray:
@@ -196,6 +168,6 @@ def mean_of_units(unit: np.ndarray) -> np.ndarray:
     if not len(unit):
         raise EmptySet("cannot average an empty set of embeddings")
     mean = np.array([math.fsum(col) for col in unit.T.tolist()]) / len(unit)
-    if math.sqrt(unit_dot(mean, mean)) <= NORM_EPS:
+    if math.sqrt(np.sum(mean * mean)) <= NORM_EPS:
         raise DegenerateAverage("member vectors cancel; average is degenerate")
     return mean

@@ -5,11 +5,14 @@ computed by explicit per-threshold counting loops, the margin-loss oracle
 goes through scipy's log_softmax, gradients come from central differences,
 and calibration is re-fit with a generic quasi-Newton optimizer.  The
 scalar scoring, alpha and LID references are the per-item loops the batch
-implementations replaced: one ``cosine`` and one written-out s-norm per
-trial, one rebuilt ``Cohort`` per left-out prototype or enrollment model,
-and two triangular solves per llr.  The embedding readers are the per-row
-parsers the columnar ones replaced (one ``float`` list or one
-``struct.unpack`` per row).  The batch planner's reference draws each
+implementations replaced: one scalar cosine (two :func:`l2_normalize`
+calls) and one written-out s-norm per trial, one rebuilt ``Cohort`` per
+left-out prototype or enrollment model, and two triangular solves per llr.
+:func:`l2_normalize` is the scalar reference for ``unit_rows``, and
+:func:`adaptive_snorm` and :func:`language_dependent_snorm` for
+``scoring._snorm``.  The embedding readers are the per-row parsers the
+columnar ones replaced (one ``float`` list or one ``struct.unpack`` per
+row).  The batch planner's reference draws each
 group speaker's utterances with its own ``choice`` call.
 """
 
@@ -26,22 +29,49 @@ from scipy.special import log_softmax
 from svbackend import formats, planner
 from svbackend.errors import (
     DegenerateAverage,
+    DimensionMismatch,
     EmptySet,
     FormatError,
     MissingEmbedding,
     MissingLidDecision,
+    NormUnderflow,
     ParamInvalid,
+    ValidationError,
 )
 from svbackend.scoring import Cohort, LanguageOffset, ScoringMode, snorm_stats
-from svbackend.vecmath import (
-    NORM_EPS,
-    Domain,
-    Language,
-    cosine,
-    l2_normalize,
-    mean_of_units,
-    unit_rows,
-)
+from svbackend.vecmath import NORM_EPS, Domain, Language, mean_of_units, unit_rows
+
+
+def l2_normalize(v):
+    """One vector divided by its Euclidean norm, the scalar way: ``math.sqrt``
+    of numpy's pairwise sum of squares.  The reference for ``unit_rows``."""
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim != 1:
+        raise DimensionMismatch(f"expected a 1-D vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("vector contains non-finite entries")
+    norm = math.sqrt(float(np.sum(arr * arr)))
+    if norm <= NORM_EPS:
+        raise NormUnderflow(f"vector norm {norm:g} <= {NORM_EPS:g}")
+    return arr / norm
+
+
+def scalar_cosine(a, b):
+    """Cosine of two vectors from two :func:`l2_normalize` calls, clipped to
+    [-1, 1]."""
+    return min(1.0, max(-1.0, float(np.sum(l2_normalize(a) * l2_normalize(b)))))
+
+
+def adaptive_snorm(raw, stats_e, stats_t):
+    """Two-sided adaptive s-norm of one score, written out."""
+    return (raw - stats_t.mu) / stats_t.sigma + (raw - stats_e.mu) / stats_e.sigma
+
+
+def language_dependent_snorm(raw, stats_e, stats_t, offset, test_is_english):
+    """:func:`adaptive_snorm` with the enrollment-side imposter mean lowered
+    by ``offset.alpha`` when the test utterance is English."""
+    mu_e = stats_e.mu - offset.alpha if test_is_english else stats_e.mu
+    return (raw - stats_t.mu) / stats_t.sigma + (raw - mu_e) / stats_e.sigma
 
 
 def roc_points(scores, labels):
@@ -242,20 +272,20 @@ def score_trials_loop(
         if model_id not in model_vecs:
             raise MissingEmbedding(f"trial references unknown model {model_id!r}")
         test_vec = embedding_of(utt_id)[1]
-        raw = cosine(model_vecs[model_id], test_vec)
+        raw = scalar_cosine(model_vecs[model_id], test_vec)
         if mode is ScoringMode.RAW:
             out.append((raw, raw))
             continue
         pruned = excluding_speakers(cohort, model_speakers[model_id])
         st_e = snorm_stats(model_vecs[model_id], pruned.unit_rows, top_n)
         st_t = snorm_stats(test_vec, cohort.unit_rows, top_n)
-        mu_e = st_e.mu
-        if mode is ScoringMode.SNORM_LID:
-            if utt_id not in lid_decisions:
-                raise MissingLidDecision(f"no language decision for {utt_id!r}")
-            if lid_decisions[utt_id] is Language.ENGLISH:
-                mu_e = st_e.mu - offset.alpha
-        out.append((raw, (raw - st_t.mu) / st_t.sigma + (raw - mu_e) / st_e.sigma))
+        if mode is ScoringMode.SNORM:
+            out.append((raw, adaptive_snorm(raw, st_e, st_t)))
+            continue
+        if utt_id not in lid_decisions:
+            raise MissingLidDecision(f"no language decision for {utt_id!r}")
+        english = lid_decisions[utt_id] is Language.ENGLISH
+        out.append((raw, language_dependent_snorm(raw, st_e, st_t, offset, english)))
     return out
 
 

@@ -33,20 +33,22 @@ from svbackend.scoring import (
     LanguageOffset,
     ScoringMode,
     SnormStats,
-    adaptive_snorm,
+    _snorm,
     estimate_alpha,
-    language_dependent_snorm,
     score_trials,
 )
 from svbackend.synth import CorpusSpec, generate_corpus
-from svbackend.vecmath import Domain, Language, l2_normalize
+from svbackend.vecmath import Domain, Language
 
 from conftest import make_protos
 from oracles import (
+    adaptive_snorm,
     brute_force_eer,
     brute_force_min_dcf,
     central_difference_grads,
     fit_logreg_reference,
+    l2_normalize,
+    language_dependent_snorm,
     log_likelihood_ratio,
     rel_err,
     similarity_matrix_full,
@@ -121,20 +123,22 @@ def test_criterion_02_gradients_match_finite_differences():
 
 def test_criterion_03_language_offset_reduction():
     with criterion(3, "language-dependent s-norm reduces exactly to adaptive s-norm"):
+        # the package's one s-norm, _snorm, against the written-out scalar
+        # references: a zero shift is adaptive s-norm bit for bit, and an
+        # alpha shift moves the score by alpha / sigma_e
         rng = np.random.default_rng(303)
         offset = LanguageOffset(alpha=0.31)
-        for _ in range(10_000):
-            raw = float(rng.normal())
-            st_e = SnormStats(
-                mu=float(rng.normal()), sigma=float(rng.uniform(0.05, 3.0)), top_n=5
-            )
-            st_t = SnormStats(
-                mu=float(rng.normal()), sigma=float(rng.uniform(0.05, 3.0)), top_n=5
-            )
-            plain = adaptive_snorm(raw, st_e, st_t)
-            assert language_dependent_snorm(raw, st_e, st_t, offset, False) == plain
-            english = language_dependent_snorm(raw, st_e, st_t, offset, True)
-            assert abs((english - plain) - offset.alpha / st_e.sigma) <= 1e-12
+        raw, mu_e, mu_t = rng.normal(size=(3, 10_000))
+        sigma_e, sigma_t = rng.uniform(0.05, 3.0, size=(2, 10_000))
+        plain = _snorm(raw, mu_e, sigma_e, mu_t, sigma_t, 0.0)
+        english = _snorm(raw, mu_e, sigma_e, mu_t, sigma_t, offset.alpha)
+        assert np.all(np.abs((english - plain) - offset.alpha / sigma_e) <= 1e-12)
+        for k in range(len(raw)):
+            st_e = SnormStats(mu=mu_e[k], sigma=sigma_e[k], top_n=5)
+            st_t = SnormStats(mu=mu_t[k], sigma=sigma_t[k], top_n=5)
+            assert plain[k] == adaptive_snorm(raw[k], st_e, st_t)
+            assert plain[k] == language_dependent_snorm(raw[k], st_e, st_t, offset, False)
+            assert english[k] == language_dependent_snorm(raw[k], st_e, st_t, offset, True)
 
 
 def test_criterion_04_broad_plan_exhaustive_oracle():

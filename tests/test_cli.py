@@ -89,6 +89,15 @@ class TestSynth:
         assert path.exists()
         assert formats.read_embeddings(path)
 
+    @pytest.mark.parametrize("shift", ["nan", "inf"])
+    def test_non_finite_shift_is_usage_error(self, tmp_path, capsys, shift):
+        out = tmp_path / "corpus"
+        rc = main(["synth", "--out-dir", str(out), f"--shift={shift}"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: SpecInvalid"), err
+        assert not out.exists()
+
 
 class TestPlanBatches:
     def test_broad_manifest(self, data_dir, tmp_path):
@@ -471,6 +480,19 @@ class TestCalibrateFuseEval:
         record = formats.read_metrics_record(out)
         assert record["eer"] == eer(ss)
         assert record["min_dcf"] == min_dcf(ss)
+
+    @pytest.mark.parametrize(("flag", "value"), [("--c-miss", "nan"), ("--c-fa", "inf")])
+    def test_eval_non_finite_cost_is_usage_error(
+        self, pipeline_files, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "metrics.tsv"
+        scores = str(pipeline_files / "scores.tsv")
+        rc = main(["eval", "--scores", scores, "--out", str(out), flag, value])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: ParamInvalid"), err
+        assert captured.out == "" and not out.exists()
 
     def test_eval_on_unlabeled_exits_3(self, tmp_path, capsys):
         path = tmp_path / "unlabeled.tsv"

@@ -1,0 +1,111 @@
+"""Golden bytes: literal sha256 digests of small synth corpora and manifests.
+
+Criterion 11 checks that two runs on one machine agree.  These digests
+check the stronger guarantee, that a seed reproduces the same bytes on any
+platform and numpy version the package supports: a change to how a Philox
+stream is consumed, to the normalization arithmetic, to the top-k tie
+order or to a writer shows here as a changed digest.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from svbackend import formats
+from svbackend.cli import main
+from svbackend.prototypes import PrototypeMatrix
+
+SYNTH_ARGS = [
+    "--seed", "5", "--dim", "8", "--vox", "5", "--libri", "3", "--deepmine", "6",
+    "--eval-speakers", "3", "--utts-min", "2", "--utts-max", "4", "--enroll-utts", "2",
+    "--targets", "6", "--nontargets", "20",
+]  # fmt: skip
+
+TEXT_CORPUS = {
+    "enroll.tsv": "fa48b884d2688a3d079e1d1b4af9ec2ef229d5183bcc80d4ba7c3c13d9391ce1",
+    "eval_embeddings.tsv": "6c23fcace311a27254479aa7daab92296df46db779b7e0070e6fed2a9e34ce68",
+    "prototypes.tsv": "fef293f124dc557ed9e8c9f1303cf6daae9595ffe1cd9d7f1b4e89f32ddc7a1b",
+    "train_embeddings.tsv": "c391a8f25da8f6b63831e7a953ce5bf1c3658dc9531f027f218916d908d372c7",
+    "trials.tsv": "053674049c027c4328bbe495dda295b61e1a21091b38f3059bfd07a42f715e71",
+}
+
+BINARY_CORPUS = {
+    "enroll.tsv": "fa48b884d2688a3d079e1d1b4af9ec2ef229d5183bcc80d4ba7c3c13d9391ce1",
+    "eval_embeddings.tsv": "12a2ced637dc909ba3a696d419044aa9096e576eb4890edea6b77a7ac0d4375c",
+    "prototypes.tsv": "fef293f124dc557ed9e8c9f1303cf6daae9595ffe1cd9d7f1b4e89f32ddc7a1b",
+    "train_embeddings.sveb": "921f8e03902afe78e4124eb2fff6ec4e3790471db760ee86353cd4fa237a75a1",
+    "trials.tsv": "053674049c027c4328bbe495dda295b61e1a21091b38f3059bfd07a42f715e71",
+}
+
+# (mode, utts_per_speaker) -> manifest.tsv digest, for a 2-pass plan with
+# 2 anchors and 3 imposters per batch
+MANIFESTS = {
+    ("broad", 1): "9c2878f051a7939cdadd62325c2d48beb27d36d707f87e8c26c0b1ac224a0700",
+    ("broad", 2): "18c531f19b5edc7984b96ebce36b720af89bc6629ae6b4d1dc3e96d8a4e3de8d",
+    ("broad", 3): "c90e8b529dbf2160cb5335b48fb61a60d20fc2739329661d57eb3d9de4e65b3c",
+    ("balanced", 1): "880b2a4669ddc27a15906be9094712b91a0d0396cc43e1e5c1d9b32ec99f5278",
+    ("balanced", 2): "f03dacf603401e06f951c419d7ff93cc72cdeac048507566fddf9cd546d69f31",
+}
+
+# a broad u = 1 plan over prototypes that repeat four directions, so every
+# anchor's top-5 cuts through a group of exactly equal similarities
+TIE_MANIFEST = "1e6aca519c55ca23e49928937c35b7b4021cf38a51b59e3cbc0e1848a5ca7337"
+
+
+def digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    text = tmp_path_factory.mktemp("text")
+    binary = tmp_path_factory.mktemp("binary")
+    assert main(["synth", "--out-dir", str(text), *SYNTH_ARGS]) == 0
+    assert main(
+        ["synth", "--out-dir", str(binary), *SYNTH_ARGS, "--binary", "--english-fraction", "0.3"]
+    ) == 0
+    return text, binary
+
+
+def plan(tmp_path, prototypes, embeddings, mode, u):
+    out = tmp_path / f"{mode}-{u}-{embeddings.suffix[1:]}.tsv"
+    argv = [
+        "plan-batches", "--prototypes", str(prototypes), "--embeddings", str(embeddings),
+        "--mode", mode, "--batch-size", str(2 * 3 * u), "--anchors", "2", "--imposters", "3",
+        "--utts-per-speaker", str(u), "--passes", "2", "--seed", "11", "--out", str(out),
+    ]  # fmt: skip
+    assert main(argv) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_text_corpus_bytes(corpora):
+    assert digests(corpora[0]) == TEXT_CORPUS
+
+
+def test_binary_corpus_bytes(corpora):
+    assert digests(corpora[1]) == BINARY_CORPUS
+
+
+@pytest.mark.parametrize(("mode", "u"), sorted(MANIFESTS))
+def test_manifest_bytes(corpora, tmp_path, mode, u):
+    text, binary = corpora
+    protos = text / "prototypes.tsv"
+    assert plan(tmp_path, protos, text / "train_embeddings.tsv", mode, u) == MANIFESTS[mode, u]
+    # the binary corpus shares the training ids and prototypes
+    assert plan(tmp_path, protos, binary / "train_embeddings.sveb", mode, u) == MANIFESTS[mode, u]
+
+
+def test_tie_heavy_manifest_bytes(corpora, tmp_path):
+    text = corpora[0]
+    protos = formats.read_prototypes(text / "prototypes.tsv")
+    tied = tmp_path / "tied_prototypes.tsv"
+    w = protos.w[:, np.arange(protos.count) % 4]
+    formats.write_prototypes(tied, PrototypeMatrix(w=w, speakers=protos.speakers))
+    argv = [
+        "plan-batches", "--prototypes", str(tied),
+        "--embeddings", str(text / "train_embeddings.tsv"), "--batch-size", "10",
+        "--anchors", "2", "--imposters", "5", "--seed", "3", "--out", str(tmp_path / "m.tsv"),
+    ]  # fmt: skip
+    assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / "m.tsv").read_bytes()).hexdigest() == TIE_MANIFEST

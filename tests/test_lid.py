@@ -5,10 +5,10 @@ import pytest
 
 from svbackend.errors import ClassTooSmall, DimensionMismatch, NormUnderflow, WeightOutOfRange
 from svbackend.lid import adapt_english_mean, affine_coefficients, classify, train_gb
-from svbackend.vecmath import Domain, Language, l2_normalize
+from svbackend.vecmath import Domain, Language
 
 from conftest import make_protos
-from oracles import log_likelihood_ratio
+from oracles import l2_normalize, log_likelihood_ratio
 
 
 def two_cluster_protos(rng, n_per_class=20, dim=8, spread=0.15, angle_scale=1.0):

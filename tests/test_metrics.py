@@ -134,3 +134,8 @@ class TestMinDcf:
             min_dcf(ss, p_target=1.0)
         with pytest.raises(ParamInvalid):
             min_dcf(ss, c_miss=-1.0)
+
+    @pytest.mark.parametrize("cost", [{"c_miss": np.nan}, {"c_fa": np.inf}, {"c_miss": np.inf}])
+    def test_non_finite_cost(self, cost):
+        with pytest.raises(ParamInvalid):
+            min_dcf(score_set([0.9, 0.1], [True, False]), **cost)

@@ -5,10 +5,10 @@ import pytest
 
 from svbackend.errors import IndexOutOfRange, KTooLarge, NormUnderflow, ParamInvalid, ValidationError
 from svbackend.prototypes import TOP_BLOCK_ROWS, TOP_PAIR_CHUNK, similarity_matrix, top_similar
-from svbackend.vecmath import cosine, l2_normalize
+from svbackend.vecmath import cosine
 
 from conftest import make_protos
-from oracles import similarity_matrix_full, top_similar_full
+from oracles import l2_normalize, similarity_matrix_full, top_similar_full
 
 
 class TestPrototypeMatrix:

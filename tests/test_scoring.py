@@ -20,22 +20,24 @@ from svbackend.scoring import (
     LanguageOffset,
     ScoringMode,
     SnormStats,
-    adaptive_snorm,
+    _snorm,
     estimate_alpha,
-    language_dependent_snorm,
     score_trials,
     snorm_stats,
 )
 from svbackend.synth import CorpusSpec, generate_corpus
-from svbackend.vecmath import Domain, Language, average_embedding, cosine, l2_normalize
+from svbackend.vecmath import Domain, Language, average_embedding, cosine
 
 from conftest import make_embedding, make_protos, make_table, rows_of
 from oracles import (
+    adaptive_snorm,
     cohort_from_all_rows,
     estimate_alpha_rebuild,
     excluding_speakers,
     first_row_domains,
     full_cohort,
+    l2_normalize,
+    language_dependent_snorm,
     restrict_domains,
     score_trials_loop,
 )
@@ -108,55 +110,53 @@ class TestSnormStats:
 
 
 class TestSnormFormulas:
+    """``_snorm(raw, mu_e, sigma_e, mu_t, sigma_t, shift)``, the package's one
+    s-norm, against the written-out scalar references in oracles."""
+
     def test_centered_score_is_zero(self):
-        st = SnormStats(mu=0.4, sigma=1.0, top_n=5)
-        assert adaptive_snorm(0.4, st, st) == 0.0
+        assert _snorm(0.4, 0.4, 1.0, 0.4, 1.0, 0.0) == 0.0
 
     def test_symmetric_collapse(self):
-        st = SnormStats(mu=0.2, sigma=0.5, top_n=5)
         raw = 0.7
-        assert adaptive_snorm(raw, st, st) == pytest.approx(2 * (raw - 0.2) / 0.5, abs=1e-15)
+        assert _snorm(raw, 0.2, 0.5, 0.2, 0.5, 0.0) == pytest.approx(
+            2 * (raw - 0.2) / 0.5, abs=1e-15
+        )
 
     def test_direct_evaluation(self):
-        st_t = SnormStats(mu=0.5, sigma=0.1, top_n=5)
-        st_e = SnormStats(mu=0.6, sigma=0.2, top_n=5)
-        assert adaptive_snorm(0.8, st_e, st_t) == pytest.approx(4.0, abs=1e-12)
+        assert _snorm(0.8, 0.6, 0.2, 0.5, 0.1, 0.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_language_variant_reduces_bit_exactly(self, rng):
+        raw, mu_e, mu_t = rng.normal(size=(3, 1000))
+        sigma_e, sigma_t = rng.uniform(0.1, 2, size=(2, 1000))
+        english = rng.uniform(size=1000) < 0.5
         offset = LanguageOffset(alpha=0.123)
-        for _ in range(1000):
-            raw = float(rng.normal())
-            st_e = SnormStats(mu=float(rng.normal()), sigma=float(rng.uniform(0.1, 2)), top_n=5)
-            st_t = SnormStats(mu=float(rng.normal()), sigma=float(rng.uniform(0.1, 2)), top_n=5)
-            plain = adaptive_snorm(raw, st_e, st_t)
-            assert language_dependent_snorm(raw, st_e, st_t, offset, False) == plain
-            assert (
-                language_dependent_snorm(raw, st_e, st_t, LanguageOffset(0.0), True) == plain
+        plain = _snorm(raw, mu_e, sigma_e, mu_t, sigma_t, 0.0)
+        mixed = _snorm(raw, mu_e, sigma_e, mu_t, sigma_t, np.where(english, offset.alpha, 0.0))
+        for k in range(1000):
+            st_e = SnormStats(mu=mu_e[k], sigma=sigma_e[k], top_n=5)
+            st_t = SnormStats(mu=mu_t[k], sigma=sigma_t[k], top_n=5)
+            assert plain[k] == adaptive_snorm(raw[k], st_e, st_t)
+            assert plain[k] == language_dependent_snorm(raw[k], st_e, st_t, offset, False)
+            assert plain[k] == language_dependent_snorm(
+                raw[k], st_e, st_t, LanguageOffset(0.0), True
             )
+            assert mixed[k] == language_dependent_snorm(raw[k], st_e, st_t, offset, english[k])
 
     def test_english_offset_shifts_by_alpha_over_sigma(self, rng):
-        for _ in range(200):
-            raw = float(rng.normal())
-            alpha = float(rng.normal() * 0.3)
-            st_e = SnormStats(mu=float(rng.normal()), sigma=float(rng.uniform(0.1, 2)), top_n=5)
-            st_t = SnormStats(mu=float(rng.normal()), sigma=float(rng.uniform(0.1, 2)), top_n=5)
-            plain = adaptive_snorm(raw, st_e, st_t)
-            shifted = language_dependent_snorm(raw, st_e, st_t, LanguageOffset(alpha), True)
-            assert shifted - plain == pytest.approx(alpha / st_e.sigma, abs=1e-12)
+        raw, mu_e, mu_t, alpha = rng.normal(size=(4, 200))
+        alpha *= 0.3
+        sigma_e, sigma_t = rng.uniform(0.1, 2, size=(2, 200))
+        plain = _snorm(raw, mu_e, sigma_e, mu_t, sigma_t, 0.0)
+        shifted = _snorm(raw, mu_e, sigma_e, mu_t, sigma_t, alpha)
+        np.testing.assert_allclose(shifted - plain, alpha / sigma_e, rtol=0, atol=1e-12)
 
     def test_worked_delta(self):
-        st_t = SnormStats(mu=0.5, sigma=0.1, top_n=5)
-        st_e = SnormStats(mu=0.6, sigma=0.2, top_n=5)
-        plain = adaptive_snorm(0.8, st_e, st_t)
-        out = language_dependent_snorm(0.8, st_e, st_t, LanguageOffset(0.1), True)
-        assert out == pytest.approx(plain + 0.5, abs=1e-12)
+        plain = _snorm(0.8, 0.6, 0.2, 0.5, 0.1, 0.0)
+        assert _snorm(0.8, 0.6, 0.2, 0.5, 0.1, 0.1) == pytest.approx(plain + 0.5, abs=1e-12)
 
     def test_monotone_in_raw(self, rng):
-        st_e = SnormStats(mu=0.1, sigma=0.3, top_n=5)
-        st_t = SnormStats(mu=0.2, sigma=0.4, top_n=5)
-        raws = np.sort(rng.normal(size=50))
-        out = [adaptive_snorm(float(r), st_e, st_t) for r in raws]
-        assert all(b > a for a, b in zip(out, out[1:]))
+        out = _snorm(np.sort(rng.normal(size=50)), 0.1, 0.3, 0.2, 0.4, 0.0)
+        assert np.all(np.diff(out) > 0)
 
 
 class TestEstimateAlpha:

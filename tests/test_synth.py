@@ -35,6 +35,11 @@ class TestSpecValidation:
         with pytest.raises(SpecInvalid):
             CorpusSpec(english_fraction=1.5)
 
+    @pytest.mark.parametrize("shift", [-0.1, math.nan, math.inf])
+    def test_rejects_bad_shift(self, shift):
+        with pytest.raises(SpecInvalid):
+            CorpusSpec(language_shift=shift)
+
     def test_rejects_impossible_trial_counts(self):
         with pytest.raises(SpecInvalid):
             generate_corpus(CorpusSpec(**{**SMALL, "target_trials": 10_000}))

@@ -17,42 +17,42 @@ from svbackend.vecmath import (
     average_embedding,
     check_row_norms,
     cosine,
-    l2_normalize,
     unit_rows,
 )
 
 from conftest import make_embedding, make_table
-from oracles import average_vectors
+from oracles import average_vectors, l2_normalize, scalar_cosine
 
 
 class TestL2Normalize:
+    """L2 normalization as :func:`unit_rows`, the package's one normalizer,
+    does it."""
+
     def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
+        np.testing.assert_allclose(unit_rows([[3.0, 4.0]]), [[0.6, 0.8]], atol=1e-15)
 
     def test_unit_vector_is_fixed_point(self, rng):
-        for _ in range(50):
-            u = rng.normal(size=8)
-            u /= np.linalg.norm(u)
-            np.testing.assert_allclose(l2_normalize(u), u, atol=1e-9)
+        u = rng.normal(size=(50, 8))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        np.testing.assert_allclose(unit_rows(u), u, atol=1e-9)
 
     def test_zero_vector_underflows(self):
         with pytest.raises(NormUnderflow):
-            l2_normalize([0.0, 0.0])
+            unit_rows([[0.0, 0.0]])
 
     def test_scale_invariance(self, rng):
-        for _ in range(100):
-            v = rng.normal(size=12)
-            c = float(rng.uniform(1e-6, 1e6))
-            np.testing.assert_allclose(l2_normalize(c * v), l2_normalize(v), atol=1e-9)
+        v = rng.normal(size=(100, 12))
+        c = rng.uniform(1e-6, 1e6, size=(100, 1))
+        np.testing.assert_allclose(unit_rows(c * v), unit_rows(v), atol=1e-9)
 
     def test_result_has_unit_norm(self, rng):
         for _ in range(100):
-            v = rng.normal(size=int(rng.integers(2, 40)))
-            assert abs(np.linalg.norm(l2_normalize(v)) - 1.0) < 1e-9
+            v = rng.normal(size=(3, int(rng.integers(2, 40))))
+            np.testing.assert_allclose(np.linalg.norm(unit_rows(v), axis=1), 1.0, atol=1e-9)
 
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
-            l2_normalize([1.0, float("nan")])
+            unit_rows([[1.0, float("nan")]])
 
 
 class TestCosine:
@@ -91,6 +91,13 @@ class TestCosine:
     def test_degenerate_input(self):
         with pytest.raises(NormUnderflow):
             cosine([0.0, 0.0], [1.0, 0.0])
+
+    def test_equals_scalar_oracle(self, rng):
+        # parallel pairs included: their quotient can overshoot 1 before the clip
+        for d in (1, 2, 9, 64, 300):
+            a, b = rng.normal(size=(2, d)) * rng.uniform(1e-3, 1e3, size=(2, 1))
+            for x, y in ((a, b), (a, 3.0 * a), (b, -b)):
+                assert cosine(x, y) == scalar_cosine(x, y)
 
 
 class TestAverageEmbedding:
