@@ -24,7 +24,6 @@ from .scoring import (
     Cohort,
     LanguageOffset,
     ScoringMode,
-    SnormStats,
     estimate_alpha,
     score_trials,
     snorm_stats,
@@ -51,7 +50,6 @@ __all__ = [
     "ScoreSet",
     "ScoringMode",
     "SimilaritySnapshot",
-    "SnormStats",
     "SpeakerInfo",
     "SyntheticCorpus",
     "UtteranceInventory",

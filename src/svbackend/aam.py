@@ -39,8 +39,8 @@ class AamConfig:
     def __post_init__(self):
         if not 0.0 <= self.margin < math.pi / 2:
             raise ValidationError(f"margin must be in [0, pi/2), got {self.margin}")
-        if not self.scale > 0.0:
-            raise ValidationError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValidationError(f"scale must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)

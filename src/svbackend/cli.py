@@ -215,7 +215,7 @@ def cmd_score(args, parser: argparse.ArgumentParser) -> None:
     )
     score_set = ScoreSet(
         keys=tuple(trials),
-        scores=scored["normalized"],
+        scores=scored,
         labels=np.array([labels[t] for t in trials]) if labels is not None else None,
     )
     formats.write_scores(args.out, score_set)

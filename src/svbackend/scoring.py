@@ -3,7 +3,8 @@
 The imposter cohort for trial scoring is built from training embeddings
 (one averaged vector per speaker); the cross-language compensation offset
 is estimated on prototype columns.  Those are two distinct populations and
-are kept as two separate inputs throughout.
+are kept as two separate inputs throughout.  Both use one top-N statistics
+kernel, :func:`snorm_stats`, which scores a block of unit rows at a time.
 """
 
 from __future__ import annotations
@@ -95,19 +96,6 @@ class Cohort:
 
 
 @dataclass(frozen=True)
-class SnormStats:
-    """Mean and population standard deviation of the top-N cohort scores."""
-
-    mu: float
-    sigma: float
-    top_n: int
-
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
-
-
-@dataclass(frozen=True)
 class AlphaProvenance:
     top_n: int
     n_farsi: int
@@ -135,32 +123,32 @@ class ScoringMode(enum.Enum):
     SNORM_LID = "snorm-lid"
 
 
-def snorm_stats(x, rows: np.ndarray, top_n: int = DEFAULT_TOP_N) -> SnormStats:
-    """Statistics of the top-N cohort scores for one vector.
+def snorm_stats(units, rows, top_n: int = DEFAULT_TOP_N) -> tuple[np.ndarray, np.ndarray]:
+    """Statistics of the top-N cohort scores for each row of ``units``.
 
-    Scores x by cosine against every row of ``rows`` (unit-normalized cohort
-    vectors, e.g. :attr:`Cohort.unit_rows` or a row subset of it), keeps the
-    top_n highest, and returns their mean and population standard
-    deviation.  A top_n beyond the cohort size falls back to the whole
-    cohort with a warning so small runs stay usable.
+    Scores every row of the (m, D) block ``units`` (unit-normalized vectors)
+    by cosine against every row of ``rows`` (unit-normalized cohort vectors,
+    e.g. :attr:`Cohort.unit_rows` or a row subset of it), keeps the top_n
+    highest, and returns two length-m arrays: their mean and population
+    standard deviation.  Each row takes one ``rows @ u`` product and one
+    partition.  A top_n beyond the cohort size falls back to the whole
+    cohort with one warning per call so small runs stay usable.
     """
     if top_n < 2:
         raise ParamInvalid(f"top_n must be >= 2, got {top_n}")
-    (xhat,) = unit_rows([x])
-    if xhat.shape[0] != rows.shape[1]:
-        raise DimensionMismatch(f"vector dim {xhat.shape[0]} vs cohort dim {rows.shape[1]}")
-    scores = rows @ xhat
-    if top_n > len(scores):
-        log.warning(
-            "top_n=%d exceeds cohort size %d; using the whole cohort", top_n, len(scores)
-        )
-        top_n = len(scores)
-    selected = np.partition(scores, len(scores) - top_n)[len(scores) - top_n :]
-    mu = float(np.mean(selected))
-    sigma = float(np.std(selected))
-    if sigma <= 0.0:
+    if units.shape[1] != rows.shape[1]:
+        raise DimensionMismatch(f"vector dim {units.shape[1]} vs cohort dim {rows.shape[1]}")
+    if top_n > len(rows):
+        log.warning("top_n=%d exceeds cohort size %d; using the whole cohort", top_n, len(rows))
+        top_n = len(rows)
+    k = len(rows) - top_n
+    selected = np.empty((len(units), top_n))
+    for i, u in enumerate(units):
+        selected[i] = np.partition(rows @ u, k)[k:]
+    sigma = np.std(selected, axis=1)
+    if np.any(sigma <= 0.0):
         raise DegenerateCohort("selected cohort scores have zero variance")
-    return SnormStats(mu=mu, sigma=sigma, top_n=top_n)
+    return np.mean(selected, axis=1), sigma
 
 
 def _snorm(raw, mu_e, sigma_e, mu_t, sigma_t, shift):
@@ -189,15 +177,14 @@ def estimate_alpha(protos: PrototypeMatrix, top_n: int = DEFAULT_TOP_N) -> Langu
     unit = protos.unit_rows
     # normalized once more, as a cohort normalizes its entries
     farsi_rows = unit_rows(unit[farsi], protos.dim)
-    mu_fa = float(
-        np.mean(
-            [
-                snorm_stats(unit[i], np.delete(farsi_rows, k, 0), top_n).mu
-                for k, i in enumerate(farsi)
-            ]
-        )
-    )
-    mu_usa = float(np.mean([snorm_stats(unit[i], farsi_rows, top_n).mu for i in usa]))
+    # one call per left-out prototype: dropping the self-score from a product
+    # with all Farsi rows would move bits, as a gemv's depend on row positions
+    mu_loo = [
+        snorm_stats(farsi_rows[k : k + 1], np.delete(farsi_rows, k, 0), top_n)[0]
+        for k in range(len(farsi))
+    ]
+    mu_fa = float(np.mean(np.concatenate(mu_loo)))
+    mu_usa = float(np.mean(snorm_stats(unit_rows(unit[usa]), farsi_rows, top_n)[0]))
     return LanguageOffset(
         alpha=mu_fa - mu_usa,
         provenance=AlphaProvenance(
@@ -223,13 +210,12 @@ def score_trials(
     """Score every (model, test utterance) trial in the requested mode.
 
     Enrollment and test utterances are looked up in ``table`` by id.
-    Returns a structured array aligned with ``trials`` whose float fields
-    ``raw`` (cosine of enrollment model and test vector) and ``normalized``
-    (the score in ``mode``) hold one entry per trial.  Each enrollment
-    model is the average of its L2-normalized utterances.  Normalization
-    statistics are computed once per model and once per test utterance;
-    cohort entries sharing a speaker_id with a model's enrollment
-    utterances are left out of that model's imposter statistics.
+    Returns the float64 scores in ``mode``, one per trial in trial order;
+    in raw mode that is the cosine of enrollment model and test vector.
+    Each enrollment model is the average of its L2-normalized utterances.
+    Normalization statistics come from one :func:`snorm_stats` call for all
+    test utterances and one per model; cohort entries sharing a speaker_id
+    with a model's enrollment utterances are left out of that model's call.
     """
     if mode is not ScoringMode.RAW and cohort is None:
         raise ParamInvalid(f"mode {mode.value} requires a cohort")
@@ -265,18 +251,16 @@ def score_trials(
         ti[k] = test_row.setdefault(utt_id, len(test_row))
     test_vecs = table.vectors[[row_of(u) for u in test_row]]
 
-    out = np.empty(n, dtype=[("raw", np.float64), ("normalized", np.float64)])
-    raw = out["raw"]
-    if n:
-        # same pairwise-summation kernel and clip as scalar ``cosine``
-        model_unit, test_unit = unit_rows(model_vecs, table.dim), unit_rows(test_vecs)
-        for s in range(0, n, TRIAL_CHUNK):
-            c = slice(s, s + TRIAL_CHUNK)
-            raw[c] = np.sum(model_unit[mi[c]] * test_unit[ti[c]], axis=1)
-        np.clip(raw, -1.0, 1.0, out=raw)
+    # same pairwise-summation kernel and clip as scalar ``cosine``
+    model_unit = unit_rows(model_vecs, table.dim)
+    test_unit = unit_rows(test_vecs, table.dim)
+    raw = np.empty(n)
+    for s in range(0, n, TRIAL_CHUNK):
+        c = slice(s, s + TRIAL_CHUNK)
+        raw[c] = np.sum(model_unit[mi[c]] * test_unit[ti[c]], axis=1)
+    np.clip(raw, -1.0, 1.0, out=raw)
     if mode is ScoringMode.RAW:
-        out["normalized"] = raw
-        return out
+        return raw
 
     rows = cohort.unit_rows
     cohort_speakers = np.array(cohort.speaker_ids)
@@ -285,12 +269,9 @@ def score_trials(
         keep = ~np.isin(cohort_speakers, list(model_speakers[m]))
         if not keep.any():
             raise EmptySet("excluding enrollment speakers emptied the cohort")
-        st = snorm_stats(model_vecs[m], rows if keep.all() else rows[keep], top_n)
-        mu_e[m], sigma_e[m] = st.mu, st.sigma
-    mu_t, sigma_t = np.empty(len(test_vecs)), np.empty(len(test_vecs))
-    for t, vec in enumerate(test_vecs):
-        st = snorm_stats(vec, rows, top_n)
-        mu_t[t], sigma_t[t] = st.mu, st.sigma
+        kept = rows if keep.all() else rows[keep]
+        mu_e[m : m + 1], sigma_e[m : m + 1] = snorm_stats(model_unit[m : m + 1], kept, top_n)
+    mu_t, sigma_t = snorm_stats(test_unit, rows, top_n)
     shift = np.zeros(len(test_vecs))
     if mode is ScoringMode.SNORM_LID:
         for t, utt_id in enumerate(test_row):
@@ -298,5 +279,4 @@ def score_trials(
                 raise MissingLidDecision(f"no language decision for {utt_id!r}")
             if lid_decisions[utt_id] is Language.ENGLISH:
                 shift[t] = offset.alpha
-    out["normalized"] = _snorm(raw, mu_e[mi], sigma_e[mi], mu_t[ti], sigma_t[ti], shift[ti])
-    return out
+    return _snorm(raw, mu_e[mi], sigma_e[mi], mu_t[ti], sigma_t[ti], shift[ti])

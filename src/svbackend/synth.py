@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SpecInvalid
-from .planner import UtteranceInventory, _rng
+from .planner import _rng
 from .prototypes import PrototypeMatrix, SpeakerInfo
 from .vecmath import Domain, EmbeddingTable, Language, unit_rows
 
@@ -88,12 +88,10 @@ class CorpusSpec:
 
 @dataclass(frozen=True)
 class SyntheticCorpus:
-    spec: CorpusSpec
     #: the training utterances, then (from row ``n_train`` on) the eval ones
     embeddings: EmbeddingTable
     n_train: int
     prototypes: PrototypeMatrix
-    inventory: UtteranceInventory
     enrollment_map: Mapping[str, tuple[str, ...]]
     trials: tuple[tuple[str, str], ...]
     labels: Mapping[tuple[str, str], bool]
@@ -144,21 +142,16 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
             col.extend(values)
 
     speakers: list[SpeakerInfo] = []
-    inventory_utts: list[tuple[str, ...]] = []
     for domain, prefix, count, native in train_plan:
         for k in range(count):
             sid = f"{prefix}{k:03d}"
             speakers.append(SpeakerInfo(speaker_id=sid, domain=domain, language=native))
             n_utts = int(g_counts.integers(lo, hi + 1))
             utt_ids = [f"{sid}-u{u:03d}" for u in range(n_utts)]
-            add_speaker(sid, domain, bases[len(inventory_utts)], [native] * n_utts, utt_ids)
-            inventory_utts.append(tuple(utt_ids))
+            add_speaker(sid, domain, bases[len(speakers) - 1], [native] * n_utts, utt_ids)
 
     proto_rows = [language_center(b, sp.language) for b, sp in zip(bases, speakers)]
     prototypes = PrototypeMatrix(w=unit_rows(proto_rows).T, speakers=tuple(speakers))
-    inventory = UtteranceInventory(
-        utterances=tuple(inventory_utts), domains=tuple(sp.domain for sp in speakers)
-    )
 
     n_train = len(cols[0])
     enrollment_map: dict[str, tuple[str, ...]] = {}
@@ -203,11 +196,9 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
     labels = {key: i < spec.target_trials for i, key in enumerate(trials)}
 
     return SyntheticCorpus(
-        spec=spec,
         embeddings=EmbeddingTable(*cols, vectors=np.concatenate(blocks)),
         n_train=n_train,
         prototypes=prototypes,
-        inventory=inventory,
         enrollment_map=enrollment_map,
         trials=tuple(trials),
         labels=labels,

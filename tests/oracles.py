@@ -8,18 +8,21 @@ scalar scoring, alpha and LID references are the per-item loops the batch
 implementations replaced: one scalar cosine (two :func:`l2_normalize`
 calls) and one written-out s-norm per trial, one rebuilt ``Cohort`` per
 left-out prototype or enrollment model, and two triangular solves per llr.
-:func:`l2_normalize` is the scalar reference for ``unit_rows``, and
-:func:`adaptive_snorm` and :func:`language_dependent_snorm` for
-``scoring._snorm``.  The embedding readers are the per-row parsers the
-columnar ones replaced (one ``float`` list or one ``struct.unpack`` per
-row).  The batch planner's reference draws each
-group speaker's utterances with its own ``choice`` call.
+:func:`l2_normalize` is the scalar reference for ``unit_rows``,
+:func:`snorm_stats` (one vector in, one :class:`SnormStats` out) for the
+block ``scoring.snorm_stats``, and :func:`adaptive_snorm` and
+:func:`language_dependent_snorm` for ``scoring._snorm``.  The embedding
+readers are the per-row parsers the columnar ones replaced (one ``float``
+list or one ``struct.unpack`` per row).  The batch planner's reference
+draws each group speaker's utterances with its own ``choice`` call.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,7 @@ from scipy.special import log_softmax
 from svbackend import formats, planner
 from svbackend.errors import (
     DegenerateAverage,
+    DegenerateCohort,
     DimensionMismatch,
     EmptySet,
     FormatError,
@@ -38,8 +42,10 @@ from svbackend.errors import (
     ParamInvalid,
     ValidationError,
 )
-from svbackend.scoring import Cohort, LanguageOffset, ScoringMode, snorm_stats
+from svbackend.scoring import DEFAULT_TOP_N, Cohort, LanguageOffset, ScoringMode
 from svbackend.vecmath import NORM_EPS, Domain, Language, mean_of_units, unit_rows
+
+log = logging.getLogger(__name__)
 
 
 def l2_normalize(v):
@@ -60,6 +66,47 @@ def scalar_cosine(a, b):
     """Cosine of two vectors from two :func:`l2_normalize` calls, clipped to
     [-1, 1]."""
     return min(1.0, max(-1.0, float(np.sum(l2_normalize(a) * l2_normalize(b)))))
+
+
+@dataclass(frozen=True)
+class SnormStats:
+    """Mean and population standard deviation of the top-N cohort scores."""
+
+    mu: float
+    sigma: float
+    top_n: int
+
+    def __post_init__(self):
+        if not self.sigma > 0.0:
+            raise ValidationError(f"sigma must be positive, got {self.sigma}")
+
+
+def snorm_stats(x, rows: np.ndarray, top_n: int = DEFAULT_TOP_N) -> SnormStats:
+    """Statistics of the top-N cohort scores for one vector.
+
+    Scores x by cosine against every row of ``rows`` (unit-normalized cohort
+    vectors, e.g. :attr:`Cohort.unit_rows` or a row subset of it), keeps the
+    top_n highest, and returns their mean and population standard
+    deviation.  A top_n beyond the cohort size falls back to the whole
+    cohort with a warning so small runs stay usable.
+    """
+    if top_n < 2:
+        raise ParamInvalid(f"top_n must be >= 2, got {top_n}")
+    (xhat,) = unit_rows([x])
+    if xhat.shape[0] != rows.shape[1]:
+        raise DimensionMismatch(f"vector dim {xhat.shape[0]} vs cohort dim {rows.shape[1]}")
+    scores = rows @ xhat
+    if top_n > len(scores):
+        log.warning(
+            "top_n=%d exceeds cohort size %d; using the whole cohort", top_n, len(scores)
+        )
+        top_n = len(scores)
+    selected = np.partition(scores, len(scores) - top_n)[len(scores) - top_n :]
+    mu = float(np.mean(selected))
+    sigma = float(np.std(selected))
+    if sigma <= 0.0:
+        raise DegenerateCohort("selected cohort scores have zero variance")
+    return SnormStats(mu=mu, sigma=sigma, top_n=top_n)
 
 
 def adaptive_snorm(raw, stats_e, stats_t):

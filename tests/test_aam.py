@@ -34,8 +34,9 @@ class TestConfig:
             AamConfig(margin=-0.1)
 
     def test_scale_positive(self):
-        with pytest.raises(ValidationError):
-            AamConfig(scale=0.0)
+        for scale in (0.0, math.inf):
+            with pytest.raises(ValidationError):
+                AamConfig(scale=scale)
 
     def test_defaults(self):
         cfg = AamConfig()

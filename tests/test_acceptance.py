@@ -32,7 +32,6 @@ from svbackend.scoring import (
     Cohort,
     LanguageOffset,
     ScoringMode,
-    SnormStats,
     _snorm,
     estimate_alpha,
     score_trials,
@@ -42,6 +41,7 @@ from svbackend.vecmath import Domain, Language
 
 from conftest import make_protos
 from oracles import (
+    SnormStats,
     adaptive_snorm,
     brute_force_eer,
     brute_force_min_dcf,
@@ -318,7 +318,7 @@ def _pipeline_eers(corpus, top_n=40):
         return eer(
             ScoreSet(
                 keys=tuple(corpus.trials),
-                scores=ts["normalized"],
+                scores=ts,
                 labels=labels,
             )
         )

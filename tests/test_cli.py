@@ -251,6 +251,19 @@ class TestAamCheck:
         )
         assert "loss on" in capsys.readouterr().out
 
+    def test_infinite_scale_is_data_error(self, data_dir, capsys):
+        rc = main(
+            [
+                "aam-check", "--prototypes", str(data_dir / "prototypes.tsv"),
+                "--embeddings", str(data_dir / "train_embeddings.tsv"), "--scale", "inf",
+            ]
+        )
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("error: ") and "scale" in err[0], err
+        assert "loss" not in captured.out
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [

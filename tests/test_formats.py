@@ -9,7 +9,7 @@ from svbackend import formats
 from svbackend.calibration import CalibrationModel
 from svbackend.errors import FormatError, ValidationError, VersionUnsupported
 from svbackend.lid import GaussianBackend, adapt_english_mean, train_gb
-from svbackend.planner import BatchManifest, PlannerConfig, plan_pass_broad
+from svbackend.planner import BatchManifest, PlannerConfig, UtteranceInventory, plan_pass_broad
 from svbackend.prototypes import PrototypeMatrix, SpeakerInfo, similarity_matrix
 from svbackend.scores import ScoreSet
 from svbackend.scoring import AlphaProvenance, LanguageOffset
@@ -340,9 +340,8 @@ class TestManifests:
             utts_per_speaker=1,
             seed=5,
         )
-        manifests = [
-            plan_pass_broad(cfg, sim, corpus.inventory, pass_id=k) for k in range(3)
-        ]
+        inventory = UtteranceInventory.from_embeddings(corpus.train_embeddings, corpus.prototypes)
+        manifests = [plan_pass_broad(cfg, sim, inventory, pass_id=k) for k in range(3)]
         path = tmp_path / "manifest.tsv"
         formats.write_manifests(path, manifests)
         back = formats.read_manifests(path)

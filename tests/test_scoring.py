@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from svbackend import scoring
 from svbackend.errors import (
     ClassTooSmall,
     DegenerateAverage,
     DegenerateCohort,
+    DimensionMismatch,
     EmptySet,
     MissingEmbedding,
     MissingLidDecision,
@@ -19,17 +21,16 @@ from svbackend.scoring import (
     Cohort,
     LanguageOffset,
     ScoringMode,
-    SnormStats,
     _snorm,
     estimate_alpha,
     score_trials,
-    snorm_stats,
 )
 from svbackend.synth import CorpusSpec, generate_corpus
-from svbackend.vecmath import Domain, Language, average_embedding, cosine
+from svbackend.vecmath import Domain, Language, average_embedding, cosine, unit_rows
 
 from conftest import make_embedding, make_protos, make_table, rows_of
 from oracles import (
+    SnormStats,
     adaptive_snorm,
     cohort_from_all_rows,
     estimate_alpha_rebuild,
@@ -40,6 +41,7 @@ from oracles import (
     language_dependent_snorm,
     restrict_domains,
     score_trials_loop,
+    snorm_stats,
 )
 
 
@@ -68,7 +70,7 @@ class TestEnrollmentModel:
         enroll = {"m": tuple(e.utt_id for e in es)}
         table = make_table(es + [test])
         out = score_trials([("m", "t")], enroll, table, cohort=None, mode=ScoringMode.RAW)
-        assert out["raw"][0] == cosine(average_embedding([e.vec for e in es]), test.vec)
+        assert out[0] == cosine(average_embedding([e.vec for e in es]), test.vec)
 
 
 class TestSnormStats:
@@ -107,6 +109,72 @@ class TestSnormStats:
         cohort = cohort_with_cosines([0.5, 0.5])
         with pytest.raises(DegenerateCohort):
             snorm_stats([1.0, 0.0], cohort.unit_rows, top_n=2)
+
+
+class TestBlockSnormStats:
+    """``scoring.snorm_stats`` on a block of unit rows against the per-vector
+    oracle, row by row and bit for bit.  The block holds ``unit_rows`` of the
+    raw vectors, and the oracle normalizes each raw vector itself, as
+    ``score_trials`` and the per-trial reference do."""
+
+    def check(self, vecs, rows, top_n):
+        mu, sigma = scoring.snorm_stats(unit_rows(vecs, rows.shape[1]), rows, top_n)
+        assert mu.shape == sigma.shape == (len(vecs),)
+        for k, vec in enumerate(vecs):
+            st = snorm_stats(vec, rows, top_n)
+            assert mu[k] == st.mu and sigma[k] == st.sigma
+
+    def test_ties_at_the_top_n_boundary(self, rng):
+        # every cohort row three times: any boundary below 3 * 10 is in a tie
+        rows = unit_rows(np.repeat(rng.normal(size=(10, 16)), 3, axis=0))
+        vecs = rng.normal(size=(25, 16))
+        for top_n in (4, 5, 8, 29):
+            self.check(vecs, rows, top_n)
+
+    def test_top_n_equals_cohort_size(self, rng, caplog):
+        rows = unit_rows(rng.normal(size=(12, 8)))
+        with caplog.at_level("WARNING"):
+            self.check(rng.normal(size=(9, 8)), rows, len(rows))
+        assert not caplog.records
+
+    def test_top_n_beyond_cohort_warns_once_per_call(self, rng, caplog):
+        rows = unit_rows(rng.normal(size=(6, 8)))
+        vecs = rng.normal(size=(11, 8))
+        for calls in (1, 2):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                for _ in range(calls):
+                    mu, sigma = scoring.snorm_stats(unit_rows(vecs), rows, 40)
+            warned = [r for r in caplog.records if "exceeds cohort size 6" in r.message]
+            assert len(warned) == calls
+        self.check(vecs, rows, 40)
+        assert mu[0] == snorm_stats(vecs[0], rows, len(rows)).mu
+
+    def test_zero_row_block(self, rng):
+        rows = unit_rows(rng.normal(size=(6, 8)))
+        mu, sigma = scoring.snorm_stats(np.empty((0, 8)), rows, 4)
+        assert mu.shape == sigma.shape == (0,)
+
+    def test_enrollment_speaker_row_subset(self, rng):
+        # the rows left after dropping a model's enrollment speakers, as
+        # score_trials selects them
+        cohort = Cohort(tuple(f"s{k}" for k in range(20)), rng.normal(size=(20, 12)))
+        keep = ~np.isin(np.array(cohort.speaker_ids), ["s0", "s7", "s19"])
+        subset = cohort.unit_rows[keep]
+        vecs = rng.normal(size=(5, 12))
+        self.check(vecs, subset, 6)
+        pruned = excluding_speakers(cohort, ["s0", "s7", "s19"])
+        assert np.array_equal(pruned.unit_rows, subset)
+
+    def test_checks(self, rng):
+        rows = unit_rows(rng.normal(size=(6, 8)))
+        with pytest.raises(ParamInvalid):
+            scoring.snorm_stats(unit_rows(rng.normal(size=(3, 8))), rows, 1)
+        with pytest.raises(DimensionMismatch):
+            scoring.snorm_stats(unit_rows(rng.normal(size=(3, 7))), rows, 4)
+        flat = cohort_with_cosines([0.5, 0.5, 0.1]).unit_rows
+        with pytest.raises(DegenerateCohort):
+            scoring.snorm_stats(np.array([[0.0, 1.0], [1.0, 0.0]]), flat, 2)
 
 
 class TestSnormFormulas:
@@ -315,10 +383,11 @@ class TestCohort:
             [make_embedding("e0", "a", [1.0, 0.0]), make_embedding("t0", "x", [0.28, 0.96])]
         )
         out = score_trials([("m", "t0")], {"m": ("e0",)}, embs, cohort, ScoringMode.SNORM, top_n=2)
+        raw = score_trials([("m", "t0")], {"m": ("e0",)}, embs, None, ScoringMode.RAW)
         st_e = snorm_stats([1.0, 0.0], cohort.unit_rows[1:], 2)
         st_t = snorm_stats([0.28, 0.96], cohort.unit_rows, 2)
         assert st_e.mu == pytest.approx(0.7, abs=1e-12)
-        assert out["normalized"][0] == adaptive_snorm(out["raw"][0], st_e, st_t)
+        assert out[0] == adaptive_snorm(raw[0], st_e, st_t)
         with pytest.raises(EmptySet):
             score_trials(
                 [("m", "t0")], {"m": ("e0",)}, embs, Cohort(("a",), means[:1]), ScoringMode.SNORM
@@ -354,22 +423,22 @@ class TestScoreTrials:
         out = score_trials(
             [("m", "t0")], {"m": ("e0",)}, embs, cohort=None, mode=ScoringMode.RAW
         )
-        assert out["raw"][0] == 1.0
-        assert out["normalized"][0] == 1.0
+        assert out[0] == 1.0
 
     def test_snorm_matches_manual_composition(self, rng):
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
         out = score_trials(trials, enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
-        assert len(out) == len(trials)
+        raws = score_trials(trials, enroll, embs, cohort, ScoringMode.RAW)
+        assert len(out) == len(raws) == len(trials)
         by_id = {e.utt_id: e for e in rows_of(embs)}
-        for (model_id, utt_id), ts in zip(trials, out):
+        for (model_id, utt_id), ts_raw, ts in zip(trials, raws, out):
             model_vec = average_embedding([by_id[u].vec for u in enroll[model_id]])
             speakers = {by_id[u].speaker_id for u in enroll[model_id]}
             st_e = snorm_stats(model_vec, excluding_speakers(cohort, speakers).unit_rows, 5)
             st_t = snorm_stats(by_id[utt_id].vec, cohort.unit_rows, 5)
             raw = cosine(model_vec, by_id[utt_id].vec)
-            assert ts["raw"] == raw
-            assert ts["normalized"] == adaptive_snorm(raw, st_e, st_t)
+            assert ts_raw == raw
+            assert ts == adaptive_snorm(raw, st_e, st_t)
 
     def test_lid_mode_all_farsi_equals_snorm(self, rng):
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
@@ -385,7 +454,7 @@ class TestScoreTrials:
             lid_decisions=decisions,
             top_n=5,
         )
-        assert np.array_equal(lid["normalized"], plain["normalized"])
+        assert np.array_equal(lid, plain)
 
     def test_lid_mode_english_shifts(self, rng):
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
@@ -401,7 +470,7 @@ class TestScoreTrials:
             lid_decisions=decisions,
             top_n=5,
         )
-        for (_, utt_id), p, l in zip(trials, plain["normalized"], lid["normalized"]):
+        for (_, utt_id), p, l in zip(trials, plain, lid):
             if utt_id == "t0":
                 assert l == p
             else:
@@ -413,7 +482,7 @@ class TestScoreTrials:
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
         cached = score_trials(trials, enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
         uncached = score_trials_loop(trials, enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
-        assert cached["normalized"].tolist() == [norm for _, norm in uncached]
+        assert cached.tolist() == [norm for _, norm in uncached]
 
     def test_missing_embedding(self, rng):
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
@@ -500,8 +569,8 @@ class TestScoreTrialsAgainstOracle:
                 trials, enroll, embs, cohort, mode,
                 offset=offset, lid_decisions=decisions, top_n=top_n,
             )
-            assert out["raw"].tolist() == [raw for raw, _ in ref]
-            assert out["normalized"].tolist() == [norm for _, norm in ref]
+            # in raw mode the oracle's normalized entry is its raw score
+            assert out.tolist() == [norm for _, norm in ref]
 
     def test_ties_and_enrollment_speakers_over_several_chunks(self, rng):
         trials, enroll, embs, cohort, decisions = differential_setup(rng)
@@ -509,7 +578,7 @@ class TestScoreTrialsAgainstOracle:
         assert set(cohort.speaker_ids) & {"spk0", "spk2", "spk4"}
         # top_n=5 over triplicated vectors: the boundary falls inside a tie
         self.check(trials, enroll, embs, cohort, decisions, top_n=5)
-        raw = score_trials([("model-copy", "t110")], enroll, embs, None, ScoringMode.RAW)["raw"]
+        raw = score_trials([("model-copy", "t110")], enroll, embs, None, ScoringMode.RAW)
         assert raw[0] == 1.0
 
     def test_top_n_beyond_pruned_cohort_falls_back(self, rng, caplog):

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import mannwhitneyu
 
 from svbackend.errors import SpecInvalid
+from svbackend.planner import UtteranceInventory
 from svbackend.scoring import estimate_alpha
 from svbackend.synth import CorpusSpec, SyntheticCorpus, generate_corpus
 from svbackend.vecmath import Domain, Language, cosine
@@ -49,7 +50,8 @@ class TestStructure:
     def test_counts_and_split(self):
         corpus = generate_corpus(CorpusSpec(**SMALL, seed=3))
         assert corpus.prototypes.count == 55
-        assert len(corpus.inventory) == 55
+        inventory = UtteranceInventory.from_embeddings(corpus.train_embeddings, corpus.prototypes)
+        assert len(inventory) == 55
         train_speakers = {e.speaker_id for e in rows_of(corpus.train_embeddings)}
         eval_speakers = {e.speaker_id for e in rows_of(corpus.eval_embeddings)}
         assert train_speakers.isdisjoint(eval_speakers)
