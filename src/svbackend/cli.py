@@ -17,13 +17,13 @@ import numpy as np
 from . import formats
 from .aam import AamConfig, LabeledBatch, aam_loss, finite_difference_check
 from .calibration import apply_calibration, fit_calibration, fuse
-from .errors import NumericalError, PipelineError
+from .errors import NumericalError, ParamInvalid, PipelineError
 from .lid import adapt_english_mean, classify, train_gb
 from .metrics import eer, min_dcf
 from .planner import PlannerConfig, UtteranceInventory, plan_pass_balanced, plan_pass_broad
 from .prototypes import PrototypeMatrix, SpeakerInfo, similarity_matrix
 from .scores import ScoreSet
-from .scoring import Cohort, ScoringMode, score_trials
+from .scoring import ScoringMode, score_trials
 from .synth import CorpusSpec, generate_corpus
 from .vecmath import Domain, Language
 
@@ -189,15 +189,16 @@ def cmd_score(args, parser: argparse.ArgumentParser) -> None:
         parser.error("--mode snorm-lid requires --lid decisions")
     if mode is ScoringMode.SNORM_LID and not args.alpha:
         parser.error("--mode snorm-lid requires --alpha")
+    if args.cohort_domains == []:
+        names = ",".join(d.value for d in Domain)
+        raise ParamInvalid(f"--cohort-domains names no domain (choose from {names})")
 
     table = formats.read_embeddings(args.embeddings)
     trials, labels = formats.read_trials(args.trials)
     enrollment_map = formats.read_enroll_map(args.enroll)
     cohort = None
     if args.cohort_embeddings:
-        cohort = Cohort.from_embeddings(
-            formats.read_embeddings(args.cohort_embeddings), domains=args.cohort_domains or None
-        )
+        cohort = formats.read_cohort(args.cohort_embeddings, args.cohort_domains)
     offset = formats.read_alpha(args.alpha) if args.alpha else None
     lid_decisions = None
     if args.lid:

@@ -11,7 +11,6 @@ re-writing what was read reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
-import math
 import re
 import struct
 from itertools import chain
@@ -26,8 +25,8 @@ from .lid import GaussianBackend
 from .planner import BatchManifest
 from .prototypes import PrototypeMatrix, SpeakerInfo
 from .scores import LABEL_NONTARGET, LABEL_TARGET, ScoreSet
-from .scoring import AlphaProvenance, LanguageOffset
-from .vecmath import Domain, EmbeddingIds, EmbeddingTable, Language
+from .scoring import AlphaProvenance, Cohort, LanguageOffset
+from .vecmath import NORM_EPS, Domain, EmbeddingIds, EmbeddingTable, Language, check_row_norms
 
 FORMAT_VERSIONS = {
     "embeddings": 1,
@@ -144,15 +143,21 @@ def _vector_fields(path, fmt: str, n_fields: int, heads: list):
         yield parts[-1]
 
 
+def _floats(fields, heads: list, fmt: str) -> np.ndarray:
+    """The values of the vector ``fields``, each converted by ``float``, as one
+    flat float64 array; a malformed value names the row last in ``heads``."""
+    values = chain.from_iterable(map(float, v.split(",")) for v in fields)
+    try:
+        return np.fromiter(values, np.float64)
+    except ValueError:
+        raise FormatError(f"malformed vector in {fmt} row {heads[-1][0]!r}") from None
+
+
 def _vector_rows(path, fmt: str, n_fields: int) -> tuple[list[tuple[str, ...]], np.ndarray]:
     """The rows of :func:`_vector_fields`: one column per leading field, and the
     vectors as one read-only (n, D) float64 array filled by ``float``."""
     heads: list[list[str]] = []
-    rows = _vector_fields(path, fmt, n_fields, heads)
-    try:
-        flat = np.fromiter(chain.from_iterable(map(float, v.split(",")) for v in rows), np.float64)
-    except ValueError:
-        raise FormatError(f"malformed vector in {fmt} row {heads[-1][0]!r}") from None
+    flat = _floats(_vector_fields(path, fmt, n_fields, heads), heads, fmt)
     flat = flat.reshape(len(heads), -1 if heads else 0)
     flat.setflags(write=False)
     return list(zip(*heads)) or [()] * (n_fields - 1), flat
@@ -310,6 +315,62 @@ _ZERO_DIGITS = str.maketrans("123456789", "000000000")
 #: Shapes (digits 1-9 mapped to 0) of decimals that ``float`` parses to a finite
 #: value, |x| <= 1e116: every ``repr`` of a float64 with |x| < 1e100 has one.
 _FINITE_SHAPE = re.compile(r"-?0{1,17}(\.0+)?(e-0+|e\+00?)?")
+_DOMAIN_OF = {d.value: d for d in Domain}
+
+
+class _TextScan:
+    """One pass over a text embeddings file that makes the checks of
+    :func:`read_embeddings_text` on every row, converting with ``float`` only
+    where it must.
+
+    Iterating yields the vector field of each row of a kept speaker, one whose
+    first row's Domain is in ``keep``, for the caller to convert; the row's
+    index goes to ``kept``.  The leading fields of every row go to ``heads``.
+    Any other row stays unconverted while its values have the digit shapes of
+    finite floats seen before; a row with a new shape goes through ``float``
+    (FormatError if malformed).  An unconverted row the caller must convert
+    after all goes to ``later``: one with a non-finite value and, with ``keep``
+    given, one whose first value does not bound its norm above ``NORM_EPS``.
+    """
+
+    def __init__(self, path, keep=None):
+        self.path, self.keep = path, keep
+        self.heads: list[list[str]] = []
+        self.kept: list[int] = []
+        self.later: list[str] = []
+
+    def __iter__(self):
+        shapes, speakers = set(), {}
+        for vec in _vector_fields(self.path, "embeddings", 5, self.heads):
+            if self.keep is not None:
+                _, spk, dom, _ = self.heads[-1]
+                if speakers.setdefault(spk, _DOMAIN_OF.get(dom) in self.keep):
+                    self.kept.append(len(self.heads) - 1)
+                    yield vec
+                    continue
+            new = set(vec.translate(_ZERO_DIGITS).split(",")) - shapes
+            finite = all(map(_FINITE_SHAPE.fullmatch, new))
+            if finite:
+                shapes |= new
+            else:
+                finite = np.isfinite(_floats([vec], self.heads, "embeddings")).all()
+            # a norm is at least |first value|, so a first value above
+            # 2 * NORM_EPS rules out NormUnderflow
+            low = self.keep is not None and abs(float(vec.partition(",")[0])) <= 2 * NORM_EPS
+            if low or not finite:
+                self.later.append(vec)
+
+    def columns(self, finite: bool):
+        """The utt, speaker, Domain and Language columns of every row, after the
+        checks :class:`EmbeddingTable` would make, in its order."""
+        utts, speakers, domains, languages = list(zip(*self.heads)) or [()] * 4
+        domains = _enum_column(Domain, domains, "embeddings")
+        languages = _enum_column(Language, languages, "embeddings")
+        if not finite:
+            raise ValidationError("vector contains non-finite entries")
+        if not (all(utts) and all(speakers)):
+            raise ValidationError("utt_id and speaker_id must be non-empty")
+        return utts, speakers, domains, languages
 
 
 def read_embedding_ids(path) -> EmbeddingIds:
@@ -319,27 +380,35 @@ def read_embedding_ids(path) -> EmbeddingIds:
         table = read_embeddings_binary(path)
         utts, speakers = table.utt_ids, table.speaker_ids
     else:
-        heads, shapes, finite = [], set(), True
-        for vec in _vector_fields(path, "embeddings", 5, heads):
-            new = set(vec.translate(_ZERO_DIGITS).split(",")) - shapes
-            if all(map(_FINITE_SHAPE.fullmatch, new)):
-                shapes |= new
-                continue
-            try:
-                finite &= all([math.isfinite(float(v)) for v in vec.split(",")])
-            except ValueError:
-                raise FormatError(f"malformed vector in embeddings row {heads[-1][0]!r}") from None
-        utts, speakers, domains, languages = list(zip(*heads)) or [()] * 4
-        _enum_column(Domain, domains, "embeddings")
-        _enum_column(Language, languages, "embeddings")
-        if not finite:  # EmbeddingTable's checks, with its messages
-            raise ValidationError("vector contains non-finite entries")
-        if not (all(utts) and all(speakers)):
-            raise ValidationError("utt_id and speaker_id must be non-empty")
+        scan = _TextScan(path)
+        list(scan)  # keeps no row
+        utts, speakers, _, _ = scan.columns(finite=not scan.later)
     for r, (utt, spk) in enumerate(zip(utts, speakers)):
         _check_id(utt, f"embeddings row {r} utt_id")
         _check_id(spk, f"embeddings row {r} speaker_id")
     return EmbeddingIds(utts, speakers)
+
+
+def read_cohort(path, domains=None) -> Cohort:
+    """``Cohort.from_embeddings(read_embeddings(path), domains)``: the same
+    cohort or the same error.  On a text file with ``domains``, only the rows
+    of kept speakers go through ``float``; every other row is still checked
+    as :class:`_TextScan` describes, and joins the norm check only when its
+    first value does not bound its norm."""
+    if domains is None or _is_binary(path):
+        return Cohort.from_embeddings(read_embeddings(path), domains)
+    domains = tuple(domains)
+    scan = _TextScan(path, set(domains))
+    values = _floats(scan, scan.heads, "embeddings")
+    later = _floats(scan.later, scan.heads, "embeddings")
+    columns = scan.columns(finite=np.isfinite(values).all() and np.isfinite(later).all())
+    rows = scan.kept
+    if scan.later:  # every norm at or below NORM_EPS is among these rows
+        check_row_norms(np.concatenate([values, later]).reshape(len(rows) + len(scan.later), -1))
+    vectors = values.reshape(len(rows), -1 if rows else 0)
+    vectors.setflags(write=False)
+    table = EmbeddingTable(*([col[r] for r in rows] for col in columns), vectors)
+    return Cohort.from_embeddings(table, domains)
 
 
 # -- prototypes ---------------------------------------------------------------

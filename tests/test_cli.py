@@ -14,7 +14,8 @@ from svbackend.cli import main
 from svbackend.errors import FormatError, PipelineError
 from svbackend.metrics import eer, min_dcf
 from svbackend.scores import ScoreSet
-from svbackend.vecmath import Language
+from svbackend.scoring import Cohort
+from svbackend.vecmath import Domain, Language
 
 from conftest import make_embedding, make_protos, make_table
 
@@ -420,6 +421,35 @@ class TestScore:
         assert np.all(ss.scores >= -1.0) and np.all(ss.scores <= 1.0)
 
 
+    @staticmethod
+    def score_snorm(data_dir, out, domains, cohort=None):
+        return main(
+            [
+                "score", "--mode", "snorm", "--out", str(out),
+                "--embeddings", str(data_dir / "eval_embeddings.tsv"),
+                "--trials", str(data_dir / "trials.tsv"),
+                "--enroll", str(data_dir / "enroll.tsv"),
+                "--cohort-embeddings", str(cohort or data_dir / "train_embeddings.tsv"),
+                f"--cohort-domains={domains}",
+            ]
+        )  # fmt: skip
+
+    @pytest.mark.parametrize("domains", ["", ","])
+    def test_empty_cohort_domains_is_usage_error(self, data_dir, tmp_path, capsys, domains):
+        out = tmp_path / "s.tsv"
+        rc = self.score_snorm(data_dir, out, domains)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: ParamInvalid: --cohort-domains"), err
+        assert not out.exists()
+
+    def test_trailing_comma_in_cohort_domains(self, data_dir, tmp_path):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        assert self.score_snorm(data_dir, a, "DEEPMINE,") == 0
+        assert self.score_snorm(data_dir, b, "DEEPMINE") == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestCalibrateFuseEval:
     def test_calibrate(self, pipeline_files, tmp_path):
         run_ok(
@@ -706,6 +736,23 @@ class TestErrors:
         first = {"unknown-domain-and-nan": "unknown Domain", "nan-then-malformed": "malformed"}
         if case in first:
             assert first[case] in line
+
+    @pytest.mark.parametrize(("case", "rc"), [("zero-row", 4), ("malformed-float", 3)])
+    def test_score_checks_rows_the_cohort_drops(self, data_dir, tmp_path, capsys, case, rc):
+        train = (data_dir / "train_embeddings.tsv").read_text()
+        k = next(r for r, line in enumerate(train.splitlines()[1:]) if "\tVOX\t" in line)
+        edit = {"zero-row": lambda f: f[:4] + [["0.0"] * len(f[4])]}.get(case)
+        text, _ = self.edit_row(train, k, edit or self.HOSTILE_TEXT[case])
+        path = tmp_path / "cohort.tsv"
+        path.write_text(text)
+        with pytest.raises(PipelineError) as exc:
+            Cohort.from_embeddings(formats.read_embeddings(path), [Domain.DEEPMINE])
+        got = TestScore.score_snorm(data_dir, tmp_path / "s.tsv", "DEEPMINE", cohort=path)
+        err = capsys.readouterr().err.splitlines()
+        assert got == rc == exc.value.exit_code
+        assert err == [f"error: {type(exc.value).__name__}: {exc.value}"]
+        error = "NormUnderflow" if case == "zero-row" else "FormatError"
+        assert err[0].startswith(f"error: {error}:")
 
     def test_plan_batches_rejects_whitespace_id_before_planning(self, data_dir, tmp_path, capsys):
         text, utt_id = self.edit_row(

@@ -7,12 +7,18 @@ import pytest
 
 from svbackend import formats
 from svbackend.calibration import CalibrationModel
-from svbackend.errors import FormatError, ValidationError, VersionUnsupported
+from svbackend.errors import (
+    EmptySet,
+    FormatError,
+    NormUnderflow,
+    ValidationError,
+    VersionUnsupported,
+)
 from svbackend.lid import GaussianBackend, adapt_english_mean, train_gb
 from svbackend.planner import BatchManifest, PlannerConfig, UtteranceInventory, plan_pass_broad
 from svbackend.prototypes import PrototypeMatrix, SpeakerInfo, similarity_matrix
 from svbackend.scores import ScoreSet
-from svbackend.scoring import AlphaProvenance, LanguageOffset
+from svbackend.scoring import AlphaProvenance, Cohort, LanguageOffset
 from svbackend.synth import CorpusSpec, generate_corpus
 from svbackend.vecmath import Domain, Language
 
@@ -229,6 +235,155 @@ class TestEmbeddingIds:
             tracemalloc.stop()
         assert len(ids.utt_ids) == n
         assert peak < n * dim * 8 / 4  # a quarter of one (n, D) float64 array
+
+
+#: (speaker, Domain) of each row of the cohort fixture file.  Speaker m1's first
+#: row is DEEPMINE and a later one VOX; m2 is the reverse.
+COHORT_ROWS = [
+    ("d1", Domain.DEEPMINE), ("v1", Domain.VOX), ("d1", Domain.DEEPMINE), ("l1", Domain.LIBRI),
+    ("v1", Domain.VOX), ("d2", Domain.DEEPMINE), ("m1", Domain.DEEPMINE), ("m2", Domain.VOX),
+    ("m1", Domain.VOX), ("m2", Domain.DEEPMINE), ("l1", Domain.LIBRI),
+]  # fmt: skip
+COHORT_DOMAINS = [[Domain.DEEPMINE], [Domain.VOX, Domain.LIBRI]]
+
+
+def cohort_lines(rng, dim=256):
+    """The data lines of a text cohort file, each split into its five fields."""
+    vectors = rng.normal(size=(len(COHORT_ROWS), dim))
+    return [
+        [f"u{k}", spk, dom.value, "FARSI", formats._vec_str(vec)]
+        for k, ((spk, dom), vec) in enumerate(zip(COHORT_ROWS, vectors))
+    ]
+
+
+def write_lines(path, lines):
+    path.write_text("#fmt:embeddings:1\n" + "".join("\t".join(f) + "\n" for f in lines))
+
+
+def set_values(fields, values):
+    return fields[:4] + [",".join(values)]
+
+
+def outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+
+
+def same_cohort_outcome(path, domains):
+    """read_cohort against Cohort.from_embeddings(read_embeddings(path)):
+    ``==`` on every column, or the same exception class and message."""
+    want = outcome(lambda: Cohort.from_embeddings(formats.read_embeddings(path), domains))
+    got = outcome(lambda: formats.read_cohort(path, domains))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, Cohort), got
+        assert got.speaker_ids == want.speaker_ids
+        assert got.means.shape == want.means.shape and (got.means == want.means).all()
+        assert (got.unit_rows == want.unit_rows).all()
+    return want
+
+
+def _value(token):
+    return lambda f: set_values(f, [*f[4].split(",")[:3], token, *f[4].split(",")[4:]])
+
+
+#: name -> (edit of one row's fields, whether the file still reads)
+COHORT_DEFECTS = {
+    "malformed": (_value("0.1x"), False),
+    "nan": (_value("nan"), False),
+    "overflow": (_value("1e400"), False),
+    "zero-row": (lambda f: set_values(f, ["0.0"] * 256), False),
+    "tiny-row": (lambda f: set_values(f, ["1e-14"] * 256), False),
+    "zero-first-value": (lambda f: set_values(f, ["0.0", *f[4].split(",")[1:]]), True),
+    "empty-utt-id": (lambda f: ["", *f[1:]], False),
+    "empty-speaker-id": (lambda f: [f[0], "", *f[2:]], False),
+    "unknown-domain": (lambda f: [*f[:2], "SWITCHBOARD", *f[3:]], False),
+    "unknown-language": (lambda f: [*f[:3], "KLINGON", f[4]], False),
+    "field-count": (lambda f: [*f[:3], f[4]], False),
+    "dimension": (lambda f: set_values(f, f[4].split(",")[1:]), False),
+}
+
+
+class TestReadCohort:
+    """formats.read_cohort returns or raises what Cohort.from_embeddings
+    returns or raises on the table of read_embeddings."""
+
+    @pytest.mark.parametrize("domains", COHORT_DOMAINS)
+    @pytest.mark.parametrize("row", [2, 4, 8, 9])  # d1, v1, m1's VOX row, m2's DEEPMINE row
+    @pytest.mark.parametrize("defect", sorted(COHORT_DEFECTS))
+    def test_one_defect(self, tmp_path, rng, defect, row, domains):
+        edit, reads = COHORT_DEFECTS[defect]
+        lines = cohort_lines(rng)
+        lines[row] = edit(lines[row])
+        path = tmp_path / "cohort.tsv"
+        write_lines(path, lines)
+        want = same_cohort_outcome(path, domains)
+        assert isinstance(want, Cohort) == reads, want
+        if defect == "tiny-row":
+            assert want == (NormUnderflow, "vector norm 1.6e-13 <= 1e-12")
+
+    @pytest.mark.parametrize("domains", COHORT_DOMAINS + [None])
+    def test_clean_file(self, tmp_path, rng, domains):
+        path = tmp_path / "cohort.tsv"
+        write_lines(path, cohort_lines(rng))
+        cohort = same_cohort_outcome(path, domains)
+        # m1 is kept whole with DEEPMINE, m2 with VOX
+        expected = {
+            None: ("d1", "v1", "l1", "d2", "m1", "m2"),
+            Domain.DEEPMINE: ("d1", "d2", "m1"),
+            Domain.VOX: ("v1", "l1", "m2"),
+        }
+        assert cohort.speaker_ids == expected[domains and domains[0]]
+        if domains == [Domain.DEEPMINE]:
+            table = formats.read_embeddings(path)
+            m1 = table[[6, 8]]
+            assert (cohort.means[2] == Cohort.from_embeddings(m1).means[0]).all()
+
+    @pytest.mark.parametrize(
+        ("first", "second", "message"),
+        [
+            (("malformed", 4), ("field-count", 7), "malformed vector in embeddings row 'u4'"),
+            (("field-count", 4), ("malformed", 7), "embeddings row needs 5 fields, got 4"),
+            (("tiny-row", 4), ("zero-row", 2), "vector norm 0 <= 1e-12"),  # the smallest norm
+            (("zero-row", 4), ("tiny-row", 2), "vector norm 0 <= 1e-12"),
+            (("nan", 7), ("empty-utt-id", 1), "vector contains non-finite entries"),
+            (("empty-utt-id", 1), ("unknown-language", 7), "unknown Language 'KLINGON'"),
+        ],
+    )
+    def test_two_defects(self, tmp_path, rng, first, second, message):
+        lines = cohort_lines(rng)
+        for defect, row in (first, second):
+            lines[row] = COHORT_DEFECTS[defect][0](lines[row])
+        path = tmp_path / "cohort.tsv"
+        write_lines(path, lines)
+        for domains in COHORT_DOMAINS:  # row 4 is dropped in one, kept in the other
+            assert same_cohort_outcome(path, domains)[1].startswith(message)
+
+    def test_no_kept_speaker(self, tmp_path, rng):
+        lines = [f for f in cohort_lines(rng) if f[2] != "DEEPMINE"]
+        path = tmp_path / "cohort.tsv"
+        write_lines(path, lines)
+        want = same_cohort_outcome(path, [Domain.DEEPMINE])
+        assert want == (EmptySet, "no cohort speakers left for domains DEEPMINE")
+        assert same_cohort_outcome(path, []) == (EmptySet, "no cohort speakers left for domains ")
+
+    @pytest.mark.parametrize("domains", COHORT_DOMAINS + [None])
+    def test_binary_file(self, tmp_path, rng, domains):
+        text, binary = tmp_path / "cohort.tsv", tmp_path / "cohort.sveb"
+        write_lines(text, cohort_lines(rng))
+        formats.write_embeddings_binary(binary, formats.read_embeddings(text))
+        assert isinstance(same_cohort_outcome(binary, domains), Cohort)
+
+    def test_binary_file_with_a_zero_row(self, tmp_path, rng):
+        lines = cohort_lines(rng)
+        lines[4] = COHORT_DEFECTS["zero-row"][0](lines[4])
+        text, binary = tmp_path / "cohort.tsv", tmp_path / "cohort.sveb"
+        write_lines(text, lines)
+        formats.write_embeddings_binary(binary, formats.read_embeddings(text))
+        assert same_cohort_outcome(binary, [Domain.DEEPMINE])[0] is NormUnderflow
 
 
 class TestFiniteShapeRule:

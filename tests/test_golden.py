@@ -1,4 +1,5 @@
-"""Golden bytes: literal sha256 digests of small synth corpora and manifests.
+"""Golden bytes: literal sha256 digests of small synth corpora, manifests and
+evaluation-chain outputs.
 
 Criterion 11 checks that two runs on one machine agree.  These digests
 check the stronger guarantee, that a seed reproduces the same bytes on any
@@ -109,3 +110,61 @@ def test_tie_heavy_manifest_bytes(corpora, tmp_path):
     ]  # fmt: skip
     assert main(argv) == 0
     assert hashlib.sha256((tmp_path / "m.tsv").read_bytes()).hexdigest() == TIE_MANIFEST
+
+
+# (corpus, score mode, --cohort-domains) -> digests of the evaluation chain:
+# lid-train, lid-classify, alpha and score, with --top-n 4 for alpha and score
+# (both corpora share the prototypes, so gb.json and alpha.tsv agree)
+GB_MODEL = "50b7a48db761391942906e2fe132817fbc3757875d26cbaebdf76657e28ff8af"
+ALPHA = "60175f41bd3887c281f1ed40ab5c427234fca4136bfef6423e476c75c19cd43c"
+TEXT_LID = "3c2c61fc74e9f8422ce671e7c0d6ffb6fddd086f17151c6ab12f0bbcc3b9c1ff"
+EVALUATION = {
+    ("text", "snorm-lid", "DEEPMINE"): {
+        "gb.json": GB_MODEL,
+        "lid.tsv": TEXT_LID,
+        "alpha.tsv": ALPHA,
+        "scores.tsv": "a5f24beb6bd64ff98189a879d30c55a01d1745f668e9d97cbd7259f8158e6ee1",
+    },
+    ("binary", "snorm-lid", "DEEPMINE"): {
+        "gb.json": GB_MODEL,
+        "lid.tsv": "5b08893bcccd5b1a0fc3bd167fd16efcd1631d25dbea5a089d60d84117293817",
+        "alpha.tsv": ALPHA,
+        "scores.tsv": "4f9800e1eeaaf7287e064a8431b6bf8d7316352572cfd014e7d110259099c993",
+    },
+    ("text", "snorm", None): {
+        "gb.json": GB_MODEL,
+        "lid.tsv": TEXT_LID,
+        "alpha.tsv": ALPHA,
+        "scores.tsv": "12585fdede9a174407c547f4f98a97261198dd1e42afb057b74b307ab1a57b0d",
+    },
+}
+
+
+def evaluate(tmp_path, corpus, mode, domains):
+    train = next(corpus.glob("train_embeddings.*"))
+    out = {name: tmp_path / name for name in ("gb.json", "lid.tsv", "alpha.tsv", "scores.tsv")}
+    protos = ["--prototypes", str(corpus / "prototypes.tsv")]
+    assert main(["lid-train", *protos, "--out", str(out["gb.json"])]) == 0
+    assert main(
+        ["lid-classify", "--model", str(out["gb.json"]),
+         "--embeddings", str(corpus / "eval_embeddings.tsv"), "--out", str(out["lid.tsv"])]
+    ) == 0  # fmt: skip
+    assert main(["alpha", *protos, "--top-n", "4", "--out", str(out["alpha.tsv"])]) == 0
+    argv = [
+        "score", "--embeddings", str(corpus / "eval_embeddings.tsv"),
+        "--trials", str(corpus / "trials.tsv"), "--enroll", str(corpus / "enroll.tsv"),
+        "--cohort-embeddings", str(train), "--mode", mode, "--top-n", "4",
+        "--out", str(out["scores.tsv"]),
+    ]  # fmt: skip
+    if domains is not None:
+        argv += ["--cohort-domains", domains]
+    if mode == "snorm-lid":
+        argv += ["--lid", str(out["lid.tsv"]), "--alpha", str(out["alpha.tsv"])]
+    assert main(argv) == 0
+    return {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in out.items()}
+
+
+@pytest.mark.parametrize(("corpus", "mode", "domains"), list(EVALUATION))
+def test_evaluation_chain_bytes(corpora, tmp_path, corpus, mode, domains):
+    directory = corpora[("text", "binary").index(corpus)]
+    assert evaluate(tmp_path, directory, mode, domains) == EVALUATION[corpus, mode, domains]
