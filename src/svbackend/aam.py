@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GradSingularity, IndexOutOfRange, ValidationError
 from .prototypes import PrototypeMatrix
-from .vecmath import unit_rows
+from .vecmath import row_norms, unit_rows
 
 #: Cosines are clamped to +/-(1 - COS_CLAMP) before the margin identity;
 #: the sqrt in sin(theta) is singular at +/-1.
@@ -81,7 +81,7 @@ def _prepare(batch: LabeledBatch, protos: PrototypeMatrix):
     if np.any(batch.labels >= protos.count):
         raise IndexOutOfRange("speaker label outside prototype matrix")
     x = batch.embeddings
-    x_norms = np.sqrt(np.sum(x * x, axis=1))
+    x_norms = row_norms(x)
     xhat = unit_rows(x)
     what = protos.unit_rows  # (N, D)
     cos = xhat @ what.T  # (n, N)
@@ -155,8 +155,7 @@ def aam_grad(
     grad_x = (gc @ what - row_dot[:, None] * xhat) / x_norms[:, None]
 
     # d cos_ij / d w_j = (x_hat_i - cos_ij w_hat_j) / |w_j|
-    w_rows = np.ascontiguousarray(protos.w.T)  # C order: pairwise row sums, as for x_norms
-    w_norms = np.sqrt(np.sum(w_rows * w_rows, axis=1))
+    w_norms = row_norms(protos.w.T)
     col_dot = np.sum(gc * c, axis=0)
     grad_w_rows = (gc.T @ xhat - col_dot[:, None] * what) / w_norms[:, None]
     return grad_x, grad_w_rows.T

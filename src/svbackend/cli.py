@@ -23,7 +23,7 @@ from .metrics import eer, min_dcf
 from .planner import PlannerConfig, UtteranceInventory, plan_pass_balanced, plan_pass_broad
 from .prototypes import PrototypeMatrix, SpeakerInfo, similarity_matrix
 from .scores import ScoreSet
-from .scoring import ScoringMode, score_trials
+from .scoring import DEFAULT_TOP_N, ScoringMode, score_trials
 from .synth import CorpusSpec, generate_corpus
 from .vecmath import Domain, Language
 
@@ -77,9 +77,9 @@ def cmd_synth(args) -> None:
     )
 
 
-def cmd_plan_batches(args, parser: argparse.ArgumentParser) -> None:
+def cmd_plan_batches(args) -> None:
     if args.passes < 1:
-        parser.error(f"argument --passes: must be >= 1, got {args.passes}")
+        raise ParamInvalid(f"argument --passes: must be >= 1, got {args.passes}")
     protos = formats.read_prototypes(args.prototypes)
     ids = formats.read_embedding_ids(args.embeddings)
     inventory = UtteranceInventory.from_embeddings(ids, protos)
@@ -106,11 +106,11 @@ def cmd_plan_batches(args, parser: argparse.ArgumentParser) -> None:
     print(f"wrote {total} batches over {args.passes} pass(es) to {args.out}")
 
 
-def cmd_aam_check(args, parser: argparse.ArgumentParser) -> None:
+def cmd_aam_check(args) -> None:
     if args.instances < 1:
-        parser.error(f"argument --instances: must be >= 1, got {args.instances}")
+        raise ParamInvalid(f"argument --instances: must be >= 1, got {args.instances}")
     if not args.tolerance >= 0:
-        parser.error(f"argument --tolerance: must be >= 0, got {args.tolerance}")
+        raise ParamInvalid(f"argument --tolerance: must be >= 0, got {args.tolerance}")
     if args.prototypes and args.embeddings:
         cfg = AamConfig(margin=args.margin, scale=args.scale)
         protos = formats.read_prototypes(args.prototypes)
@@ -181,14 +181,14 @@ def cmd_alpha(args) -> None:
     print(f"alpha={offset.alpha!r}")
 
 
-def cmd_score(args, parser: argparse.ArgumentParser) -> None:
+def cmd_score(args) -> None:
     mode = ScoringMode(args.mode)
     if mode is not ScoringMode.RAW and not args.cohort_embeddings:
-        parser.error(f"--mode {args.mode} requires --cohort-embeddings")
+        raise ParamInvalid(f"--mode {args.mode} requires --cohort-embeddings")
     if mode is ScoringMode.SNORM_LID and not args.lid:
-        parser.error("--mode snorm-lid requires --lid decisions")
+        raise ParamInvalid("--mode snorm-lid requires --lid decisions")
     if mode is ScoringMode.SNORM_LID and not args.alpha:
-        parser.error("--mode snorm-lid requires --alpha")
+        raise ParamInvalid("--mode snorm-lid requires --alpha")
     if args.cohort_domains == []:
         names = ",".join(d.value for d in Domain)
         raise ParamInvalid(f"--cohort-domains names no domain (choose from {names})")
@@ -233,10 +233,10 @@ def cmd_calibrate(args) -> None:
     print(f"calibration a={model.a!r} b={model.b!r}")
 
 
-def cmd_fuse(args, parser: argparse.ArgumentParser) -> None:
+def cmd_fuse(args) -> None:
+    if len(args.weights) != len(args.scores):
+        raise ParamInvalid(f"{len(args.weights)} weights for {len(args.scores)} score files")
     sets = [formats.read_scores(p) for p in args.scores]
-    if len(args.weights) != len(sets):
-        parser.error(f"{len(args.weights)} weights for {len(sets)} score files")
     fused = fuse(sets, args.weights)
     formats.write_scores(args.out, fused)
     print(f"fused {len(sets)} systems over {len(fused)} trials to {args.out}")
@@ -275,21 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0, help="corpus seed")
     p.add_argument("--dim", type=int, default=16, help="embedding dimension")
-    p.add_argument("--vox", type=int, default=50, help="VOX training speakers (default 50)")
-    p.add_argument("--libri", type=int, default=25, help="LIBRI training speakers (default 25)")
-    p.add_argument(
-        "--deepmine", type=int, default=60, help="DEEPMINE training speakers (default 60)"
-    )
-    p.add_argument(
-        "--eval-speakers", type=int, default=25, help="held-out trial speakers (default 25)"
-    )
+    p.add_argument("--vox", type=int, default=50, help="VOX training speakers")
+    p.add_argument("--libri", type=int, default=25, help="LIBRI training speakers")
+    p.add_argument("--deepmine", type=int, default=60, help="DEEPMINE training speakers")
+    p.add_argument("--eval-speakers", type=int, default=25, help="held-out trial speakers")
     p.add_argument("--utts-min", type=int, default=6, help="min utterances per speaker")
     p.add_argument("--utts-max", type=int, default=10, help="max utterances per speaker")
     p.add_argument("--enroll-utts", type=int, default=3, help="enrollment utterances per model")
     p.add_argument("--concentration", type=float, default=10.0, help="within-speaker concentration (inverse noise)")
-    p.add_argument(
-        "--shift", type=float, default=0.8, help="cross-language offset magnitude (default 0.8)"
-    )
+    p.add_argument("--shift", type=float, default=0.8, help="cross-language offset magnitude")
     p.add_argument("--english-fraction", type=float, default=0.5, help="fraction of English test utterances")
     p.add_argument("--targets", type=int, default=150, help="target trials")
     p.add_argument("--nontargets", type=int, default=1500, help="nontarget trials")
@@ -316,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="similarity snapshot tag recorded in the manifest",
     )
-    p.set_defaults(func=cmd_plan_batches, needs_parser=True)
+    p.set_defaults(func=cmd_plan_batches)
 
     p = sub.add_parser("aam-check", **sub_kwargs, help="margin-loss self-test / desk-scale loss oracle")
     p.add_argument("--seed", type=int, default=0, help="instance seed")
@@ -326,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-4, help="max allowed relative gradient error (>= 0)")
     p.add_argument("--prototypes", help="with --embeddings: print the loss on this batch")
     p.add_argument("--embeddings")
-    p.set_defaults(func=cmd_aam_check, needs_parser=True)
+    p.set_defaults(func=cmd_aam_check)
 
     p = sub.add_parser("lid-train", **sub_kwargs, help="train the Gaussian language backend on prototypes")
     p.add_argument("--prototypes", required=True)
@@ -335,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--interpolation-weight",
         type=float,
         default=0.75,
-        help="English mean = w*mu_USA + (1-w)*mu_FA (default 0.75)",
+        help="English mean = w*mu_USA + (1-w)*mu_FA",
     )
     p.add_argument("--diagonal", action="store_true", help="diagonal shared covariance")
     p.set_defaults(func=cmd_lid_train)
@@ -350,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", **sub_kwargs, help="estimate the cross-language offset on prototypes")
     p.add_argument("--prototypes", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--top-n", type=int, default=40, help="imposter scores kept per prototype")
+    p.add_argument("--top-n", type=int, default=DEFAULT_TOP_N, help="imposter scores kept per prototype")
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("score", **sub_kwargs, help="score verification trials")
@@ -363,17 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cohort-domains",
         type=_domain_list,
-        help="comma-separated domains to keep in the cohort (default: all)",
+        help="comma-separated domains to keep in the cohort (all when not given)",
     )
     p.add_argument("--alpha", help="language offset file (snorm-lid mode)")
     p.add_argument("--lid", help="language decisions file (snorm-lid mode)")
-    p.add_argument("--top-n", type=int, default=40, help="imposter scores kept per side")
-    p.set_defaults(func=cmd_score, needs_parser=True)
+    p.add_argument("--top-n", type=int, default=DEFAULT_TOP_N, help="imposter scores kept per side")
+    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("calibrate", **sub_kwargs, help="fit and apply logistic-regression calibration")
     p.add_argument("--scores", required=True, help="labeled score file to fit on")
     p.add_argument("--model-out", required=True)
-    p.add_argument("--apply-to", help="score file to calibrate (default: the fit input)")
+    p.add_argument("--apply-to", help="score file to calibrate (the fit input when not given)")
     p.add_argument("--out", help="calibrated score file")
     p.set_defaults(func=cmd_calibrate)
 
@@ -381,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, nargs="+")
     p.add_argument("--weights", required=True, type=_weights, help="comma-separated, e.g. 1,1,2,2,2")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fuse, needs_parser=True)
+    p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("eval", **sub_kwargs, help="EER and MinDCF of a labeled score file")
     p.add_argument("--scores", required=True)
@@ -403,10 +397,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        if getattr(args, "needs_parser", False):
-            args.func(args, parser)
-        else:
-            args.func(args)
+        args.func(args)
     except PipelineError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

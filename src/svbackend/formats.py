@@ -20,13 +20,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calibration import CalibrationModel
-from .errors import FormatError, ValidationError, VersionUnsupported
+from .errors import FormatError, VersionUnsupported
 from .lid import GaussianBackend
 from .planner import BatchManifest
 from .prototypes import PrototypeMatrix, SpeakerInfo
 from .scores import LABEL_NONTARGET, LABEL_TARGET, ScoreSet
 from .scoring import AlphaProvenance, Cohort, LanguageOffset
-from .vecmath import NORM_EPS, Domain, EmbeddingIds, EmbeddingTable, Language, check_row_norms
+from .vecmath import NORM_EPS, Domain, EmbeddingIds, EmbeddingTable, Language
+from .vecmath import check_columns, check_row_norms
 
 FORMAT_VERSIONS = {
     "embeddings": 1,
@@ -256,20 +257,21 @@ def write_embeddings_binary(path, table: EmbeddingTable):
         fh.write(records.tobytes())
 
 
-def read_embeddings_binary(path) -> EmbeddingTable:
+def _read_binary(path):
+    """The float32 (count, dim) vectors and the four id columns, checked."""
     p = Path(path)
     with open(p, "rb") as fh:
-        header = _utf8(fh.readline(), f"header of {p}")
-        _parse_header(header, "embeddings-bin")
-        payload = memoryview(fh.read())  # slices below are views, not copies
+        raw = fh.read()  # all at once: a read after a readline would copy the payload
+    end = raw.find(b"\n") + 1 or len(raw)
+    _parse_header(_utf8(raw[:end], f"header of {p}"), "embeddings-bin")
+    payload = memoryview(raw)[end:]  # slices below are views, not copies
 
     def take(n: int, what: str) -> bytes:
         nonlocal offset
         if offset + n > len(payload):
             raise FormatError(f"truncated binary embeddings file while reading {what}")
-        chunk = payload[offset : offset + n]
         offset += n
-        return chunk
+        return payload[offset - n : offset]
 
     offset = 0
     if take(4, "magic") != _BIN_MAGIC:
@@ -290,15 +292,15 @@ def read_embeddings_binary(path) -> EmbeddingTable:
     bad |= (rec["dom"] >= len(_DOMAINS)) | (rec["lang"] >= len(_LANGUAGES))
     if bad.any():
         raise FormatError(f"record {int(bad.argmax())} references a missing table entry")
+    tables = {"utt": strings, "spk": strings, "dom": _DOMAINS, "lang": _LANGUAGES}
+    return mat, *(tuple(values[i] for i in rec[c].tolist()) for c, values in tables.items())
+
+
+def read_embeddings_binary(path) -> EmbeddingTable:
+    mat, *columns = _read_binary(path)
     vectors = mat.astype(np.float64)
     vectors.setflags(write=False)
-    return EmbeddingTable(
-        utt_ids=[strings[i] for i in rec["utt"].tolist()],
-        speaker_ids=[strings[i] for i in rec["spk"].tolist()],
-        domains=[_DOMAINS[i] for i in rec["dom"].tolist()],
-        languages=[_LANGUAGES[i] for i in rec["lang"].tolist()],
-        vectors=vectors,
-    )
+    return EmbeddingTable(*columns, vectors)
 
 
 def _is_binary(path) -> bool:
@@ -366,19 +368,16 @@ class _TextScan:
         utts, speakers, domains, languages = list(zip(*self.heads)) or [()] * 4
         domains = _enum_column(Domain, domains, "embeddings")
         languages = _enum_column(Language, languages, "embeddings")
-        if not finite:
-            raise ValidationError("vector contains non-finite entries")
-        if not (all(utts) and all(speakers)):
-            raise ValidationError("utt_id and speaker_id must be non-empty")
+        check_columns(finite, utts, speakers)
         return utts, speakers, domains, languages
 
 
 def read_embedding_ids(path) -> EmbeddingIds:
     """The id columns of :func:`read_embeddings` after its checks, in its order,
-    and the writers' id check; text rows of finite value shapes stay unconverted."""
+    and the writers' id check, without building the float64 vectors."""
     if _is_binary(path):
-        table = read_embeddings_binary(path)
-        utts, speakers = table.utt_ids, table.speaker_ids
+        mat, utts, speakers, _, _ = _read_binary(path)
+        check_columns(np.isfinite(mat).all(), utts, speakers)
     else:
         scan = _TextScan(path)
         list(scan)  # keeps no row

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IndexOutOfRange, KTooLarge, ParamInvalid, ValidationError
-from .vecmath import Domain, Language, unit_rows
+from .vecmath import Domain, Language, pair_cosines, unit_rows
 
 
 class SpeakerInfo(NamedTuple):
@@ -82,8 +82,6 @@ class PrototypeMatrix:
 
 #: Anchor rows per block of :func:`top_similar`'s BLAS filter (larger raised peak RSS).
 TOP_BLOCK_ROWS = 64
-#: (anchor, candidate) pairs per exact-kernel chunk (64 or more raised peak RSS).
-TOP_PAIR_CHUNK = 32
 
 
 class SimilaritySnapshot(NamedTuple):
@@ -102,12 +100,12 @@ def similarity_matrix(p: PrototypeMatrix, epoch_tag: int = 0) -> SimilaritySnaps
 
 def top_similar(sim: SimilaritySnapshot, anchors, k: int) -> np.ndarray:
     """(len(anchors), k) int array: each anchor, then its k-1 most similar
-    other speakers by ``clip(np.sum(U[a] * U[j]), -1, 1)`` over the unit
-    rows U (bit for bit scalar ``cosine``), descending, ties by ascending
-    index.  Per block of TOP_BLOCK_ROWS anchors a clipped BLAS product
-    ``U[block] @ U.T`` filters: with t the (k-1)-th largest filtered value
-    of the others, those >= t - 2*delta (delta = 8*D*eps) are re-ranked by
-    (-exact kernel, index) in one sort per block.
+    other speakers by ``pair_cosines`` over the unit rows U (bit for bit
+    scalar ``cosine``), descending, ties by ascending index.  Per block of
+    TOP_BLOCK_ROWS anchors a clipped BLAS product ``U[block] @ U.T``
+    filters: with t the (k-1)-th largest filtered value of the others, those
+    >= t - 2*delta (delta = 8*D*eps) are re-ranked by (-exact kernel, index)
+    in one sort per block.
 
     Exactness.  Any floating-point D-term dot product (any order, blocking,
     threads, FMA) is within gamma_D * sum|u_i v_i| + D*2**-1074 of the real
@@ -142,11 +140,8 @@ def top_similar(sim: SimilaritySnapshot, anchors, k: int) -> np.ndarray:
         approx[np.arange(len(block)), block] = -np.inf
         floor = np.partition(approx, kth, axis=1)[:, kth] - window
         rows, cand = np.nonzero(approx >= floor[:, None])
-        exact = np.empty(len(rows))
-        for p in range(0, len(rows), TOP_PAIR_CHUNK):
-            pairs = slice(p, p + TOP_PAIR_CHUNK)
-            exact[pairs] = np.sum(u[block[rows[pairs]]] * u[cand[pairs]], axis=1)
-        order = np.lexsort((cand, -np.clip(exact, -1.0, 1.0), rows))
+        exact = pair_cosines(u, block[rows], u, cand)
+        order = np.lexsort((cand, -exact, rows))
         first = np.searchsorted(rows, np.arange(len(block)))  # rows ascend in both orders
         out[start : start + len(block), 1:] = cand[order[first[:, None] + np.arange(k - 1)]]
     return out

@@ -29,15 +29,11 @@ from .errors import (
 from .prototypes import PrototypeMatrix
 from .vecmath import cosine  # noqa: F401  (unused; perfbench counts calls via scoring.cosine)
 from .vecmath import Domain, EmbeddingTable, Language, average_embedding
-from .vecmath import check_row_norms, mean_of_units, unit_rows
+from .vecmath import check_row_norms, mean_of_units, pair_cosines, unit_rows
 
 log = logging.getLogger(__name__)
 
 DEFAULT_TOP_N = 40
-
-#: Trials per block of the raw-score kernel.  Its temporaries stay cache-sized
-#: (256 KB each at dim 256); 512-trial blocks measured 3-4x slower.
-TRIAL_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -251,14 +247,9 @@ def score_trials(
         ti[k] = test_row.setdefault(utt_id, len(test_row))
     test_vecs = table.vectors[[row_of(u) for u in test_row]]
 
-    # same pairwise-summation kernel and clip as scalar ``cosine``
     model_unit = unit_rows(model_vecs, table.dim)
     test_unit = unit_rows(test_vecs, table.dim)
-    raw = np.empty(n)
-    for s in range(0, n, TRIAL_CHUNK):
-        c = slice(s, s + TRIAL_CHUNK)
-        raw[c] = np.sum(model_unit[mi[c]] * test_unit[ti[c]], axis=1)
-    np.clip(raw, -1.0, 1.0, out=raw)
+    raw = pair_cosines(model_unit, mi, test_unit, ti)  # the kernel of ``cosine``
     if mode is ScoringMode.RAW:
         return raw
 

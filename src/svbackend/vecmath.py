@@ -4,10 +4,15 @@ All arithmetic runs in float64 regardless of how inputs were stored;
 normalization statistics and cost sweeps downstream are sensitive to
 accumulation error, so nothing here computes in float32.
 
-:func:`unit_rows` is the one place that divides a vector by its norm.  Exact
-dot products are numpy's pairwise ``np.sum`` over elementwise products, not
-BLAS: ``cosine``, the trial kernel and the speaker-similarity re-rank all
-use it row-wise, so their values agree bit for bit on the same vectors.
+:func:`unit_rows` is the one place that divides a vector by its norm.  The
+two exact row kernels are :func:`row_norms` (used by :func:`unit_rows`,
+:func:`check_row_norms` and the AAM loss and gradients) and
+:func:`pair_cosines` (used by :func:`cosine`, the raw trial scores of
+``scoring.score_trials`` and the re-rank of ``prototypes.top_similar``).
+Both take numpy's pairwise ``np.sum`` along each C-contiguous row, not
+BLAS, ``ROW_BLOCK`` rows at a time.  A row's sum does not depend on its
+block or its neighbours, so every caller gets the same bits for the same
+vectors.
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ from .errors import (
 #: Norm floor below which a vector counts as degenerate.  Far below any
 #: realistic embedding norm; flags only genuinely corrupt data.
 NORM_EPS = 1e-12
+
+#: Rows per block of :func:`row_norms` and :func:`pair_cosines`: keeps their
+#: (block, D) temporaries cache-sized (128 KB each at D = 256).
+ROW_BLOCK = 64
 
 
 class Domain(enum.Enum):
@@ -77,10 +86,7 @@ class EmbeddingTable:
         n = len(cols["utt_ids"])
         if vecs.ndim != 2 or len(vecs) != n or any(len(c) != n for c in cols.values()):
             raise DimensionMismatch(f"{n} utterance ids for vectors of shape {vecs.shape}")
-        if not np.isfinite(vecs).all():
-            raise ValidationError("vector contains non-finite entries")
-        if not (all(cols["utt_ids"]) and all(cols["speaker_ids"])):
-            raise ValidationError("utt_id and speaker_id must be non-empty")
+        check_columns(np.isfinite(vecs).all(), cols["utt_ids"], cols["speaker_ids"])
         vecs.setflags(write=False)
         for name, col in cols.items():
             object.__setattr__(self, name, col)
@@ -101,10 +107,19 @@ class EmbeddingTable:
         return self.vectors.shape[1]
 
 
+def check_columns(finite: bool, utt_ids, speaker_ids) -> None:
+    """The checks :class:`EmbeddingTable` makes after its shape check, in its
+    order: finite vectors, then non-empty ids (also run by id-only readers)."""
+    if not finite:
+        raise ValidationError("vector contains non-finite entries")
+    if not (all(utt_ids) and all(speaker_ids)):
+        raise ValidationError("utt_id and speaker_id must be non-empty")
+
+
 def unit_rows(vecs, dim: int | None = None) -> np.ndarray:
     """(n, dim) array of the vectors (a sequence or the rows of an array),
-    each divided by its Euclidean norm: the pairwise sum of squares along
-    the row, a correctly rounded sqrt and division, one pass for all.
+    each divided by its Euclidean norm from :func:`row_norms`, a correctly
+    rounded division.
 
     Raises:
         ValidationError: a non-finite entry.
@@ -121,31 +136,51 @@ def unit_rows(vecs, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"expected (n, {dim}) vectors, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValidationError("vector contains non-finite entries")
-    norms = np.sqrt(np.sum(x * x, axis=1))
-    if len(x) and norms.min() <= NORM_EPS:
-        raise NormUnderflow(f"vector norm {norms.min():g} <= {NORM_EPS:g}")
-    return x / norms[:, None]
+    return x / check_row_norms(x)[:, None]
 
 
-def check_row_norms(x: np.ndarray) -> None:
-    """Raise NormUnderflow as :func:`unit_rows` would on ``x``, from the same
-    sums of squares taken 256 rows at a time (no (n, D) temporary)."""
-    blocks = (x[r : r + 256] for r in range(0, len(x), 256))
-    low = min((np.sqrt(np.sum(b * b, axis=1)).min() for b in blocks), default=np.inf)
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of the (n, D) array ``x``: the pairwise sum
+    of squares along the row and a correctly rounded sqrt, taken over
+    C-contiguous blocks of ``ROW_BLOCK`` rows (no (n, D) temporary)."""
+    out = np.empty(len(x))
+    for s in range(0, len(x), ROW_BLOCK):
+        b = np.ascontiguousarray(x[s : s + ROW_BLOCK])
+        out[s : s + ROW_BLOCK] = np.sqrt(np.sum(b * b, axis=1))
+    return out
+
+
+def check_row_norms(x: np.ndarray) -> np.ndarray:
+    """The :func:`row_norms` of ``x``; raises NormUnderflow as :func:`unit_rows`
+    does when one is at or below ``NORM_EPS``."""
+    norms = row_norms(x)
+    low = norms.min(initial=np.inf)
     if low <= NORM_EPS:
         raise NormUnderflow(f"vector norm {low:g} <= {NORM_EPS:g}")
+    return norms
+
+
+def pair_cosines(a: np.ndarray, ia, b: np.ndarray, ib) -> np.ndarray:
+    """``clip(np.sum(a[ia] * b[ib], axis=1), -1, 1)``: the cosine of each
+    pair of unit rows ``a[ia[k]]``, ``b[ib[k]]``, ``ROW_BLOCK`` pairs at a time.
+
+    Clipped to [-1, 1]: the sum can overshoot by an ulp on (near-)parallel
+    vectors, and downstream consumers rely on the bound.
+    """
+    ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
+    out = np.empty(len(ia))
+    for s in range(0, len(ia), ROW_BLOCK):
+        pairs = slice(s, s + ROW_BLOCK)
+        out[pairs] = np.sum(a[ia[pairs]] * b[ib[pairs]], axis=1)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def cosine(a, b) -> float:
     """Cosine similarity ``<a,b> / (|a||b|)`` of two vectors, symmetric in its
-    arguments: both go through one :func:`unit_rows` call, then the pairwise
-    ``np.sum`` of their product.
-
-    Clipped to [-1, 1]: the raw quotient can overshoot by an ulp on
-    (near-)parallel vectors, and downstream consumers rely on the bound.
-    """
-    ua, ub = unit_rows([a, b])
-    return min(1.0, max(-1.0, float(np.sum(ua * ub))))
+    arguments: both go through one :func:`unit_rows` call, then
+    :func:`pair_cosines`."""
+    u = unit_rows([a, b])
+    return float(pair_cosines(u, [0], u, [1])[0])
 
 
 def average_embedding(vectors) -> np.ndarray:

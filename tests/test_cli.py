@@ -1,4 +1,7 @@
+import argparse
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -10,7 +13,7 @@ import pytest
 
 import svbackend
 from svbackend import formats
-from svbackend.cli import main
+from svbackend.cli import build_parser, main
 from svbackend.errors import FormatError, PipelineError
 from svbackend.metrics import eer, min_dcf
 from svbackend.scores import ScoreSet
@@ -50,6 +53,17 @@ def data_dir(tmp_path_factory):
 
 def run_ok(argv):
     assert main(argv) == 0
+
+
+def assert_param_invalid(rc, capsys, message):
+    """A usage error: exit 2 and one ``error: ParamInvalid:`` line holding
+    ``message``; returns what went to stdout."""
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ParamInvalid: "), err
+    assert message in err[0]
+    return captured.out
 
 
 class TestSynth:
@@ -188,16 +202,14 @@ class TestPlanBatches:
     @pytest.mark.parametrize("passes", ["0", "-2"])
     def test_passes_below_one_is_usage_error(self, data_dir, tmp_path, capsys, passes):
         out = tmp_path / "m.tsv"
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "plan-batches", "--prototypes", str(data_dir / "prototypes.tsv"),
-                    "--embeddings", str(data_dir / "train_embeddings.tsv"),
-                    "--out", str(out), "--passes", passes,
-                ]
-            )
-        assert exc.value.code == 2
-        assert "--passes: must be >= 1" in capsys.readouterr().err
+        rc = main(
+            [
+                "plan-batches", "--prototypes", str(data_dir / "prototypes.tsv"),
+                "--embeddings", str(data_dir / "train_embeddings.tsv"),
+                "--out", str(out), "--passes", passes,
+            ]
+        )
+        assert_param_invalid(rc, capsys, f"--passes: must be >= 1, got {passes}")
         assert not out.exists()
 
     def test_manifest_independent_of_blas_threads(self, tmp_path, rng):
@@ -275,11 +287,8 @@ class TestAamCheck:
         ],
     )
     def test_check_that_checks_nothing_is_usage_error(self, capsys, flag, value, message):
-        with pytest.raises(SystemExit) as exc:
-            main(["aam-check", f"{flag}={value}"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert message in captured.err and "gradient check" not in captured.out
+        rc = main(["aam-check", f"{flag}={value}"])
+        assert "gradient check" not in assert_param_invalid(rc, capsys, message)
 
 
 @pytest.fixture(scope="module")
@@ -379,26 +388,45 @@ class TestScore:
         assert ss.labeled
         assert len(ss) == 145
 
-    def test_snorm_lid_requires_lid_file(self, data_dir, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "score",
-                    "--embeddings",
-                    str(data_dir / "eval_embeddings.tsv"),
-                    "--trials",
-                    str(data_dir / "trials.tsv"),
-                    "--enroll",
-                    str(data_dir / "enroll.tsv"),
-                    "--cohort-embeddings",
-                    str(data_dir / "train_embeddings.tsv"),
-                    "--mode",
-                    "snorm-lid",
-                    "--out",
-                    str(tmp_path / "s.tsv"),
-                ]
-            )
-        assert exc.value.code == 2
+    @staticmethod
+    def score_without(pipeline_files, data_dir, out, mode, drop):
+        """``score --mode mode`` with every input file but ``drop``; returns its exit code."""
+        inputs = {
+            "--cohort-embeddings": data_dir / "train_embeddings.tsv",
+            "--lid": pipeline_files / "lid.tsv",
+            "--alpha": pipeline_files / "alpha.tsv",
+        }
+        argv = [
+            "score", "--mode", mode, "--out", str(out),
+            "--embeddings", str(data_dir / "eval_embeddings.tsv"),
+            "--trials", str(data_dir / "trials.tsv"), "--enroll", str(data_dir / "enroll.tsv"),
+        ]
+        for flag, path in inputs.items():
+            if flag != drop:
+                argv += [flag, str(path)]
+        return main(argv)
+
+    def test_snorm_lid_requires_lid_file(self, pipeline_files, data_dir, tmp_path, capsys):
+        out = tmp_path / "s.tsv"
+        rc = self.score_without(pipeline_files, data_dir, out, "snorm-lid", "--lid")
+        assert_param_invalid(rc, capsys, "--mode snorm-lid requires --lid decisions")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, drop, message",
+        [
+            ("snorm", "--cohort-embeddings", "--mode snorm requires --cohort-embeddings"),
+            ("snorm-lid", "--cohort-embeddings", "--mode snorm-lid requires --cohort-embeddings"),
+            ("snorm-lid", "--alpha", "--mode snorm-lid requires --alpha"),
+        ],
+    )
+    def test_mode_without_its_inputs_is_usage_error(
+        self, pipeline_files, data_dir, tmp_path, capsys, mode, drop, message
+    ):
+        out = tmp_path / "s.tsv"
+        rc = self.score_without(pipeline_files, data_dir, out, mode, drop)
+        assert_param_invalid(rc, capsys, message)
+        assert not out.exists()
 
     def test_raw_mode_needs_no_cohort(self, data_dir, tmp_path):
         out = tmp_path / "raw.tsv"
@@ -487,6 +515,17 @@ class TestCalibrateFuseEval:
         fused = formats.read_scores(out)
         original = formats.read_scores(pipeline_files / "scores.tsv")
         assert np.array_equal(fused.scores, original.scores)
+
+    @pytest.mark.parametrize("weights", ["1", "1,2,3"])
+    def test_fuse_weight_count_is_checked_before_reading(
+        self, pipeline_files, tmp_path, capsys, weights
+    ):
+        out = tmp_path / "fused.tsv"
+        scores = [str(pipeline_files / "scores.tsv"), str(tmp_path / "missing.tsv")]
+        rc = main(["fuse", "--scores", *scores, "--weights", weights, "--out", str(out)])
+        n = len(weights.split(","))
+        assert_param_invalid(rc, capsys, f"{n} weights for 2 score files")
+        assert not out.exists()
 
     def test_fuse_nondyadic_weights_stay_close(self, pipeline_files, tmp_path):
         out = tmp_path / "fused2.tsv"
@@ -838,6 +877,23 @@ class TestErrors:
         "string-count": lambda p: p[:66] + struct.pack("<I", 1 << 30) + p[70:],
     }
 
+    #: HOSTILE_BINARY, plus float32 payloads that ``read_embeddings`` rejects
+    #: only after converting them (the first value at payload bytes 18-21)
+    HOSTILE_BINARY_INVENTORY = {
+        **HOSTILE_BINARY,
+        "nan-value": lambda p: p[:18] + struct.pack("<f", float("nan")) + p[22:],
+        "inf-value": lambda p: p[:18] + struct.pack("<f", float("-inf")) + p[22:],
+    }
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_BINARY_INVENTORY))
+    def test_hostile_binary_inventory(self, data_dir, tmp_path, capsys, case):
+        path, head, payload = self.binary_file(tmp_path)
+        path.write_bytes(head + self.HOSTILE_BINARY_INVENTORY[case](payload))
+        line = self.assert_plans_as_read_embeddings(data_dir, tmp_path, capsys, path)
+        assert line is not None
+        if case.endswith("-value"):
+            assert line == "error: ValidationError: vector contains non-finite entries"
+
     @pytest.mark.parametrize("case", sorted(HOSTILE_BINARY))
     def test_hostile_binary_embeddings(self, data_dir, tmp_path, capsys, case):
         path, head, payload = self.binary_file(tmp_path)
@@ -890,3 +946,45 @@ class TestErrors:
 
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
+
+
+class TestUsage:
+    @staticmethod
+    def subcommands():
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return sorted(sub.choices)
+
+    def test_help_shows_each_default_once(self, capsys):
+        for name in self.subcommands():
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            # one entry per option: a line that starts with "  -" and its continuations
+            entries = re.split(r"\n  (?=-)", capsys.readouterr().out)
+            doubled = [e.split()[0] for e in entries if e.count("(default") > 1]
+            assert not doubled, (name, doubled)
+
+    def test_argparse_errors_name_the_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan-batches", "--no-such-option"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: svbackend plan-batches")
+        assert err[-1].startswith("svbackend plan-batches: error: ")
+
+    def test_readme_end_to_end_block_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("End-to-end on synthetic data:")[1].split("```bash\n")[1]
+        commands = block.split("```")[0].replace("\\\n", " ").splitlines()
+        assert len(commands) == 9
+        src = str(Path(svbackend.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        for command in commands:
+            argv = shlex.split(command)
+            assert argv[0] == "svbackend", command
+            proc = subprocess.run(
+                [sys.executable, "-m", "svbackend", *argv[1:]],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, (command, proc.stderr)
+        assert proc.stdout.startswith("eer="), proc.stdout

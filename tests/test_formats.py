@@ -236,6 +236,27 @@ class TestEmbeddingIds:
         assert len(ids.utt_ids) == n
         assert peak < n * dim * 8 / 4  # a quarter of one (n, D) float64 array
 
+    def test_binary_builds_no_float64_copy(self, tmp_path, rng):
+        n, dim = 2000, 256
+        path = tmp_path / "e.sveb"
+        formats.write_embeddings_binary(
+            path,
+            make_table(
+                make_embedding(f"u{k}", f"s{k % 50}", v)
+                for k, v in enumerate(rng.normal(size=(n, dim)))
+            ),
+        )
+        tracemalloc.start()
+        try:
+            ids = formats.read_embedding_ids(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = formats.read_embeddings(path)
+        assert ids == (table.utt_ids, table.speaker_ids) and len(table) == n
+        # the float32 payload is n * D * 4 bytes; a float64 copy would add n * D * 8
+        assert peak < 0.75 * n * dim * 8
+
 
 #: (speaker, Domain) of each row of the cohort fixture file.  Speaker m1's first
 #: row is DEEPMINE and a later one VOX; m2 is the reverse.

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from svbackend.errors import IndexOutOfRange, KTooLarge, NormUnderflow, ParamInvalid, ValidationError
-from svbackend.prototypes import TOP_BLOCK_ROWS, TOP_PAIR_CHUNK, similarity_matrix, top_similar
-from svbackend.vecmath import cosine
+from svbackend.prototypes import TOP_BLOCK_ROWS, similarity_matrix, top_similar
+from svbackend.vecmath import ROW_BLOCK, cosine
 
 from conftest import make_protos
 from oracles import l2_normalize, similarity_matrix_full, top_similar_full
@@ -298,7 +298,7 @@ class TestTopSimilarAgainstFullRows:
 
     def test_tie_group_spans_several_pair_chunks(self, rng):
         p = self.tie_group_protos(rng)
-        assert TOP_BLOCK_ROWS * 299 > 8 * TOP_PAIR_CHUNK
+        assert TOP_BLOCK_ROWS * 299 > 8 * ROW_BLOCK
         anchors = list(range(0, 320, 2)) + [299, 300, 0]
         for k in (2, 8, 299, 300, 301, 320):
             self.check(p, anchors, k)

@@ -17,7 +17,6 @@ from svbackend.errors import (
     ValidationError,
 )
 from svbackend.scoring import (
-    TRIAL_CHUNK,
     Cohort,
     LanguageOffset,
     ScoringMode,
@@ -26,7 +25,7 @@ from svbackend.scoring import (
     score_trials,
 )
 from svbackend.synth import CorpusSpec, generate_corpus
-from svbackend.vecmath import Domain, Language, average_embedding, cosine, unit_rows
+from svbackend.vecmath import ROW_BLOCK, Domain, Language, average_embedding, cosine, unit_rows
 
 from conftest import make_embedding, make_protos, make_table, rows_of
 from oracles import (
@@ -516,7 +515,7 @@ class TestScoreTrials:
 def differential_setup(rng, dim=8, n_distinct=10, copies=3, n_models=6, n_tests=110):
     """Trials scored against a cohort in which every vector appears
     ``copies`` times (exact ties at any top-N boundary) and which holds the
-    enrollment speakers of half the models; more trials than one chunk."""
+    enrollment speakers of half the models; trials span many ``ROW_BLOCK`` blocks."""
     cohort_embs = [
         make_embedding(f"c{i}-{c}", f"coh{i}-{c}", vec)
         for i, vec in enumerate(rng.normal(size=(n_distinct, dim)))
@@ -574,7 +573,7 @@ class TestScoreTrialsAgainstOracle:
 
     def test_ties_and_enrollment_speakers_over_several_chunks(self, rng):
         trials, enroll, embs, cohort, decisions = differential_setup(rng)
-        assert len(trials) > 1.2 * TRIAL_CHUNK
+        assert len(trials) > 2 * ROW_BLOCK
         assert set(cohort.speaker_ids) & {"spk0", "spk2", "spk4"}
         # top_n=5 over triplicated vectors: the boundary falls inside a tie
         self.check(trials, enroll, embs, cohort, decisions, top_n=5)

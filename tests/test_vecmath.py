@@ -11,12 +11,15 @@ from svbackend.errors import (
     ValidationError,
 )
 from svbackend.vecmath import (
+    ROW_BLOCK,
     Domain,
     EmbeddingTable,
     Language,
     average_embedding,
     check_row_norms,
     cosine,
+    pair_cosines,
+    row_norms,
     unit_rows,
 )
 
@@ -156,8 +159,8 @@ class TestUnitRows:
             unit_rows(x)
 
     def test_check_row_norms_agrees(self, rng):
-        # the check, in blocks of 256 rows, raises when unit_rows raises,
-        # with its message
+        # the check raises when unit_rows raises, with its message, also at
+        # the block boundaries of row_norms (256 = 4 * ROW_BLOCK)
         check_row_norms(np.empty((0, 3)))
         x = rng.normal(size=(700, 5))
         check_row_norms(x)
@@ -179,6 +182,51 @@ class TestUnitRows:
             unit_rows([1.0, 2.0])
         with pytest.raises(ValidationError):
             unit_rows([[1.0, math.nan]])
+
+
+class TestRowNorms:
+    """The one row-norm kernel against the whole-array sum it blocks."""
+
+    @pytest.mark.parametrize("n", [0, 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5])
+    def test_equals_whole_array_sum(self, rng, n):
+        x = rng.normal(size=(n, 256)) * rng.uniform(1e-6, 1e6, size=(n, 1))
+        got = row_norms(x)
+        assert got.shape == (n,) and got.dtype == np.float64
+        assert np.array_equal(got, np.sqrt(np.sum(x * x, axis=1)))
+
+    def test_transposed_input(self, rng):
+        w = rng.normal(size=(256, 3 * ROW_BLOCK + 5))  # D x N, as prototype columns
+        assert not w.T.flags.c_contiguous
+        rows = np.ascontiguousarray(w.T)
+        assert np.array_equal(row_norms(w.T), np.sqrt(np.sum(rows * rows, axis=1)))
+
+
+class TestPairCosines:
+    """The one exact cosine kernel against the scalar oracle."""
+
+    def test_equals_scalar_oracle_over_several_blocks(self, rng):
+        a, b = rng.normal(size=(40, 64)), rng.normal(size=(30, 64))
+        ia = rng.integers(0, 40, size=3 * ROW_BLOCK + 5)
+        ib = rng.integers(0, 30, size=3 * ROW_BLOCK + 5)
+        got = pair_cosines(unit_rows(a), ia, unit_rows(b), ib)
+        assert got.tolist() == [scalar_cosine(a[i], b[j]) for i, j in zip(ia, ib)]
+
+    def test_identical_and_opposite_rows_clip_to_one(self, rng):
+        while True:  # a unit row whose sum of squares overshoots 1
+            v = rng.normal(size=64)
+            u = unit_rows([v])
+            if np.sum(u[0] * u[0]) > 1.0:
+                break
+        rows = unit_rows([v, -v])
+        got = pair_cosines(rows, [0, 0, 1, 1], rows, [0, 1, 0, 1])
+        assert got.tolist() == [1.0, -1.0, -1.0, 1.0]
+        assert got.tolist() == [scalar_cosine(p, q) for p in (v, -v) for q in (v, -v)]
+
+    def test_empty_index_arrays(self, rng):
+        u = unit_rows(rng.normal(size=(3, 8)))
+        for empty in ([], np.array([], dtype=np.int64)):
+            got = pair_cosines(u, empty, u, empty)
+            assert got.shape == (0,) and got.dtype == np.float64
 
 
 class TestEmbeddingType:
