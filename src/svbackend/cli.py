@@ -20,7 +20,8 @@ from .calibration import apply_calibration, fit_calibration, fuse
 from .errors import NumericalError, ParamInvalid, PipelineError
 from .lid import adapt_english_mean, classify, train_gb
 from .metrics import eer, min_dcf
-from .planner import PlannerConfig, UtteranceInventory, plan_pass_balanced, plan_pass_broad
+from .planner import PlannerConfig, UtteranceInventory, philox_rng
+from .planner import plan_pass_balanced, plan_pass_broad
 from .prototypes import PrototypeMatrix, SpeakerInfo, similarity_matrix
 from .scores import ScoreSet
 from .scoring import DEFAULT_TOP_N, ScoringMode, score_trials
@@ -121,7 +122,7 @@ def cmd_aam_check(args) -> None:
         )
         print(f"loss on {batch.size} embeddings: {aam_loss(batch, protos, cfg)!r}")
         return
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
+    rng = philox_rng(args.seed)
     worst = 0.0
     for _ in range(args.instances):
         n = int(rng.integers(2, 6))
@@ -263,13 +264,20 @@ def cmd_eval(args) -> None:
         )
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Shows each option's default in ``--help``, except where it has none."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svbackend",
         description="Speaker-verification scoring backend over embedding files.",
     )
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
-    sub_kwargs = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
+    sub_kwargs = {"formatter_class": _HelpFormatter}
 
     p = sub.add_parser("synth", **sub_kwargs, help="generate a deterministic synthetic corpus")
     p.add_argument("--out-dir", required=True)

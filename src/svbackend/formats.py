@@ -129,21 +129,6 @@ def _label(text: str, what: str) -> bool:
     return text == LABEL_TARGET
 
 
-def _vector_fields(path, fmt: str, n_fields: int, heads: list):
-    """The vector field of each row of ``n_fields`` tab-separated fields, after
-    its leading fields go to ``heads``; checks field count and dimension."""
-    dim = 0
-    for parts in _rows(path, fmt, fmt, n_fields):
-        n = parts[-1].count(",") + 1
-        dim = dim or n
-        if n != dim:
-            raise FormatError(
-                f"mixed dimensions: {fmt} row {parts[0]!r} has {n} values, earlier rows {dim}"
-            )
-        heads.append(parts[:-1])
-        yield parts[-1]
-
-
 def _floats(fields, heads: list, fmt: str) -> np.ndarray:
     """The values of the vector ``fields``, each converted by ``float``, as one
     flat float64 array; a malformed value names the row last in ``heads``."""
@@ -154,14 +139,70 @@ def _floats(fields, heads: list, fmt: str) -> np.ndarray:
         raise FormatError(f"malformed vector in {fmt} row {heads[-1][0]!r}") from None
 
 
-def _vector_rows(path, fmt: str, n_fields: int) -> tuple[list[tuple[str, ...]], np.ndarray]:
-    """The rows of :func:`_vector_fields`: one column per leading field, and the
-    vectors as one read-only (n, D) float64 array filled by ``float``."""
+_ZERO_DIGITS = str.maketrans("123456789", "000000000")
+#: Shapes (digits 1-9 mapped to 0) of decimals that ``float`` parses to a finite
+#: value, |x| <= 1e116: every ``repr`` of a float64 with |x| < 1e100 has one.
+_FINITE_SHAPE = re.compile(r"-?0{1,17}(\.0+)?(e-0+|e\+00?)?")
+
+
+def _vector_scan(path, fmt: str, n_fields: int, convert=lambda head: True):
+    """The one pass over the rows of a text vector file, each of ``n_fields``
+    tab-separated fields, checking field count and dimension on every row.
+
+    Returns ``(heads, rows, values, later)``: the leading fields of every row;
+    the indices of the rows whose leading fields ``convert`` picks, and their
+    values through ``float`` in one flat float64 array; and the vector fields
+    of the other rows that the caller must still convert.  Such a row stays
+    unconverted while its values have the digit shapes of finite floats seen
+    before; a new shape goes through ``float`` (FormatError if malformed).  It
+    goes to ``later`` if it holds a non-finite value or its first value does
+    not bound its norm above ``NORM_EPS``.
+    """
     heads: list[list[str]] = []
-    flat = _floats(_vector_fields(path, fmt, n_fields, heads), heads, fmt)
-    flat = flat.reshape(len(heads), -1 if heads else 0)
-    flat.setflags(write=False)
-    return list(zip(*heads)) or [()] * (n_fields - 1), flat
+    rows: list[int] = []
+    later: list[str] = []
+
+    def picked():
+        dim, shapes = 0, set()
+        for parts in _rows(path, fmt, fmt, n_fields):
+            vec = parts[-1]
+            n = vec.count(",") + 1
+            dim = dim or n
+            if n != dim:
+                raise FormatError(
+                    f"mixed dimensions: {fmt} row {parts[0]!r} has {n} values, earlier rows {dim}"
+                )
+            heads.append(parts[:-1])
+            if convert(heads[-1]):
+                rows.append(len(heads) - 1)
+                yield vec
+                continue
+            new = set(vec.translate(_ZERO_DIGITS).split(",")) - shapes
+            finite = all(map(_FINITE_SHAPE.fullmatch, new))
+            if finite:
+                shapes |= new
+            else:
+                finite = np.isfinite(_floats([vec], heads, fmt)).all()
+            # a norm is at least |first value|, so a first value above
+            # 2 * NORM_EPS rules out NormUnderflow
+            if not finite or abs(float(vec.partition(",")[0])) <= 2 * NORM_EPS:
+                later.append(vec)
+
+    return heads, rows, _floats(picked(), heads, fmt), later
+
+
+def _columns(heads, fmt: str) -> list:
+    """One column per leading field of the ``heads`` rows, the last two (Domain,
+    then Language) converted; no rows give the four columns of embeddings."""
+    *ids, domains, languages = list(zip(*heads)) or [()] * 4
+    return [*ids, _enum_column(Domain, domains, fmt), _enum_column(Language, languages, fmt)]
+
+
+def _matrix(values: np.ndarray, n: int) -> np.ndarray:
+    """The flat ``values`` of ``n`` rows as a read-only (n, D) array."""
+    values = values.reshape(n, -1 if n else 0)
+    values.setflags(write=False)
+    return values
 
 
 def _data_lines(path, fmt: str, keep: tuple[str, ...] = ()):
@@ -210,11 +251,9 @@ def write_embeddings_text(path, table: EmbeddingTable):
 
 
 def read_embeddings_text(path) -> EmbeddingTable:
-    (utts, speakers, domains, languages), vectors = _vector_rows(path, "embeddings", 5)
-    domains = _enum_column(Domain, domains, "embeddings")
-    return EmbeddingTable(
-        utts, speakers, domains, _enum_column(Language, languages, "embeddings"), vectors
-    )
+    """Every row of the file through :func:`_vector_scan`, converted."""
+    heads, _, values, _ = _vector_scan(path, "embeddings", 5)
+    return EmbeddingTable(*_columns(heads, "embeddings"), _matrix(values, len(heads)))
 
 
 # -- embeddings (binary) ------------------------------------------------------
@@ -313,75 +352,21 @@ def read_embeddings(path) -> EmbeddingTable:
     return (read_embeddings_binary if _is_binary(path) else read_embeddings_text)(path)
 
 
-_ZERO_DIGITS = str.maketrans("123456789", "000000000")
-#: Shapes (digits 1-9 mapped to 0) of decimals that ``float`` parses to a finite
-#: value, |x| <= 1e116: every ``repr`` of a float64 with |x| < 1e100 has one.
-_FINITE_SHAPE = re.compile(r"-?0{1,17}(\.0+)?(e-0+|e\+00?)?")
 _DOMAIN_OF = {d.value: d for d in Domain}
-
-
-class _TextScan:
-    """One pass over a text embeddings file that makes the checks of
-    :func:`read_embeddings_text` on every row, converting with ``float`` only
-    where it must.
-
-    Iterating yields the vector field of each row of a kept speaker, one whose
-    first row's Domain is in ``keep``, for the caller to convert; the row's
-    index goes to ``kept``.  The leading fields of every row go to ``heads``.
-    Any other row stays unconverted while its values have the digit shapes of
-    finite floats seen before; a row with a new shape goes through ``float``
-    (FormatError if malformed).  An unconverted row the caller must convert
-    after all goes to ``later``: one with a non-finite value and, with ``keep``
-    given, one whose first value does not bound its norm above ``NORM_EPS``.
-    """
-
-    def __init__(self, path, keep=None):
-        self.path, self.keep = path, keep
-        self.heads: list[list[str]] = []
-        self.kept: list[int] = []
-        self.later: list[str] = []
-
-    def __iter__(self):
-        shapes, speakers = set(), {}
-        for vec in _vector_fields(self.path, "embeddings", 5, self.heads):
-            if self.keep is not None:
-                _, spk, dom, _ = self.heads[-1]
-                if speakers.setdefault(spk, _DOMAIN_OF.get(dom) in self.keep):
-                    self.kept.append(len(self.heads) - 1)
-                    yield vec
-                    continue
-            new = set(vec.translate(_ZERO_DIGITS).split(",")) - shapes
-            finite = all(map(_FINITE_SHAPE.fullmatch, new))
-            if finite:
-                shapes |= new
-            else:
-                finite = np.isfinite(_floats([vec], self.heads, "embeddings")).all()
-            # a norm is at least |first value|, so a first value above
-            # 2 * NORM_EPS rules out NormUnderflow
-            low = self.keep is not None and abs(float(vec.partition(",")[0])) <= 2 * NORM_EPS
-            if low or not finite:
-                self.later.append(vec)
-
-    def columns(self, finite: bool):
-        """The utt, speaker, Domain and Language columns of every row, after the
-        checks :class:`EmbeddingTable` would make, in its order."""
-        utts, speakers, domains, languages = list(zip(*self.heads)) or [()] * 4
-        domains = _enum_column(Domain, domains, "embeddings")
-        languages = _enum_column(Language, languages, "embeddings")
-        check_columns(finite, utts, speakers)
-        return utts, speakers, domains, languages
 
 
 def read_embedding_ids(path) -> EmbeddingIds:
     """The id columns of :func:`read_embeddings` after its checks, in its order,
-    and the writers' id check, without building the float64 vectors."""
+    and the writers' id check, without building the float64 vectors: on a text
+    file :func:`_vector_scan` converts no row, only its ``later`` ones."""
     if _is_binary(path):
         mat, utts, speakers, _, _ = _read_binary(path)
-        check_columns(np.isfinite(mat).all(), utts, speakers)
+        finite = np.isfinite(mat).all()
     else:
-        scan = _TextScan(path)
-        list(scan)  # keeps no row
-        utts, speakers, _, _ = scan.columns(finite=not scan.later)
+        heads, _, _, later = _vector_scan(path, "embeddings", 5, lambda head: False)
+        utts, speakers, _, _ = _columns(heads, "embeddings")
+        finite = np.isfinite(_floats(later, heads, "embeddings")).all()
+    check_columns(finite, utts, speakers)
     for r, (utt, spk) in enumerate(zip(utts, speakers)):
         _check_id(utt, f"embeddings row {r} utt_id")
         _check_id(spk, f"embeddings row {r} speaker_id")
@@ -390,24 +375,24 @@ def read_embedding_ids(path) -> EmbeddingIds:
 
 def read_cohort(path, domains=None) -> Cohort:
     """``Cohort.from_embeddings(read_embeddings(path), domains)``: the same
-    cohort or the same error.  On a text file with ``domains``, only the rows
-    of kept speakers go through ``float``; every other row is still checked
-    as :class:`_TextScan` describes, and joins the norm check only when its
-    first value does not bound its norm."""
+    cohort or the same error.  On a text file with ``domains``,
+    :func:`_vector_scan` converts the rows of each speaker whose first row's
+    Domain is in ``domains``; only its ``later`` rows join the norm check."""
     if domains is None or _is_binary(path):
         return Cohort.from_embeddings(read_embeddings(path), domains)
-    domains = tuple(domains)
-    scan = _TextScan(path, set(domains))
-    values = _floats(scan, scan.heads, "embeddings")
-    later = _floats(scan.later, scan.heads, "embeddings")
-    columns = scan.columns(finite=np.isfinite(values).all() and np.isfinite(later).all())
-    rows = scan.kept
-    if scan.later:  # every norm at or below NORM_EPS is among these rows
-        check_row_norms(np.concatenate([values, later]).reshape(len(rows) + len(scan.later), -1))
-    vectors = values.reshape(len(rows), -1 if rows else 0)
-    vectors.setflags(write=False)
-    table = EmbeddingTable(*([col[r] for r in rows] for col in columns), vectors)
-    return Cohort.from_embeddings(table, domains)
+    domains, kept = tuple(domains), {}
+
+    def convert(head):
+        return kept.setdefault(head[1], _DOMAIN_OF.get(head[2]) in domains)
+
+    heads, rows, values, later = _vector_scan(path, "embeddings", 5, convert)
+    later_values = _floats(later, heads, "embeddings")
+    columns = _columns(heads, "embeddings")
+    check_columns(np.isfinite(values).all() and np.isfinite(later_values).all(), *columns[:2])
+    if later:  # every norm at or below NORM_EPS is among these rows
+        check_row_norms(_matrix(np.concatenate([values, later_values]), len(rows) + len(later)))
+    picked = ([col[r] for r in rows] for col in columns)
+    return Cohort.from_embeddings(EmbeddingTable(*picked, _matrix(values, len(rows))), domains)
 
 
 # -- prototypes ---------------------------------------------------------------
@@ -423,12 +408,12 @@ def write_prototypes(path, protos: PrototypeMatrix):
 
 
 def read_prototypes(path) -> PrototypeMatrix:
-    (ids, domains, languages), vectors = _vector_rows(path, "prototypes", 4)
-    if not ids:
+    """Every row of the file through :func:`_vector_scan`, converted."""
+    heads, _, values, _ = _vector_scan(path, "prototypes", 4)
+    if not heads:
         raise FormatError("prototype file holds no rows")
-    domains = _enum_column(Domain, domains, "prototypes")
-    speakers = zip(ids, domains, _enum_column(Language, languages, "prototypes"))
-    return PrototypeMatrix(w=vectors.T, speakers=tuple(SpeakerInfo(*sp) for sp in speakers))
+    speakers = tuple(map(SpeakerInfo, *_columns(heads, "prototypes")))
+    return PrototypeMatrix(w=_matrix(values, len(heads)).T, speakers=speakers)
 
 
 # -- trials and enrollment map ------------------------------------------------

@@ -126,7 +126,7 @@ class BatchManifest:
         return anchors
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
+def philox_rng(seed: int, *key: int) -> np.random.Generator:
     """The Philox stream of ``key`` under ``seed`` (any int; taken mod 2**64).
     The planner's keys start with the pass id; ``synth`` keys by purpose."""
     ss = np.random.SeedSequence(entropy=int(seed) & _SEED_MASK, spawn_key=tuple(map(int, key)))
@@ -170,7 +170,7 @@ def _build_batches(
     batches = []
     entries: list[tuple[str, int]] = []
     for pos, group in enumerate(top_similar(sim, anchors, cfg.imposters_per_anchor).tolist()):
-        g_utts = _rng(cfg.seed, pass_id, _STREAM_UTTS, pos)
+        g_utts = philox_rng(cfg.seed, pass_id, _STREAM_UTTS, pos)
         if u == 1:
             picks = g_utts.integers(0, lens[group]).tolist()
             entries.extend((inv.utterances[s][i], s) for s, i in zip(group, picks))
@@ -209,7 +209,7 @@ def plan_pass_broad(
     wrapping to the start of the same permutation, so every batch is full.
     """
     n = _check_pass(cfg, sim, inv)
-    perm = _rng(cfg.seed, pass_id, _STREAM_ANCHORS).permutation(n)
+    perm = philox_rng(cfg.seed, pass_id, _STREAM_ANCHORS).permutation(n)
     return _build_batches(cfg, sim, inv, perm, pass_id)
 
 
@@ -240,7 +240,7 @@ def plan_pass_balanced(
         raise DomainTooSmall(
             f"out-of-domain pool has {len(pool)} speakers, need {f} to balance"
         )
-    g = _rng(cfg.seed, pass_id, _STREAM_ANCHORS)
+    g = philox_rng(cfg.seed, pass_id, _STREAM_ANCHORS)
     ood = pool[g.choice(len(pool), size=f, replace=False)]
     anchor_set = np.concatenate([np.array(targets, dtype=np.int64), ood])
     return _build_batches(cfg, sim, inv, anchor_set[g.permutation(2 * f)], pass_id)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -27,7 +28,9 @@ class ScoreSet:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        keys = tuple((str(m), str(t)) for m, t in self.keys)
+        keys = tuple(map(tuple, self.keys))  # a tuple key is kept, not rebuilt
+        if any(len(k) != 2 for k in keys) or not all(map(isinstance, chain(*keys), repeat(str))):
+            raise ValidationError("trial keys must be pairs of str ids")
         scores = np.asarray(self.scores, dtype=np.float64).copy()
         if scores.ndim != 1 or scores.shape[0] != len(keys):
             raise ValidationError("scores must be one float per trial key")

@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SpecInvalid
-from .planner import _rng
+from .planner import philox_rng
 from .prototypes import PrototypeMatrix, SpeakerInfo
 from .vecmath import Domain, EmbeddingTable, Language, unit_rows
 
@@ -106,12 +106,12 @@ class SyntheticCorpus:
 
 
 def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
-    g_shift = _rng(spec.seed, _STREAM_SHIFT)
-    g_speakers = _rng(spec.seed, _STREAM_SPEAKERS)
-    g_counts = _rng(spec.seed, _STREAM_COUNTS)
-    g_noise = _rng(spec.seed, _STREAM_NOISE)
-    g_lang = _rng(spec.seed, _STREAM_LANGUAGE)
-    g_trials = _rng(spec.seed, _STREAM_TRIALS)
+    g_shift = philox_rng(spec.seed, _STREAM_SHIFT)
+    g_speakers = philox_rng(spec.seed, _STREAM_SPEAKERS)
+    g_counts = philox_rng(spec.seed, _STREAM_COUNTS)
+    g_noise = philox_rng(spec.seed, _STREAM_NOISE)
+    g_lang = philox_rng(spec.seed, _STREAM_LANGUAGE)
+    g_trials = philox_rng(spec.seed, _STREAM_TRIALS)
 
     train_plan = [
         (Domain.VOX, "vox", spec.vox_speakers, Language.ENGLISH),

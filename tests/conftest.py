@@ -63,3 +63,29 @@ def rows_of(table):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _proto_value(token):
+    """An edit that puts ``token`` at the third value of a prototype row."""
+    return lambda f: f[:3] + [",".join([*f[3].split(",")[:2], token, *f[3].split(",")[3:]])]
+
+
+#: name -> edit of one prototype row's four fields (id, Domain, Language, vector)
+PROTOTYPE_DEFECTS = {
+    "malformed": _proto_value("0.1x"),
+    "nan": _proto_value("nan"),
+    "-inf": _proto_value("-inf"),
+    "mixed-dimensions": lambda f: f[:3] + [",".join(f[3].split(",")[1:])],
+    "field-count": lambda f: f[:2] + f[3:],
+    "unknown-domain": lambda f: [f[0], "MARS", *f[2:]],
+    "unknown-language": lambda f: [*f[:2], "KLINGON", f[3]],
+    "zero-row": lambda f: f[:3] + [",".join(["0.0"] * len(f[3].split(",")))],
+}
+
+
+def edit_prototype_row(text, k, defect):
+    """The prototype file ``text`` with data row ``k`` edited by ``PROTOTYPE_DEFECTS[defect]``."""
+    lines = text.splitlines(keepends=True)
+    fields = lines[1 + k].rstrip("\n").split("\t")
+    lines[1 + k] = "\t".join(PROTOTYPE_DEFECTS[defect](fields)) + "\n"
+    return "".join(lines)

@@ -382,7 +382,7 @@ def build_batches_loop(cfg, sim, inv, anchor_order, pass_id):
     anchors = np.resize(anchor_order, math.ceil(len(anchor_order) / a) * a)
     batches, entries = [], []
     for pos, anchor in enumerate(anchors.tolist()):
-        g_utts = planner._rng(cfg.seed, pass_id, planner._STREAM_UTTS, pos)
+        g_utts = planner.philox_rng(cfg.seed, pass_id, planner._STREAM_UTTS, pos)
         for spk in top_similar_full(s, anchor, cfg.imposters_per_anchor):
             for utt in planner.sample_utterances(inv, spk, cfg.utts_per_speaker, g_utts):
                 entries.append((utt, spk))

@@ -20,7 +20,13 @@ from svbackend.scores import ScoreSet
 from svbackend.scoring import Cohort
 from svbackend.vecmath import Domain, Language
 
-from conftest import make_embedding, make_protos, make_table
+from conftest import (
+    PROTOTYPE_DEFECTS,
+    edit_prototype_row,
+    make_embedding,
+    make_protos,
+    make_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +256,10 @@ class TestPlanBatches:
 class TestAamCheck:
     def test_random_selfcheck(self, capsys):
         run_ok(["aam-check", "--seed", "3", "--instances", "5"])
+        assert "max rel err" in capsys.readouterr().out
+
+    def test_negative_seed(self, capsys):
+        run_ok(["aam-check", "--seed", "-1", "--instances", "1"])
         assert "max rel err" in capsys.readouterr().out
 
     def test_on_files(self, data_dir, capsys):
@@ -944,6 +954,25 @@ class TestErrors:
         )
         assert "mixed dimensions" in assert_one_error_line(rc, capsys)
 
+    @pytest.mark.parametrize("case", sorted(PROTOTYPE_DEFECTS) + ["no-rows"])
+    def test_hostile_prototypes(self, data_dir, tmp_path, capsys, case):
+        text = (data_dir / "prototypes.tsv").read_text()
+        path, out = tmp_path / "p.tsv", tmp_path / "out.tsv"
+        path.write_text("#fmt:prototypes:1\n" if case == "no-rows" else edit_prototype_row(text, 3, case))
+        with pytest.raises(PipelineError) as exc:
+            formats.read_prototypes(path)
+        inventory = str(data_dir / "train_embeddings.tsv")
+        for argv in (
+            ["alpha", "--prototypes", str(path), "--out", str(out)],
+            ["lid-train", "--prototypes", str(path), "--out", str(out)],
+            ["plan-batches", "--prototypes", str(path), "--embeddings", inventory, "--out", str(out)],
+        ):
+            rc = main(argv)
+            err = capsys.readouterr().err.splitlines()
+            assert rc == exc.value.exit_code and rc in (3, 4), argv
+            assert err == [f"error: {type(exc.value).__name__}: {exc.value}"], argv
+            assert not out.exists()
+
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 
@@ -963,6 +992,8 @@ class TestUsage:
             entries = re.split(r"\n  (?=-)", capsys.readouterr().out)
             doubled = [e.split()[0] for e in entries if e.count("(default") > 1]
             assert not doubled, (name, doubled)
+            # an option without a default shows none
+            assert "(default: None)" not in " ".join(" ".join(entries).split()), name
 
     def test_argparse_errors_name_the_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -22,7 +22,7 @@ from svbackend.scoring import AlphaProvenance, Cohort, LanguageOffset
 from svbackend.synth import CorpusSpec, generate_corpus
 from svbackend.vecmath import Domain, Language
 
-from conftest import make_embedding, make_table, rows_of
+from conftest import PROTOTYPE_DEFECTS, edit_prototype_row, make_embedding, make_table, rows_of
 from oracles import read_embeddings_binary_rows, read_embeddings_text_rows
 
 SMALL = dict(
@@ -407,6 +407,19 @@ class TestReadCohort:
         assert same_cohort_outcome(binary, [Domain.DEEPMINE])[0] is NormUnderflow
 
 
+@pytest.mark.parametrize("row", [0, 4])
+@pytest.mark.parametrize("defect", sorted(COHORT_DEFECTS))
+def test_embedding_ids_on_cohort_defects(tmp_path, rng, defect, row):
+    """read_embedding_ids reads the ids of read_embeddings, or raises its error."""
+    lines = cohort_lines(rng)
+    lines[row] = COHORT_DEFECTS[defect][0](lines[row])
+    path = tmp_path / "cohort.tsv"
+    write_lines(path, lines)
+    want = outcome(lambda: formats.read_embeddings(path))
+    got = outcome(lambda: formats.read_embedding_ids(path))
+    assert got == (want if isinstance(want, tuple) else (want.utt_ids, want.speaker_ids))
+
+
 class TestFiniteShapeRule:
     """The digit shapes that the inventory reader accepts without ``float``."""
 
@@ -453,6 +466,36 @@ class TestPrototypes:
         back = formats.read_prototypes(path)
         assert back.speakers == corpus.prototypes.speakers
         assert np.array_equal(back.w, corpus.prototypes.w)
+
+    #: what read_prototypes raises on each PROTOTYPE_DEFECTS edit of row 3 ('vox003')
+    OUTCOMES = {
+        "malformed": (FormatError, "malformed vector in prototypes row 'vox003'"),
+        "nan": (ValidationError, "vector contains non-finite entries"),
+        "-inf": (ValidationError, "vector contains non-finite entries"),
+        "mixed-dimensions": (
+            FormatError,
+            "mixed dimensions: prototypes row 'vox003' has 15 values, earlier rows 16",
+        ),
+        "field-count": (FormatError, "prototypes row needs 4 fields, got 3"),
+        "unknown-domain": (FormatError, "unknown Domain 'MARS' in prototypes"),
+        "unknown-language": (FormatError, "unknown Language 'KLINGON' in prototypes"),
+        "zero-row": (NormUnderflow, "vector norm 0 <= 1e-12"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(PROTOTYPE_DEFECTS))
+    def test_hostile_row(self, corpus, tmp_path, defect):
+        path = tmp_path / "p.tsv"
+        formats.write_prototypes(path, corpus.prototypes)
+        path.write_text(edit_prototype_row(path.read_text(), 3, defect))
+        assert outcome(lambda: formats.read_prototypes(path)) == self.OUTCOMES[defect]
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_text("#fmt:prototypes:1\n# only a comment\n\n")
+        assert outcome(lambda: formats.read_prototypes(path)) == (
+            FormatError,
+            "prototype file holds no rows",
+        )
 
 
 class TestTrialsEnrollScores:

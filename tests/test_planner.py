@@ -339,8 +339,8 @@ class TestGroupSampling:
         ns = np.arange(1, 65)
         for seed in range(100):
             order = np.random.default_rng(seed).permutation(ns)
-            fast = planner._rng(seed, 0, 1, seed)
-            loop = planner._rng(seed, 0, 1, seed)
+            fast = planner.philox_rng(seed, 0, 1, seed)
+            loop = planner.philox_rng(seed, 0, 1, seed)
             got = fast.integers(0, order).tolist()
             assert got == [int(loop.choice(n, size=1, replace=False)[0]) for n in order]
             assert repr(fast.bit_generator.state) == repr(loop.bit_generator.state)
