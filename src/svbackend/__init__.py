@@ -18,7 +18,7 @@ from .planner import (
     plan_pass_broad,
     sample_utterances,
 )
-from .prototypes import PrototypeMatrix, SimilaritySnapshot, SpeakerInfo, similarity_matrix, top_similar
+from .prototypes import PrototypeMatrix, SimilaritySnapshot, similarity_matrix, top_similar
 from .scores import ScoreSet
 from .scoring import (
     Cohort,
@@ -50,7 +50,6 @@ __all__ = [
     "ScoreSet",
     "ScoringMode",
     "SimilaritySnapshot",
-    "SpeakerInfo",
     "SyntheticCorpus",
     "UtteranceInventory",
     "aam_grad",

@@ -1,7 +1,7 @@
 """Reference additive-angular-margin softmax loss and its analytic gradients.
 
 This is a desk-scale oracle, not a trainer: it pins down the exact
-semantics of the prototype columns (no biases, both sides L2-normalized)
+semantics of the speaker prototypes (no biases, both sides L2-normalized)
 and lets an external training loop be checked against closed-form values
 and finite differences.
 """
@@ -9,7 +9,7 @@ and finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,8 +121,8 @@ def aam_grad(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of the batch-mean loss.
 
-    Returns ``(d_loss/d_embeddings, d_loss/d_prototypes)`` with shapes
-    (n, D) and (D, N).  Gradients are taken with respect to the raw
+    Returns ``(d_loss/d_embeddings, d_loss/d_w)`` with shapes (n, D) and
+    (D, N), the layout of ``protos.w``.  Gradients are taken with respect to the raw
     (unnormalized) inputs, so the chain rule through both L2
     normalizations is included; the radial component of each embedding
     gradient is therefore identically zero.
@@ -155,7 +155,7 @@ def aam_grad(
     grad_x = (gc @ what - row_dot[:, None] * xhat) / x_norms[:, None]
 
     # d cos_ij / d w_j = (x_hat_i - cos_ij w_hat_j) / |w_j|
-    w_norms = row_norms(protos.w.T)
+    w_norms = row_norms(protos.vectors)
     col_dot = np.sum(gc * c, axis=0)
     grad_w_rows = (gc.T @ xhat - col_dot[:, None] * what) / w_norms[:, None]
     return grad_x, grad_w_rows.T
@@ -175,12 +175,8 @@ def finite_difference_check(
     """
     grad_x, grad_w = aam_grad(batch, protos, cfg)
 
-    def loss_with(x, w):
-        return aam_loss(
-            LabeledBatch(x, batch.labels),
-            PrototypeMatrix(w, protos.speakers),
-            cfg,
-        )
+    def loss_with(x, vectors):
+        return aam_loss(LabeledBatch(x, batch.labels), replace(protos, vectors=vectors), cfg)
 
     worst = 0.0
     x0 = batch.embeddings.copy()
@@ -189,15 +185,15 @@ def finite_difference_check(
             hi, lo = x0.copy(), x0.copy()
             hi[i, d] += step
             lo[i, d] -= step
-            fd = (loss_with(hi, protos.w) - loss_with(lo, protos.w)) / (2 * step)
+            fd = (loss_with(hi, protos.vectors) - loss_with(lo, protos.vectors)) / (2 * step)
             a = grad_x[i, d]
             worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
-    w0 = protos.w.copy()
-    for d in range(w0.shape[0]):
-        for j in range(w0.shape[1]):
-            hi, lo = w0.copy(), w0.copy()
-            hi[d, j] += step
-            lo[d, j] -= step
+    v0 = protos.vectors.copy()
+    for d in range(v0.shape[1]):
+        for j in range(v0.shape[0]):
+            hi, lo = v0.copy(), v0.copy()
+            hi[j, d] += step
+            lo[j, d] -= step
             fd = (loss_with(x0, hi) - loss_with(x0, lo)) / (2 * step)
             a = grad_w[d, j]
             worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))

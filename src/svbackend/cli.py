@@ -22,7 +22,7 @@ from .lid import adapt_english_mean, classify, train_gb
 from .metrics import eer, min_dcf
 from .planner import PlannerConfig, UtteranceInventory, philox_rng
 from .planner import plan_pass_balanced, plan_pass_broad
-from .prototypes import PrototypeMatrix, SpeakerInfo, similarity_matrix
+from .prototypes import PrototypeMatrix, similarity_matrix
 from .scores import ScoreSet
 from .scoring import DEFAULT_TOP_N, ScoringMode, score_trials
 from .synth import CorpusSpec, generate_corpus
@@ -133,10 +133,10 @@ def cmd_aam_check(args) -> None:
             labels=rng.integers(0, n_spk, size=n),
         )
         protos = PrototypeMatrix(
-            w=rng.normal(size=(dim, n_spk)),
-            speakers=tuple(
-                SpeakerInfo(f"s{j}", Domain.VOX, Language.UNKNOWN) for j in range(n_spk)
-            ),
+            [f"s{j}" for j in range(n_spk)],
+            [Domain.VOX] * n_spk,
+            [Language.UNKNOWN] * n_spk,
+            rng.normal(size=(dim, n_spk)).T,  # drawn in the D x N order of w
         )
         # margins/scales swept over the range where finite differences at
         # step 1e-5 resolve every component; larger scales saturate the
@@ -226,9 +226,9 @@ def cmd_score(args) -> None:
 
 def cmd_calibrate(args) -> None:
     scores = formats.read_scores(args.scores)
+    target = formats.read_scores(args.apply_to) if args.apply_to else scores
     model = fit_calibration(scores, trained_on=Path(args.scores).name)
     formats.write_cal_model(args.model_out, model)
-    target = formats.read_scores(args.apply_to) if args.apply_to else scores
     if args.out:
         formats.write_scores(args.out, apply_calibration(model, target))
     print(f"calibration a={model.a!r} b={model.b!r}")

@@ -23,7 +23,7 @@ from .calibration import CalibrationModel
 from .errors import FormatError, VersionUnsupported
 from .lid import GaussianBackend
 from .planner import BatchManifest
-from .prototypes import PrototypeMatrix, SpeakerInfo
+from .prototypes import PrototypeMatrix
 from .scores import LABEL_NONTARGET, LABEL_TARGET, ScoreSet
 from .scoring import AlphaProvenance, Cohort, LanguageOffset
 from .vecmath import NORM_EPS, Domain, EmbeddingIds, EmbeddingTable, Language
@@ -399,12 +399,12 @@ def read_cohort(path, domains=None) -> Cohort:
 
 
 def write_prototypes(path, protos: PrototypeMatrix):
+    cols = (protos.speaker_ids, protos.domains, protos.languages, protos.vectors)
     lines = (
-        f"{sp.speaker_id}\t{sp.domain.value}\t{sp.language.value}\t{_vec_str(vec)}\n"
-        for sp, vec in zip(protos.speakers, protos.w.T)
+        f"{sid}\t{domain.value}\t{language.value}\t{_vec_str(vec)}\n"
+        for sid, domain, language, vec in zip(*cols)
     )
-    ids = [("speaker_id", [sp.speaker_id for sp in protos.speakers])]
-    _write_text(path, "prototypes", lines, ids)
+    _write_text(path, "prototypes", lines, [("speaker_id", protos.speaker_ids)])
 
 
 def read_prototypes(path) -> PrototypeMatrix:
@@ -412,8 +412,7 @@ def read_prototypes(path) -> PrototypeMatrix:
     heads, _, values, _ = _vector_scan(path, "prototypes", 4)
     if not heads:
         raise FormatError("prototype file holds no rows")
-    speakers = tuple(map(SpeakerInfo, *_columns(heads, "prototypes")))
-    return PrototypeMatrix(w=_matrix(values, len(heads)).T, speakers=speakers)
+    return PrototypeMatrix(*_columns(heads, "prototypes"), _matrix(values, len(heads)))
 
 
 # -- trials and enrollment map ------------------------------------------------

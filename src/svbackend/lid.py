@@ -85,9 +85,8 @@ def train_gb(protos: PrototypeMatrix, diagonal: bool = False) -> GaussianBackend
     zero scatter); ``diagonal=True`` keeps only its diagonal.
     """
     unit = protos.unit_rows
-    langs = [sp.language for sp in protos.speakers]
-    fa = unit[[j for j, lang in enumerate(langs) if lang is Language.FARSI]]
-    us = unit[[j for j, lang in enumerate(langs) if lang is Language.ENGLISH]]
+    fa = unit[[j for j, lang in enumerate(protos.languages) if lang is Language.FARSI]]
+    us = unit[[j for j, lang in enumerate(protos.languages) if lang is Language.ENGLISH]]
     for name, rows in (("FARSI", fa), ("USA", us)):
         if len(rows) < 2:
             raise ClassTooSmall(f"class {name} has {len(rows)} prototypes, need >= 2")

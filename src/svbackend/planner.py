@@ -81,16 +81,16 @@ class UtteranceInventory:
     def from_embeddings(
         cls, table: EmbeddingTable | EmbeddingIds, protos: PrototypeMatrix
     ) -> "UtteranceInventory":
-        by_speaker: dict[str, list[str]] = {sp.speaker_id: [] for sp in protos.speakers}
+        by_speaker: dict[str, list[str]] = {sid: [] for sid in protos.speaker_ids}
         for utt_id, speaker_id in zip(table.utt_ids, table.speaker_ids):
             if speaker_id in by_speaker:
                 by_speaker[speaker_id].append(utt_id)
-        for sp in protos.speakers:
-            if not by_speaker[sp.speaker_id]:
-                raise InventoryGap(f"speaker {sp.speaker_id!r} has no utterances")
+        for sid in protos.speaker_ids:
+            if not by_speaker[sid]:
+                raise InventoryGap(f"speaker {sid!r} has no utterances")
         return cls(
-            utterances=tuple(tuple(by_speaker[sp.speaker_id]) for sp in protos.speakers),
-            domains=tuple(sp.domain for sp in protos.speakers),
+            utterances=tuple(tuple(by_speaker[sid]) for sid in protos.speaker_ids),
+            domains=protos.domains,
         )
 
 

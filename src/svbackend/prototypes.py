@@ -1,9 +1,9 @@
 """Speaker prototype storage and the speaker-speaker similarity ranking.
 
-The prototype matrix snapshots the classifier-layer weight columns of an
-external trainer.  This store never recomputes anything implicitly: a new
-snapshot arrives as a new matrix, and the caller stamps the similarity
-snapshot it derives with an ``epoch_tag``.
+The prototype matrix snapshots the classifier-layer weights of an external
+trainer.  This store never recomputes anything implicitly: a new snapshot
+arrives as a new matrix, and the caller stamps the similarity snapshot it
+derives with an ``epoch_tag``.
 
 No N x N similarity matrix is built: :func:`top_similar` ranks a batch of
 anchors on demand, in O(TOP_BLOCK_ROWS * N) memory beyond the prototypes.
@@ -17,56 +17,56 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IndexOutOfRange, KTooLarge, ParamInvalid, ValidationError
-from .vecmath import Domain, Language, pair_cosines, unit_rows
-
-
-class SpeakerInfo(NamedTuple):
-    speaker_id: str
-    domain: Domain
-    language: Language
+from .vecmath import Domain, Language, frozen_rows, pair_cosines, unit_rows
 
 
 @dataclass(frozen=True)
 class PrototypeMatrix:
-    """D x N matrix whose column j is the prototype of speaker j.
-
-    Columns are stored as given (typically unnormalized trainer weights);
-    a unit-normalized row-major view is materialized once at construction
-    since every consumer works on directions.
+    """Speaker prototypes as columns: row j of the (N, D) float64 ``vectors``
+    (typically unnormalized trainer weights, stored by ``vecmath.frozen_rows``)
+    is the prototype of speaker ``speaker_ids[j]``.  The unit rows are made
+    once at construction since every consumer works on directions.
     """
 
-    w: np.ndarray
-    speakers: tuple[SpeakerInfo, ...]
+    speaker_ids: tuple[str, ...]
+    domains: tuple[Domain, ...]
+    languages: tuple[Language, ...]
+    vectors: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.w, dtype=np.float64).copy()
+        cols = [tuple(self.speaker_ids), tuple(self.domains), tuple(self.languages)]
+        arr = frozen_rows(self.vectors)
         if arr.ndim != 2:
             raise ValidationError(f"prototype matrix must be 2-D, got shape {arr.shape}")
-        d, n = arr.shape
+        n, d = arr.shape
         if n < 2:
             raise ValidationError("a prototype matrix needs at least 2 speakers")
-        speakers = tuple(self.speakers)
-        if len(speakers) != n:
-            raise ValidationError(f"{len(speakers)} speaker records for {n} columns")
-        ids = [s.speaker_id for s in speakers]
-        if len(set(ids)) != n:
+        for col in cols:
+            if len(col) != n:
+                raise ValidationError(f"{len(col)} speaker records for {n} columns")
+        if len(set(cols[0])) != n:
             raise ValidationError("speaker_ids must be unique")
-        # rejects non-finite entries, and degenerate columns with NormUnderflow
-        unit = unit_rows(arr.T, d)
-        arr.setflags(write=False)
+        # rejects non-finite entries, and degenerate rows with NormUnderflow
+        unit = unit_rows(arr, d)
         unit.setflags(write=False)
-        object.__setattr__(self, "w", arr)
-        object.__setattr__(self, "speakers", speakers)
+        for name, col in zip(("speaker_ids", "domains", "languages"), cols):
+            object.__setattr__(self, name, col)
+        object.__setattr__(self, "vectors", arr)
         object.__setattr__(self, "_unit_rows", unit)
-        object.__setattr__(self, "_index", {sid: j for j, sid in enumerate(ids)})
+        object.__setattr__(self, "_index", {sid: j for j, sid in enumerate(cols[0])})
+
+    @property
+    def w(self) -> np.ndarray:
+        """The D x N view ``vectors.T``: the AAM class weights ``aam_grad`` differentiates."""
+        return self.vectors.T
 
     @property
     def dim(self) -> int:
-        return self.w.shape[0]
+        return self.vectors.shape[1]
 
     @property
     def count(self) -> int:
-        return self.w.shape[1]
+        return self.vectors.shape[0]
 
     @property
     def unit_rows(self) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The imposter cohort for trial scoring is built from training embeddings
 (one averaged vector per speaker); the cross-language compensation offset
-is estimated on prototype columns.  Those are two distinct populations and
+is estimated on the speaker prototypes.  Those are two distinct populations and
 are kept as two separate inputs throughout.  Both use one top-N statistics
 kernel, :func:`snorm_stats`, which scores a block of unit rows at a time.
 """
@@ -161,8 +161,8 @@ def estimate_alpha(protos: PrototypeMatrix, top_n: int = DEFAULT_TOP_N) -> Langu
     same statistic for English-labeled prototypes against the full Farsi
     cohort.  alpha is their difference.
     """
-    farsi = [i for i, sp in enumerate(protos.speakers) if sp.language is Language.FARSI]
-    usa = [i for i, sp in enumerate(protos.speakers) if sp.language is Language.ENGLISH]
+    farsi = [i for i, lang in enumerate(protos.languages) if lang is Language.FARSI]
+    usa = [i for i, lang in enumerate(protos.languages) if lang is Language.ENGLISH]
     if len(farsi) < top_n + 1:
         raise ClassTooSmall(
             f"need at least top_n+1={top_n + 1} Farsi prototypes, have {len(farsi)}"

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import SpecInvalid
 from .planner import philox_rng
-from .prototypes import PrototypeMatrix, SpeakerInfo
+from .prototypes import PrototypeMatrix
 from .vecmath import Domain, EmbeddingTable, Language, unit_rows
 
 _STREAM_SHIFT = 0
@@ -141,17 +141,17 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
         for col, values in zip(cols, (utt_ids, [sid] * n, [domain] * n, langs)):
             col.extend(values)
 
-    speakers: list[SpeakerInfo] = []
+    speakers: list[tuple[str, Domain, Language]] = []  # the prototype columns, row-wise
     for domain, prefix, count, native in train_plan:
         for k in range(count):
             sid = f"{prefix}{k:03d}"
-            speakers.append(SpeakerInfo(speaker_id=sid, domain=domain, language=native))
+            speakers.append((sid, domain, native))
             n_utts = int(g_counts.integers(lo, hi + 1))
             utt_ids = [f"{sid}-u{u:03d}" for u in range(n_utts)]
             add_speaker(sid, domain, bases[len(speakers) - 1], [native] * n_utts, utt_ids)
 
-    proto_rows = [language_center(b, sp.language) for b, sp in zip(bases, speakers)]
-    prototypes = PrototypeMatrix(w=unit_rows(proto_rows).T, speakers=tuple(speakers))
+    proto_rows = [language_center(b, lang) for b, (_, _, lang) in zip(bases, speakers)]
+    prototypes = PrototypeMatrix(*zip(*speakers), unit_rows(proto_rows))
 
     n_train = len(cols[0])
     enrollment_map: dict[str, tuple[str, ...]] = {}

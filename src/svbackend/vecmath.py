@@ -66,10 +66,9 @@ class EmbeddingIds(NamedTuple):  # the two id columns of an EmbeddingTable
 class EmbeddingTable:
     """Utterance embeddings as columns: row ``r`` is utterance ``utt_ids[r]``.
 
-    ``vectors`` is an (n, D) float64 matrix, stored read-only and
-    C-contiguous with finite entries; a read-only C-contiguous float64
-    array is kept as given, anything else is copied.  ``row_of`` maps an
-    utterance id to its row; on a repeated id the last row wins.
+    ``vectors`` is an (n, D) float64 matrix with finite entries, stored by
+    :func:`frozen_rows`.  ``row_of`` maps an utterance id to its row; on a
+    repeated id the last row wins.
     """
 
     utt_ids: tuple[str, ...]
@@ -80,14 +79,11 @@ class EmbeddingTable:
 
     def __post_init__(self):
         cols = {name: tuple(getattr(self, name)) for name in _ID_COLUMNS}
-        vecs = np.asarray(self.vectors, dtype=np.float64)
-        if vecs.flags.writeable or not vecs.flags.c_contiguous:
-            vecs = np.array(vecs, order="C")
+        vecs = frozen_rows(self.vectors)
         n = len(cols["utt_ids"])
         if vecs.ndim != 2 or len(vecs) != n or any(len(c) != n for c in cols.values()):
             raise DimensionMismatch(f"{n} utterance ids for vectors of shape {vecs.shape}")
         check_columns(np.isfinite(vecs).all(), cols["utt_ids"], cols["speaker_ids"])
-        vecs.setflags(write=False)
         for name, col in cols.items():
             object.__setattr__(self, name, col)
         object.__setattr__(self, "vectors", vecs)
@@ -105,6 +101,15 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+
+def frozen_rows(x) -> np.ndarray:
+    """``x`` as float64, read-only and C-contiguous: kept as given if it is, else copied."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.flags.writeable or not x.flags.c_contiguous:
+        x = np.array(x, order="C")
+        x.setflags(write=False)
+    return x
 
 
 def check_columns(finite: bool, utt_ids, speaker_ids) -> None:

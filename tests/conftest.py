@@ -7,20 +7,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from svbackend.prototypes import PrototypeMatrix, SpeakerInfo
+from svbackend.prototypes import PrototypeMatrix
 from svbackend.vecmath import Domain, EmbeddingTable, Language
 
 
 def make_protos(w, languages=None, domains=None):
-    """PrototypeMatrix from a raw D x N array with generated metadata."""
+    """PrototypeMatrix from a raw D x N array (column j is speaker j, the
+    layout of ``PrototypeMatrix.w``) with generated metadata."""
     w = np.asarray(w, dtype=np.float64)
     n = w.shape[1]
     languages = languages or [Language.UNKNOWN] * n
     domains = domains or [Domain.VOX] * n
-    speakers = tuple(
-        SpeakerInfo(f"spk{j:03d}", domains[j], languages[j]) for j in range(n)
-    )
-    return PrototypeMatrix(w=w, speakers=speakers)
+    return PrototypeMatrix([f"spk{j:03d}" for j in range(n)], domains, languages, w.T)
 
 
 class Row(NamedTuple):

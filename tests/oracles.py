@@ -338,10 +338,10 @@ def score_trials_loop(
 
 def estimate_alpha_rebuild(protos, top_n=40):
     """alpha with one Cohort built per left-out Farsi prototype."""
-    farsi = [i for i, sp in enumerate(protos.speakers) if sp.language is Language.FARSI]
-    usa = [i for i, sp in enumerate(protos.speakers) if sp.language is Language.ENGLISH]
+    farsi = [i for i, lang in enumerate(protos.languages) if lang is Language.FARSI]
+    usa = [i for i, lang in enumerate(protos.languages) if lang is Language.ENGLISH]
     unit = protos.unit_rows
-    ids = tuple(protos.speakers[i].speaker_id for i in farsi)
+    ids = tuple(protos.speaker_ids[i] for i in farsi)
     full = Cohort(ids, unit[farsi])
     mu_fa = float(
         np.mean(

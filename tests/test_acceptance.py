@@ -26,7 +26,7 @@ from svbackend.planner import (
     plan_pass_balanced,
     plan_pass_broad,
 )
-from svbackend.prototypes import PrototypeMatrix, SpeakerInfo, similarity_matrix
+from svbackend.prototypes import PrototypeMatrix, similarity_matrix
 from svbackend.scores import ScoreSet
 from svbackend.scoring import (
     Cohort,
@@ -205,20 +205,15 @@ def test_criterion_05_balanced_plan_domain_balance():
         n_target, n_pool = 50, 500
         n = n_target + n_pool
         protos = PrototypeMatrix(
-            w=rng.normal(size=(16, n)),
-            speakers=tuple(
-                SpeakerInfo(
-                    f"s{j}",
-                    Domain.DEEPMINE if j < n_target else Domain.VOX,
-                    Language.UNKNOWN,
-                )
-                for j in range(n)
-            ),
+            [f"s{j}" for j in range(n)],
+            [Domain.DEEPMINE if j < n_target else Domain.VOX for j in range(n)],
+            [Language.UNKNOWN] * n,
+            rng.normal(size=(16, n)).T,  # drawn in the D x N order of w
         )
         sim = similarity_matrix(protos)
         inv = UtteranceInventory(
             utterances=tuple(tuple(f"s{j}-u{k}" for k in range(3)) for j in range(n)),
-            domains=tuple(sp.domain for sp in protos.speakers),
+            domains=protos.domains,
         )
         cfg = PlannerConfig(
             batch_size=100,

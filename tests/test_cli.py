@@ -13,8 +13,11 @@ import pytest
 
 import svbackend
 from svbackend import formats
+from svbackend.aam import AamConfig, LabeledBatch, aam_loss
+from svbackend.calibration import apply_calibration, fit_calibration
 from svbackend.cli import build_parser, main
 from svbackend.errors import FormatError, PipelineError
+from svbackend.lid import adapt_english_mean, train_gb
 from svbackend.metrics import eer, min_dcf
 from svbackend.scores import ScoreSet
 from svbackend.scoring import Cohort
@@ -228,8 +231,8 @@ class TestPlanBatches:
         formats.write_embeddings_binary(
             tmp_path / "e.sveb",
             make_table(
-                make_embedding(f"u{j}", sp.speaker_id, rng.normal(size=4))
-                for j, sp in enumerate(protos.speakers)
+                make_embedding(f"u{j}", sid, rng.normal(size=4))
+                for j, sid in enumerate(protos.speaker_ids)
             ),
         )
         src = str(Path(svbackend.__file__).resolve().parents[1])
@@ -596,6 +599,70 @@ class TestCalibrateFuseEval:
         assert "error: DegenerateLabels" in capsys.readouterr().err
 
 
+class TestOptionsMatchTheLibrary:
+    """Each option's output equals that of the library call behind it."""
+
+    def test_lid_train_diagonal(self, data_dir, tmp_path):
+        protos_path = str(data_dir / "prototypes.tsv")
+        out, full, want = tmp_path / "gb.json", tmp_path / "full.json", tmp_path / "want.json"
+        argv = ["lid-train", "--prototypes", protos_path, "--interpolation-weight", "0.5"]
+        run_ok([*argv, "--diagonal", "--out", str(out)])
+        run_ok([*argv, "--out", str(full)])
+        protos = formats.read_prototypes(protos_path)
+        formats.write_gb_model(want, adapt_english_mean(train_gb(protos, diagonal=True), 0.5))
+        assert out.read_bytes() == want.read_bytes() != full.read_bytes()
+
+    def test_plan_batches_epoch_tag(self, data_dir, tmp_path):
+        out = tmp_path / "m.tsv"
+        run_ok(
+            [
+                "plan-batches", "--prototypes", str(data_dir / "prototypes.tsv"),
+                "--embeddings", str(data_dir / "train_embeddings.tsv"), "--batch-size", "12",
+                "--anchors", "3", "--imposters", "4", "--passes", "3", "--epoch-tag", "17",
+                "--out", str(out),
+            ]
+        )  # fmt: skip
+        meta = [line.split("\t") for line in out.read_text().splitlines() if line.startswith("#")]
+        assert meta[1:] == [["#pass", str(p), "17"] for p in range(3)]  # after the header
+        assert [m.epoch_tag for m in formats.read_manifests(out)] == [17] * 3
+
+    def test_eval_nearest_eer(self, pipeline_files, capsys):
+        scores = pipeline_files / "scores.tsv"
+        run_ok(["eval", "--scores", str(scores), "--eer-mode", "nearest"])
+        ss = formats.read_scores(scores)
+        printed = capsys.readouterr().out
+        assert printed == f"eer={eer(ss, interpolate=False)!r} min_dcf={min_dcf(ss)!r}\n"
+
+    def test_calibrate_apply_to(self, pipeline_files, tmp_path):
+        a = pipeline_files / "scores.tsv"
+        fit_on = formats.read_scores(a)
+        b = tmp_path / "b.tsv"
+        formats.write_scores(b, fit_on.with_scores(2.0 * fit_on.scores - 1.0))
+        model, c = tmp_path / "cal.tsv", tmp_path / "c.tsv"
+        run_ok(
+            ["calibrate", "--scores", str(a), "--model-out", str(model),
+             "--apply-to", str(b), "--out", str(c)]
+        )  # fmt: skip
+        want = tmp_path / "want.tsv"
+        fitted = fit_calibration(fit_on, trained_on=a.name)
+        formats.write_scores(want, apply_calibration(fitted, formats.read_scores(b)))
+        assert c.read_bytes() == want.read_bytes()
+        assert formats.read_cal_model(model) == fitted
+
+    def test_aam_check_margin_and_scale(self, data_dir, capsys):
+        protos_path, emb_path = data_dir / "prototypes.tsv", data_dir / "train_embeddings.tsv"
+        argv = ["aam-check", "--prototypes", str(protos_path), "--embeddings", str(emb_path)]
+        run_ok([*argv, "--margin", "0.35", "--scale", "12.5"])
+        protos, table = formats.read_prototypes(protos_path), formats.read_embeddings(emb_path)
+        batch = LabeledBatch(
+            embeddings=table.vectors,
+            labels=np.array([protos.index_of(s) for s in table.speaker_ids]),
+        )
+        loss = aam_loss(batch, protos, AamConfig(margin=0.35, scale=12.5))
+        assert loss != aam_loss(batch, protos, AamConfig())  # the options are not ignored
+        assert capsys.readouterr().out == f"loss on {batch.size} embeddings: {loss!r}\n"
+
+
 def values_from_2(*values):
     """An ``edit_row`` edit that puts ``values`` at vector positions 2, 3, ..."""
     return lambda f: f[:4] + [f[4][:2] + list(values) + f[4][2 + len(values) :]]
@@ -844,6 +911,20 @@ class TestErrors:
             ["calibrate", "--scores", str(scores), "--model-out", str(model), "--out", str(out)]
         )
         assert "trained_on" in assert_one_error_line(rc, capsys)
+        assert not model.exists() and not out.exists()
+
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_calibrate_reads_apply_to_before_writing(
+        self, pipeline_files, tmp_path, capsys, with_out
+    ):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("garbage\n")
+        model, out = tmp_path / "cal.tsv", tmp_path / "calibrated.tsv"
+        argv = [
+            "calibrate", "--scores", str(pipeline_files / "scores.tsv"),
+            "--model-out", str(model), "--apply-to", str(bad),
+        ] + (["--out", str(out)] if with_out else [])  # fmt: skip
+        assert "missing #fmt header" in assert_one_error_line(main(argv), capsys)
         assert not model.exists() and not out.exists()
 
     def test_plan_batches_rejects_whitespace_id_in_binary_inventory(

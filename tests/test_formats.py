@@ -16,13 +16,20 @@ from svbackend.errors import (
 )
 from svbackend.lid import GaussianBackend, adapt_english_mean, train_gb
 from svbackend.planner import BatchManifest, PlannerConfig, UtteranceInventory, plan_pass_broad
-from svbackend.prototypes import PrototypeMatrix, SpeakerInfo, similarity_matrix
+from svbackend.prototypes import PrototypeMatrix, similarity_matrix
 from svbackend.scores import ScoreSet
 from svbackend.scoring import AlphaProvenance, Cohort, LanguageOffset
 from svbackend.synth import CorpusSpec, generate_corpus
 from svbackend.vecmath import Domain, Language
 
-from conftest import PROTOTYPE_DEFECTS, edit_prototype_row, make_embedding, make_table, rows_of
+from conftest import (
+    PROTOTYPE_DEFECTS,
+    edit_prototype_row,
+    make_embedding,
+    make_protos,
+    make_table,
+    rows_of,
+)
 from oracles import read_embeddings_binary_rows, read_embeddings_text_rows
 
 SMALL = dict(
@@ -464,8 +471,24 @@ class TestPrototypes:
         path = tmp_path / "p.tsv"
         formats.write_prototypes(path, corpus.prototypes)
         back = formats.read_prototypes(path)
-        assert back.speakers == corpus.prototypes.speakers
-        assert np.array_equal(back.w, corpus.prototypes.w)
+        for column in ("speaker_ids", "domains", "languages"):
+            assert getattr(back, column) == getattr(corpus.prototypes, column)
+        assert np.array_equal(back.vectors, corpus.prototypes.vectors)
+
+    def test_builds_no_d_by_n_copy(self, tmp_path, rng):
+        n, dim = 800, 256
+        path = tmp_path / "p.tsv"
+        formats.write_prototypes(path, make_protos(rng.normal(size=(dim, n))))
+        tracemalloc.start()
+        try:
+            protos = formats.read_prototypes(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert protos.count == n
+        # the parsed values and the unit rows are n * D * 8 bytes each (2.2x
+        # with the row fields); each D x N copy would add as much again
+        assert peak < 3 * n * dim * 8
 
     #: what read_prototypes raises on each PROTOTYPE_DEFECTS edit of row 3 ('vox003')
     OUTCOMES = {
@@ -599,11 +622,10 @@ ID_FORMATS = {
     ),
     "prototypes": (
         lambda a, b: PrototypeMatrix(
-            np.array([[1.0, 0.5], [0.0, 1.0]]),
-            (
-                SpeakerInfo(a, Domain.VOX, Language.ENGLISH),
-                SpeakerInfo(b, Domain.DEEPMINE, Language.FARSI),
-            ),
+            (a, b),
+            (Domain.VOX, Domain.DEEPMINE),
+            (Language.ENGLISH, Language.FARSI),
+            np.array([[1.0, 0.0], [0.5, 1.0]]),
         ),
         formats.write_prototypes,
         formats.read_prototypes,
@@ -682,11 +704,10 @@ LITERAL_FORMATS = {
     "prototypes": (
         formats.write_prototypes,
         PrototypeMatrix(
-            np.array([[0.5, 1.0], [-0.25, 1e-7]]),
-            (
-                SpeakerInfo("s1", Domain.VOX, Language.ENGLISH),
-                SpeakerInfo("s2", Domain.LIBRI, Language.UNKNOWN),
-            ),
+            ("s1", "s2"),
+            (Domain.VOX, Domain.LIBRI),
+            (Language.ENGLISH, Language.UNKNOWN),
+            np.array([[0.5, -0.25], [1.0, 1e-7]]),
         ),
         "#fmt:prototypes:1\ns1\tVOX\tENGLISH\t0.5,-0.25\ns2\tLIBRI\tUNKNOWN\t1.0,1e-07\n",
     ),

@@ -8,6 +8,7 @@ stream is consumed, to the normalization arithmetic, to the top-k tie
 order or to a writer shows here as a changed digest.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -15,7 +16,6 @@ import pytest
 
 from svbackend import formats
 from svbackend.cli import main
-from svbackend.prototypes import PrototypeMatrix
 
 SYNTH_ARGS = [
     "--seed", "5", "--dim", "8", "--vox", "5", "--libri", "3", "--deepmine", "6",
@@ -101,8 +101,8 @@ def test_tie_heavy_manifest_bytes(corpora, tmp_path):
     text = corpora[0]
     protos = formats.read_prototypes(text / "prototypes.tsv")
     tied = tmp_path / "tied_prototypes.tsv"
-    w = protos.w[:, np.arange(protos.count) % 4]
-    formats.write_prototypes(tied, PrototypeMatrix(w=w, speakers=protos.speakers))
+    vectors = protos.vectors[np.arange(protos.count) % 4]
+    formats.write_prototypes(tied, dataclasses.replace(protos, vectors=vectors))
     argv = [
         "plan-batches", "--prototypes", str(tied),
         "--embeddings", str(text / "train_embeddings.tsv"), "--batch-size", "10",

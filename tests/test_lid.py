@@ -36,7 +36,7 @@ class TestTrain:
         # UNKNOWN-labeled prototypes leaves every field bit-identical
         protos = two_cluster_protos(rng, n_per_class=3)
         extra = rng.normal(size=(protos.dim, 4))
-        w, langs = protos.w, [sp.language for sp in protos.speakers]
+        w, langs = protos.w, list(protos.languages)
         mixed = make_protos(
             np.concatenate([extra[:, :2], w[:, :3], extra[:, 2:], w[:, 3:]], axis=1),
             languages=[Language.OTHER, Language.UNKNOWN, *langs[:3]]

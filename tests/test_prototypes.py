@@ -13,15 +13,35 @@ from oracles import l2_normalize, similarity_matrix_full, top_similar_full
 
 class TestPrototypeMatrix:
     def test_rejects_duplicate_ids(self):
-        from svbackend.prototypes import PrototypeMatrix, SpeakerInfo
+        from svbackend.prototypes import PrototypeMatrix
         from svbackend.vecmath import Domain, Language
 
-        speakers = (
-            SpeakerInfo("a", Domain.VOX, Language.UNKNOWN),
-            SpeakerInfo("a", Domain.VOX, Language.UNKNOWN),
-        )
         with pytest.raises(ValidationError):
-            PrototypeMatrix(w=np.eye(2), speakers=speakers)
+            PrototypeMatrix(("a", "a"), (Domain.VOX,) * 2, (Language.UNKNOWN,) * 2, np.eye(2))
+
+    def test_storage_rule_and_w_view(self, rng):
+        from svbackend.prototypes import PrototypeMatrix
+        from svbackend.vecmath import Domain, Language
+
+        cols = (("a", "b", "c"), (Domain.VOX,) * 3, (Language.UNKNOWN,) * 3)
+        given = rng.normal(size=(3, 4))
+        p = PrototypeMatrix(*cols, given)
+        assert p.vectors is not given and np.array_equal(p.vectors, given)
+        assert p.vectors.flags.c_contiguous and not p.vectors.flags.writeable
+        kept = PrototypeMatrix(*cols, p.vectors)  # read-only and C-contiguous: no copy
+        assert kept.vectors is p.vectors
+        assert kept.w.shape == (4, 3) and np.shares_memory(kept.w, p.vectors)
+        assert np.array_equal(kept.w, given.T) and (kept.dim, kept.count) == (4, 3)
+        transposed = PrototypeMatrix(*cols, np.ascontiguousarray(given.T).T)
+        assert transposed.vectors.flags.c_contiguous
+        assert np.array_equal(transposed.unit_rows, p.unit_rows)
+
+    def test_rejects_a_short_column(self):
+        from svbackend.prototypes import PrototypeMatrix
+        from svbackend.vecmath import Domain, Language
+
+        with pytest.raises(ValidationError, match="^2 speaker records for 3 columns$"):
+            PrototypeMatrix(("a", "b", "c"), (Domain.VOX,) * 3, (Language.UNKNOWN,) * 2, np.eye(3))
 
     def test_rejects_single_speaker(self):
         with pytest.raises(ValidationError):

@@ -16,6 +16,8 @@ from svbackend.errors import (
     ParamInvalid,
     ValidationError,
 )
+from svbackend.metrics import eer
+from svbackend.scores import ScoreSet
 from svbackend.scoring import (
     Cohort,
     LanguageOffset,
@@ -628,3 +630,59 @@ class TestEstimateAlphaAgainstOracle:
         protos = make_protos(cols, languages=langs)
         for top_n in (4, 7, 11):
             assert estimate_alpha(protos, top_n).alpha == estimate_alpha_rebuild(protos, top_n).alpha
+
+
+class TestPrototypeAlphaOvercorrects:
+    """Pins the measured symptoms of a known defect of the prototype alpha
+    (ROADMAP item 8): on ``synth`` corpora at shift 0.8, ``estimate_alpha``
+    over the noise-free prototypes is over 3x the cross-language offset that
+    the utterance scores carry, and snorm-lid with it has a higher EER than
+    with the utterance-side offset.  A fix of the estimator or of ``synth``'s
+    prototypes is expected to change this test.
+    """
+
+    TOP_N = 40
+
+    @staticmethod
+    def alpha_utt(train, top_n):
+        """The statistic of ``estimate_alpha`` on the training utterances: the
+        cohort is the DEEPMINE unit rows; the Farsi mean is over each DEEPMINE
+        utterance against the other speakers' rows, the English mean over the
+        VOX and LIBRI utterances against every cohort row."""
+        units = unit_rows(train.vectors)
+        speakers = np.array(train.speaker_ids)
+        farsi = np.array([d is Domain.DEEPMINE for d in train.domains])
+        cohort, cohort_speakers = units[farsi], speakers[farsi]
+        mu_fa = [
+            scoring.snorm_stats(units[farsi & (speakers == s)], cohort[cohort_speakers != s], top_n)
+            for s in dict.fromkeys(cohort_speakers.tolist())
+        ]
+        mu_en = scoring.snorm_stats(units[~farsi], cohort, top_n)[0]
+        return float(np.mean(np.concatenate([mu for mu, _ in mu_fa]))) - float(np.mean(mu_en))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_prototype_alpha_exceeds_utterance_offset(self, seed):
+        corpus = generate_corpus(
+            CorpusSpec(
+                dim=128, vox_speakers=90, libri_speakers=50, deepmine_speakers=80,
+                eval_speakers=30, utts_per_speaker=(4, 6), concentration=7.0,
+                language_shift=0.8, target_trials=120, nontarget_trials=3000, seed=seed,
+            )
+        )  # fmt: skip
+        proto_alpha = estimate_alpha(corpus.prototypes, self.TOP_N).alpha
+        utt_alpha = self.alpha_utt(corpus.train_embeddings, self.TOP_N)
+        assert 0 < 3 * utt_alpha <= proto_alpha
+
+        evals = corpus.eval_embeddings
+        oracle = dict(zip(evals.utt_ids, evals.languages))
+        cohort = Cohort.from_embeddings(corpus.train_embeddings, [Domain.DEEPMINE])
+        labels = np.array([corpus.labels[t] for t in corpus.trials])
+
+        def snorm_lid_eer(alpha):
+            scores = score_trials(
+                corpus.trials, corpus.enrollment_map, evals, cohort, ScoringMode.SNORM_LID,
+                offset=LanguageOffset(alpha), lid_decisions=oracle, top_n=self.TOP_N,
+            )  # fmt: skip
+            return eer(ScoreSet(keys=corpus.trials, scores=scores, labels=labels))
+
+        assert snorm_lid_eer(proto_alpha) > snorm_lid_eer(utt_alpha)

@@ -104,7 +104,7 @@ class TestLanguageShift:
         corpus = generate_corpus(
             CorpusSpec(**SMALL, seed=7, concentration=1e9)
         )
-        by_speaker = {sp.speaker_id: j for j, sp in enumerate(corpus.prototypes.speakers)}
+        by_speaker = {sid: j for j, sid in enumerate(corpus.prototypes.speaker_ids)}
         for e in rows_of(corpus.train_embeddings):
             proto = corpus.prototypes.w[:, by_speaker[e.speaker_id]]
             assert np.max(np.abs(e.vec - proto)) < 1e-6
