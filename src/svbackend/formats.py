@@ -6,6 +6,9 @@ decimals, so write-then-read reproduces values exactly.  The binary
 embedding format exists for volume: it stores vectors as little-endian
 float32 (a documented quantization) with a string table for ids, and
 re-writing what was read reproduces the file byte for byte.
+
+A reader imports the domain type it builds inside its body, so a stage
+loads only the modules of the files it reads.
 """
 
 from __future__ import annotations
@@ -15,19 +18,21 @@ import re
 import struct
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .calibration import CalibrationModel
 from .errors import FormatError, VersionUnsupported
-from .lid import GaussianBackend
-from .planner import BatchManifest
-from .prototypes import PrototypeMatrix
 from .scores import LABEL_NONTARGET, LABEL_TARGET, ScoreSet
-from .scoring import AlphaProvenance, Cohort, LanguageOffset
 from .vecmath import NORM_EPS, Domain, EmbeddingIds, EmbeddingTable, Language
 from .vecmath import check_columns, check_row_norms
+
+if TYPE_CHECKING:
+    from .calibration import CalibrationModel
+    from .lid import GaussianBackend
+    from .planner import BatchManifest
+    from .prototypes import PrototypeMatrix
+    from .scoring import Cohort, LanguageOffset
 
 FORMAT_VERSIONS = {
     "embeddings": 1,
@@ -378,6 +383,8 @@ def read_cohort(path, domains=None) -> Cohort:
     cohort or the same error.  On a text file with ``domains``,
     :func:`_vector_scan` converts the rows of each speaker whose first row's
     Domain is in ``domains``; only its ``later`` rows join the norm check."""
+    from .scoring import Cohort
+
     if domains is None or _is_binary(path):
         return Cohort.from_embeddings(read_embeddings(path), domains)
     domains, kept = tuple(domains), {}
@@ -409,6 +416,8 @@ def write_prototypes(path, protos: PrototypeMatrix):
 
 def read_prototypes(path) -> PrototypeMatrix:
     """Every row of the file through :func:`_vector_scan`, converted."""
+    from .prototypes import PrototypeMatrix
+
     heads, _, values, _ = _vector_scan(path, "prototypes", 4)
     if not heads:
         raise FormatError("prototype file holds no rows")
@@ -532,6 +541,8 @@ def write_manifests(path, manifests: Sequence[BatchManifest]):
 
 
 def read_manifests(path) -> list[BatchManifest]:
+    from .planner import BatchManifest
+
     passes: dict[int, tuple[int, dict]] = {}  # pass_id -> (epoch tag, batches), in file order
     for line in _data_lines(path, "manifest", ("#pass\t",)):
         parts = line.split("\t")
@@ -578,42 +589,69 @@ def read_manifests(path) -> list[BatchManifest]:
 # -- Gaussian backend model ---------------------------------------------------
 
 
+def _json_floats(values: list, depth: int) -> str:
+    """The float list ``values`` as ``json.dump(..., indent=1)`` writes it
+    ``depth`` levels deep, made by the C encoder behind ``json.dumps`` (the
+    indenting encoder is pure Python).  No float's text holds ``", "``."""
+    pad = "\n" + " " * (depth + 1)
+    items = json.dumps(values)[1:-1].replace(", ", "," + pad)
+    return f"[{pad}{items}\n{' ' * depth}]" if values else "[]"
+
+
 def write_gb_model(path, gb: GaussianBackend):
-    body = {
-        "dim": gb.dim,
-        "interpolation_weight": gb.interpolation_weight,
-        "diagonal": gb.diagonal,
-        "mu_farsi": [float(v) for v in gb.mu_farsi],
-        "mu_usa": [float(v) for v in gb.mu_usa],
-        "mu_english_effective": [float(v) for v in gb.mu_english_effective],
-        "shared_cov": [[float(v) for v in row] for row in gb.shared_cov],
-    }
-    # streamed as json.dump does: json.dumps would hold every chunk (7 MB at D = 256)
-    chunks = json.JSONEncoder(indent=1, sort_keys=True).iterencode(body)
-    _write_text(path, "gb-model", chain(chunks, "\n"))
+    """The bytes of ``json.dump(body, fh, indent=1, sort_keys=True)`` for
+    the body :func:`read_gb_model` reads, one covariance row at a time."""
+
+    def chunks():
+        yield "{\n"
+        yield f' "diagonal": {json.dumps(gb.diagonal)},\n'
+        yield f' "dim": {json.dumps(gb.dim)},\n'
+        yield f' "interpolation_weight": {json.dumps(gb.interpolation_weight)},\n'
+        for key in ("mu_english_effective", "mu_farsi", "mu_usa"):
+            yield f' "{key}": {_json_floats(getattr(gb, key).tolist(), 1)},\n'
+        yield ' "shared_cov": ['
+        for i, row in enumerate(gb.shared_cov):
+            yield ("," if i else "") + "\n  " + _json_floats(row.tolist(), 2)
+        yield "\n ]\n}\n" if gb.dim else "]\n}\n"
+
+    _write_text(path, "gb-model", chunks())
 
 
 def read_gb_model(path) -> GaussianBackend:
+    from .lid import GaussianBackend
+
     p = Path(path)
     with open(p, encoding="utf-8") as fh:
         try:
             _parse_header(fh.readline(), "gb-model")
             body = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeDecodeError
             raise FormatError(f"malformed backend model: {exc}") from None
     try:
-        return GaussianBackend(
+        dim, diagonal, weight = body["dim"], body["diagonal"], body["interpolation_weight"]
+        if type(diagonal) is not bool:
+            raise FormatError(f"backend model diagonal {json.dumps(diagonal)} is not true or false")
+        if type(weight) not in (int, float):  # bool is an int subclass
+            raise FormatError(
+                f"backend model interpolation_weight {json.dumps(weight)} is not a number"
+            )
+        gb = GaussianBackend(
             mu_farsi=np.array(body["mu_farsi"], dtype=np.float64),
             mu_usa=np.array(body["mu_usa"], dtype=np.float64),
             mu_english_effective=np.array(body["mu_english_effective"], dtype=np.float64),
             shared_cov=np.array(body["shared_cov"], dtype=np.float64),
-            interpolation_weight=float(body["interpolation_weight"]),
-            diagonal=bool(body["diagonal"]),
+            interpolation_weight=float(weight),
+            diagonal=diagonal,
         )
     except KeyError as exc:
         raise FormatError(f"backend model missing field {exc}") from None
     except (ValueError, TypeError) as exc:
         raise FormatError(f"malformed backend model field: {exc}") from None
+    if type(dim) is not int or dim != gb.dim:
+        raise FormatError(
+            f"backend model dim {json.dumps(dim)} is not its vector length {gb.dim}"
+        )
+    return gb
 
 
 # -- calibration model, language offset, metrics record ------------------------
@@ -647,6 +685,8 @@ def write_cal_model(path, model: CalibrationModel):
 
 
 def read_cal_model(path) -> CalibrationModel:
+    from .calibration import CalibrationModel
+
     kv = _read_kv(path, "cal-model", ["a", "b"])
     try:
         a, b = float(kv["a"]), float(kv["b"])
@@ -671,6 +711,8 @@ def write_alpha(path, offset: LanguageOffset):
 
 
 def read_alpha(path) -> LanguageOffset:
+    from .scoring import AlphaProvenance, LanguageOffset
+
     kv = _read_kv(path, "alpha", ["alpha"])
     try:
         alpha = float(kv["alpha"])

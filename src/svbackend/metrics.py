@@ -24,7 +24,11 @@ def roc_vertices(scores: ScoreSet) -> tuple[np.ndarray, np.ndarray]:
     labels = scores.require_labels()
     tar = np.sort(scores.scores[labels])
     non = np.sort(scores.scores[~labels])
-    thresholds = np.concatenate(([np.inf], np.unique(scores.scores)[::-1]))
+    # np.unique's sort-and-mask, inline: np.unique itself imports numpy.ma on
+    # numpy 2.4 (about 15 ms of every eval stage)
+    ordered = np.sort(scores.scores)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    thresholds = np.concatenate(([np.inf], distinct[::-1]))
     far = (len(non) - np.searchsorted(non, thresholds, side="left")) / len(non)
     frr = np.searchsorted(tar, thresholds, side="left") / len(tar)
     return far, frr

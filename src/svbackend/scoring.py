@@ -9,7 +9,6 @@ kernel, :func:`snorm_stats`, which scores a block of unit rows at a time.
 
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -28,12 +27,11 @@ from .errors import (
 )
 from .prototypes import PrototypeMatrix
 from .vecmath import cosine  # noqa: F401  (unused; perfbench counts calls via scoring.cosine)
-from .vecmath import Domain, EmbeddingTable, Language, average_embedding
+from .vecmath import DEFAULT_TOP_N, Domain, EmbeddingTable, Language, ScoringMode
+from .vecmath import average_embedding
 from .vecmath import check_row_norms, mean_of_units, pair_cosines, unit_rows
 
 log = logging.getLogger(__name__)
-
-DEFAULT_TOP_N = 40
 
 
 @dataclass(frozen=True)
@@ -111,12 +109,6 @@ class LanguageOffset:
     def __post_init__(self):
         if not np.isfinite(self.alpha):
             raise ValidationError("offset must be finite")
-
-
-class ScoringMode(enum.Enum):
-    RAW = "raw"
-    SNORM = "snorm"
-    SNORM_LID = "snorm-lid"
 
 
 def snorm_stats(units, rows, top_n: int = DEFAULT_TOP_N) -> tuple[np.ndarray, np.ndarray]:

@@ -54,6 +54,19 @@ class Language(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
+# The mode of ``scoring.score_trials`` and its default top-N live here, next
+# to Domain and Language, so the CLI parser can name them without loading
+# the scoring code.
+class ScoringMode(enum.Enum):
+    RAW = "raw"
+    SNORM = "snorm"
+    SNORM_LID = "snorm-lid"
+
+
+#: Imposter scores kept per side by the s-norm statistics of ``scoring``.
+DEFAULT_TOP_N = 40
+
+
 _ID_COLUMNS = ("utt_ids", "speaker_ids", "domains", "languages")
 
 

@@ -87,3 +87,50 @@ def edit_prototype_row(text, k, defect):
     fields = lines[1 + k].rstrip("\n").split("\t")
     lines[1 + k] = "\t".join(PROTOTYPE_DEFECTS[defect](fields)) + "\n"
     return "".join(lines)
+
+
+#: ``synth`` arguments of a corpus small enough to run every stage in a child
+TINY_SYNTH = [
+    "--seed", "3", "--vox", "6", "--libri", "3", "--deepmine", "6",
+    "--eval-speakers", "4", "--targets", "8", "--nontargets", "20",
+]
+
+
+def chain_argv(corpus: Path, work: Path) -> dict[str, list[str]]:
+    """The arguments of every CLI stage after ``synth``, in chain order, on
+    the ``synth`` corpus in ``corpus``; each stage writes into ``work`` what
+    a later stage reads."""
+    c = {name: str(corpus / f"{name}.tsv") for name in ("prototypes", "trials", "enroll")}
+    train, test = str(corpus / "train_embeddings.tsv"), str(corpus / "eval_embeddings.tsv")
+    w = {name: str(work / name) for name in (
+        "manifest.tsv", "gb.json", "lid.tsv", "alpha.tsv", "scores.tsv",
+        "cal.tsv", "calibrated.tsv", "fused.tsv", "metrics.tsv",
+    )}
+    return {
+        "plan-batches": [
+            "plan-batches", "--prototypes", c["prototypes"], "--embeddings", train,
+            "--batch-size", "12", "--anchors", "3", "--imposters", "4",
+            "--out", w["manifest.tsv"],
+        ],
+        "lid-train": ["lid-train", "--prototypes", c["prototypes"], "--out", w["gb.json"]],
+        "lid-classify": [
+            "lid-classify", "--model", w["gb.json"], "--embeddings", test, "--out", w["lid.tsv"],
+        ],
+        "alpha": ["alpha", "--prototypes", c["prototypes"], "--top-n", "5", "--out", w["alpha.tsv"]],
+        "score": [
+            "score", "--embeddings", test, "--trials", c["trials"], "--enroll", c["enroll"],
+            "--cohort-embeddings", train, "--cohort-domains", "DEEPMINE", "--mode", "snorm-lid",
+            "--alpha", w["alpha.tsv"], "--lid", w["lid.tsv"], "--top-n", "5",
+            "--out", w["scores.tsv"],
+        ],
+        "calibrate": [
+            "calibrate", "--scores", w["scores.tsv"], "--model-out", w["cal.tsv"],
+            "--out", w["calibrated.tsv"],
+        ],
+        "fuse": [
+            "fuse", "--scores", w["scores.tsv"], w["calibrated.tsv"], "--weights", "1,2",
+            "--out", w["fused.tsv"],
+        ],
+        "eval": ["eval", "--scores", w["fused.tsv"], "--out", w["metrics.tsv"]],
+        "aam-check": ["aam-check", "--instances", "1"],
+    }

@@ -19,6 +19,8 @@ import pytest
 import svbackend
 from svbackend import cli, formats, planner, scoring
 
+from conftest import TINY_SYNTH, chain_argv
+
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
 
 pytestmark = pytest.mark.skipif(not TRACED_CLI.exists(), reason="perfbench/ is not present")
@@ -78,43 +80,54 @@ def test_read_embeddings_dispatches_through_module_globals(monkeypatch, tmp_path
     assert seen == ["read_embeddings_text", "read_embeddings_binary"]
 
 
-def test_install_runs_a_stage(tmp_path):
+def traced(spans, argv):
+    """Run ``argv`` through traced_cli.py; its spans record."""
     src = str(Path(svbackend.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    spans = tmp_path / "spans.json"
     proc = subprocess.run(
-        [sys.executable, str(TRACED_CLI), str(spans), "aam-check", "--instances", "1"],
+        [sys.executable, str(TRACED_CLI), str(spans), *argv],
         env=env,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "scoring.cohort_builds" in json.loads(spans.read_text())["counts"]
+    return json.loads(Path(spans).read_text())
+
+
+def test_install_runs_a_stage(tmp_path):
+    record = traced(tmp_path / "spans.json", ["aam-check", "--instances", "1"])
+    assert "scoring.cohort_builds" in record["counts"]
+
+
+def test_traced_stages_record_the_layers_cli_calls(tmp_path):
+    """``cli`` imports its layers per command, and each command still calls
+    the wrapper that ``install`` bound on ``cli``."""
+    assert cli.main(["synth", "--out-dir", str(tmp_path / "corpus"), *TINY_SYNTH]) == 0
+    argvs = chain_argv(tmp_path / "corpus", tmp_path / "work")
+    expected = {
+        "lid-train": ["lid.train_gb"],
+        "lid-classify": ["lid.classify"],
+        "alpha": [],
+        "score": ["scoring.score_trials"],
+        "calibrate": [],
+        "fuse": ["calibration.fuse"],
+        "eval": ["metrics.eer", "metrics.min_dcf"],
+    }
+    for stage, spans in expected.items():
+        if not spans:  # an input of a traced stage
+            assert cli.main(argvs[stage]) == 0
+            continue
+        record = traced(tmp_path / f"{stage}.json", argvs[stage])
+        for name in spans:
+            assert record["spans"][name]["calls"] == 1, (stage, name)
+        if stage == "score":
+            assert record["counts"]["scoring.trials"] == len(formats.read_scores(argvs[stage][-1]))
 
 
 def test_traced_plan_batches_reads_only_the_ids_of_a_text_inventory(tmp_path):
     corpus = tmp_path / "corpus"
-    assert cli.main(
-        ["synth", "--out-dir", str(corpus), "--seed", "3", "--vox", "6", "--libri", "3",
-         "--deepmine", "6", "--eval-speakers", "4", "--targets", "8", "--nontargets", "20"]
-    ) == 0
-    src = str(Path(svbackend.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    spans = tmp_path / "spans.json"
-    proc = subprocess.run(
-        [
-            sys.executable, str(TRACED_CLI), str(spans), "plan-batches",
-            "--prototypes", str(corpus / "prototypes.tsv"),
-            "--embeddings", str(corpus / "train_embeddings.tsv"),
-            "--batch-size", "12", "--anchors", "3", "--imposters", "4",
-            "--out", str(tmp_path / "manifest.tsv"),
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(spans.read_text())
+    assert cli.main(["synth", "--out-dir", str(corpus), *TINY_SYNTH]) == 0
+    record = traced(tmp_path / "spans.json", chain_argv(corpus, tmp_path)["plan-batches"])
     assert record["spans"]["formats.read_embedding_ids"]["calls"] == 1
     assert "formats.read_embeddings_text" not in record["spans"]
     assert "formats.embedding_rows_read" not in record["counts"]

@@ -746,6 +746,46 @@ class TestErrors:
         )
         assert_one_error_line(rc, capsys)
 
+    def classify_with(self, model, data_dir, tmp_path):
+        return main(
+            [
+                "lid-classify", "--model", str(model),
+                "--embeddings", str(data_dir / "eval_embeddings.tsv"),
+                "--out", str(tmp_path / "lid.tsv"),
+            ]
+        )
+
+    def test_deeply_nested_backend_model(self, data_dir, tmp_path, capsys):
+        model = tmp_path / "gb.json"
+        model.write_text("#fmt:gb-model:1\n" + "[" * 200_000 + "\n")
+        line = assert_one_error_line(self.classify_with(model, data_dir, tmp_path), capsys)
+        assert line.startswith("error: FormatError: malformed backend model")
+        assert not (tmp_path / "lid.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dim", "7"),
+            ("dim", "16.0"),
+            ("dim", "true"),
+            ("dim", '"16"'),
+            ("diagonal", "0"),
+            ("diagonal", "null"),
+            ("diagonal", '"false"'),
+            ("interpolation_weight", '"0.75"'),
+            ("interpolation_weight", "true"),
+        ],
+    )
+    def test_backend_model_field_types(self, data_dir, tmp_path, capsys, field, value):
+        model = tmp_path / "gb.json"
+        run_ok(["lid-train", "--prototypes", str(data_dir / "prototypes.tsv"), "--out", str(model)])
+        capsys.readouterr()
+        text = model.read_text()
+        assert re.search(rf'\n "{field}": (16|false|0\.75),\n', text)
+        model.write_text(re.sub(rf'\n "{field}": [^,]*,', f'\n "{field}": {value},', text))
+        line = assert_one_error_line(self.classify_with(model, data_dir, tmp_path), capsys)
+        assert line.startswith(f"error: FormatError: backend model {field} {value}")
+
     @staticmethod
     def edit_row(text, k, edit):
         """The embedding file text with data row ``k`` split into its five

@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 import tracemalloc
@@ -808,6 +809,42 @@ class TestModels:
         assert np.array_equal(back.mu_english_effective, gb.mu_english_effective)
         assert np.array_equal(back.shared_cov, gb.shared_cov)
         assert back.interpolation_weight == gb.interpolation_weight
+
+    @staticmethod
+    def backend(dim, diagonal):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(dim, dim))
+        cov = np.diag(rng.uniform(0.5, 2.0, dim)) if diagonal else a @ a.T + np.eye(dim)
+        mu_fa, mu_us, w = rng.normal(size=dim), rng.normal(size=dim), 0.75
+        return GaussianBackend(mu_fa, mu_us, w * mu_us + (1 - w) * mu_fa, cov, w, diagonal)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 256])
+    def test_gb_bytes_are_json_dump_indent_1(self, tmp_path, dim, diagonal):
+        gb = self.backend(dim, diagonal)
+        body = {
+            "dim": gb.dim,
+            "interpolation_weight": gb.interpolation_weight,
+            "diagonal": gb.diagonal,
+            "mu_farsi": gb.mu_farsi.tolist(),
+            "mu_usa": gb.mu_usa.tolist(),
+            "mu_english_effective": gb.mu_english_effective.tolist(),
+            "shared_cov": gb.shared_cov.tolist(),
+        }
+        path = tmp_path / "gb.json"
+        formats.write_gb_model(path, gb)
+        want = "#fmt:gb-model:1\n" + json.dumps(body, indent=1, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == want
+
+    def test_gb_writer_streams_rows(self, tmp_path):
+        gb = self.backend(256, False)
+        tracemalloc.start()
+        try:
+            formats.write_gb_model(tmp_path / "gb.json", gb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6  # the covariance alone is 0.5 MB of float64
 
     def test_cal_model_roundtrip(self, tmp_path):
         model = CalibrationModel(a=3.0000000000000004, b=-0.1, trained_on="dev")
