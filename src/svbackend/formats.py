@@ -7,16 +7,24 @@ embedding format exists for volume: it stores vectors as little-endian
 float32 (a documented quantization) with a string table for ids, and
 re-writing what was read reproduces the file byte for byte.
 
-A reader imports the domain type it builds inside its body, so a stage
-loads only the modules of the files it reads.
+The text vector readers (embeddings and prototypes) return ``float``'s
+value of every vector field's text, bit for bit, and raise where it raises.
+They convert ``ROW_BLOCK`` rows at a time with :mod:`.textfloats`, which
+takes a value of the shape ``-?D+(.D+)?`` with at most 19 ASCII digits
+(less the ``0`` of ``0.xxx``) through numpy and leaves every other value to
+``float``.
+
+A reader imports the domain type it builds, and :mod:`.textfloats`, inside
+its body, so a stage loads only the modules of the files it reads.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 import struct
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -24,7 +32,7 @@ import numpy as np
 
 from .errors import FormatError, VersionUnsupported
 from .scores import LABEL_NONTARGET, LABEL_TARGET, ScoreSet
-from .vecmath import NORM_EPS, Domain, EmbeddingIds, EmbeddingTable, Language
+from .vecmath import NORM_EPS, ROW_BLOCK, Domain, EmbeddingIds, EmbeddingTable, Language
 from .vecmath import check_columns, check_row_norms
 
 if TYPE_CHECKING:
@@ -134,14 +142,29 @@ def _label(text: str, what: str) -> bool:
     return text == LABEL_TARGET
 
 
-def _floats(fields, heads: list, fmt: str) -> np.ndarray:
-    """The values of the vector ``fields``, each converted by ``float``, as one
-    flat float64 array; a malformed value names the row last in ``heads``."""
-    values = chain.from_iterable(map(float, v.split(",")) for v in fields)
-    try:
-        return np.fromiter(values, np.float64)
-    except ValueError:
-        raise FormatError(f"malformed vector in {fmt} row {heads[-1][0]!r}") from None
+def _floats(fields, names, fmt: str, out: np.ndarray) -> np.ndarray:
+    """Write the values of the comma-joined vector ``fields`` (rows of one
+    dimension) into ``out`` and return it, each value ``float`` of its text,
+    bit for bit; a malformed value in ``fields[k]`` names row ``names[k]``."""
+    if fields:
+        from . import textfloats
+
+        try:
+            textfloats.parse(fields, out)
+        except textfloats.MalformedToken as exc:
+            row = names[exc.index // (len(out) // len(fields))]
+            raise FormatError(f"malformed vector in {fmt} row {row!r}") from None
+    return out
+
+
+def _line_count(path) -> int:
+    """The number of lines of a file, a bound on its data rows.  This reads
+    the file a second time, so it must be a regular file (a pipe would lose
+    the rows this read takes)."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise FormatError(f"{path} is not a regular file")
+    with open(path, "rb") as fh:
+        return sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b"")) + 1
 
 
 _ZERO_DIGITS = str.maketrans("123456789", "000000000")
@@ -156,19 +179,33 @@ def _vector_scan(path, fmt: str, n_fields: int, convert=lambda head: True):
 
     Returns ``(heads, rows, values, later)``: the leading fields of every row;
     the indices of the rows whose leading fields ``convert`` picks, and their
-    values through ``float`` in one flat float64 array; and the vector fields
-    of the other rows that the caller must still convert.  Such a row stays
-    unconverted while its values have the digit shapes of finite floats seen
-    before; a new shape goes through ``float`` (FormatError if malformed).  It
-    goes to ``later`` if it holds a non-finite value or its first value does
-    not bound its norm above ``NORM_EPS``.
+    values as a read-only (rows, D) float64 matrix; and the values of the
+    other rows that the caller must still check, as a (later rows, D) matrix.
+    Picked rows are converted ``ROW_BLOCK`` at a time into one buffer sized
+    from the file's line count.  Any error raised at a row comes after the
+    picked rows before it are converted, so a malformed value among them
+    wins.  An unpicked row stays unconverted while its values have the
+    digit shapes of finite floats seen before; a new shape is converted
+    (FormatError if malformed).  It goes to ``later`` if it holds a
+    non-finite value or its first value does not bound its norm above
+    ``NORM_EPS``.
     """
     heads: list[list[str]] = []
     rows: list[int] = []
+    block: list[str] = []  # the vector fields of the picked rows not yet converted
     later: list[str] = []
+    later_names: list[str] = []
+    dim, shapes, values = 0, set(), np.empty(0)
 
-    def picked():
-        dim, shapes = 0, set()
+    def flush():
+        done, end = len(rows) - len(block), len(rows) * dim
+        fields = block.copy()
+        block.clear()
+        if end > len(values):
+            raise FormatError(f"{path} changed while it was read")
+        _floats(fields, [heads[r][0] for r in rows[done:]], fmt, values[done * dim : end])
+
+    try:
         for parts in _rows(path, fmt, fmt, n_fields):
             vec = parts[-1]
             n = vec.count(",") + 1
@@ -179,21 +216,30 @@ def _vector_scan(path, fmt: str, n_fields: int, convert=lambda head: True):
                 )
             heads.append(parts[:-1])
             if convert(heads[-1]):
+                if not rows:
+                    values = np.empty(_line_count(path) * dim)
                 rows.append(len(heads) - 1)
-                yield vec
+                block.append(vec)
+                if len(block) == ROW_BLOCK:
+                    flush()
                 continue
             new = set(vec.translate(_ZERO_DIGITS).split(",")) - shapes
             finite = all(map(_FINITE_SHAPE.fullmatch, new))
             if finite:
                 shapes |= new
             else:
-                finite = np.isfinite(_floats([vec], heads, fmt)).all()
+                finite = np.isfinite(_floats([vec], [parts[0]], fmt, np.empty(dim))).all()
             # a norm is at least |first value|, so a first value above
             # 2 * NORM_EPS rules out NormUnderflow
             if not finite or abs(float(vec.partition(",")[0])) <= 2 * NORM_EPS:
                 later.append(vec)
-
-    return heads, rows, _floats(picked(), heads, fmt), later
+                later_names.append(parts[0])
+    except FormatError:
+        flush()  # a malformed value in a picked row before the failing one comes first
+        raise
+    flush()
+    later_values = _floats(later, later_names, fmt, np.empty(len(later) * dim))
+    return heads, rows, _matrix(values[: len(rows) * dim], dim), _matrix(later_values, dim)
 
 
 def _columns(heads, fmt: str) -> list:
@@ -203,9 +249,9 @@ def _columns(heads, fmt: str) -> list:
     return [*ids, _enum_column(Domain, domains, fmt), _enum_column(Language, languages, fmt)]
 
 
-def _matrix(values: np.ndarray, n: int) -> np.ndarray:
-    """The flat ``values`` of ``n`` rows as a read-only (n, D) array."""
-    values = values.reshape(n, -1 if n else 0)
+def _matrix(values: np.ndarray, dim: int) -> np.ndarray:
+    """The flat ``values`` of rows of ``dim`` as a read-only (n, D) array."""
+    values = values.reshape(len(values) // dim if dim else 0, dim)
     values.setflags(write=False)
     return values
 
@@ -258,7 +304,7 @@ def write_embeddings_text(path, table: EmbeddingTable):
 def read_embeddings_text(path) -> EmbeddingTable:
     """Every row of the file through :func:`_vector_scan`, converted."""
     heads, _, values, _ = _vector_scan(path, "embeddings", 5)
-    return EmbeddingTable(*_columns(heads, "embeddings"), _matrix(values, len(heads)))
+    return EmbeddingTable(*_columns(heads, "embeddings"), values)
 
 
 # -- embeddings (binary) ------------------------------------------------------
@@ -370,7 +416,7 @@ def read_embedding_ids(path) -> EmbeddingIds:
     else:
         heads, _, _, later = _vector_scan(path, "embeddings", 5, lambda head: False)
         utts, speakers, _, _ = _columns(heads, "embeddings")
-        finite = np.isfinite(_floats(later, heads, "embeddings")).all()
+        finite = np.isfinite(later).all()
     check_columns(finite, utts, speakers)
     for r, (utt, spk) in enumerate(zip(utts, speakers)):
         _check_id(utt, f"embeddings row {r} utt_id")
@@ -393,13 +439,12 @@ def read_cohort(path, domains=None) -> Cohort:
         return kept.setdefault(head[1], _DOMAIN_OF.get(head[2]) in domains)
 
     heads, rows, values, later = _vector_scan(path, "embeddings", 5, convert)
-    later_values = _floats(later, heads, "embeddings")
     columns = _columns(heads, "embeddings")
-    check_columns(np.isfinite(values).all() and np.isfinite(later_values).all(), *columns[:2])
-    if later:  # every norm at or below NORM_EPS is among these rows
-        check_row_norms(_matrix(np.concatenate([values, later_values]), len(rows) + len(later)))
+    check_columns(np.isfinite(values).all() and np.isfinite(later).all(), *columns[:2])
+    if len(later):  # every norm at or below NORM_EPS is among these rows
+        check_row_norms(np.concatenate([values, later]))
     picked = ([col[r] for r in rows] for col in columns)
-    return Cohort.from_embeddings(EmbeddingTable(*picked, _matrix(values, len(rows))), domains)
+    return Cohort.from_embeddings(EmbeddingTable(*picked, values), domains)
 
 
 # -- prototypes ---------------------------------------------------------------
@@ -421,7 +466,7 @@ def read_prototypes(path) -> PrototypeMatrix:
     heads, _, values, _ = _vector_scan(path, "prototypes", 4)
     if not heads:
         raise FormatError("prototype file holds no rows")
-    return PrototypeMatrix(*_columns(heads, "prototypes"), _matrix(values, len(heads)))
+    return PrototypeMatrix(*_columns(heads, "prototypes"), values)
 
 
 # -- trials and enrollment map ------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -276,12 +278,14 @@ COHORT_ROWS = [
 COHORT_DOMAINS = [[Domain.DEEPMINE], [Domain.VOX, Domain.LIBRI]]
 
 
-def cohort_lines(rng, dim=256):
-    """The data lines of a text cohort file, each split into its five fields."""
-    vectors = rng.normal(size=(len(COHORT_ROWS), dim))
+def cohort_lines(rng, dim=256, copies=1):
+    """The data lines of a text cohort file of ``copies`` times COHORT_ROWS,
+    each split into its five fields."""
+    rows = COHORT_ROWS * copies
+    vectors = rng.normal(size=(len(rows), dim))
     return [
         [f"u{k}", spk, dom.value, "FARSI", formats._vec_str(vec)]
-        for k, ((spk, dom), vec) in enumerate(zip(COHORT_ROWS, vectors))
+        for k, ((spk, dom), vec) in enumerate(zip(rows, vectors))
     ]
 
 
@@ -380,10 +384,12 @@ class TestReadCohort:
             (("zero-row", 4), ("tiny-row", 2), "vector norm 0 <= 1e-12"),
             (("nan", 7), ("empty-utt-id", 1), "vector contains non-finite entries"),
             (("empty-utt-id", 1), ("unknown-language", 7), "unknown Language 'KLINGON'"),
+            (("malformed", 3), ("field-count", 10), "malformed vector in embeddings row 'u3'"),
+            (("malformed", 70), ("dimension", 76), "malformed vector in embeddings row 'u70'"),
         ],
     )
     def test_two_defects(self, tmp_path, rng, first, second, message):
-        lines = cohort_lines(rng)
+        lines = cohort_lines(rng, copies=7)  # 77 rows: more than one block of ROW_BLOCK
         for defect, row in (first, second):
             lines[row] = COHORT_DEFECTS[defect][0](lines[row])
         path = tmp_path / "cohort.tsv"
@@ -512,6 +518,51 @@ class TestPrototypes:
         formats.write_prototypes(path, corpus.prototypes)
         path.write_text(edit_prototype_row(path.read_text(), 3, defect))
         assert outcome(lambda: formats.read_prototypes(path)) == self.OUTCOMES[defect]
+
+    @pytest.mark.parametrize(
+        ("edits", "message"),
+        [
+            ((("malformed", 3), ("field-count", 10)), "malformed vector in prototypes row 'spk003'"),
+            ((("field-count", 3), ("malformed", 10)), "prototypes row needs 4 fields, got 3"),
+            ((("malformed", 70), ("field-count", 90)), "malformed vector in prototypes row 'spk070'"),
+            ((("malformed", 63), ("mixed-dimensions", 64)), "malformed vector in prototypes row 'spk063'"),
+            ((("mixed-dimensions", 64), ("malformed", 70)), "mixed dimensions: prototypes row 'spk064'"),
+            ((("malformed", 10), ("malformed", 70)), "malformed vector in prototypes row 'spk010'"),
+        ],
+    )
+    def test_first_defect_wins_across_blocks(self, tmp_path, rng, edits, message):
+        """Rows are converted ROW_BLOCK (64) at a time; an error names the
+        first defective row, in either block."""
+        path = tmp_path / "p.tsv"
+        formats.write_prototypes(path, make_protos(rng.normal(size=(16, 100))))
+        text = path.read_text()
+        for defect, row in edits:
+            text = edit_prototype_row(text, row, defect)
+        path.write_text(text)
+        got = outcome(lambda: formats.read_prototypes(path))
+        assert got[0] is FormatError and got[1].startswith(message)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_refused(self, corpus, tmp_path):
+        """The values buffer is sized by a second read of the file, which
+        would take rows from a pipe: a pipe is refused, not read short."""
+        text = tmp_path / "p.tsv"
+        formats.write_prototypes(text, corpus.prototypes)
+        pipe = tmp_path / "pipe.tsv"
+        os.mkfifo(pipe)
+
+        def feed():
+            try:
+                pipe.write_bytes(text.read_bytes())
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        got = outcome(lambda: formats.read_prototypes(pipe))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == (FormatError, f"{pipe} is not a regular file")
 
     def test_no_rows(self, tmp_path):
         path = tmp_path / "p.tsv"

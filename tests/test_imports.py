@@ -28,15 +28,16 @@ BASE = {"", "cli", "errors", "formats", "scores", "vecmath"}
 #: the modules each stage loads besides ``BASE``
 STAGE_MODULES = {
     "synth": {"synth", "planner", "prototypes"},
-    "plan-batches": {"planner", "prototypes"},
-    "lid-train": {"lid", "prototypes"},
-    "lid-classify": {"lid", "prototypes"},
-    "alpha": {"scoring", "prototypes"},
-    "score": {"scoring", "prototypes"},
+    "plan-batches": {"planner", "prototypes", "textfloats"},
+    "lid-train": {"lid", "prototypes", "textfloats"},
+    "lid-classify": {"lid", "prototypes", "textfloats"},
+    "alpha": {"scoring", "prototypes", "textfloats"},
+    "score": {"scoring", "prototypes", "textfloats"},
     "calibrate": {"calibration"},
     "fuse": {"calibration"},
     "eval": {"metrics"},
-    "aam-check": {"aam", "planner", "prototypes"},
+    "aam-check": {"aam", "planner", "prototypes"},  # the random mode reads no file
+    "aam-check --prototypes": {"aam", "planner", "prototypes", "textfloats"},
 }
 
 
@@ -73,6 +74,10 @@ def chain(tmp_path_factory):
     for argv in argvs.values():
         assert cli.main(argv) == 0
     argvs["synth"] = ["synth", "--out-dir", str(base / "again"), *TINY_SYNTH]
+    argvs["aam-check --prototypes"] = [
+        "aam-check", "--prototypes", str(base / "corpus" / "prototypes.tsv"),
+        "--embeddings", str(base / "corpus" / "train_embeddings.tsv"),
+    ]
     return argvs
 
 
