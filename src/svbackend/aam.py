@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GradSingularity, IndexOutOfRange, ValidationError
 from .prototypes import PrototypeMatrix
-from .vecmath import row_norms, unit_rows
+from .vecmath import frozen_rows, row_norms, unit_rows
 
 #: Cosines are clamped to +/-(1 - COS_CLAMP) before the margin identity;
 #: the sqrt in sin(theta) is singular at +/-1.
@@ -45,14 +45,15 @@ class AamConfig:
 
 @dataclass(frozen=True)
 class LabeledBatch:
-    """n x D embedding rows with per-row speaker indices."""
+    """n x D embedding rows with per-row speaker indices, both stored by
+    ``vecmath.frozen_rows``."""
 
     embeddings: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.embeddings, dtype=np.float64).copy()
-        y = np.asarray(self.labels, dtype=np.int64).copy()
+        x = frozen_rows(self.embeddings)
+        y = frozen_rows(self.labels, np.int64)
         if x.ndim != 2:
             raise ValidationError(f"embeddings must be 2-D, got shape {x.shape}")
         if x.shape[0] < 1:
@@ -63,8 +64,6 @@ class LabeledBatch:
             raise ValidationError("batch embeddings contain non-finite entries")
         if np.any(y < 0):
             raise IndexOutOfRange("negative speaker label")
-        x.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(self, "embeddings", x)
         object.__setattr__(self, "labels", y)
 

@@ -126,7 +126,7 @@ def fuse(score_sets: list[ScoreSet], weights) -> ScoreSet:
     unit = w / np.sum(w)
 
     fused = unit[0] * base.scores
-    labels = None if base.labels is None else base.labels.copy()
+    labels = base.labels
     for k, ss in enumerate(score_sets[1:], start=1):
         if set(ss.keys) != key_set:
             raise KeyMismatch(f"score set {k} covers different trials")
@@ -140,7 +140,7 @@ def fuse(score_sets: list[ScoreSet], weights) -> ScoreSet:
             aligned_labels = None if ss.labels is None else ss.labels[order]
         if aligned_labels is not None:
             if labels is None:
-                labels = aligned_labels.copy()
+                labels = aligned_labels
             elif not np.array_equal(labels, aligned_labels):
                 raise KeyMismatch(f"score set {k} disagrees on trial labels")
         fused = fused + unit[k] * aligned

@@ -21,8 +21,6 @@ from .errors import NumericalError, ParamInvalid, PipelineError
 from .scores import ScoreSet
 from .vecmath import DEFAULT_TOP_N, Domain, Language, ScoringMode
 
-log = logging.getLogger(__name__)
-
 # Tracer-forced: perfbench/traced_cli.py times these layers by rebinding
 # ``cli.<name>`` to a wrapper, so the commands call them through _layer.
 # This lookup goes once the tracer reads spans recorded inside svbackend.

@@ -31,6 +31,10 @@ class NormUnderflow(NumericalError):
     """Vector norm at or below the degeneracy floor."""
 
 
+class NormOverflow(NumericalError):
+    """Vector norm beyond the float64 range."""
+
+
 class DimensionMismatch(DataError):
     pass
 

@@ -157,19 +157,26 @@ def _floats(fields, names, fmt: str, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _line_count(path) -> int:
-    """The number of lines of a file, a bound on its data rows.  This reads
-    the file a second time, so it must be a regular file (a pipe would lose
-    the rows this read takes)."""
+def _regular(path):
+    """``path``, refused unless it is a regular file: a reader that opens its
+    file twice would lose to a pipe the bytes its first read took, or wait
+    for a writer that is gone."""
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise FormatError(f"{path} is not a regular file")
-    with open(path, "rb") as fh:
+    return path
+
+
+def _line_count(path) -> int:
+    """The number of lines of a :func:`_regular` file, a bound on its data
+    rows; this reads the file a second time."""
+    with open(_regular(path), "rb") as fh:
         return sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b"")) + 1
 
 
 _ZERO_DIGITS = str.maketrans("123456789", "000000000")
 #: Shapes (digits 1-9 mapped to 0) of decimals that ``float`` parses to a finite
-#: value, |x| <= 1e116: every ``repr`` of a float64 with |x| < 1e100 has one.
+#: value, |x| <= 1e116, so a row of them has a finite norm: every ``repr`` of a
+#: float64 with |x| < 1e100 has one.
 _FINITE_SHAPE = re.compile(r"-?0{1,17}(\.0+)?(e-0+|e\+00?)?")
 
 
@@ -185,16 +192,15 @@ def _vector_scan(path, fmt: str, n_fields: int, convert=lambda head: True):
     from the file's line count.  Any error raised at a row comes after the
     picked rows before it are converted, so a malformed value among them
     wins.  An unpicked row stays unconverted while its values have the
-    digit shapes of finite floats seen before; a new shape is converted
-    (FormatError if malformed).  It goes to ``later`` if it holds a
-    non-finite value or its first value does not bound its norm above
-    ``NORM_EPS``.
+    digit shapes of finite floats seen before, or new shapes of them, and
+    its first value bounds its norm above ``NORM_EPS``: such a row has a
+    finite norm above it.  Any other row is converted at its place
+    (FormatError if malformed) and goes to ``later``.
     """
     heads: list[list[str]] = []
     rows: list[int] = []
     block: list[str] = []  # the vector fields of the picked rows not yet converted
-    later: list[str] = []
-    later_names: list[str] = []
+    later: list[np.ndarray] = []
     dim, shapes, values = 0, set(), np.empty(0)
 
     def flush():
@@ -227,18 +233,15 @@ def _vector_scan(path, fmt: str, n_fields: int, convert=lambda head: True):
             finite = all(map(_FINITE_SHAPE.fullmatch, new))
             if finite:
                 shapes |= new
-            else:
-                finite = np.isfinite(_floats([vec], [parts[0]], fmt, np.empty(dim))).all()
             # a norm is at least |first value|, so a first value above
             # 2 * NORM_EPS rules out NormUnderflow
             if not finite or abs(float(vec.partition(",")[0])) <= 2 * NORM_EPS:
-                later.append(vec)
-                later_names.append(parts[0])
+                later.append(_floats([vec], [parts[0]], fmt, np.empty(dim)))
     except FormatError:
         flush()  # a malformed value in a picked row before the failing one comes first
         raise
     flush()
-    later_values = _floats(later, later_names, fmt, np.empty(len(later) * dim))
+    later_values = np.concatenate([np.empty(0), *later])
     return heads, rows, _matrix(values[: len(rows) * dim], dim), _matrix(later_values, dim)
 
 
@@ -394,7 +397,9 @@ def read_embeddings_binary(path) -> EmbeddingTable:
 
 
 def _is_binary(path) -> bool:
-    with open(path, "rb") as fh:
+    """Whether the :func:`_regular` file ``path`` holds binary embeddings; its
+    reader opens it again."""
+    with open(_regular(path), "rb") as fh:
         return fh.readline().startswith(b"#fmt:embeddings-bin:")
 
 
@@ -441,7 +446,7 @@ def read_cohort(path, domains=None) -> Cohort:
     heads, rows, values, later = _vector_scan(path, "embeddings", 5, convert)
     columns = _columns(heads, "embeddings")
     check_columns(np.isfinite(values).all() and np.isfinite(later).all(), *columns[:2])
-    if len(later):  # every norm at or below NORM_EPS is among these rows
+    if len(later):  # every norm at or below NORM_EPS, or infinite, is among these rows
         check_row_norms(np.concatenate([values, later]))
     picked = ([col[r] for r in rows] for col in columns)
     return Cohort.from_embeddings(EmbeddingTable(*picked, values), domains)
@@ -560,11 +565,7 @@ def read_scores(path) -> ScoreSet:
             labels.append(_label(parts[3], "score"))
     if not keys:
         raise FormatError("score file holds no rows")
-    return ScoreSet(
-        keys=tuple(keys),
-        scores=np.array(values, dtype=np.float64),
-        labels=np.array(labels, dtype=bool) if labels else None,
-    )
+    return ScoreSet(keys=tuple(keys), scores=values, labels=labels or None)
 
 
 # -- batch manifests ----------------------------------------------------------
@@ -676,15 +677,14 @@ def read_gb_model(path) -> GaussianBackend:
         dim, diagonal, weight = body["dim"], body["diagonal"], body["interpolation_weight"]
         if type(diagonal) is not bool:
             raise FormatError(f"backend model diagonal {json.dumps(diagonal)} is not true or false")
-        if type(weight) not in (int, float):  # bool is an int subclass
-            raise FormatError(
-                f"backend model interpolation_weight {json.dumps(weight)} is not a number"
-            )
-        gb = GaussianBackend(
-            mu_farsi=np.array(body["mu_farsi"], dtype=np.float64),
-            mu_usa=np.array(body["mu_usa"], dtype=np.float64),
-            mu_english_effective=np.array(body["mu_english_effective"], dtype=np.float64),
-            shared_cov=np.array(body["shared_cov"], dtype=np.float64),
+        if type(weight) not in (int, float) or not 0.0 <= weight <= 1.0:  # bool is an int
+            w = json.dumps(weight)
+            raise FormatError(f"backend model interpolation_weight {w} is not a number in [0, 1]")
+        gb = GaussianBackend(  # each list becomes one read-only array, by frozen_rows
+            mu_farsi=body["mu_farsi"],
+            mu_usa=body["mu_usa"],
+            mu_english_effective=body["mu_english_effective"],
+            shared_cov=body["shared_cov"],
             interpolation_weight=float(weight),
             diagonal=diagonal,
         )

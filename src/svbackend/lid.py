@@ -22,7 +22,7 @@ from .errors import (
     WeightOutOfRange,
 )
 from .prototypes import PrototypeMatrix
-from .vecmath import Language, unit_rows
+from .vecmath import Language, frozen_rows, unit_rows
 
 #: Ridge on the pooled covariance, as a fraction of the mean eigenvalue.
 #: Prototype counts are far below the embedding dimension, so the raw
@@ -35,6 +35,8 @@ RIDGE_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class GaussianBackend:
+    """Class means and shared covariance, each stored by ``vecmath.frozen_rows``."""
+
     mu_farsi: np.ndarray
     mu_usa: np.ndarray
     mu_english_effective: np.ndarray
@@ -43,13 +45,14 @@ class GaussianBackend:
     diagonal: bool = False
 
     def __post_init__(self):
-        mu_fa = np.asarray(self.mu_farsi, dtype=np.float64).copy()
-        mu_us = np.asarray(self.mu_usa, dtype=np.float64).copy()
-        mu_en = np.asarray(self.mu_english_effective, dtype=np.float64).copy()
-        cov = np.asarray(self.shared_cov, dtype=np.float64).copy()
+        names = ("mu_farsi", "mu_usa", "mu_english_effective", "shared_cov")
+        arrays = {name: frozen_rows(getattr(self, name)) for name in names}
+        mu_fa, mu_us, mu_en, cov = arrays.values()
         d = mu_fa.size
         if any(v.shape != (d,) for v in (mu_fa, mu_us, mu_en)) or cov.shape != (d, d):
             raise DimensionMismatch("backend mean/covariance shapes disagree")
+        if not all(np.isfinite(v).all() for v in arrays.values()):
+            raise ValidationError("backend means and covariance must be finite")
         if not np.allclose(cov, cov.T, atol=1e-9, rtol=0):
             raise ValidationError("shared covariance is not symmetric")
         w = self.interpolation_weight
@@ -61,13 +64,7 @@ class GaussianBackend:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise CovarianceSingular("shared covariance is not positive definite") from None
-        for name, val in (
-            ("mu_farsi", mu_fa),
-            ("mu_usa", mu_us),
-            ("mu_english_effective", mu_en),
-            ("shared_cov", cov),
-        ):
-            val.setflags(write=False)
+        for name, val in arrays.items():
             object.__setattr__(self, name, val)
 
     @property

@@ -8,6 +8,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import DegenerateLabels, ValidationError
+from .vecmath import frozen_rows
 
 LABEL_TARGET = "target"
 LABEL_NONTARGET = "nontarget"
@@ -20,7 +21,8 @@ class ScoreSet:
     """Parallel (trial key, score, optional label) lists.
 
     Labels are booleans (True = target trial) and may be absent for pure
-    inference sets; calibration fitting and metrics require them.
+    inference sets; calibration fitting and metrics require them.  Both
+    arrays are stored by ``vecmath.frozen_rows``.
     """
 
     keys: tuple[TrialKey, ...]
@@ -31,20 +33,16 @@ class ScoreSet:
         keys = tuple(map(tuple, self.keys))  # a tuple key is kept, not rebuilt
         if any(len(k) != 2 for k in keys) or not all(map(isinstance, chain(*keys), repeat(str))):
             raise ValidationError("trial keys must be pairs of str ids")
-        scores = np.asarray(self.scores, dtype=np.float64).copy()
+        scores = frozen_rows(self.scores)
         if scores.ndim != 1 or scores.shape[0] != len(keys):
             raise ValidationError("scores must be one float per trial key")
         if not np.all(np.isfinite(scores)):
             raise ValidationError("scores contain non-finite values")
         if len(set(keys)) != len(keys):
             raise ValidationError("trial keys must be unique")
-        labels = self.labels
-        if labels is not None:
-            labels = np.asarray(labels, dtype=bool).copy()
-            if labels.shape != scores.shape:
-                raise ValidationError("labels must align with scores")
-            labels.setflags(write=False)
-        scores.setflags(write=False)
+        labels = None if self.labels is None else frozen_rows(self.labels, bool)
+        if labels is not None and labels.shape != scores.shape:
+            raise ValidationError("labels must align with scores")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels)

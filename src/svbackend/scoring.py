@@ -4,7 +4,7 @@ The imposter cohort for trial scoring is built from training embeddings
 (one averaged vector per speaker); the cross-language compensation offset
 is estimated on the speaker prototypes.  Those are two distinct populations and
 are kept as two separate inputs throughout.  Both use one top-N statistics
-kernel, :func:`snorm_stats`, which scores a block of unit rows at a time.
+kernel, :func:`snorm_stats`, and one speaker exclusion, :meth:`Cohort.imposter_stats`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
 from .prototypes import PrototypeMatrix
 from .vecmath import cosine  # noqa: F401  (unused; perfbench counts calls via scoring.cosine)
 from .vecmath import DEFAULT_TOP_N, Domain, EmbeddingTable, Language, ScoringMode
-from .vecmath import average_embedding
+from .vecmath import average_embedding, frozen_rows
 from .vecmath import check_row_norms, mean_of_units, pair_cosines, unit_rows
 
 log = logging.getLogger(__name__)
@@ -48,11 +48,10 @@ class Cohort:
             raise EmptySet("cohort must contain at least one speaker")
         if len(set(ids)) != len(ids):
             raise ValidationError("cohort speaker_ids must be unique")
-        means = np.array(self.means, dtype=np.float64)
+        means = frozen_rows(self.means)
         unit = unit_rows(means)
         if len(means) != len(ids):
             raise ValidationError(f"{len(means)} cohort means for {len(ids)} speakers")
-        means.setflags(write=False)
         unit.setflags(write=False)
         object.__setattr__(self, "speaker_ids", ids)
         object.__setattr__(self, "means", means)
@@ -64,6 +63,21 @@ class Cohort:
     @property
     def unit_rows(self) -> np.ndarray:
         return self._unit_rows
+
+    def imposter_stats(self, units, speakers, top_n: int = DEFAULT_TOP_N) -> tuple:
+        """:func:`snorm_stats` of each row of ``units`` against the cohort rows
+        whose speaker is not among that row's ``speakers``, one call per row on
+        the kept rows (dropping scores from a product with every row would move
+        bits, as a gemv's depend on row positions).  EmptySet if none is kept."""
+        ids = np.array(self.speaker_ids)
+        mu, sigma = np.empty(len(units)), np.empty(len(units))
+        for i, drop in enumerate(speakers):
+            keep = ~np.isin(ids, list(drop))
+            if not keep.any():
+                raise EmptySet("excluding enrollment speakers emptied the cohort")
+            kept = self.unit_rows if keep.all() else self.unit_rows[keep]
+            mu[i : i + 1], sigma[i : i + 1] = snorm_stats(units[i : i + 1], kept, top_n)
+        return mu, sigma
 
     @classmethod
     def from_embeddings(
@@ -163,16 +177,11 @@ def estimate_alpha(protos: PrototypeMatrix, top_n: int = DEFAULT_TOP_N) -> Langu
         raise ClassTooSmall("need at least one English-labeled prototype")
 
     unit = protos.unit_rows
-    # normalized once more, as a cohort normalizes its entries
-    farsi_rows = unit_rows(unit[farsi], protos.dim)
-    # one call per left-out prototype: dropping the self-score from a product
-    # with all Farsi rows would move bits, as a gemv's depend on row positions
-    mu_loo = [
-        snorm_stats(farsi_rows[k : k + 1], np.delete(farsi_rows, k, 0), top_n)[0]
-        for k in range(len(farsi))
-    ]
-    mu_fa = float(np.mean(np.concatenate(mu_loo)))
-    mu_usa = float(np.mean(snorm_stats(unit_rows(unit[usa]), farsi_rows, top_n)[0]))
+    # the cohort normalizes the unit prototypes once more
+    cohort = Cohort(tuple(protos.speaker_ids[i] for i in farsi), unit[farsi])
+    own = [(sid,) for sid in cohort.speaker_ids]
+    mu_fa = float(np.mean(cohort.imposter_stats(cohort.unit_rows, own, top_n)[0]))
+    mu_usa = float(np.mean(snorm_stats(unit_rows(unit[usa]), cohort.unit_rows, top_n)[0]))
     return LanguageOffset(
         alpha=mu_fa - mu_usa,
         provenance=AlphaProvenance(
@@ -202,8 +211,8 @@ def score_trials(
     in raw mode that is the cosine of enrollment model and test vector.
     Each enrollment model is the average of its L2-normalized utterances.
     Normalization statistics come from one :func:`snorm_stats` call for all
-    test utterances and one per model; cohort entries sharing a speaker_id
-    with a model's enrollment utterances are left out of that model's call.
+    test utterances and one per model, through :meth:`Cohort.imposter_stats`,
+    which leaves the model's enrollment speakers out of its cohort.
     """
     if mode is not ScoringMode.RAW and cohort is None:
         raise ParamInvalid(f"mode {mode.value} requires a cohort")
@@ -245,16 +254,12 @@ def score_trials(
     if mode is ScoringMode.RAW:
         return raw
 
-    rows = cohort.unit_rows
-    cohort_speakers = np.array(cohort.speaker_ids)
+    used = list(dict.fromkeys(mi.tolist()))  # models in order of first trial
     mu_e, sigma_e = np.zeros(len(model_ids)), np.ones(len(model_ids))
-    for m in dict.fromkeys(mi.tolist()):
-        keep = ~np.isin(cohort_speakers, list(model_speakers[m]))
-        if not keep.any():
-            raise EmptySet("excluding enrollment speakers emptied the cohort")
-        kept = rows if keep.all() else rows[keep]
-        mu_e[m : m + 1], sigma_e[m : m + 1] = snorm_stats(model_unit[m : m + 1], kept, top_n)
-    mu_t, sigma_t = snorm_stats(test_unit, rows, top_n)
+    mu_e[used], sigma_e[used] = cohort.imposter_stats(
+        model_unit[used], [model_speakers[m] for m in used], top_n
+    )
+    mu_t, sigma_t = snorm_stats(test_unit, cohort.unit_rows, top_n)
     shift = np.zeros(len(test_vecs))
     if mode is ScoringMode.SNORM_LID:
         for t, utt_id in enumerate(test_row):

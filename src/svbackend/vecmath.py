@@ -28,6 +28,7 @@ from .errors import (
     DegenerateAverage,
     DimensionMismatch,
     EmptySet,
+    NormOverflow,
     NormUnderflow,
     ValidationError,
 )
@@ -116,11 +117,13 @@ class EmbeddingTable:
         return self.vectors.shape[1]
 
 
-def frozen_rows(x) -> np.ndarray:
-    """``x`` as float64, read-only and C-contiguous: kept as given if it is, else copied."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.flags.writeable or not x.flags.c_contiguous:
-        x = np.array(x, order="C")
+def frozen_rows(x, dtype=np.float64) -> np.ndarray:
+    """``x`` as a read-only C-contiguous ``dtype`` array, the storage rule of
+    every array a record keeps: such an array is kept as given, anything
+    else is copied once."""
+    kept = type(x) is np.ndarray and x.dtype == dtype and x.flags.c_contiguous
+    if not kept or x.flags.writeable:
+        x = np.array(x, dtype=dtype, order="C")
         x.setflags(write=False)
     return x
 
@@ -143,6 +146,7 @@ def unit_rows(vecs, dim: int | None = None) -> np.ndarray:
         ValidationError: a non-finite entry.
         NormUnderflow: a norm at or below ``NORM_EPS`` (degenerate vector,
             e.g. all zeros).
+        NormOverflow: a norm beyond the float64 range.
     """
     try:
         x = np.asarray(vecs, dtype=np.float64, order="C")
@@ -160,21 +164,26 @@ def unit_rows(vecs, dim: int | None = None) -> np.ndarray:
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of the (n, D) array ``x``: the pairwise sum
     of squares along the row and a correctly rounded sqrt, taken over
-    C-contiguous blocks of ``ROW_BLOCK`` rows (no (n, D) temporary)."""
+    C-contiguous blocks of ``ROW_BLOCK`` rows (no (n, D) temporary).  A sum
+    of squares beyond the float64 range gives an infinite norm, silently."""
     out = np.empty(len(x))
-    for s in range(0, len(x), ROW_BLOCK):
-        b = np.ascontiguousarray(x[s : s + ROW_BLOCK])
-        out[s : s + ROW_BLOCK] = np.sqrt(np.sum(b * b, axis=1))
+    with np.errstate(over="ignore"):
+        for s in range(0, len(x), ROW_BLOCK):
+            b = np.ascontiguousarray(x[s : s + ROW_BLOCK])
+            out[s : s + ROW_BLOCK] = np.sqrt(np.sum(b * b, axis=1))
     return out
 
 
 def check_row_norms(x: np.ndarray) -> np.ndarray:
-    """The :func:`row_norms` of ``x``; raises NormUnderflow as :func:`unit_rows`
-    does when one is at or below ``NORM_EPS``."""
+    """The :func:`row_norms` of ``x``; raises as :func:`unit_rows` does:
+    NormUnderflow when one is at or below ``NORM_EPS``, else NormOverflow
+    when one is infinite."""
     norms = row_norms(x)
     low = norms.min(initial=np.inf)
     if low <= NORM_EPS:
         raise NormUnderflow(f"vector norm {low:g} <= {NORM_EPS:g}")
+    if norms.max(initial=0.0) == np.inf:
+        raise NormOverflow("vector norm beyond the float64 range")
     return norms
 
 

@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import re
 import shlex
@@ -663,6 +664,28 @@ class TestOptionsMatchTheLibrary:
         assert capsys.readouterr().out == f"loss on {batch.size} embeddings: {loss!r}\n"
 
 
+#: the warning filter the CI steps set for every Python process
+WARNINGS_AS_ERRORS = "error::RuntimeWarning,error::DeprecationWarning"
+
+
+def run_cli(argv, warnings_as_errors, timeout=120, **kwargs):
+    """``python -m svbackend <argv>`` in a subprocess, with or without every
+    numpy overflow, invalid-value or deprecation warning an error."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(svbackend.__file__).resolve().parents[1])
+    if warnings_as_errors:
+        env["PYTHONWARNINGS"] = WARNINGS_AS_ERRORS
+    return subprocess.run(
+        [sys.executable, "-m", "svbackend", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout, **kwargs,
+    )
+
+
+def with_weight(text, value):
+    """gb.json ``text`` with the JSON text ``value`` as its interpolation weight."""
+    return re.sub(r'"interpolation_weight": [^,]*,', f'"interpolation_weight": {value},', text)
+
+
 def values_from_2(*values):
     """An ``edit_row`` edit that puts ``values`` at vector positions 2, 3, ..."""
     return lambda f: f[:4] + [f[4][:2] + list(values) + f[4][2 + len(values) :]]
@@ -787,6 +810,52 @@ class TestErrors:
         assert line.startswith(f"error: FormatError: backend model {field} {value}")
 
     @staticmethod
+    def trained_model(data_dir, tmp_path):
+        model = tmp_path / "gb.json"
+        run_ok(["lid-train", "--prototypes", str(data_dir / "prototypes.tsv"), "--out", str(model)])
+        return model
+
+    @classmethod
+    def model_with(cls, data_dir, tmp_path, field, value, also=()):
+        """A trained gb.json whose first ``field`` value (and that of each
+        field in ``also``) is the JSON text ``value``."""
+        model = cls.trained_model(data_dir, tmp_path)
+        header, body = model.read_text().split("\n", 1)
+        body = json.loads(body)
+        for name in (field, *also):
+            row = body[name][0] if name == "shared_cov" else body[name]
+            row[0] = "@@"
+        model.write_text(header + "\n" + json.dumps(body).replace('"@@"', value) + "\n")
+        return model
+
+    @pytest.mark.parametrize("value", ["1e400", "Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize(
+        "field", ["mu_farsi", "mu_usa", "mu_english_effective", "shared_cov"]
+    )
+    def test_non_finite_backend_model(self, data_dir, tmp_path, capsys, field, value):
+        # a non-finite mu_usa comes with a non-finite mu_english_effective,
+        # so that the two still agree with the interpolation weight
+        also = ("mu_english_effective",) if field == "mu_usa" else ()
+        model = self.model_with(data_dir, tmp_path, field, value, also)
+        capsys.readouterr()
+        line = assert_one_error_line(self.classify_with(model, data_dir, tmp_path), capsys)
+        assert line == "error: ValidationError: backend means and covariance must be finite"
+        assert not (tmp_path / "lid.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("1.5", "1.5"), ("-0.5", "-0.5"), ("NaN", "NaN"), ("1e400", "Infinity")],
+    )
+    def test_backend_model_weight_out_of_range(self, data_dir, tmp_path, capsys, value, shown):
+        model = self.trained_model(data_dir, tmp_path)
+        model.write_text(with_weight(model.read_text(), value))
+        capsys.readouterr()
+        line = assert_one_error_line(self.classify_with(model, data_dir, tmp_path), capsys)
+        message = f"backend model interpolation_weight {shown} is not a number in [0, 1]"
+        assert line == f"error: FormatError: {message}"
+        assert not (tmp_path / "lid.tsv").exists()
+
+    @staticmethod
     def edit_row(text, k, edit):
         """The embedding file text with data row ``k`` split into its five
         fields (the vector as a list of values) and passed through ``edit``."""
@@ -893,11 +962,16 @@ class TestErrors:
         if case in first:
             assert first[case] in line
 
-    @pytest.mark.parametrize(("case", "rc"), [("zero-row", 4), ("malformed-float", 3)])
+    @pytest.mark.parametrize(
+        ("case", "rc"), [("zero-row", 4), ("huge-row", 4), ("malformed-float", 3)]
+    )
     def test_score_checks_rows_the_cohort_drops(self, data_dir, tmp_path, capsys, case, rc):
         train = (data_dir / "train_embeddings.tsv").read_text()
         k = next(r for r, line in enumerate(train.splitlines()[1:]) if "\tVOX\t" in line)
-        edit = {"zero-row": lambda f: f[:4] + [["0.0"] * len(f[4])]}.get(case)
+        edit = {
+            "zero-row": lambda f: f[:4] + [["0.0"] * len(f[4])],
+            "huge-row": values_from_2("1e+200"),
+        }.get(case)
         text, _ = self.edit_row(train, k, edit or self.HOSTILE_TEXT[case])
         path = tmp_path / "cohort.tsv"
         path.write_text(text)
@@ -907,7 +981,7 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert got == rc == exc.value.exit_code
         assert err == [f"error: {type(exc.value).__name__}: {exc.value}"]
-        error = "NormUnderflow" if case == "zero-row" else "FormatError"
+        error = {"zero-row": "NormUnderflow", "huge-row": "NormOverflow"}.get(case, "FormatError")
         assert err[0].startswith(f"error: {error}:")
 
     def test_plan_batches_rejects_whitespace_id_before_planning(self, data_dir, tmp_path, capsys):
@@ -1096,6 +1170,107 @@ class TestErrors:
 
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
+
+
+@pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["default", "werror"])
+class TestHostileInputsInASubprocess:
+    """Non-finite model values, rows whose norm overflows and pipes fail
+    with one ``error:`` line, their exit code and no output file, whether
+    or not warnings are errors, and within a timeout."""
+
+    @staticmethod
+    def classify(pipeline_files, data_dir, tmp_path, warnings_as_errors, model=None, **kwargs):
+        embeddings = kwargs.pop("embeddings", data_dir / "eval_embeddings.tsv")
+        out = tmp_path / "lid.tsv"
+        proc = run_cli(
+            [
+                "lid-classify", "--model", str(model or pipeline_files / "gb.json"),
+                "--embeddings", str(embeddings), "--out", str(out),
+            ],
+            warnings_as_errors,
+            **kwargs,
+        )
+        assert not out.exists()
+        return proc.returncode, proc.stderr.splitlines()
+
+    @pytest.mark.parametrize(
+        "field, value, also",
+        [
+            ("mu_usa", "1e400", ("mu_english_effective",)),
+            ("shared_cov", "Infinity", ()),
+            ("mu_farsi", "NaN", ()),
+        ],
+    )
+    def test_non_finite_backend_model(
+        self, pipeline_files, data_dir, tmp_path, warnings_as_errors, field, value, also
+    ):
+        model = TestErrors.model_with(data_dir, tmp_path, field, value, also)
+        got = self.classify(pipeline_files, data_dir, tmp_path, warnings_as_errors, model)
+        assert got == (3, ["error: ValidationError: backend means and covariance must be finite"])
+
+    def test_nan_backend_weight(self, pipeline_files, data_dir, tmp_path, warnings_as_errors):
+        model = tmp_path / "gb.json"
+        text = (pipeline_files / "gb.json").read_text()
+        model.write_text(with_weight(text, "NaN"))
+        got = self.classify(pipeline_files, data_dir, tmp_path, warnings_as_errors, model)
+        message = "backend model interpolation_weight NaN is not a number in [0, 1]"
+        assert got == (3, [f"error: FormatError: {message}"])
+
+    @pytest.mark.parametrize("stage", ["lid-classify", "score"])
+    def test_eval_row_whose_norm_overflows(
+        self, pipeline_files, data_dir, tmp_path, warnings_as_errors, stage
+    ):
+        huge = lambda f: f[:4] + [["1e200"] * len(f[4])]  # noqa: E731
+        text, _ = TestErrors.edit_row((data_dir / "eval_embeddings.tsv").read_text(), 3, huge)
+        path = tmp_path / "eval.tsv"
+        path.write_text(text)
+        if stage == "lid-classify":
+            got = self.classify(
+                pipeline_files, data_dir, tmp_path, warnings_as_errors, embeddings=path
+            )
+        else:
+            out = tmp_path / "scores.tsv"
+            proc = run_cli(
+                [
+                    "score", "--mode", "raw", "--out", str(out), "--embeddings", str(path),
+                    "--trials", str(data_dir / "trials.tsv"),
+                    "--enroll", str(data_dir / "enroll.tsv"),
+                ],
+                warnings_as_errors,
+            )
+            assert not out.exists()
+            got = proc.returncode, proc.stderr.splitlines()
+        assert got == (4, ["error: NormOverflow: vector norm beyond the float64 range"])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_with_a_writer(
+        self, pipeline_files, data_dir, tmp_path, warnings_as_errors
+    ):
+        pipe = tmp_path / "eval.tsv"
+        os.mkfifo(pipe)
+        # the writer waits in its open for a reader that never comes
+        write = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+        writer = subprocess.Popen(
+            [sys.executable, "-c", write, str(data_dir / "eval_embeddings.tsv"), str(pipe)],
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            got = self.classify(
+                pipeline_files, data_dir, tmp_path, warnings_as_errors, embeddings=pipe, timeout=60
+            )
+        finally:
+            writer.kill()
+            writer.wait()
+        assert got == (3, [f"error: FormatError: {pipe} is not a regular file"])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_anonymous_pipe(self, pipeline_files, data_dir, tmp_path, warnings_as_errors):
+        got = self.classify(
+            pipeline_files, data_dir, tmp_path, warnings_as_errors,
+            embeddings="/dev/stdin", timeout=60,
+            input=(data_dir / "eval_embeddings.tsv").read_text(),
+        )
+        assert got == (3, ["error: FormatError: /dev/stdin is not a regular file"])
 
 
 class TestUsage:

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -13,6 +15,7 @@ from svbackend.calibration import CalibrationModel
 from svbackend.errors import (
     EmptySet,
     FormatError,
+    NormOverflow,
     NormUnderflow,
     ValidationError,
     VersionUnsupported,
@@ -328,6 +331,7 @@ COHORT_DEFECTS = {
     "malformed": (_value("0.1x"), False),
     "nan": (_value("nan"), False),
     "overflow": (_value("1e400"), False),
+    "huge-row": (_value("1e+200"), False),  # finite, but its norm is not
     "zero-row": (lambda f: set_values(f, ["0.0"] * 256), False),
     "tiny-row": (lambda f: set_values(f, ["1e-14"] * 256), False),
     "zero-first-value": (lambda f: set_values(f, ["0.0", *f[4].split(",")[1:]]), True),
@@ -357,6 +361,8 @@ class TestReadCohort:
         assert isinstance(want, Cohort) == reads, want
         if defect == "tiny-row":
             assert want == (NormUnderflow, "vector norm 1.6e-13 <= 1e-12")
+        if defect == "huge-row":
+            assert want == (NormOverflow, "vector norm beyond the float64 range")
 
     @pytest.mark.parametrize("domains", COHORT_DOMAINS + [None])
     def test_clean_file(self, tmp_path, rng, domains):
@@ -386,6 +392,8 @@ class TestReadCohort:
             (("empty-utt-id", 1), ("unknown-language", 7), "unknown Language 'KLINGON'"),
             (("malformed", 3), ("field-count", 10), "malformed vector in embeddings row 'u3'"),
             (("malformed", 70), ("dimension", 76), "malformed vector in embeddings row 'u70'"),
+            (("huge-row", 4), ("tiny-row", 2), "vector norm 1.6e-13 <= 1e-12"),
+            (("tiny-row", 4), ("huge-row", 2), "vector norm 1.6e-13 <= 1e-12"),
         ],
     )
     def test_two_defects(self, tmp_path, rng, first, second, message):
@@ -432,6 +440,46 @@ def test_embedding_ids_on_cohort_defects(tmp_path, rng, defect, row):
     want = outcome(lambda: formats.read_embeddings(path))
     got = outcome(lambda: formats.read_embedding_ids(path))
     assert got == (want if isinstance(want, tuple) else (want.utt_ids, want.speaker_ids))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize(
+    "read",
+    [
+        "formats.read_embeddings(path)",
+        "formats.read_embedding_ids(path)",
+        "formats.read_cohort(path)",
+        "formats.read_cohort(path, [Domain.DEEPMINE])",
+    ],
+)
+def test_embedding_pipe_is_refused_unopened(tmp_path, read):
+    """A named pipe is refused before it is opened: a reader that opened it
+    would wait for a writer, and one that opened it twice would wait on
+    its second open for a writer that is gone.  Run in a subprocess, so a
+    reader that waits fails the test by its timeout instead of hanging it."""
+    pipe = tmp_path / "pipe.tsv"
+    os.mkfifo(pipe)
+    code = (
+        "import sys\n"
+        "from svbackend import formats\n"
+        "from svbackend.errors import FormatError\n"
+        "from svbackend.vecmath import Domain\n"
+        "path = sys.argv[1]\n"
+        "try:\n"
+        f"    {read}\n"
+        "except FormatError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(formats.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(pipe)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{pipe} is not a regular file\n"
 
 
 class TestFiniteShapeRule:

@@ -178,6 +178,57 @@ class TestBlockSnormStats:
             scoring.snorm_stats(np.array([[0.0, 1.0], [1.0, 0.0]]), flat, 2)
 
 
+class TestImposterStats:
+    """``Cohort.imposter_stats`` against a cohort rebuilt without each row's
+    speakers (``excluding_speakers``) and the per-vector ``snorm_stats``,
+    row by row and bit for bit."""
+
+    def check(self, cohort, vecs, speakers, top_n):
+        mu, sigma = cohort.imposter_stats(unit_rows(vecs), speakers, top_n)
+        assert mu.shape == sigma.shape == (len(vecs),)
+        for k, (vec, drop) in enumerate(zip(vecs, speakers)):
+            st = snorm_stats(vec, excluding_speakers(cohort, drop).unit_rows, top_n)
+            assert mu[k] == st.mu and sigma[k] == st.sigma
+
+    def test_against_the_oracle(self, rng):
+        # every cohort row twice, so top_n=8 cuts through ties
+        means = np.repeat(rng.normal(size=(15, 12)), 2, axis=0)
+        cohort = Cohort(tuple(f"s{k}" for k in range(30)), means)
+        speakers = [
+            (),
+            ("s0",),
+            ("s3", "s29"),
+            ("elsewhere",),
+            ["s5", "elsewhere", "s5"],
+            {f"s{k}" for k in range(10, 20)},
+        ]
+        self.check(cohort, rng.normal(size=(len(speakers), 12)), speakers, 8)
+
+    def test_fewer_rows_left_than_top_n(self, rng, caplog):
+        cohort = Cohort(tuple(f"s{k}" for k in range(10)), rng.normal(size=(10, 6)))
+        with caplog.at_level("WARNING"):
+            mu, _ = cohort.imposter_stats(
+                unit_rows(rng.normal(size=(2, 6))), [("s1", "s2", "s3"), ()], 8
+            )
+        warned = [r.message for r in caplog.records if "exceeds cohort size" in r.message]
+        assert warned == ["top_n=8 exceeds cohort size 7; using the whole cohort"]
+        self.check(cohort, rng.normal(size=(2, 6)), [("s1", "s2", "s3"), ()], 8)
+
+    def test_excluding_every_speaker(self, rng):
+        cohort = Cohort(("a", "b"), rng.normal(size=(2, 4)))
+        message = "excluding enrollment speakers emptied the cohort"
+        with pytest.raises(EmptySet) as got:
+            cohort.imposter_stats(unit_rows(rng.normal(size=(2, 4))), [("c",), ("b", "a")], 2)
+        with pytest.raises(EmptySet) as want:
+            excluding_speakers(cohort, ("b", "a"))
+        assert str(got.value) == str(want.value) == message
+
+    def test_no_rows(self, rng):
+        cohort = Cohort(("a", "b", "c"), rng.normal(size=(3, 4)))
+        mu, sigma = cohort.imposter_stats(np.empty((0, 4)), [], 2)
+        assert mu.shape == sigma.shape == (0,)
+
+
 class TestSnormFormulas:
     """``_snorm(raw, mu_e, sigma_e, mu_t, sigma_t, shift)``, the package's one
     s-norm, against the written-out scalar references in oracles."""

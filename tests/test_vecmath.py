@@ -1,15 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from svbackend.aam import LabeledBatch
 from svbackend.errors import (
     DegenerateAverage,
     DimensionMismatch,
     EmptySet,
+    NormOverflow,
     NormUnderflow,
     ValidationError,
 )
+from svbackend.lid import GaussianBackend, adapt_english_mean
+from svbackend.scores import ScoreSet
+from svbackend.scoring import Cohort
 from svbackend.vecmath import (
     ROW_BLOCK,
     Domain,
@@ -18,6 +24,7 @@ from svbackend.vecmath import (
     average_embedding,
     check_row_norms,
     cosine,
+    frozen_rows,
     pair_cosines,
     row_norms,
     unit_rows,
@@ -199,6 +206,115 @@ class TestRowNorms:
         assert not w.T.flags.c_contiguous
         rows = np.ascontiguousarray(w.T)
         assert np.array_equal(row_norms(w.T), np.sqrt(np.sum(rows * rows, axis=1)))
+
+
+class TestNormOverflow:
+    """A finite row whose norm is beyond the float64 range is refused, with
+    no overflow warning on the way."""
+
+    @pytest.mark.parametrize("row", [[1e200, 1e200], [1e154, 1e154, 1e154], [1e308, -1e308]])
+    def test_refused(self, row):
+        x = np.vstack([np.ones((ROW_BLOCK + 6, len(row))), [row]])  # in the second block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert row_norms(x)[-1] == math.inf
+            for check in (check_row_norms, unit_rows):
+                with pytest.raises(NormOverflow, match="^vector norm beyond the float64 range$"):
+                    check(x)
+
+    def test_underflow_wins(self):
+        x = np.array([[1e200, 1e200], [0.0, 0.0]])
+        with pytest.raises(NormUnderflow):
+            check_row_norms(x)
+
+    def test_largest_finite_norms_kept(self):
+        x = np.array([[1e153, 1e153], [1.3e154, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(check_row_norms(x), np.sqrt(np.sum(x * x, axis=1)))
+
+
+def _backend(**arrays):
+    fields = dict(
+        mu_farsi=np.array([1.0, 0.0]),
+        mu_usa=np.array([0.0, 1.0]),
+        mu_english_effective=np.array([0.0, 1.0]),
+        shared_cov=np.eye(2),
+    )
+    return GaussianBackend(**{**fields, **arrays})
+
+
+KEYS = (("m", "u"), ("m", "v"))
+
+#: record field -> (the field of a record built with ``value`` there, value)
+STORED = {
+    "ScoreSet.scores": (lambda a: ScoreSet(KEYS, a).scores, np.array([0.5, -1.0])),
+    "ScoreSet.labels": (lambda a: ScoreSet(KEYS, [0.0, 1.0], a).labels, np.array([True, False])),
+    "Cohort.means": (lambda a: Cohort(("a", "b"), a).means, np.array([[3.0, 4.0], [0.0, 2.0]])),
+    "LabeledBatch.embeddings": (
+        lambda a: LabeledBatch(a, [0, 1]).embeddings,
+        np.array([[1.0, 2.0], [3.0, 4.0]]),
+    ),
+    "LabeledBatch.labels": (
+        lambda a: LabeledBatch(np.ones((2, 2)), a).labels,
+        np.array([0, 1], dtype=np.int64),
+    ),
+    **{
+        f"GaussianBackend.{name}": (
+            lambda a, name=name: getattr(_backend(**{name: a}), name),
+            getattr(_backend(), name),
+        )
+        for name in ("mu_farsi", "mu_usa", "mu_english_effective", "shared_cov")
+    },
+}
+
+
+class TestStorageRule:
+    """Every array a record keeps goes through ``frozen_rows``: a read-only
+    C-contiguous input of its dtype is kept, anything else copied once."""
+
+    @pytest.mark.parametrize("field", sorted(STORED))
+    def test_record_field(self, field):
+        build, value = STORED[field]
+        frozen = value.copy()
+        frozen.setflags(write=False)
+        assert build(frozen) is frozen
+        writeable = value.copy()
+        stored = build(writeable)
+        assert stored.dtype == value.dtype and np.array_equal(stored, value)
+        assert not np.shares_memory(stored, writeable)
+        assert not stored.flags.writeable and stored.flags.c_contiguous
+        with pytest.raises(ValueError):
+            stored[0] = stored[0]
+
+    def test_adapted_backend_keeps_its_arrays(self):
+        gb = _backend()
+        adapted = adapt_english_mean(gb, 0.25)
+        for name in ("mu_farsi", "mu_usa", "shared_cov"):
+            assert getattr(adapted, name) is getattr(gb, name)
+        assert not adapted.mu_english_effective.flags.writeable
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.asfortranarray(np.ones((3, 2))),
+            np.ones((2, 6))[:, ::2],
+            np.ones((2, 3), dtype=np.float32),
+            np.ones((2, 3), dtype=">f8"),
+            [[1.0, 2.0], [3.0, 4.0]],
+        ],
+        ids=["fortran", "strided", "float32", "big-endian", "list"],
+    )
+    def test_other_inputs_are_copied(self, x):
+        if isinstance(x, np.ndarray):
+            x.setflags(write=False)
+        got = frozen_rows(x)
+        assert got is not x and got.dtype == np.float64 and got.flags.c_contiguous
+        assert not got.flags.writeable and np.array_equal(got, x)
+
+    def test_dtype(self):
+        assert frozen_rows([1, 0], bool).dtype == bool
+        assert frozen_rows([1.0, 2.0], np.int64).dtype == np.int64
 
 
 class TestPairCosines:
