@@ -177,23 +177,19 @@ def finite_difference_check(
     def loss_with(x, vectors):
         return aam_loss(LabeledBatch(x, batch.labels), replace(protos, vectors=vectors), cfg)
 
+    x0, v0 = batch.embeddings, protos.vectors
     worst = 0.0
-    x0 = batch.embeddings.copy()
-    for i in range(x0.shape[0]):
-        for d in range(x0.shape[1]):
-            hi, lo = x0.copy(), x0.copy()
-            hi[i, d] += step
-            lo[i, d] -= step
-            fd = (loss_with(hi, protos.vectors) - loss_with(lo, protos.vectors)) / (2 * step)
-            a = grad_x[i, d]
-            worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
-    v0 = protos.vectors.copy()
-    for d in range(v0.shape[1]):
-        for j in range(v0.shape[0]):
-            hi, lo = v0.copy(), v0.copy()
-            hi[j, d] += step
-            lo[j, d] -= step
-            fd = (loss_with(x0, hi) - loss_with(x0, lo)) / (2 * step)
-            a = grad_w[d, j]
+    # (array, its analytic gradient, the loss with it replaced); the rows of
+    # grad_w.T are the prototype rows, as grad_w is the D x N layout of w
+    for arr, grad, loss_of in (
+        (x0, grad_x, lambda x: loss_with(x, v0)),
+        (v0, grad_w.T, lambda v: loss_with(x0, v)),
+    ):
+        for idx in np.ndindex(arr.shape):
+            hi, lo = arr.copy(), arr.copy()
+            hi[idx] += step
+            lo[idx] -= step
+            fd = (loss_of(hi) - loss_of(lo)) / (2 * step)
+            a = grad[idx]
             worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
     return worst

@@ -233,21 +233,16 @@ def cmd_score(args) -> None:
     if args.lid:
         lid_decisions = {u: lang for u, (lang, _) in formats.read_lid_decisions(args.lid).items()}
 
+    # every file given is read and checked above; score_trials gets the mode's inputs
+    if mode is not ScoringMode.SNORM_LID:
+        offset = lid_decisions = None
+    if mode is ScoringMode.RAW:
+        cohort = None
     scored = _layer("score_trials")(
-        trials,
-        enrollment_map,
-        table,
-        cohort,
-        mode,
-        offset=offset,
-        lid_decisions=lid_decisions,
-        top_n=args.top_n,
+        trials, enrollment_map, table, cohort,
+        offset=offset, lid_decisions=lid_decisions, top_n=args.top_n,
     )
-    score_set = ScoreSet(
-        keys=tuple(trials),
-        scores=scored,
-        labels=np.array([labels[t] for t in trials]) if labels is not None else None,
-    )
+    score_set = ScoreSet(keys=tuple(trials), scores=scored, labels=labels)
     formats.write_scores(args.out, score_set)
     print(f"scored {len(score_set)} trials in mode {mode.value} to {args.out}")
 

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import FormatError, VersionUnsupported
 from .scores import LABEL_NONTARGET, LABEL_TARGET, ScoreSet
 from .vecmath import NORM_EPS, ROW_BLOCK, Domain, EmbeddingIds, EmbeddingTable, Language
-from .vecmath import check_columns, check_row_norms
+from .vecmath import check_columns, check_row_norms, frozen_rows
 
 if TYPE_CHECKING:
     from .calibration import CalibrationModel
@@ -481,26 +481,25 @@ def _key_ids(keys) -> list:
     return [("model_id", [m for m, _ in keys]), ("utt_id", [u for _, u in keys])]
 
 
-def write_trials(
-    path,
-    trials: Sequence[tuple[str, str]],
-    labels: Mapping[tuple[str, str], bool] | None = None,
-):
-    tails = [""] * len(trials) if labels is None else ["\t" + _tag(labels[k]) for k in trials]
+def write_trials(path, trials: Sequence[tuple[str, str]], labels: np.ndarray | None = None):
+    """``labels``: one bool per trial (True = target), or None for an unlabeled file."""
+    if labels is not None and len(labels) != len(trials):
+        raise FormatError(f"{len(labels)} labels for {len(trials)} trials")
+    tails = [""] * len(trials) if labels is None else ["\t" + _tag(t) for t in labels.tolist()]
     lines = (f"{m}\t{u}{tail}\n" for (m, u), tail in zip(trials, tails))
     _write_text(path, "trials", lines, _key_ids(trials))
 
 
 def read_trials(path):
-    """Returns (trial list, labels dict or None); labels are all-or-nothing."""
+    """Returns (trial list, labels or None): the labels are one read-only bool
+    array aligned with the trials, and are all-or-nothing."""
     trials: list[tuple[str, str]] = []
-    labels: dict[tuple[str, str], bool] = {}
+    labels: list[bool] = []
     for parts in _rows(path, "trials", "trial", 2, 3):
-        key = (parts[0], parts[1])
-        trials.append(key)
+        trials.append((parts[0], parts[1]))
         if len(parts) == 3:
-            labels[key] = _label(parts[2], "trial")
-    return trials, (labels or None)
+            labels.append(_label(parts[2], "trial"))
+    return trials, (frozen_rows(labels, bool) if labels else None)
 
 
 def write_enroll_map(path, enrollment_map: Mapping[str, Sequence[str]]):
@@ -536,6 +535,8 @@ def read_lid_decisions(path) -> dict[str, tuple[Language, float]]:
             value = float(llr)
         except ValueError:
             raise FormatError(f"malformed llr for {utt_id!r}") from None
+        if not np.isfinite(value):
+            raise FormatError(f"non-finite llr for {utt_id!r}")
         if utt_id in out:
             raise FormatError(f"duplicate LID decision for {utt_id!r}")
         out[utt_id] = (lang, value)
@@ -772,6 +773,16 @@ def read_alpha(path) -> LanguageOffset:
             )
     except (ValueError, KeyError):
         raise FormatError("malformed alpha file") from None
+    if provenance is not None:  # what estimate_alpha enforces and writes
+        p = provenance
+        if not np.isfinite([p.mu_imposter_farsi, p.mu_imposter_usa]).all():
+            raise FormatError("alpha file holds a non-finite imposter mean")
+        if p.top_n < 2 or p.n_usa < 1 or p.n_farsi < p.top_n + 1:
+            raise FormatError(
+                f"alpha counts out of range: top_n {p.top_n}, n_farsi {p.n_farsi}, n_usa {p.n_usa}"
+            )
+        if alpha != p.mu_imposter_farsi - p.mu_imposter_usa:
+            raise FormatError("alpha is not mu_imposter_farsi - mu_imposter_usa")
     return LanguageOffset(alpha=alpha, provenance=provenance)
 
 

@@ -61,18 +61,17 @@ class PlannerConfig:
 
 @dataclass(frozen=True)
 class UtteranceInventory:
-    """Per-speaker utterance lists, aligned with the prototype speaker order."""
+    """Per-speaker utterance lists, aligned with the prototype speaker order;
+    every speaker has at least one utterance."""
 
     utterances: tuple[tuple[str, ...], ...]
-    domains: tuple[Domain, ...]
 
     def __post_init__(self):
         utts = tuple(tuple(u) for u in self.utterances)
-        domains = tuple(self.domains)
-        if len(utts) != len(domains):
-            raise ValidationError("inventory needs one domain label per speaker")
+        for j, u in enumerate(utts):
+            if not u:
+                raise InventoryGap(f"speaker index {j} has no utterances")
         object.__setattr__(self, "utterances", utts)
-        object.__setattr__(self, "domains", domains)
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -88,10 +87,7 @@ class UtteranceInventory:
         for sid in protos.speaker_ids:
             if not by_speaker[sid]:
                 raise InventoryGap(f"speaker {sid!r} has no utterances")
-        return cls(
-            utterances=tuple(tuple(by_speaker[sid]) for sid in protos.speaker_ids),
-            domains=protos.domains,
-        )
+        return cls(tuple(tuple(by_speaker[sid]) for sid in protos.speaker_ids))
 
 
 @dataclass(frozen=True)
@@ -144,8 +140,6 @@ def sample_utterances(
     if not 0 <= speaker_index < len(inv):
         raise InventoryGap(f"speaker index {speaker_index} outside inventory")
     utts = inv.utterances[speaker_index]
-    if not utts:
-        raise InventoryGap(f"speaker index {speaker_index} has no utterances")
     replace = len(utts) < u
     idx = rng.choice(len(utts), size=u, replace=replace)
     return [utts[int(i)] for i in idx]
@@ -190,9 +184,6 @@ def _check_pass(cfg: PlannerConfig, sim: SimilaritySnapshot, inv: UtteranceInven
         raise KTooLarge(f"imposters_per_anchor={cfg.imposters_per_anchor} exceeds N={n}")
     if len(inv) != n:
         raise ValidationError(f"inventory covers {len(inv)} speakers, similarity has {n}")
-    for j, utts in enumerate(inv.utterances):
-        if not utts:
-            raise InventoryGap(f"speaker index {j} has no utterances")
     return n
 
 
@@ -231,8 +222,9 @@ def plan_pass_balanced(
     the caller supplies a refreshed similarity snapshot between passes.
     """
     _check_pass(cfg, sim, inv)
-    targets = [j for j, d in enumerate(inv.domains) if d is target_domain]
-    pool = np.array([j for j, d in enumerate(inv.domains) if d is not target_domain])
+    domains = sim.protos.domains
+    targets = [j for j, d in enumerate(domains) if d is target_domain]
+    pool = np.array([j for j, d in enumerate(domains) if d is not target_domain])
     f = len(targets)
     if f < 1:
         raise DomainTooSmall(f"no speakers in target domain {target_domain.value}")

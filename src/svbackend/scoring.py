@@ -26,8 +26,9 @@ from .errors import (
     ValidationError,
 )
 from .prototypes import PrototypeMatrix
-from .vecmath import cosine  # noqa: F401  (unused; perfbench counts calls via scoring.cosine)
-from .vecmath import DEFAULT_TOP_N, Domain, EmbeddingTable, Language, ScoringMode
+# unused here: svbackend.ScoringMode is re-exported, and perfbench counts scoring.cosine calls
+from .vecmath import ScoringMode, cosine  # noqa: F401
+from .vecmath import DEFAULT_TOP_N, Domain, EmbeddingTable, Language
 from .vecmath import average_embedding, frozen_rows
 from .vecmath import check_row_norms, mean_of_units, pair_cosines, unit_rows
 
@@ -198,29 +199,27 @@ def score_trials(
     trials: Sequence[tuple[str, str]],
     enrollment_map: Mapping[str, Sequence[str]],
     table: EmbeddingTable,
-    cohort: Cohort | None,
-    mode: ScoringMode,
+    cohort: Cohort | None = None,
     offset: LanguageOffset | None = None,
     lid_decisions: Mapping[str, Language] | None = None,
     top_n: int = DEFAULT_TOP_N,
 ) -> np.ndarray:
-    """Score every (model, test utterance) trial in the requested mode.
+    """Score every (model, test utterance) trial: one float64 per trial, in order.
 
-    Enrollment and test utterances are looked up in ``table`` by id.
-    Returns the float64 scores in ``mode``, one per trial in trial order;
-    in raw mode that is the cosine of enrollment model and test vector.
-    Each enrollment model is the average of its L2-normalized utterances.
-    Normalization statistics come from one :func:`snorm_stats` call for all
-    test utterances and one per model, through :meth:`Cohort.imposter_stats`,
-    which leaves the model's enrollment speakers out of its cohort.
+    The inputs given pick the score: without a cohort, the raw cosine of
+    enrollment model and test vector; with one, adaptive s-norm; with a
+    cohort, an ``offset`` and ``lid_decisions``, language-dependent s-norm.
+    Any other combination raises ParamInvalid.  Enrollment and test
+    utterances are looked up in ``table`` by id; each enrollment model is the
+    average of its L2-normalized utterances.  Normalization statistics come
+    from one :func:`snorm_stats` call for all test utterances and one per
+    model, through :meth:`Cohort.imposter_stats`, which leaves the model's
+    enrollment speakers out of its cohort.
     """
-    if mode is not ScoringMode.RAW and cohort is None:
-        raise ParamInvalid(f"mode {mode.value} requires a cohort")
-    if mode is ScoringMode.SNORM_LID:
-        if offset is None:
-            raise ParamInvalid("mode snorm-lid requires a language offset")
-        if lid_decisions is None:
-            raise ParamInvalid("mode snorm-lid requires language decisions")
+    if (offset is None) != (lid_decisions is None):
+        raise ParamInvalid("a language offset and language decisions are only used together")
+    if offset is not None and cohort is None:
+        raise ParamInvalid("a language offset and language decisions require a cohort")
 
     def row_of(utt_id: str) -> int:
         try:
@@ -251,7 +250,7 @@ def score_trials(
     model_unit = unit_rows(model_vecs, table.dim)
     test_unit = unit_rows(test_vecs, table.dim)
     raw = pair_cosines(model_unit, mi, test_unit, ti)  # the kernel of ``cosine``
-    if mode is ScoringMode.RAW:
+    if cohort is None:
         return raw
 
     used = list(dict.fromkeys(mi.tolist()))  # models in order of first trial
@@ -261,7 +260,7 @@ def score_trials(
     )
     mu_t, sigma_t = snorm_stats(test_unit, cohort.unit_rows, top_n)
     shift = np.zeros(len(test_vecs))
-    if mode is ScoringMode.SNORM_LID:
+    if offset is not None:
         for t, utt_id in enumerate(test_row):
             if utt_id not in lid_decisions:
                 raise MissingLidDecision(f"no language decision for {utt_id!r}")

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import SpecInvalid
 from .planner import philox_rng
 from .prototypes import PrototypeMatrix
-from .vecmath import Domain, EmbeddingTable, Language, unit_rows
+from .vecmath import Domain, EmbeddingTable, Language, frozen_rows, unit_rows
 
 _STREAM_SHIFT = 0
 _STREAM_SPEAKERS = 1
@@ -94,7 +94,11 @@ class SyntheticCorpus:
     prototypes: PrototypeMatrix
     enrollment_map: Mapping[str, tuple[str, ...]]
     trials: tuple[tuple[str, str], ...]
-    labels: Mapping[tuple[str, str], bool]
+    #: True for a target trial, aligned with ``trials``; stored by ``frozen_rows``
+    labels: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", frozen_rows(self.labels, bool))
 
     @property
     def train_embeddings(self) -> EmbeddingTable:
@@ -193,7 +197,6 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
     t_idx = g_trials.choice(len(target_pool), size=spec.target_trials, replace=False)
     n_idx = g_trials.choice(len(nontarget_pool), size=spec.nontarget_trials, replace=False)
     trials = [target_pool[int(i)] for i in t_idx] + [nontarget_pool[int(i)] for i in n_idx]
-    labels = {key: i < spec.target_trials for i, key in enumerate(trials)}
 
     return SyntheticCorpus(
         embeddings=EmbeddingTable(*cols, vectors=np.concatenate(blocks)),
@@ -201,5 +204,5 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
         prototypes=prototypes,
         enrollment_map=enrollment_map,
         trials=tuple(trials),
-        labels=labels,
+        labels=np.arange(len(trials)) < spec.target_trials,
     )

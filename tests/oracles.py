@@ -336,6 +336,17 @@ def score_trials_loop(
     return out
 
 
+def mode_inputs(mode, cohort, offset, lid_decisions) -> dict:
+    """The ``score_trials`` inputs that give the scores of ``mode``: no cohort
+    for raw cosines, a cohort for s-norm, and with it the offset and the
+    language decisions for language-dependent s-norm."""
+    if mode is ScoringMode.RAW:
+        return {"cohort": None}
+    if mode is ScoringMode.SNORM:
+        return {"cohort": cohort}
+    return {"cohort": cohort, "offset": offset, "lid_decisions": lid_decisions}
+
+
 def estimate_alpha_rebuild(protos, top_n=40):
     """alpha with one Cohort built per left-out Farsi prototype."""
     farsi = [i for i, lang in enumerate(protos.languages) if lang is Language.FARSI]

@@ -31,7 +31,6 @@ from svbackend.scores import ScoreSet
 from svbackend.scoring import (
     Cohort,
     LanguageOffset,
-    ScoringMode,
     _snorm,
     estimate_alpha,
     score_trials,
@@ -157,11 +156,7 @@ def test_criterion_04_broad_plan_exhaustive_oracle():
                         protos = make_protos(rng.normal(size=(6, n_speakers)))
                         sim = similarity_matrix(protos)
                         inv = UtteranceInventory(
-                            utterances=tuple(
-                                tuple(f"s{j}-u{k}" for k in range(3))
-                                for j in range(n_speakers)
-                            ),
-                            domains=(Domain.VOX,) * n_speakers,
+                            tuple(tuple(f"s{j}-u{k}" for k in range(3)) for j in range(n_speakers))
                         )
                         cfg = PlannerConfig(
                             batch_size=n_batch,
@@ -211,10 +206,7 @@ def test_criterion_05_balanced_plan_domain_balance():
             rng.normal(size=(16, n)).T,  # drawn in the D x N order of w
         )
         sim = similarity_matrix(protos)
-        inv = UtteranceInventory(
-            utterances=tuple(tuple(f"s{j}-u{k}" for k in range(3)) for j in range(n)),
-            domains=protos.domains,
-        )
+        inv = UtteranceInventory(tuple(tuple(f"s{j}-u{k}" for k in range(3)) for j in range(n)))
         cfg = PlannerConfig(
             batch_size=100,
             anchors_per_batch=10,
@@ -297,15 +289,13 @@ def _pipeline_eers(corpus, top_n=40):
         "mixed": Cohort.from_embeddings(train),
         "ood": Cohort.from_embeddings(train, domains=[Domain.VOX, Domain.LIBRI]),
     }
-    labels = np.array([corpus.labels[k] for k in corpus.trials])
 
-    def eer_of(mode, cohort=None, offset=None, lid=None):
+    def eer_of(cohort=None, offset=None, lid=None):
         ts = score_trials(
             corpus.trials,
             corpus.enrollment_map,
             emb,
             cohort,
-            mode,
             offset=offset,
             lid_decisions=lid,
             top_n=top_n,
@@ -314,7 +304,7 @@ def _pipeline_eers(corpus, top_n=40):
             ScoreSet(
                 keys=tuple(corpus.trials),
                 scores=ts,
-                labels=labels,
+                labels=corpus.labels,
             )
         )
 
@@ -326,10 +316,10 @@ def test_criterion_07_cohort_selection_structure():
         t0 = time.perf_counter()
         corpus = generate_corpus(_structure_spec(seed=2, shift=0.45))
         cohorts, eer_of = _pipeline_eers(corpus)
-        raw = eer_of(ScoringMode.RAW)
-        fa = eer_of(ScoringMode.SNORM, cohorts["farsi"])
-        mx = eer_of(ScoringMode.SNORM, cohorts["mixed"])
-        ood = eer_of(ScoringMode.SNORM, cohorts["ood"])
+        raw = eer_of()
+        fa = eer_of(cohorts["farsi"])
+        mx = eer_of(cohorts["mixed"])
+        ood = eer_of(cohorts["ood"])
         elapsed = time.perf_counter() - t0
         print(
             f"  EER raw={raw * 100:.2f}% farsi={fa * 100:.2f}% "
@@ -348,8 +338,8 @@ def test_criterion_08_language_offset_mechanism():
         assert offset.alpha > 0
         ev = corpus.eval_embeddings
         oracle_lid = dict(zip(ev.utt_ids, ev.languages))
-        plain = eer_of(ScoringMode.SNORM, cohorts["farsi"])
-        with_lid = eer_of(ScoringMode.SNORM_LID, cohorts["farsi"], offset, oracle_lid)
+        plain = eer_of(cohorts["farsi"])
+        with_lid = eer_of(cohorts["farsi"], offset, oracle_lid)
         print(
             f"  shift>0: alpha={offset.alpha:.4f}, EER plain={plain * 100:.2f}% "
             f"lid={with_lid * 100:.2f}% (margin {(plain - with_lid) * 100:.2f}pp)"
@@ -369,8 +359,8 @@ def test_criterion_08_language_offset_mechanism():
         cohorts0, eer0_of = _pipeline_eers(flat)
         offset0 = estimate_alpha(flat.prototypes, top_n=40)
         lid0 = dict(zip(flat.eval_embeddings.utt_ids, flat.eval_embeddings.languages))
-        plain0 = eer0_of(ScoringMode.SNORM, cohorts0["farsi"])
-        with_lid0 = eer0_of(ScoringMode.SNORM_LID, cohorts0["farsi"], offset0, lid0)
+        plain0 = eer0_of(cohorts0["farsi"])
+        with_lid0 = eer0_of(cohorts0["farsi"], offset0, lid0)
         print(
             f"  shift=0: EER plain={plain0 * 100:.2f}% lid={with_lid0 * 100:.2f}%"
         )

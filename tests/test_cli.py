@@ -262,6 +262,14 @@ class TestAamCheck:
         run_ok(["aam-check", "--seed", "3", "--instances", "5"])
         assert "max rel err" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "seed, worst", [(0, "6.648e-06"), (1, "7.403e-06"), (2, "1.813e-06"), (3, "1.898e-07")]
+    )
+    def test_printed_error_is_pinned(self, capsys, seed, worst):
+        run_ok(["aam-check", "--seed", str(seed)])
+        out = capsys.readouterr().out
+        assert out == f"gradient check: 25 random instances, max rel err {worst}\n"
+
     def test_negative_seed(self, capsys):
         run_ok(["aam-check", "--seed", "-1", "--instances", "1"])
         assert "max rel err" in capsys.readouterr().out
@@ -441,6 +449,50 @@ class TestScore:
         rc = self.score_without(pipeline_files, data_dir, out, mode, drop)
         assert_param_invalid(rc, capsys, message)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, extra",
+        [("snorm", ["--lid", "--alpha"]), ("raw", ["--cohort-embeddings"])],
+    )
+    def test_unused_input_files_change_nothing(
+        self, pipeline_files, data_dir, tmp_path, capsys, mode, extra
+    ):
+        # score reads and checks every file it is given, but passes
+        # score_trials only the inputs its mode uses
+        inputs = {
+            "--cohort-embeddings": data_dir / "train_embeddings.tsv",
+            "--lid": pipeline_files / "lid.tsv",
+            "--alpha": pipeline_files / "alpha.tsv",
+        }
+        used = ["--cohort-embeddings"] if mode == "snorm" else []
+
+        def score(out, flags):
+            argv = [
+                "score", "--mode", mode, "--out", str(out), "--top-n", "8",
+                "--embeddings", str(data_dir / "eval_embeddings.tsv"),
+                "--trials", str(data_dir / "trials.tsv"), "--enroll", str(data_dir / "enroll.tsv"),
+            ]  # fmt: skip
+            for flag in flags:
+                argv += [flag, str(inputs[flag])]
+            return main(argv)
+
+        lean, full = tmp_path / "lean.tsv", tmp_path / "full.tsv"
+        assert score(lean, used) == 0
+        assert score(full, used + extra) == 0
+        assert lean.read_bytes() == full.read_bytes()
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [printed[0], printed[0].replace(str(lean), str(full))]
+
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("#fmt:scores:1\n")  # a file of another format
+        for flag in extra:
+            inputs[flag], kept = bad, inputs[flag]
+            out = tmp_path / f"bad{flag}.tsv"
+            rc = score(out, used + extra)
+            message = assert_one_error_line(rc, capsys)
+            assert message.startswith("error: FormatError: expected format"), message
+            assert not out.exists()
+            inputs[flag] = kept
 
     def test_raw_mode_needs_no_cohort(self, data_dir, tmp_path):
         out = tmp_path / "raw.tsv"
@@ -665,7 +717,7 @@ class TestOptionsMatchTheLibrary:
 
 
 #: the warning filter the CI steps set for every Python process
-WARNINGS_AS_ERRORS = "error::RuntimeWarning,error::DeprecationWarning"
+WARNINGS_AS_ERRORS = "error::RuntimeWarning,error::DeprecationWarning,error::ResourceWarning"
 
 
 def run_cli(argv, warnings_as_errors, timeout=120, **kwargs):
@@ -1271,6 +1323,71 @@ class TestHostileInputsInASubprocess:
             input=(data_dir / "eval_embeddings.tsv").read_text(),
         )
         assert got == (3, ["error: FormatError: /dev/stdin is not a regular file"])
+
+
+class TestHostileOffsetAndDecisions:
+    """Values no stage writes: ``score`` fails with one ``error:`` line and
+    exit 3, and writes no score file."""
+
+    #: a provenance that estimate_alpha could have written; alpha = 0.5 - 0.1
+    ALPHA = {
+        "alpha": repr(0.5 - 0.1), "top_n": "5", "n_farsi": "15", "n_usa": "18",
+        "mu_imposter_farsi": "0.5", "mu_imposter_usa": "0.1",
+    }  # fmt: skip
+
+    @staticmethod
+    def score(pipeline_files, data_dir, tmp_path, alpha=None, lid=None):
+        out = tmp_path / "scores.tsv"
+        proc = run_cli(
+            [
+                "score", "--mode", "snorm-lid", "--out", str(out), "--top-n", "8",
+                "--embeddings", str(data_dir / "eval_embeddings.tsv"),
+                "--trials", str(data_dir / "trials.tsv"), "--enroll", str(data_dir / "enroll.tsv"),
+                "--cohort-embeddings", str(data_dir / "train_embeddings.tsv"),
+                "--alpha", str(alpha or pipeline_files / "alpha.tsv"),
+                "--lid", str(lid or pipeline_files / "lid.tsv"),
+            ],
+            warnings_as_errors=True,
+        )  # fmt: skip
+        assert out.exists() == (proc.returncode == 0)
+        return proc.returncode, proc.stderr.splitlines()
+
+    def alpha_file(self, tmp_path, **changes):
+        path = tmp_path / "alpha.tsv"
+        pairs = {**self.ALPHA, **changes}
+        path.write_text("#fmt:alpha:1\n" + "".join(f"{k}\t{v}\n" for k, v in pairs.items()))
+        return path
+
+    def test_consistent_provenance_is_read(self, pipeline_files, data_dir, tmp_path):
+        alpha = self.alpha_file(tmp_path)
+        assert self.score(pipeline_files, data_dir, tmp_path, alpha=alpha) == (0, [])
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"mu_imposter_farsi": "nan"}, "alpha file holds a non-finite imposter mean"),
+            ({"mu_imposter_usa": "inf"}, "alpha file holds a non-finite imposter mean"),
+            ({"top_n": "1"}, "alpha counts out of range: top_n 1, n_farsi 15, n_usa 18"),
+            ({"n_usa": "0"}, "alpha counts out of range: top_n 5, n_farsi 15, n_usa 0"),
+            ({"n_farsi": "-3"}, "alpha counts out of range: top_n 5, n_farsi -3, n_usa 18"),
+            ({"n_farsi": "5"}, "alpha counts out of range: top_n 5, n_farsi 5, n_usa 18"),
+            ({"alpha": "0.25"}, "alpha is not mu_imposter_farsi - mu_imposter_usa"),
+            ({"alpha": "0.39999999999999997"}, "alpha is not mu_imposter_farsi - mu_imposter_usa"),
+        ],
+    )
+    def test_hostile_alpha(self, pipeline_files, data_dir, tmp_path, changes, message):
+        alpha = self.alpha_file(tmp_path, **changes)
+        got = self.score(pipeline_files, data_dir, tmp_path, alpha=alpha)
+        assert got == (3, [f"error: FormatError: {message}"])
+
+    @pytest.mark.parametrize("llr", ["nan", "-inf", "inf"])
+    def test_non_finite_llr(self, pipeline_files, data_dir, tmp_path, llr):
+        header, first, *rest = (pipeline_files / "lid.tsv").read_text().splitlines(keepends=True)
+        utt_id, language, _ = first.rstrip("\n").split("\t")
+        lid = tmp_path / "lid.tsv"
+        lid.write_text("".join([header, f"{utt_id}\t{language}\t{llr}\n", *rest]))
+        got = self.score(pipeline_files, data_dir, tmp_path, lid=lid)
+        assert got == (3, [f"error: FormatError: non-finite llr for {utt_id!r}"])
 
 
 class TestUsage:

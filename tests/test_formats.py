@@ -627,7 +627,16 @@ class TestTrialsEnrollScores:
         formats.write_trials(path, corpus.trials, corpus.labels)
         trials, labels = formats.read_trials(path)
         assert trials == list(corpus.trials)
-        assert labels == dict(corpus.labels)
+        assert labels.dtype == bool and not labels.flags.writeable
+        assert labels.tolist() == corpus.labels.tolist()
+        # the storage rule of ScoreSet keeps the array as read
+        assert ScoreSet(tuple(trials), np.zeros(len(trials)), labels).labels is labels
+
+    def test_trials_labels_must_align(self, corpus, tmp_path):
+        path = tmp_path / "trials.tsv"
+        with pytest.raises(FormatError, match="1 labels for 2 trials"):
+            formats.write_trials(path, corpus.trials[:2], corpus.labels[:1])
+        assert not path.exists()
 
     def test_trials_roundtrip_without_labels(self, corpus, tmp_path):
         path = tmp_path / "trials.tsv"
@@ -731,7 +740,7 @@ ID_FORMATS = {
         formats.read_prototypes,
     ),
     "trials": (
-        lambda a, b: ([(b, a), (b, "u2")], {(b, a): True, (b, "u2"): False}),
+        lambda a, b: ([(b, a), (b, "u2")], np.array([True, False])),
         lambda path, trials_labels: formats.write_trials(path, *trials_labels),
         formats.read_trials,
     ),
@@ -818,7 +827,7 @@ LITERAL_FORMATS = {
     ),
     "trials-labeled": (
         lambda path, payload: formats.write_trials(path, *payload),
-        ([("m1", "u1"), ("m1", "u2")], {("m1", "u1"): True, ("m1", "u2"): False}),
+        ([("m1", "u1"), ("m1", "u2")], np.array([True, False])),
         "#fmt:trials:1\nm1\tu1\ttarget\nm1\tu2\tnontarget\n",
     ),
     "enroll": (
@@ -953,10 +962,11 @@ class TestModels:
         assert back.a == model.a and back.b == model.b and back.trained_on == "dev"
 
     def test_alpha_roundtrip(self, tmp_path):
+        mu_fa, mu_usa = 0.4234567890123456, 0.3  # alpha is their difference, as written
         off = LanguageOffset(
-            alpha=0.1234567890123456,
+            alpha=mu_fa - mu_usa,
             provenance=AlphaProvenance(
-                top_n=10, n_farsi=25, n_usa=12, mu_imposter_farsi=0.4, mu_imposter_usa=0.3
+                top_n=10, n_farsi=25, n_usa=12, mu_imposter_farsi=mu_fa, mu_imposter_usa=mu_usa
             ),
         )
         path = tmp_path / "alpha.tsv"

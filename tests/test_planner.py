@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from svbackend import planner
-from svbackend.errors import ConfigInvalid, DomainTooSmall, InventoryGap, KTooLarge
+from svbackend.errors import (
+    ConfigInvalid,
+    DomainTooSmall,
+    InventoryGap,
+    KTooLarge,
+    ValidationError,
+)
 from svbackend.planner import (
     BatchManifest,
     PlannerConfig,
@@ -20,18 +26,15 @@ from conftest import make_embedding, make_protos, make_table
 from oracles import build_batches_loop, similarity_matrix_full, top_similar_full
 
 
-def make_inventory(n_speakers, utts_each=3, domains=None):
-    domains = domains or [Domain.VOX] * n_speakers
+def make_inventory(n_speakers, utts_each=3):
     return UtteranceInventory(
-        utterances=tuple(
-            tuple(f"s{j}-u{u}" for u in range(utts_each)) for j in range(n_speakers)
-        ),
-        domains=tuple(domains),
+        tuple(tuple(f"s{j}-u{u}" for u in range(utts_each)) for j in range(n_speakers))
     )
 
 
-def make_sim(rng, n, epoch_tag=0):
-    return similarity_matrix(make_protos(rng.normal(size=(max(4, n), n))), epoch_tag=epoch_tag)
+def make_sim(rng, n, epoch_tag=0, domains=None):
+    protos = make_protos(rng.normal(size=(max(4, n), n)), domains=domains)
+    return similarity_matrix(protos, epoch_tag=epoch_tag)
 
 
 def make_cfg(batch_size, a, i, u, seed=7):
@@ -66,7 +69,7 @@ class TestSampleUtterances:
         assert sorted(got) == ["s0-u0", "s0-u1", "s0-u2"]
 
     def test_with_replacement_fallback(self):
-        inv = UtteranceInventory(utterances=(("only",),), domains=(Domain.VOX,))
+        inv = UtteranceInventory((("only",),))
         rng = np.random.Generator(np.random.Philox(1))
         assert sample_utterances(inv, 0, 2, rng) == ["only", "only"]
 
@@ -172,7 +175,7 @@ PASSES = {
 
 @pytest.mark.parametrize("plan", list(PASSES.values()), ids=list(PASSES))
 class TestPassGuards:
-    """Guards both passes share.  The inventories hold no DEEPMINE speaker,
+    """Guards both passes share.  The prototypes hold no DEEPMINE speaker,
     so a balanced pass that drew anchors first would raise DomainTooSmall."""
 
     def test_imposters_exceed_speakers(self, rng, plan):
@@ -181,23 +184,23 @@ class TestPassGuards:
         with pytest.raises(KTooLarge):
             plan(make_cfg(4, 1, 4, 1), sim, inv)
 
-    def test_inventory_gap(self, rng, plan):
+    def test_inventory_size(self, rng, plan):
         sim = make_sim(rng, 3)
-        inv = UtteranceInventory(
-            utterances=(("a",), (), ("c",)), domains=(Domain.VOX,) * 3
-        )
-        with pytest.raises(InventoryGap):
-            plan(make_cfg(3, 1, 3, 1), sim, inv)
+        with pytest.raises(ValidationError, match="inventory covers 2 speakers"):
+            plan(make_cfg(3, 1, 3, 1), sim, make_inventory(2))
 
 
 class TestBalanced:
-    def make_domain_inventory(self, n_target, n_other):
+    @staticmethod
+    def make_domain_sim(rng, n_target, n_other):
+        """A similarity snapshot whose first ``n_target`` prototypes are DEEPMINE
+        and the rest VOX, with a matching inventory."""
         domains = [Domain.DEEPMINE] * n_target + [Domain.VOX] * n_other
-        return make_inventory(n_target + n_other, domains=domains)
+        n = n_target + n_other
+        return make_sim(rng, n, domains=domains), make_inventory(n)
 
     def test_anchor_set_size_and_balance(self, rng):
-        inv = self.make_domain_inventory(3, 10)
-        sim = make_sim(rng, 13)
+        sim, inv = self.make_domain_sim(rng, 3, 10)
         cfg = make_cfg(6, 2, 3, 1)
         manifest = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE)
         anchors = manifest.anchor_sequence(cfg)
@@ -209,9 +212,21 @@ class TestBalanced:
         # exact 0.5 anchor-domain balance by construction
         assert len(targets) / len(core) == 0.5
 
+    def test_anchors_follow_prototype_domains(self, rng):
+        # the target speakers are the prototypes' DEEPMINE rows, wherever they sit
+        domains = [Domain.VOX] * 10
+        for j in (1, 4, 7):
+            domains[j] = Domain.DEEPMINE
+        sim = make_sim(rng, 10, domains=domains)
+        cfg = make_cfg(6, 2, 3, 1)
+        for pass_id in range(4):
+            manifest = plan_pass_balanced(cfg, sim, make_inventory(10), Domain.DEEPMINE, pass_id)
+            core = manifest.anchor_sequence(cfg)[:6]
+            assert sorted(a for a in core if domains[a] is Domain.DEEPMINE) == [1, 4, 7]
+            assert len(set(core)) == 6
+
     def test_fresh_out_of_domain_draw_per_pass(self, rng):
-        inv = self.make_domain_inventory(3, 30)
-        sim = make_sim(rng, 33)
+        sim, inv = self.make_domain_sim(rng, 3, 30)
         cfg = make_cfg(6, 2, 3, 1)
         draws = []
         for pass_id in range(8):
@@ -223,8 +238,7 @@ class TestBalanced:
     def test_monte_carlo_out_of_domain_frequency(self, rng):
         # toy 3 target / 10 out-of-domain: over many passes each
         # out-of-domain speaker anchors in ~3/10 of passes
-        inv = self.make_domain_inventory(3, 10)
-        sim = make_sim(rng, 13)
+        sim, inv = self.make_domain_sim(rng, 3, 10)
         cfg = make_cfg(6, 2, 3, 1, seed=5)
         counts = np.zeros(13)
         n_passes = 1000
@@ -236,8 +250,7 @@ class TestBalanced:
         assert np.all(np.abs(freq - 0.3) <= 0.03)
 
     def test_imposters_stay_global(self, rng):
-        inv = self.make_domain_inventory(3, 10)
-        sim = make_sim(rng, 13)
+        sim, inv = self.make_domain_sim(rng, 3, 10)
         cfg = make_cfg(8, 2, 4, 1)
         manifest = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE)
         anchors = manifest.anchor_sequence(cfg)
@@ -248,16 +261,14 @@ class TestBalanced:
             assert [spk for _, spk in group] == top_similar_full(s, anchor, 4)
 
     def test_domain_too_small(self, rng):
-        inv = self.make_domain_inventory(5, 3)
-        sim = make_sim(rng, 8)
+        sim, inv = self.make_domain_sim(rng, 5, 3)
         with pytest.raises(DomainTooSmall):
             plan_pass_balanced(make_cfg(5, 1, 5, 1), sim, inv, Domain.DEEPMINE)
         with pytest.raises(DomainTooSmall):
             plan_pass_balanced(make_cfg(5, 1, 5, 1), sim, inv, Domain.LIBRI)
 
     def test_deterministic(self, rng):
-        inv = self.make_domain_inventory(4, 12)
-        sim = make_sim(rng, 16)
+        sim, inv = self.make_domain_sim(rng, 4, 12)
         cfg = make_cfg(8, 4, 2, 1, seed=9)
         m1 = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE, pass_id=3)
         m2 = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE, pass_id=3)
@@ -266,8 +277,9 @@ class TestBalanced:
     def test_no_n_by_n_allocation(self, rng):
         # a 3,000 x 3,000 float64 matrix is 72 MB; the pass must stay far below
         n, f = 3000, 320
-        protos = make_protos(rng.normal(size=(16, n)))
-        inv = self.make_domain_inventory(f, n - f)
+        domains = [Domain.DEEPMINE] * f + [Domain.VOX] * (n - f)
+        protos = make_protos(rng.normal(size=(16, n)), domains=domains)
+        inv = make_inventory(n)
         cfg = make_cfg(128, 16, 8, 1)
         tracemalloc.start()
         try:
@@ -299,14 +311,12 @@ class TestGroupSampling:
         n = 19
         domains = [Domain.DEEPMINE] * 5 + [Domain.VOX] * (n - 5)
         inv = UtteranceInventory(
-            utterances=tuple(
-                tuple(f"s{j}-u{k}" for k in range(1 + 7 * j % 6)) for j in range(n)
-            ),
-            domains=tuple(domains),
+            tuple(tuple(f"s{j}-u{k}" for k in range(1 + 7 * j % 6)) for j in range(n))
         )
         assert min(map(len, inv.utterances)) == 1 and max(map(len, inv.utterances)) == 6
         cfg = make_cfg(3 * 4 * u, 3, 4, u, seed=13)
-        got, want = self.plans(PASSES[mode], cfg, make_sim(rng, n), inv, monkeypatch)
+        sim = make_sim(rng, n, domains=domains)
+        got, want = self.plans(PASSES[mode], cfg, sim, inv, monkeypatch)
         assert got == want
         assert len(set(got)) == 3  # each pass draws afresh
 
@@ -321,10 +331,7 @@ class TestGroupSampling:
         # 1-200 utterances per speaker; 50 anchors cycle to fill 4 batches of 16
         n = 40
         inv = UtteranceInventory(
-            utterances=tuple(
-                tuple(f"s{j}-u{k}" for k in range(int(rng.integers(1, 201)))) for j in range(n)
-            ),
-            domains=(Domain.VOX,) * n,
+            tuple(tuple(f"s{j}-u{k}" for k in range(int(rng.integers(1, 201)))) for j in range(n))
         )
         sim = make_sim(rng, n)
         order = rng.integers(0, n, size=50)
@@ -347,6 +354,10 @@ class TestGroupSampling:
 
 
 class TestInventoryFromEmbeddings:
+    def test_constructor_rejects_empty_speaker(self):
+        with pytest.raises(InventoryGap, match="speaker index 1 has no utterances"):
+            UtteranceInventory((("a",), (), ("c",)))
+
     def test_grouping_and_gap(self, rng):
         protos = make_protos(rng.normal(size=(4, 3)))
         embs = [

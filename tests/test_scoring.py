@@ -40,6 +40,7 @@ from oracles import (
     full_cohort,
     l2_normalize,
     language_dependent_snorm,
+    mode_inputs,
     restrict_domains,
     score_trials_loop,
     snorm_stats,
@@ -70,7 +71,7 @@ class TestEnrollmentModel:
         test = make_embedding("t", "x", rng.normal(size=6))
         enroll = {"m": tuple(e.utt_id for e in es)}
         table = make_table(es + [test])
-        out = score_trials([("m", "t")], enroll, table, cohort=None, mode=ScoringMode.RAW)
+        out = score_trials([("m", "t")], enroll, table)
         assert out[0] == cosine(average_embedding([e.vec for e in es]), test.vec)
 
 
@@ -434,16 +435,14 @@ class TestCohort:
         embs = make_table(
             [make_embedding("e0", "a", [1.0, 0.0]), make_embedding("t0", "x", [0.28, 0.96])]
         )
-        out = score_trials([("m", "t0")], {"m": ("e0",)}, embs, cohort, ScoringMode.SNORM, top_n=2)
-        raw = score_trials([("m", "t0")], {"m": ("e0",)}, embs, None, ScoringMode.RAW)
+        out = score_trials([("m", "t0")], {"m": ("e0",)}, embs, cohort, top_n=2)
+        raw = score_trials([("m", "t0")], {"m": ("e0",)}, embs)
         st_e = snorm_stats([1.0, 0.0], cohort.unit_rows[1:], 2)
         st_t = snorm_stats([0.28, 0.96], cohort.unit_rows, 2)
         assert st_e.mu == pytest.approx(0.7, abs=1e-12)
         assert out[0] == adaptive_snorm(raw[0], st_e, st_t)
         with pytest.raises(EmptySet):
-            score_trials(
-                [("m", "t0")], {"m": ("e0",)}, embs, Cohort(("a",), means[:1]), ScoringMode.SNORM
-            )
+            score_trials([("m", "t0")], {"m": ("e0",)}, embs, Cohort(("a",), means[:1]))
 
 
 def tiny_trial_setup(rng, n_cohort=24, dim=8):
@@ -472,15 +471,13 @@ class TestScoreTrials:
     def test_raw_identical_vectors(self, rng):
         v = rng.normal(size=5)
         embs = make_table([make_embedding("e0", "s", v), make_embedding("t0", "s", 2.0 * v)])
-        out = score_trials(
-            [("m", "t0")], {"m": ("e0",)}, embs, cohort=None, mode=ScoringMode.RAW
-        )
+        out = score_trials([("m", "t0")], {"m": ("e0",)}, embs)
         assert out[0] == 1.0
 
     def test_snorm_matches_manual_composition(self, rng):
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
-        out = score_trials(trials, enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
-        raws = score_trials(trials, enroll, embs, cohort, ScoringMode.RAW)
+        out = score_trials(trials, enroll, embs, cohort, top_n=5)
+        raws = score_trials(trials, enroll, embs)
         assert len(out) == len(raws) == len(trials)
         by_id = {e.utt_id: e for e in rows_of(embs)}
         for (model_id, utt_id), ts_raw, ts in zip(trials, raws, out):
@@ -494,14 +491,13 @@ class TestScoreTrials:
 
     def test_lid_mode_all_farsi_equals_snorm(self, rng):
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
-        plain = score_trials(trials, enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
+        plain = score_trials(trials, enroll, embs, cohort, top_n=5)
         decisions = {u: Language.FARSI for u in ("t0", "t1")}
         lid = score_trials(
             trials,
             enroll,
             embs,
             cohort,
-            ScoringMode.SNORM_LID,
             offset=LanguageOffset(alpha=0.25),
             lid_decisions=decisions,
             top_n=5,
@@ -510,14 +506,13 @@ class TestScoreTrials:
 
     def test_lid_mode_english_shifts(self, rng):
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
-        plain = score_trials(trials, enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
+        plain = score_trials(trials, enroll, embs, cohort, top_n=5)
         decisions = {"t0": Language.FARSI, "t1": Language.ENGLISH}
         lid = score_trials(
             trials,
             enroll,
             embs,
             cohort,
-            ScoringMode.SNORM_LID,
             offset=LanguageOffset(alpha=0.25),
             lid_decisions=decisions,
             top_n=5,
@@ -532,16 +527,14 @@ class TestScoreTrials:
         # statistics computed once per model and test utterance equal the
         # per-trial recomputation of the scalar oracle
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
-        cached = score_trials(trials, enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
+        cached = score_trials(trials, enroll, embs, cohort, top_n=5)
         uncached = score_trials_loop(trials, enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
         assert cached.tolist() == [norm for _, norm in uncached]
 
     def test_missing_embedding(self, rng):
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
         with pytest.raises(MissingEmbedding):
-            score_trials(
-                [("modelA", "nope")], enroll, embs, cohort, ScoringMode.SNORM, top_n=5
-            )
+            score_trials([("modelA", "nope")], enroll, embs, cohort, top_n=5)
 
     def test_missing_lid_decision(self, rng):
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
@@ -551,18 +544,25 @@ class TestScoreTrials:
                 enroll,
                 embs,
                 cohort,
-                ScoringMode.SNORM_LID,
                 offset=LanguageOffset(0.1),
                 lid_decisions={"t0": Language.FARSI},
                 top_n=5,
             )
 
-    def test_mode_requires_inputs(self, rng):
+    def test_unmatched_inputs_raise(self, rng):
+        # an offset without decisions, decisions without an offset, or
+        # either of them without a cohort names no score
         trials, enroll, embs, cohort = tiny_trial_setup(rng)
-        with pytest.raises(ParamInvalid):
-            score_trials(trials, enroll, embs, None, ScoringMode.SNORM)
-        with pytest.raises(ParamInvalid):
-            score_trials(trials, enroll, embs, cohort, ScoringMode.SNORM_LID)
+        offset, decisions = LanguageOffset(0.1), {"t0": Language.FARSI, "t1": Language.ENGLISH}
+        for given_cohort, extra in [
+            (cohort, {"offset": offset}),
+            (cohort, {"lid_decisions": decisions}),
+            (None, {"offset": offset}),
+            (None, {"lid_decisions": decisions}),
+            (None, {"offset": offset, "lid_decisions": decisions}),
+        ]:
+            with pytest.raises(ParamInvalid):
+                score_trials(trials, enroll, embs, given_cohort, **extra)
 
 
 def differential_setup(rng, dim=8, n_distinct=10, copies=3, n_models=6, n_tests=110):
@@ -614,8 +614,7 @@ class TestScoreTrialsAgainstOracle:
         offset = LanguageOffset(alpha=0.0731)
         for mode in self.MODES:
             out = score_trials(
-                trials, enroll, embs, cohort, mode,
-                offset=offset, lid_decisions=decisions, top_n=top_n,
+                trials, enroll, embs, **mode_inputs(mode, cohort, offset, decisions), top_n=top_n
             )
             ref = score_trials_loop(
                 trials, enroll, embs, cohort, mode,
@@ -630,7 +629,7 @@ class TestScoreTrialsAgainstOracle:
         assert set(cohort.speaker_ids) & {"spk0", "spk2", "spk4"}
         # top_n=5 over triplicated vectors: the boundary falls inside a tie
         self.check(trials, enroll, embs, cohort, decisions, top_n=5)
-        raw = score_trials([("model-copy", "t110")], enroll, embs, None, ScoringMode.RAW)
+        raw = score_trials([("model-copy", "t110")], enroll, embs)
         assert raw[0] == 1.0
 
     def test_top_n_beyond_pruned_cohort_falls_back(self, rng, caplog):
@@ -652,17 +651,21 @@ class TestScoreTrialsAgainstOracle:
     def test_zero_norm_test_vector_raises(self, rng):
         trials, enroll, embs, cohort, decisions = differential_setup(rng, n_tests=4)
         embs = make_table(rows_of(embs) + [make_embedding("t2", "spkZ", np.zeros(8))])
+        offset = LanguageOffset(0.1)
         for mode in self.MODES:
-            for impl in (score_trials, score_trials_loop):
-                with pytest.raises(NormUnderflow):
-                    impl(
-                        trials, enroll, embs, cohort, mode,
-                        offset=LanguageOffset(0.1), lid_decisions=decisions, top_n=5,
-                    )
+            with pytest.raises(NormUnderflow):
+                score_trials(
+                    trials, enroll, embs, **mode_inputs(mode, cohort, offset, decisions), top_n=5
+                )
+            with pytest.raises(NormUnderflow):
+                score_trials_loop(
+                    trials, enroll, embs, cohort, mode,
+                    offset=offset, lid_decisions=decisions, top_n=5,
+                )
 
     def test_empty_trial_list(self, rng):
         _, enroll, embs, cohort, decisions = differential_setup(rng, n_tests=2)
-        out = score_trials([], enroll, embs, cohort, ScoringMode.SNORM, top_n=5)
+        out = score_trials([], enroll, embs, cohort, top_n=5)
         assert out.shape == (0,)
 
 
@@ -727,13 +730,12 @@ class TestPrototypeAlphaOvercorrects:
         evals = corpus.eval_embeddings
         oracle = dict(zip(evals.utt_ids, evals.languages))
         cohort = Cohort.from_embeddings(corpus.train_embeddings, [Domain.DEEPMINE])
-        labels = np.array([corpus.labels[t] for t in corpus.trials])
 
         def snorm_lid_eer(alpha):
             scores = score_trials(
-                corpus.trials, corpus.enrollment_map, evals, cohort, ScoringMode.SNORM_LID,
+                corpus.trials, corpus.enrollment_map, evals, cohort,
                 offset=LanguageOffset(alpha), lid_decisions=oracle, top_n=self.TOP_N,
             )  # fmt: skip
-            return eer(ScoreSet(keys=corpus.trials, scores=scores, labels=labels))
+            return eer(ScoreSet(keys=corpus.trials, scores=scores, labels=corpus.labels))
 
         assert snorm_lid_eer(proto_alpha) > snorm_lid_eer(utt_alpha)

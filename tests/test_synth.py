@@ -57,7 +57,8 @@ class TestStructure:
         assert train_speakers.isdisjoint(eval_speakers)
         assert len(corpus.enrollment_map) == 10
         assert len(corpus.trials) == 240
-        assert sum(corpus.labels.values()) == 40
+        assert corpus.labels.dtype == bool and not corpus.labels.flags.writeable
+        assert int(corpus.labels.sum()) == 40
 
     def test_trial_keys_unique_and_resolvable(self):
         corpus = generate_corpus(CorpusSpec(**SMALL, seed=3))
@@ -70,7 +71,7 @@ class TestStructure:
     def test_labels_match_speaker_identity(self):
         corpus = generate_corpus(CorpusSpec(**SMALL, seed=3))
         by_id = {e.utt_id: e for e in rows_of(corpus.eval_embeddings)}
-        for (model_id, utt_id), is_target in corpus.labels.items():
+        for (model_id, utt_id), is_target in zip(corpus.trials, corpus.labels.tolist()):
             assert (by_id[utt_id].speaker_id == model_id) == is_target
 
     def test_determinism(self):

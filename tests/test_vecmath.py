@@ -16,6 +16,7 @@ from svbackend.errors import (
 from svbackend.lid import GaussianBackend, adapt_english_mean
 from svbackend.scores import ScoreSet
 from svbackend.scoring import Cohort
+from svbackend.synth import SyntheticCorpus
 from svbackend.vecmath import (
     ROW_BLOCK,
     Domain,
@@ -251,6 +252,10 @@ STORED = {
     "ScoreSet.scores": (lambda a: ScoreSet(KEYS, a).scores, np.array([0.5, -1.0])),
     "ScoreSet.labels": (lambda a: ScoreSet(KEYS, [0.0, 1.0], a).labels, np.array([True, False])),
     "Cohort.means": (lambda a: Cohort(("a", "b"), a).means, np.array([[3.0, 4.0], [0.0, 2.0]])),
+    "SyntheticCorpus.labels": (  # the other fields are only kept, not checked
+        lambda a: SyntheticCorpus(None, 0, None, {}, KEYS, a).labels,
+        np.array([True, False]),
+    ),
     "LabeledBatch.embeddings": (
         lambda a: LabeledBatch(a, [0, 1]).embeddings,
         np.array([[1.0, 2.0], [3.0, 4.0]]),
