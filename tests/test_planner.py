@@ -184,6 +184,13 @@ class TestPassGuards:
         with pytest.raises(KTooLarge):
             plan(make_cfg(4, 1, 4, 1), sim, inv)
 
+    def test_inventory_gap(self, rng, plan):
+        # The inventory constructor is the one guard: no pass can be handed
+        # a speaker without utterances.
+        sim = make_sim(rng, 3)
+        with pytest.raises(InventoryGap, match="speaker index 1 has no utterances"):
+            plan(make_cfg(3, 1, 3, 1), sim, UtteranceInventory((("a",), (), ("c",))))
+
     def test_inventory_size(self, rng, plan):
         sim = make_sim(rng, 3)
         with pytest.raises(ValidationError, match="inventory covers 2 speakers"):
