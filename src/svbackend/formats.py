@@ -12,10 +12,14 @@ value of every vector field's text, bit for bit, and raise where it raises.
 They convert ``ROW_BLOCK`` rows at a time with :mod:`.textfloats`, which
 takes a value of the shape ``-?D+(.D+)?`` with at most 19 ASCII digits
 (less the ``0`` of ``0.xxx``) through numpy and leaves every other value to
-``float``.
+``float``.  The text vector writers write each value's ``repr``, also
+``ROW_BLOCK`` rows at a time through :mod:`.textfloats`, which formats a
+value with 1e-4 <= |x| < 1 through numpy and leaves every other value, and
+any value it cannot certify, to ``repr``.
 
-A reader imports the domain type it builds, and :mod:`.textfloats`, inside
-its body, so a stage loads only the modules of the files it reads.
+A reader imports the domain type it builds, and a text vector reader or
+writer :mod:`.textfloats`, inside its body, so a stage loads only the
+modules of the files it reads and writes.
 """
 
 from __future__ import annotations
@@ -94,10 +98,6 @@ def _f(x: float) -> str:
     return repr(float(x))
 
 
-def _vec_str(vec: np.ndarray) -> str:
-    return ",".join(map(repr, vec.tolist()))  # repr of a Python float, as in _f
-
-
 def _write_text(path, fmt: str, lines, ids=()):
     """Write the ``#fmt`` header and ``lines`` (each ending in a newline).
 
@@ -155,6 +155,19 @@ def _floats(fields, names, fmt: str, out: np.ndarray) -> np.ndarray:
             row = names[exc.index // (len(out) // len(fields))]
             raise FormatError(f"malformed vector in {fmt} row {row!r}") from None
     return out
+
+
+def _vector_lines(columns, vectors):
+    """Each row's fields, tab-separated, and a newline: its ``columns`` (ids,
+    then Domain and Language) and its ``vectors`` row as comma-joined
+    ``repr`` decimals, converted ``ROW_BLOCK`` rows at a time."""
+    from . import textfloats
+
+    for s in range(0, len(vectors), ROW_BLOCK):
+        block = slice(s, s + ROW_BLOCK)
+        texts = textfloats.format_rows(vectors[block])
+        for *ids, domain, language, text in zip(*(col[block] for col in columns), texts):
+            yield "\t".join([*ids, domain.value, language.value, text]) + "\n"
 
 
 def _regular(path):
@@ -295,13 +308,9 @@ def _enum_column(enum_cls, texts, where: str) -> list:
 
 
 def write_embeddings_text(path, table: EmbeddingTable):
-    columns = (table.utt_ids, table.speaker_ids, table.domains, table.languages, table.vectors)
-    lines = (
-        f"{utt}\t{spk}\t{dom.value}\t{lang.value}\t{_vec_str(vec)}\n"
-        for utt, spk, dom, lang, vec in zip(*columns)
-    )
+    columns = (table.utt_ids, table.speaker_ids, table.domains, table.languages)
     ids = [("utt_id", table.utt_ids), ("speaker_id", table.speaker_ids)]
-    _write_text(path, "embeddings", lines, ids)
+    _write_text(path, "embeddings", _vector_lines(columns, table.vectors), ids)
 
 
 def read_embeddings_text(path) -> EmbeddingTable:
@@ -456,11 +465,8 @@ def read_cohort(path, domains=None) -> Cohort:
 
 
 def write_prototypes(path, protos: PrototypeMatrix):
-    cols = (protos.speaker_ids, protos.domains, protos.languages, protos.vectors)
-    lines = (
-        f"{sid}\t{domain.value}\t{language.value}\t{_vec_str(vec)}\n"
-        for sid, domain, language, vec in zip(*cols)
-    )
+    columns = (protos.speaker_ids, protos.domains, protos.languages)
+    lines = _vector_lines(columns, protos.vectors)
     _write_text(path, "prototypes", lines, [("speaker_id", protos.speaker_ids)])
 
 

@@ -1,4 +1,4 @@
-"""Exact vectorized conversion of comma-separated decimals to float64.
+"""Exact vectorized conversion between float64 values and their decimals.
 
 :func:`parse` writes ``float(token)`` of every token of a block of
 comma-joined fields into an array, bit for bit, with a few numpy passes over
@@ -22,6 +22,14 @@ digit runs and commas) and s its number of fraction digits (s <= 19):
   of q times 10**s, with a margin for the residual's one rounding.  A
   quotient the check cannot certify (a near-tie, a power of two) goes to
   ``float``.
+
+:func:`format_rows` is the inverse: the text of each row of a float64
+block, byte for byte the ``repr`` of each value joined by commas.  A value
+with 1e-4 <= |x| < 1, whose ``repr`` is ``-?0.`` and then zeros and its
+shortest round-trip digits, takes the vectorized path when its digits are
+certified (Steele & White, "How to Print Floating-Point Numbers
+Accurately", PLDI 1990); every other value, and every value the check
+cannot certify, goes through ``repr``.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ _SPLIT = 134217729.0
 #: a residual this much below half an ulp certifies the quotient whatever
 #: the residual's one rounding error (relative 2**-53)
 _MARGIN = 1.0 - 2.0**-50
+#: the fraction field of a float64, 0 for a power of two
+_FRACTION = np.uint64((1 << 52) - 1)
 _COMMA, _MINUS, _DOT, _ZERO = b",-.0"
 
 
@@ -116,21 +126,29 @@ def _mantissas(raw, start, end, neg, fast):
     return np.fromstring(runs, np.uint64, len(start), sep=",")
 
 
+def _two_product(a, b):
+    """``(hi, lo)`` with hi = fl(a * b) and hi + lo = a * b exactly: Dekker's
+    two-product over Veltkamp's splits, for products that neither overflow
+    nor underflow."""
+    hi = a * b
+    ah = _SPLIT * a
+    ah -= ah - a
+    al = a - ah
+    bh = _SPLIT * b
+    bh -= bh - b
+    bl = b - bh
+    lo = ah * bh
+    lo -= hi
+    lo += np.multiply(ah, bl, out=ah)
+    lo += np.multiply(al, bh, out=bh)
+    lo += np.multiply(al, bl, out=bl)
+    return hi, lo
+
+
 def _residual(mh, ml, q, scale):
     """m - q * scale for m = mh + ml, rounded once: q * scale = hi + lo by
-    Dekker's two-product, mh - hi is exact (Sterbenz), and ml < 2**32."""
-    hi = q * scale
-    qh = _SPLIT * q
-    qh -= qh - q
-    ql = q - qh
-    sh = _SPLIT * scale
-    sh -= sh - scale
-    sl = scale - sh
-    lo = qh * sh
-    lo -= hi
-    lo += np.multiply(qh, sl, out=qh)
-    lo += np.multiply(ql, sh, out=sh)
-    lo += np.multiply(ql, sl, out=sl)
+    :func:`_two_product`, mh - hi is exact (Sterbenz), and ml < 2**32."""
+    hi, lo = _two_product(q, scale)
     np.subtract(mh, hi, out=hi)
     hi += ml
     hi -= lo
@@ -146,5 +164,175 @@ def _corrected(m, q, scale):
     q += _residual(mh, ml, q, scale) / scale
     r = np.abs(_residual(mh, ml, q, scale))
     # a power of two has a smaller ulp below it: left to float
-    mantissa = q.view(np.uint64) & np.uint64((1 << 52) - 1)
+    mantissa = q.view(np.uint64) & _FRACTION
     return q, (r < 0.5 * np.spacing(q) * scale * _MARGIN) & (mantissa != 0)
+
+
+# -- writing -------------------------------------------------------------------
+
+#: 10**(16 - e) for the decimal exponents e = -4 .. -1 of the vectorized
+#: path, exact float64 values (5**20 < 2**53)
+_SCALE = np.array([1e20, 1e19, 1e18, 1e17])
+#: distances within this of a decision boundary go to ``repr``; see
+#: :func:`_digits` for the errors it covers
+_SLACK = 2.0**-20
+#: one value's bytes: '-', '0.', three zeros, 17 digits, a spare byte and
+#: ','; a float64 ``repr`` has at most 24 bytes
+_WIDTH = 25
+_SLOT = np.dtype((np.void, _WIDTH))
+_TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 17 + b" ,", np.uint8).view(_SLOT)[0]
+#: the 17 digits of a value, written as its leading digit and four 4-digit groups
+_DIGITS = np.dtype(
+    {
+        "names": ["lead", "g1", "g2", "g3", "g4"],
+        "formats": ["u1", "<u4", "<u4", "<u4", "<u4"],
+        "offsets": [6, 7, 11, 15, 19],
+        "itemsize": _WIDTH,
+    }
+)
+#: the ASCII digits of 0000 .. 9999, each as one little-endian uint32; built
+#: from uint8 columns, as an int64 temporary would add to a stage's peak RSS
+_GROUPS = np.stack(
+    np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij"), axis=-1
+).view("<u4").ravel()
+
+
+def _layouts():
+    """The bytes of a slot a value keeps, for each code ``32 * negative + 8 *
+    (e + 4) + trimmed``: the sign, '0.', -1 - e zeros, the 17 - trimmed
+    leading digits and the comma."""
+    keep = np.zeros((2, 4, 8, _WIDTH), bool)
+    keep[1, ..., 0] = True
+    keep[..., 1:3] = True
+    for e4 in range(4):
+        keep[:, e4, :, 3 : 6 - e4] = True
+    for trimmed in range(8):
+        keep[..., trimmed, 6 : 23 - trimmed] = True
+    keep[..., -1] = True
+    return keep.reshape(64, _WIDTH).view(_SLOT).ravel()
+
+
+_LAYOUTS = _layouts()
+
+
+def format_rows(block: np.ndarray) -> list[str]:
+    """The text of each row of the (rows, D) float64 ``block``: byte for byte
+    ``",".join(map(repr, row.tolist()))``.
+
+    Each value fills a fixed-width slot of bytes: a value :func:`_digits`
+    certifies gets its sign, ``0.``, its zeros and its digits, and every
+    other value its ``repr``.  One boolean compaction of the block's slots
+    then drops the bytes a value does not use.
+    """
+    block = np.asarray(block, np.float64)
+    rows, dim = block.shape
+    if not block.size:
+        return [""] * rows
+    x = block.ravel()
+    top, low, e4, trimmed, fast = _digits(x)
+    slots = np.full(len(x), _TEMPLATE, _SLOT)
+    digits = slots.view(_DIGITS)
+    high, g2 = np.divmod(top.astype(np.int32), 10000)
+    lead, g1 = np.divmod(high, 10000)
+    g3, g4 = np.divmod(low.astype(np.int32), 10000)
+    digits["lead"] = lead + ord("0")
+    for name, group in (("g1", g1), ("g2", g2), ("g3", g3), ("g4", g4)):
+        digits[name] = _GROUPS.take(group)
+    code = (x < 0).view(np.uint8) << np.uint8(5)
+    code += e4 << np.uint8(3)
+    code += trimmed
+    keep = _LAYOUTS.take(code).view(bool).reshape(len(x), _WIDTH)
+    out = slots.view(np.uint8).reshape(len(x), _WIDTH)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        texts = np.array([repr(v) for v in x[slow].tolist()], f"S{_WIDTH - 1}")
+        texts = texts.view(np.uint8).reshape(len(slow), _WIDTH - 1)  # NUL-padded
+        out[slow, :-1] = texts
+        keep[slow, :-1] = texts != 0
+    keep = keep.reshape(rows, dim * _WIDTH)
+    keep[:, -1] = False  # no comma after a row's last value
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    text = out.reshape(rows, dim * _WIDTH)[keep].tobytes().decode("ascii")
+    return [text[s:e] for s, e in zip([0, *ends[:-1]], ends)]
+
+
+def _digits(x):
+    """``(top, low, e4, trimmed, fast)``: the shortest round-trip digits of
+    each value of the flat float64 ``x`` as the 17-digit integer 1e8 * top +
+    low with ``trimmed`` trailing zeros, its decimal exponent e as e4 = e +
+    4, and whether it is certified; ``top`` and ``low`` are 1e8 and 0 where
+    it is not.
+
+    A value with 1e-4 <= |x| < 1 has e = floor(log10 |x|) in -4 .. -1, which
+    three comparisons with 1e-3, 1e-2 and 1e-1 give exactly (no float64
+    lies between 10**k and the float64 nearest it, which is above it):
+
+    * X = |x| * 10**(16 - e), in [1e16, 1e17), is hi + lo exactly by
+      :func:`_two_product`; hi is an integer, and hi = 1e8 * top + rem
+      exactly.  Half an ulp of |x| on that grid, h = spacing(|x|) / 2 *
+      10**(16 - e), is exact (a power of two times 5**(16 - e) < 2**53)
+      and lies in (0.55, 11.2).
+    * For j = 0, 1, ..., 8, q is the multiple of 10**j nearest X and d =
+      |(rem - q) + lo| its distance, rounded once: below 16, where it meets
+      h, d errs by at most 2**-49 (rem + lo rounded first would err by up
+      to 2**-27).  q comes from fl(rem + lo) / 10**j, so it misses the
+      nearest multiple only within 2**-25 of a tie, d = 10**j / 2.
+    * The largest j with d < h - 2**-20 gives the shortest digits that read
+      back as x, and the nearest of them, which is what ``repr`` writes.
+      17 digits (j = 0) always pass, since h > 0.5.
+
+    A value is not certified when d is within 2**-20 of h, or of a tie
+    between two candidates (j <= 1; for j >= 2, 10**j / 2 > h), where the
+    margin covers the errors above; when x is a power of two (fraction field
+    0), whose interval below is half as wide; when 9 digits or fewer pass
+    (j = 8); when hi is not inside (1e16, 1e17); or when rem or the last 8
+    digits leave [0, 1e8).  Nor is any other value: 0.0, -0.0, |x| >= 1,
+    |x| < 1e-4, nan and infinities.  The arithmetic is float64 throughout,
+    every integer below 2**53.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1.0) & (x.view(np.uint64) & _FRACTION != 0)
+    a[~fast] = 0.5  # keeps every later step finite and quiet
+    e4 = (a >= 1e-3).view(np.uint8) + (a >= 1e-2).view(np.uint8)
+    e4 += (a >= 1e-1).view(np.uint8)
+    scale = _SCALE.take(e4)
+    hi, lo = _two_product(a, scale)
+    fast &= (hi > 1e16) & (hi < 1e17)
+    half = np.spacing(a) * scale
+    half *= 0.5
+    top = np.floor(hi / 1e8)
+    rem = hi - top * 1e8  # exact; below 0 where hi / 1e8 rounded up to an integer
+    t = rem + lo
+    low, d = _nearest(t, rem, lo, 1.0)
+    unsure = np.abs(d - 0.5) <= _SLACK
+    q, d = _nearest(t, rem, lo, 10.0)
+    unsure |= (np.abs(d - half) <= _SLACK) | (np.abs(d - 5.0) <= _SLACK)
+    shorter = d < half - _SLACK
+    np.copyto(low, q, where=shorter)
+    trimmed = shorter.astype(np.uint8)
+    live = np.flatnonzero(shorter & fast)  # 16 digits or fewer: try fewer still
+    for j in range(2, 9):
+        h = half[live]
+        q, d = _nearest(t[live], rem[live], lo[live], 10.0**j)
+        unsure[live[np.abs(d - h) <= _SLACK]] = True
+        shorter = d < h - _SLACK
+        live = live[shorter]
+        if j == 8:
+            unsure[live] = True
+        else:
+            low[live] = q[shorter]
+            trimmed[live] += 1
+    fast &= ~unsure & (rem >= 0) & (low >= 0) & (low < 1e8)
+    top[~fast] = 1e8
+    low[~fast] = 0
+    return top, low, e4, trimmed, fast
+
+
+def _nearest(t, rem, lo, step):
+    """``(q, d)``: the multiple q of ``step`` nearest rem + lo, chosen from
+    its rounded sum ``t``, and d = |(rem - q) + lo|."""
+    q = np.rint(t / step)
+    q *= step
+    d = rem - q
+    d += lo
+    return q, np.abs(d, out=d)

@@ -287,7 +287,7 @@ def cohort_lines(rng, dim=256, copies=1):
     rows = COHORT_ROWS * copies
     vectors = rng.normal(size=(len(rows), dim))
     return [
-        [f"u{k}", spk, dom.value, "FARSI", formats._vec_str(vec)]
+        [f"u{k}", spk, dom.value, "FARSI", ",".join(map(repr, vec.tolist()))]
         for k, ((spk, dom), vec) in enumerate(zip(rows, vectors))
     ]
 

@@ -10,6 +10,9 @@ order or to a writer shows here as a changed digest.
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,3 +171,32 @@ def evaluate(tmp_path, corpus, mode, domains):
 def test_evaluation_chain_bytes(corpora, tmp_path, corpus, mode, domains):
     directory = corpora[("text", "binary").index(corpus)]
     assert evaluate(tmp_path, directory, mode, domains) == EVALUATION[corpus, mode, domains]
+
+
+# other BLAS kernels and no numpy SIMD dispatch: the corpora and manifests
+# must not move (the evaluation digests do; see ROADMAP item 11)
+KERNEL_SETTINGS = {
+    "openblas-haswell": ("OPENBLAS_CORETYPE", "Haswell"),
+    "openblas-sandybridge": ("OPENBLAS_CORETYPE", "Sandybridge"),
+    "openblas-prescott": ("OPENBLAS_CORETYPE", "Prescott"),
+    "numpy-baseline-only": ("NPY_DISABLE_CPU_FEATURES", None),  # numpy's dispatch list
+}
+
+
+def dispatched_cpu_features() -> str:
+    """numpy's own list of the CPU features it dispatches to at run time."""
+    core = getattr(np, "_core", None) or np.core  # numpy 1.x has no np._core
+    return " ".join(core._multiarray_umath.__cpu_dispatch__)
+
+
+@pytest.mark.parametrize("setting", list(KERNEL_SETTINGS))
+def test_corpus_and_manifest_digests_under_other_kernels(tmp_path, setting):
+    name, value = KERNEL_SETTINGS[setting]
+    env = dict(os.environ, **{name: value or dispatched_cpu_features()})
+    argv = [
+        sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+        "-k", "corpus_bytes or manifest_bytes",
+    ]  # fmt: skip
+    proc = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "8 passed" in proc.stdout.splitlines()[-1], proc.stdout[-3000:]

@@ -27,7 +27,7 @@ BASE = {"", "cli", "errors", "formats", "scores", "vecmath"}
 
 #: the modules each stage loads besides ``BASE``
 STAGE_MODULES = {
-    "synth": {"synth", "planner", "prototypes"},
+    "synth": {"synth", "planner", "prototypes", "textfloats"},
     "plan-batches": {"planner", "prototypes", "textfloats"},
     "lid-train": {"lid", "prototypes", "textfloats"},
     "lid-classify": {"lid", "prototypes", "textfloats"},

@@ -1,7 +1,10 @@
 """textfloats.parse against ``float``: the same bits for every token, or an
-error at the first token ``float`` rejects."""
+error at the first token ``float`` rejects; and textfloats.format_rows
+against ``repr``: the same bytes for every value."""
 
 import math
+import os
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 
 from svbackend import formats, textfloats
 from svbackend.synth import CorpusSpec, generate_corpus
+from svbackend.vecmath import ROW_BLOCK, Domain, EmbeddingTable, Language
 
 # a numpy overflow or invalid-value warning, or a deprecated call, fails the test
 pytestmark = pytest.mark.filterwarnings("error")
@@ -139,3 +143,123 @@ def test_certificate_refuses_ties_and_powers_of_two():
     q, certified = textfloats._corrected(m, m / scale, scale)
     assert certified.tolist() == [False, False, True, True]  # a tie, 2**53, then two others
     assert q.tolist() == [float(1 << 53), float(1 << 53), 0.12345678901234567, float((1 << 53) + 2)]
+
+
+# -- format_rows against repr -------------------------------------------------
+
+
+def repr_rows(block):
+    return [",".join(map(repr, row)) for row in block.tolist()]
+
+
+def assert_same_as_repr(values, dim=256):
+    """``format_rows`` of the values, ``dim`` to a row and ``ROW_BLOCK`` rows
+    to a block (the last row may be shorter, in a block of its own), against
+    the ``repr`` joins."""
+    values = np.asarray(values, np.float64).ravel()
+    cut = len(values) - len(values) % dim
+    rows = values[:cut].reshape(-1, dim)
+    blocks = [rows[s : s + ROW_BLOCK] for s in range(0, len(rows), ROW_BLOCK)]
+    blocks.append(values[cut:].reshape(1, -1))
+    for block in blocks:
+        got, want = textfloats.format_rows(block), repr_rows(block)
+        if got != want:
+            pairs = zip(",".join(got).split(","), ",".join(want).split(","))
+            assert got == want, [(g, w) for g, w in pairs if g != w][:5]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_format_synth_vectors(seed):
+    corpus = generate_corpus(CorpusSpec(dim=256, seed=seed))
+    for vectors in (corpus.embeddings.vectors, corpus.prototypes.vectors):
+        assert vectors.size > 20_000
+        for s in range(0, len(vectors), ROW_BLOCK):
+            block = vectors[s : s + ROW_BLOCK]
+            assert textfloats.format_rows(block) == repr_rows(block)
+
+
+@pytest.mark.parametrize("sigma", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6])
+def test_format_normal_values(sigma):
+    assert_same_as_repr(np.random.default_rng(23).normal(0.0, sigma, size=60_000))
+
+
+def test_format_neighbours_of_short_decimals():
+    """The values 1-3 ulps from random decimals of 12-16 digits in [1e-4, 1):
+    the shortest digits of each sit at an edge of its round-trip interval."""
+    rng = np.random.default_rng(29)
+    digits = rng.integers(12, 17, size=40_000)
+    exponent = rng.integers(-4, 0, size=len(digits))  # of the leading digit
+    mantissa = rng.integers(10 ** (digits - 1), 10**digits)
+    sign = rng.choice(["", "-"], size=len(digits))
+    x = np.array(
+        [float(f"{s}{m}e{e - d + 1}") for s, m, e, d in zip(sign, mantissa, exponent, digits)]
+    )
+    values = [x]
+    for toward in (np.inf, -np.inf):
+        y = x
+        for _ in range(3):
+            y = np.nextafter(y, toward)
+            values.append(y)
+    assert_same_as_repr(np.concatenate(values))
+
+
+def test_format_powers_and_edges():
+    powers = [2.0**k for k in range(-16, 1)] + [float(f"1e{k}") for k in range(-5, 1)]
+    edges = [1e-4, np.nextafter(1.0, 0.0), 0.0, -0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf]
+    values = np.array(powers + edges)
+    around = [np.nextafter(values, toward) for toward in (0.0, np.inf)]
+    around += [np.nextafter(around[0], 0.0), np.nextafter(around[1], np.inf)]
+    values = np.concatenate([values, *around])
+    assert_same_as_repr(np.concatenate([values, -values]), dim=7)
+
+
+def test_format_exact_ties():
+    """x = m / 2**k with m odd: X = |x| * 10**(16 - e) ends in 5 (k = 16 - e)
+    or in .5 (k = 17 - e), exactly between two candidate digit strings."""
+    values = []
+    for e in range(-4, 0):
+        for k in (16 - e, 17 - e):
+            x = np.arange(1.0, 2.0**k, 2.0) / 2.0**k
+            values.append(x[(x >= 10.0**e) & (x < 10.0 ** (e + 1))][::3])
+    assert_same_as_repr(np.concatenate(values))
+
+
+def test_format_empty_blocks():
+    assert textfloats.format_rows(np.empty((3, 0))) == ["", "", ""]
+    assert textfloats.format_rows(np.empty((0, 4))) == []
+
+
+def test_writer_matches_repr_and_reads_back(tmp_path):
+    """A row count that is no multiple of ``ROW_BLOCK``, with values of both
+    paths: the file holds each value's ``repr`` and reads back bit for bit."""
+    rng = np.random.default_rng(31)
+    n = 3 * ROW_BLOCK + 5
+    scale = rng.choice([1.0, 1e-5, 1e3], size=(n, 40), p=[0.9, 0.05, 0.05])  # both paths
+    vectors = rng.normal(0.0, 0.05, size=(n, 40)) * scale
+    table = EmbeddingTable(
+        [f"u{k}" for k in range(n)], [f"s{k % 7}" for k in range(n)],
+        [Domain.VOX] * n, [Language.ENGLISH] * n, vectors,
+    )  # fmt: skip
+    formats.write_embeddings_text(tmp_path / "e.tsv", table)
+    lines = (tmp_path / "e.tsv").read_text().splitlines()[1:]
+    assert [line.rpartition("\t")[2] for line in lines] == repr_rows(vectors)
+    back = formats.read_embeddings_text(tmp_path / "e.tsv").vectors
+    assert back.view(np.uint64).tolist() == vectors.view(np.uint64).tolist()
+
+
+def test_writer_temporaries_do_not_grow_with_the_file():
+    """The writer holds one block's temporaries at a time: its peak on 16,384
+    rows is within 1 MB of its peak on 4,096."""
+    rng = np.random.default_rng(37)
+    vectors = rng.normal(0.0, 0.05, size=(16_384, 256))
+    peaks = []
+    for n in (4096, len(vectors)):
+        ids = [f"u{k}" for k in range(n)]
+        table = EmbeddingTable(ids, ids, [Domain.VOX] * n, [Language.ENGLISH] * n, vectors[:n])
+        tracemalloc.start()
+        try:
+            formats.write_embeddings_text(os.devnull, table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
