@@ -110,7 +110,8 @@ def fuse(score_sets: list[ScoreSet], weights) -> ScoreSet:
 
     Weights are normalized up front (``sum w_k = 1`` after division), so
     fusing identical inputs reproduces them.  Key sets must be identical;
-    entries are aligned by key, not by position.
+    entries are aligned by key, not by position: a set in another order
+    through one sort of its keys and a ``searchsorted`` of the first set's.
     """
     if not score_sets:
         raise WeightInvalid("nothing to fuse")
@@ -122,22 +123,26 @@ def fuse(score_sets: list[ScoreSet], weights) -> ScoreSet:
 
     base = score_sets[0]
     base_keys = base.keys
-    key_set = set(base_keys)
+    base_flat = base_keys.flat()
     unit = w / np.sum(w)
 
     fused = unit[0] * base.scores
     labels = base.labels
     for k, ss in enumerate(score_sets[1:], start=1):
-        if set(ss.keys) != key_set:
-            raise KeyMismatch(f"score set {k} covers different trials")
-        if ss.keys == base_keys:
+        flat = ss.keys.flat(base_keys)  # -1 for a trial with an id the first set lacks
+        if np.array_equal(flat, base_flat):
             aligned = ss.scores
             aligned_labels = ss.labels
         else:
-            idx = {key: i for i, key in enumerate(ss.keys)}
-            order = [idx[key] for key in base_keys]
-            aligned = ss.scores[order]
-            aligned_labels = None if ss.labels is None else ss.labels[order]
+            # both sets are unique, so finding every first-set key makes them equal
+            order = np.argsort(flat)
+            found = np.searchsorted(flat[order], base_flat)
+            hit = np.append(flat[order], -1)[found] == base_flat
+            if len(flat) != len(base_flat) or not hit.all():
+                raise KeyMismatch(f"score set {k} covers different trials")
+            at = order[found]
+            aligned = ss.scores[at]
+            aligned_labels = None if ss.labels is None else ss.labels[at]
         if aligned_labels is not None:
             if labels is None:
                 labels = aligned_labels

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import formats
 from .errors import NumericalError, ParamInvalid, PipelineError
-from .scores import ScoreSet
 from .vecmath import DEFAULT_TOP_N, Domain, Language, ScoringMode
 
 # Tracer-forced: perfbench/traced_cli.py times these layers by rebinding
@@ -211,6 +210,8 @@ def cmd_alpha(args) -> None:
 
 
 def cmd_score(args) -> None:
+    from .scores import ScoreSet
+
     mode = ScoringMode(args.mode)
     if mode is not ScoringMode.RAW and not args.cohort_embeddings:
         raise ParamInvalid(f"--mode {args.mode} requires --cohort-embeddings")
@@ -242,7 +243,7 @@ def cmd_score(args) -> None:
         trials, enrollment_map, table, cohort,
         offset=offset, lid_decisions=lid_decisions, top_n=args.top_n,
     )
-    score_set = ScoreSet(keys=tuple(trials), scores=scored, labels=labels)
+    score_set = ScoreSet(keys=trials, scores=scored, labels=labels)
     formats.write_scores(args.out, score_set)
     print(f"scored {len(score_set)} trials in mode {mode.value} to {args.out}")
 

@@ -14,8 +14,14 @@ takes a value of the shape ``-?D+(.D+)?`` with at most 19 ASCII digits
 (less the ``0`` of ``0.xxx``) through numpy and leaves every other value to
 ``float``.  The text vector writers write each value's ``repr``, also
 ``ROW_BLOCK`` rows at a time through :mod:`.textfloats`, which formats a
-value with 1e-4 <= |x| < 1 through numpy and leaves every other value, and
+value with 1e-4 <= |x| < 1e16 through numpy and leaves every other value, and
 any value it cannot certify, to ``repr``.
+
+The trial and score readers and writers (:func:`read_trials`,
+:func:`write_trials`, :func:`read_scores`, :func:`write_scores`) work on
+columns through :mod:`.tsvcolumns`: trial keys are a :class:`.TrialKeys`,
+codes into tables of the distinct model and test ids, and no row becomes a
+Python object.
 
 A reader imports the domain type it builds, and a text vector reader or
 writer :mod:`.textfloats`, inside its body, so a stage loads only the
@@ -35,7 +41,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import FormatError, VersionUnsupported
-from .scores import LABEL_NONTARGET, LABEL_TARGET, ScoreSet
 from .vecmath import NORM_EPS, ROW_BLOCK, Domain, EmbeddingIds, EmbeddingTable, Language
 from .vecmath import check_columns, check_row_norms, frozen_rows
 
@@ -44,6 +49,7 @@ if TYPE_CHECKING:
     from .lid import GaussianBackend
     from .planner import BatchManifest
     from .prototypes import PrototypeMatrix
+    from .scores import ScoreSet, TrialKeys
     from .scoring import Cohort, LanguageOffset
 
 FORMAT_VERSIONS = {
@@ -116,30 +122,14 @@ def _write_text(path, fmt: str, lines, ids=()):
         fh.writelines(lines)
 
 
-def _rows(path, fmt: str, what: str, *counts: int):
-    """The tab-separated fields of each data row of a ``fmt`` file; every row
-    has one of ``counts`` fields, and all rows have the same number."""
-    arity = None
+def _rows(path, fmt: str, what: str, count: int):
+    """The tab-separated fields of each data row of a ``fmt`` file, each of
+    ``count`` fields."""
     for line in _data_lines(path, fmt):
         parts = line.split("\t")
-        if len(parts) != arity:
-            if len(parts) not in counts:
-                needs = " or ".join(map(str, counts))
-                raise FormatError(f"{what} row needs {needs} fields, got {len(parts)}")
-            if arity is not None:
-                raise FormatError(f"{what} file mixes labeled and unlabeled rows")
-            arity = len(parts)
+        if len(parts) != count:
+            raise FormatError(f"{what} row needs {count} fields, got {len(parts)}")
         yield parts
-
-
-def _tag(is_target) -> str:
-    return LABEL_TARGET if is_target else LABEL_NONTARGET
-
-
-def _label(text: str, what: str) -> bool:
-    if text not in (LABEL_TARGET, LABEL_NONTARGET):
-        raise FormatError(f"unknown {what} label {text!r}")
-    return text == LABEL_TARGET
 
 
 def _floats(fields, names, fmt: str, out: np.ndarray) -> np.ndarray:
@@ -483,34 +473,31 @@ def read_prototypes(path) -> PrototypeMatrix:
 # -- trials and enrollment map ------------------------------------------------
 
 
-def _key_ids(keys) -> list:
-    return [("model_id", [m for m, _ in keys]), ("utt_id", [u for _, u in keys])]
+def write_trials(path, trials: TrialKeys | Sequence[tuple[str, str]], labels=None):
+    """``trials``: a :class:`TrialKeys` or (model id, test id) pairs;
+    ``labels``: one bool per trial (True = target), or None for an unlabeled
+    file.  The rows are built as columns by :mod:`.tsvcolumns`."""
+    from . import tsvcolumns
+    from .scores import TrialKeys
 
-
-def write_trials(path, trials: Sequence[tuple[str, str]], labels: np.ndarray | None = None):
-    """``labels``: one bool per trial (True = target), or None for an unlabeled file."""
     if labels is not None and len(labels) != len(trials):
         raise FormatError(f"{len(labels)} labels for {len(trials)} trials")
-    tails = [""] * len(trials) if labels is None else ["\t" + _tag(t) for t in labels.tolist()]
-    lines = (f"{m}\t{u}{tail}\n" for (m, u), tail in zip(trials, tails))
-    _write_text(path, "trials", lines, _key_ids(trials))
+    tsvcolumns.write(path, "trials", TrialKeys.of(trials), labels=labels)
 
 
-def read_trials(path):
-    """Returns (trial list, labels or None): the labels are one read-only bool
-    array aligned with the trials, and are all-or-nothing."""
-    trials: list[tuple[str, str]] = []
-    labels: list[bool] = []
-    for parts in _rows(path, "trials", "trial", 2, 3):
-        trials.append((parts[0], parts[1]))
-        if len(parts) == 3:
-            labels.append(_label(parts[2], "trial"))
-    return trials, (frozen_rows(labels, bool) if labels else None)
+def read_trials(path) -> tuple[TrialKeys, np.ndarray | None]:
+    """Returns (trial keys, labels or None): the labels are one read-only bool
+    array aligned with the trials, and are all-or-nothing.  The rows are
+    read as columns by :mod:`.tsvcolumns`."""
+    from . import tsvcolumns
+
+    return tsvcolumns.read_trials(path)
 
 
 def write_enroll_map(path, enrollment_map: Mapping[str, Sequence[str]]):
     pairs = [(m, u) for m, utt_ids in enrollment_map.items() for u in utt_ids]
-    _write_text(path, "enroll", (f"{m}\t{u}\n" for m, u in pairs), _key_ids(pairs))
+    ids = [("model_id", [m for m, _ in pairs]), ("utt_id", [u for _, u in pairs])]
+    _write_text(path, "enroll", (f"{m}\t{u}\n" for m, u in pairs), ids)
 
 
 def read_enroll_map(path) -> dict[str, tuple[str, ...]]:
@@ -553,26 +540,18 @@ def read_lid_decisions(path) -> dict[str, tuple[Language, float]]:
 
 
 def write_scores(path, scores: ScoreSet):
-    labels = scores.labels
-    tails = [""] * len(scores) if labels is None else ["\t" + _tag(t) for t in labels.tolist()]
-    rows = zip(scores.keys, scores.scores.tolist(), tails)
-    lines = (f"{m}\t{u}\t{_f(s)}{tail}\n" for (m, u), s, tail in rows)
-    _write_text(path, "scores", lines, _key_ids(scores.keys))
+    """Each score is written as its ``repr``; the rows are built as columns
+    by :mod:`.tsvcolumns`."""
+    from . import tsvcolumns
+
+    tsvcolumns.write(path, "scores", scores.keys, scores.scores, scores.labels)
 
 
 def read_scores(path) -> ScoreSet:
-    keys, values, labels = [], [], []
-    for parts in _rows(path, "scores", "score", 3, 4):
-        keys.append((parts[0], parts[1]))
-        try:
-            values.append(float(parts[2]))
-        except ValueError:
-            raise FormatError(f"malformed score for {parts[0]}/{parts[1]}") from None
-        if len(parts) == 4:
-            labels.append(_label(parts[3], "score"))
-    if not keys:
-        raise FormatError("score file holds no rows")
-    return ScoreSet(keys=tuple(keys), scores=values, labels=labels or None)
+    """The rows are read as columns by :mod:`.tsvcolumns`."""
+    from . import tsvcolumns
+
+    return tsvcolumns.read_scores(path)
 
 
 # -- batch manifests ----------------------------------------------------------

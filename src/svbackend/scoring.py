@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,11 +26,14 @@ from .errors import (
     ValidationError,
 )
 from .prototypes import PrototypeMatrix
-# unused here: svbackend.ScoringMode is re-exported, and perfbench counts scoring.cosine calls
-from .vecmath import ScoringMode, cosine  # noqa: F401
+# unused here: perfbench counts scoring.cosine calls
+from .vecmath import cosine  # noqa: F401
 from .vecmath import DEFAULT_TOP_N, Domain, EmbeddingTable, Language
 from .vecmath import average_embedding, frozen_rows
 from .vecmath import check_row_norms, mean_of_units, pair_cosines, unit_rows
+
+if TYPE_CHECKING:
+    from .scores import TrialKeys
 
 log = logging.getLogger(__name__)
 
@@ -196,7 +199,7 @@ def estimate_alpha(protos: PrototypeMatrix, top_n: int = DEFAULT_TOP_N) -> Langu
 
 
 def score_trials(
-    trials: Sequence[tuple[str, str]],
+    trials: TrialKeys | Sequence[tuple[str, str]],
     enrollment_map: Mapping[str, Sequence[str]],
     table: EmbeddingTable,
     cohort: Cohort | None = None,
@@ -209,7 +212,8 @@ def score_trials(
     The inputs given pick the score: without a cohort, the raw cosine of
     enrollment model and test vector; with one, adaptive s-norm; with a
     cohort, an ``offset`` and ``lid_decisions``, language-dependent s-norm.
-    Any other combination raises ParamInvalid.  Enrollment and test
+    Any other combination raises ParamInvalid.  ``trials`` is a
+    :class:`.TrialKeys` or (model id, test id) pairs.  Enrollment and test
     utterances are looked up in ``table`` by id; each enrollment model is the
     average of its L2-normalized utterances.  Normalization statistics come
     from one :func:`snorm_stats` call for all test utterances and one per
@@ -220,6 +224,9 @@ def score_trials(
         raise ParamInvalid("a language offset and language decisions are only used together")
     if offset is not None and cohort is None:
         raise ParamInvalid("a language offset and language decisions require a cohort")
+    from .scores import TrialKeys, first_appearance
+
+    keys = TrialKeys.of(trials)
 
     def row_of(utt_id: str) -> int:
         try:
@@ -236,16 +243,13 @@ def score_trials(
         model_speakers.append({table.speaker_ids[r] for r in rows})
 
     # trial -> (model row, test row); test rows in order of first appearance
-    n = len(trials)
-    mi = np.empty(n, dtype=np.intp)
-    ti = np.empty(n, dtype=np.intp)
-    test_row: dict[str, int] = {}
-    for k, (model_id, utt_id) in enumerate(trials):
-        if model_id not in model_row:
-            raise MissingEmbedding(f"trial references unknown model {model_id!r}")
-        mi[k] = model_row[model_id]
-        ti[k] = test_row.setdefault(utt_id, len(test_row))
-    test_vecs = table.vectors[[row_of(u) for u in test_row]]
+    mi = np.array([model_row.get(m, -1) for m in keys.model_ids], np.intp)[keys.models]
+    unknown = np.flatnonzero(mi < 0)
+    if len(unknown):
+        raise MissingEmbedding(f"trial references unknown model {keys[int(unknown[0])][0]!r}")
+    first, ti = first_appearance(keys.tests)
+    test_ids = [keys.test_ids[c] for c in keys.tests[first].tolist()]
+    test_vecs = table.vectors[[row_of(u) for u in test_ids]]
 
     model_unit = unit_rows(model_vecs, table.dim)
     test_unit = unit_rows(test_vecs, table.dim)
@@ -253,7 +257,7 @@ def score_trials(
     if cohort is None:
         return raw
 
-    used = list(dict.fromkeys(mi.tolist()))  # models in order of first trial
+    used = mi[first_appearance(mi)[0]]  # models in order of first trial
     mu_e, sigma_e = np.zeros(len(model_ids)), np.ones(len(model_ids))
     mu_e[used], sigma_e[used] = cohort.imposter_stats(
         model_unit[used], [model_speakers[m] for m in used], top_n
@@ -261,7 +265,7 @@ def score_trials(
     mu_t, sigma_t = snorm_stats(test_unit, cohort.unit_rows, top_n)
     shift = np.zeros(len(test_vecs))
     if offset is not None:
-        for t, utt_id in enumerate(test_row):
+        for t, utt_id in enumerate(test_ids):
             if utt_id not in lid_decisions:
                 raise MissingLidDecision(f"no language decision for {utt_id!r}")
             if lid_decisions[utt_id] is Language.ENGLISH:

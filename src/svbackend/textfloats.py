@@ -24,12 +24,13 @@ digit runs and commas) and s its number of fraction digits (s <= 19):
   ``float``.
 
 :func:`format_rows` is the inverse: the text of each row of a float64
-block, byte for byte the ``repr`` of each value joined by commas.  A value
-with 1e-4 <= |x| < 1, whose ``repr`` is ``-?0.`` and then zeros and its
-shortest round-trip digits, takes the vectorized path when its digits are
-certified (Steele & White, "How to Print Floating-Point Numbers
-Accurately", PLDI 1990); every other value, and every value the check
-cannot certify, goes through ``repr``.
+block, byte for byte the ``repr`` of each value joined by commas, and
+:func:`slots` the bytes of each value of a flat array.  A value with 1e-4
+<= |x| < 1e16, whose ``repr`` is its shortest round-trip digits with a
+point among them (``-?0.``, zeros and the digits below 1), takes the
+vectorized path when its digits are certified (Steele & White, "How to
+Print Floating-Point Numbers Accurately", PLDI 1990); every other value,
+and every value the check cannot certify, goes through ``repr``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,12 @@ def parse(fields: list[str], out: np.ndarray) -> np.ndarray:
     return ``out``.  Raises :class:`MalformedToken` with the index of the
     first token that ``float`` rejects."""
     # a comma before each token and after the last
-    raw = bytearray(",".join(["", *fields, ""]), "utf-8", "surrogatepass")
+    return parse_bytes(bytearray(",".join(["", *fields, ""]), "utf-8", "surrogatepass"), out)
+
+
+def parse_bytes(raw: bytearray, out: np.ndarray) -> np.ndarray:
+    """:func:`parse` of the UTF-8 ``raw``, which holds a comma before each
+    token and after the last; it overwrites ``raw``."""
     start, end, neg, frac, fast = _tokens(np.frombuffer(raw, np.uint8))
     if len(start) != len(out):
         raise ValueError(f"fields hold {len(start)} tokens for {len(out)} values")
@@ -170,23 +176,30 @@ def _corrected(m, q, scale):
 
 # -- writing -------------------------------------------------------------------
 
-#: 10**(16 - e) for the decimal exponents e = -4 .. -1 of the vectorized
-#: path, exact float64 values (5**20 < 2**53)
-_SCALE = np.array([1e20, 1e19, 1e18, 1e17])
+#: 1e-3, 1e-2, ..., 1e15: a value with 1e-4 <= |x| < 1e16 has the decimal
+#: exponent e = -4 + the number of these at or below |x| (no float64 lies
+#: between 10**k and the float64 nearest it, which is above it for k < 0)
+_DECADES = np.array([float(f"1e{k}") for k in range(-3, 16)])
+#: 10**(16 - e) for e4 = e + 4 = 0 .. 19, exact float64 values (5**20 < 2**53)
+_SCALE = np.array([float(10 ** (20 - e4)) for e4 in range(20)])
+#: 10**(16 - e) for e = 0 .. 15 as int64, to split the 17 digits at the point
+_UNIT = np.array([10 ** (16 - e) for e in range(16)], np.int64)
 #: distances within this of a decision boundary go to ``repr``; see
 #: :func:`_digits` for the errors it covers
 _SLACK = 2.0**-20
-#: one value's bytes: '-', '0.', three zeros, 17 digits, a spare byte and
-#: ','; a float64 ``repr`` has at most 24 bytes
-_WIDTH = 25
+#: one value's bytes: '-', 16 integer digits, '.', three zeros, 17 digits
+#: and ','; a float64 ``repr`` has at most 24 bytes
+_WIDTH = 39
 _SLOT = np.dtype((np.void, _WIDTH))
-_TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 17 + b" ,", np.uint8).view(_SLOT)[0]
-#: the 17 digits of a value, written as its leading digit and four 4-digit groups
+_TEMPLATE = np.frombuffer(b"-" + b"0" * 16 + b".000" + b"0" * 17 + b",", np.uint8)
+_TEMPLATE = _TEMPLATE.view(_SLOT)[0]
+#: the digits of a value, written as four 4-digit groups before the point,
+#: and a leading digit and four 4-digit groups after the zeros
 _DIGITS = np.dtype(
     {
-        "names": ["lead", "g1", "g2", "g3", "g4"],
-        "formats": ["u1", "<u4", "<u4", "<u4", "<u4"],
-        "offsets": [6, 7, 11, 15, 19],
+        "names": ["i1", "i2", "i3", "i4", "lead", "g1", "g2", "g3", "g4"],
+        "formats": ["<u4"] * 4 + ["u1"] + ["<u4"] * 4,
+        "offsets": [1, 5, 9, 13, 21, 22, 26, 30, 34],
         "itemsize": _WIDTH,
     }
 )
@@ -198,18 +211,27 @@ _GROUPS = np.stack(
 
 
 def _layouts():
-    """The bytes of a slot a value keeps, for each code ``32 * negative + 8 *
-    (e + 4) + trimmed``: the sign, '0.', -1 - e zeros, the 17 - trimmed
-    leading digits and the comma."""
-    keep = np.zeros((2, 4, 8, _WIDTH), bool)
+    """The bytes of a slot a value keeps, for each code ``160 * negative + 8 *
+    (e + 4) + trimmed``, with k = 17 - trimmed digits: the sign, then for e < 0
+    '0.', -1 - e zeros and the k digits after them, and for e >= 0 the last e
+    + 1 integer digits, '.' and the max(k - e - 1, 1) digits after the zeros;
+    then the comma."""
+    keep = np.zeros((2, 20, 8, _WIDTH), bool)
     keep[1, ..., 0] = True
-    keep[..., 1:3] = True
-    for e4 in range(4):
-        keep[:, e4, :, 3 : 6 - e4] = True
-    for trimmed in range(8):
-        keep[..., trimmed, 6 : 23 - trimmed] = True
+    keep[..., 17] = True
     keep[..., -1] = True
-    return keep.reshape(64, _WIDTH).view(_SLOT).ravel()
+    for e4 in range(20):
+        e = e4 - 4
+        for trimmed in range(8):
+            k = 17 - trimmed
+            if e < 0:
+                keep[:, e4, trimmed, 16] = True
+                keep[:, e4, trimmed, 18 : 17 - e] = True
+                keep[:, e4, trimmed, 21 : 21 + k] = True
+            else:
+                keep[:, e4, trimmed, 16 - e : 17] = True
+                keep[:, e4, trimmed, 21 : 21 + max(k - e - 1, 1)] = True
+    return keep.reshape(320, _WIDTH).view(_SLOT).ravel()
 
 
 _LAYOUTS = _layouts()
@@ -219,41 +241,63 @@ def format_rows(block: np.ndarray) -> list[str]:
     """The text of each row of the (rows, D) float64 ``block``: byte for byte
     ``",".join(map(repr, row.tolist()))``.
 
-    Each value fills a fixed-width slot of bytes: a value :func:`_digits`
-    certifies gets its sign, ``0.``, its zeros and its digits, and every
-    other value its ``repr``.  One boolean compaction of the block's slots
-    then drops the bytes a value does not use.
+    One boolean compaction of the block's :func:`slots` drops the bytes a
+    value does not use.
     """
     block = np.asarray(block, np.float64)
     rows, dim = block.shape
     if not block.size:
         return [""] * rows
-    x = block.ravel()
+    out, keep = slots(block.ravel())
+    keep = keep.reshape(rows, dim * _WIDTH)
+    keep[:, -1] = False  # no comma after a row's last value
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    text = out.reshape(rows, dim * _WIDTH)[keep].tobytes().decode("ascii")
+    return [text[s:e] for s, e in zip([0, *ends[:-1]], ends)]
+
+
+def slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(out, keep)``, two (len(x), W) arrays of uint8 and bool for the flat
+    float64 ``x``: ``out[i][keep[i]]`` is the ASCII ``repr`` of x[i] and a
+    comma, which is byte W - 1.
+
+    Each value fills a fixed-width slot of bytes: a value :func:`_digits`
+    certifies gets its sign, its digits and a point among them (and zeros
+    before them for e < 0), and every other value its ``repr``.
+    """
     top, low, e4, trimmed, fast = _digits(x)
-    slots = np.full(len(x), _TEMPLATE, _SLOT)
-    digits = slots.view(_DIGITS)
+    out = np.full(len(x), _TEMPLATE, _SLOT)
+    digits = out.view(_DIGITS)
+    whole = np.flatnonzero(fast & (e4 >= 4))  # e >= 0: a point inside the digits
+    if len(whole):
+        unit = _UNIT.take(e4[whole] - 4)
+        d = top[whole].astype(np.int64) * 10**8 + low[whole].astype(np.int64)
+        integer, fraction = np.divmod(d, unit)
+        fraction *= 10**17 // unit  # its 16 - e digits lead the 17 after the zeros
+        top[whole], low[whole] = np.divmod(fraction, 10**8)
+        rest, i4 = np.divmod(integer, 10000)
+        rest, i3 = np.divmod(rest, 10000)
+        i1, i2 = np.divmod(rest, 10000)
+        for name, group in (("i1", i1), ("i2", i2), ("i3", i3), ("i4", i4)):
+            digits[name][whole] = _GROUPS.take(group)
     high, g2 = np.divmod(top.astype(np.int32), 10000)
     lead, g1 = np.divmod(high, 10000)
     g3, g4 = np.divmod(low.astype(np.int32), 10000)
     digits["lead"] = lead + ord("0")
     for name, group in (("g1", g1), ("g2", g2), ("g3", g3), ("g4", g4)):
         digits[name] = _GROUPS.take(group)
-    code = (x < 0).view(np.uint8) << np.uint8(5)
-    code += e4 << np.uint8(3)
+    code = (x < 0).astype(np.uint16) * 160
+    code += e4 * np.uint8(8)  # at most 152
     code += trimmed
     keep = _LAYOUTS.take(code).view(bool).reshape(len(x), _WIDTH)
-    out = slots.view(np.uint8).reshape(len(x), _WIDTH)
+    out = out.view(np.uint8).reshape(len(x), _WIDTH)
     slow = np.flatnonzero(~fast)
     if len(slow):
         texts = np.array([repr(v) for v in x[slow].tolist()], f"S{_WIDTH - 1}")
         texts = texts.view(np.uint8).reshape(len(slow), _WIDTH - 1)  # NUL-padded
         out[slow, :-1] = texts
         keep[slow, :-1] = texts != 0
-    keep = keep.reshape(rows, dim * _WIDTH)
-    keep[:, -1] = False  # no comma after a row's last value
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    text = out.reshape(rows, dim * _WIDTH)[keep].tobytes().decode("ascii")
-    return [text[s:e] for s, e in zip([0, *ends[:-1]], ends)]
+    return out, keep
 
 
 def _digits(x):
@@ -263,9 +307,8 @@ def _digits(x):
     4, and whether it is certified; ``top`` and ``low`` are 1e8 and 0 where
     it is not.
 
-    A value with 1e-4 <= |x| < 1 has e = floor(log10 |x|) in -4 .. -1, which
-    three comparisons with 1e-3, 1e-2 and 1e-1 give exactly (no float64
-    lies between 10**k and the float64 nearest it, which is above it):
+    A value with 1e-4 <= |x| < 1e16 has e = floor(log10 |x|) in -4 .. 15,
+    which comparisons with 1e-3, 1e-2, ..., 1e15 give exactly:
 
     * X = |x| * 10**(16 - e), in [1e16, 1e17), is hi + lo exactly by
       :func:`_two_product`; hi is an integer, and hi = 1e8 * top + rem
@@ -286,15 +329,14 @@ def _digits(x):
     margin covers the errors above; when x is a power of two (fraction field
     0), whose interval below is half as wide; when 9 digits or fewer pass
     (j = 8); when hi is not inside (1e16, 1e17); or when rem or the last 8
-    digits leave [0, 1e8).  Nor is any other value: 0.0, -0.0, |x| >= 1,
+    digits leave [0, 1e8).  Nor is any other value: 0.0, -0.0, |x| >= 1e16,
     |x| < 1e-4, nan and infinities.  The arithmetic is float64 throughout,
     every integer below 2**53.
     """
     a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1.0) & (x.view(np.uint64) & _FRACTION != 0)
+    fast = (a >= 1e-4) & (a < 1e16) & (x.view(np.uint64) & _FRACTION != 0)
     a[~fast] = 0.5  # keeps every later step finite and quiet
-    e4 = (a >= 1e-3).view(np.uint8) + (a >= 1e-2).view(np.uint8)
-    e4 += (a >= 1e-1).view(np.uint8)
+    e4 = np.searchsorted(_DECADES, a, side="right").astype(np.uint8)
     scale = _SCALE.take(e4)
     hi, lo = _two_product(a, scale)
     fast &= (hi > 1e16) & (hi < 1e17)

@@ -13,8 +13,11 @@ left-out prototype or enrollment model, and two triangular solves per llr.
 block ``scoring.snorm_stats``, and :func:`adaptive_snorm` and
 :func:`language_dependent_snorm` for ``scoring._snorm``.  The embedding
 readers are the per-row parsers the columnar ones replaced (one ``float``
-list or one ``struct.unpack`` per row).  The batch planner's reference
-draws each group speaker's utterances with its own ``choice`` call.
+list or one ``struct.unpack`` per row), and so are the trial and score
+readers and writers (text-mode lines, one ``split`` and one ``float`` or
+f-string per row), with ``fuse``'s per-key dict alignment.  The batch
+planner's reference draws each group speaker's utterances with its own
+``choice`` call.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from svbackend.errors import (
     ParamInvalid,
     ValidationError,
 )
-from svbackend.scoring import DEFAULT_TOP_N, Cohort, LanguageOffset, ScoringMode
+from svbackend.scoring import DEFAULT_TOP_N, Cohort, LanguageOffset
+from svbackend.vecmath import ScoringMode
 from svbackend.vecmath import NORM_EPS, Domain, Language, mean_of_units, unit_rows
 
 log = logging.getLogger(__name__)
@@ -463,3 +467,122 @@ def read_embeddings_binary_rows(path):
     if offset != len(payload):
         raise FormatError("trailing bytes")
     return out
+
+
+# -- trial and score files: the per-row readers and writers the columnar ones
+# replaced (text-mode lines, one ``split`` and one ``float`` per row), and the
+# per-key dict alignment of ``fuse``.  A score set is (keys, scores, labels):
+# a list of (model id, test id) tuples, a float64 array and a bool array or
+# None, checked as ``ScoreSet`` checked it.
+
+
+def _key_rows(path, fmt, what, *counts):
+    """The fields of each data row; every row has one of ``counts`` fields,
+    and all rows have the same number."""
+    arity = None
+    for line in formats._data_lines(path, fmt):
+        parts = line.split("\t")
+        if len(parts) != arity:
+            if len(parts) not in counts:
+                needs = " or ".join(map(str, counts))
+                raise FormatError(f"{what} row needs {needs} fields, got {len(parts)}")
+            if arity is not None:
+                raise FormatError(f"{what} file mixes labeled and unlabeled rows")
+            arity = len(parts)
+        yield parts
+
+
+def _label_of(text, what):
+    if text not in ("target", "nontarget"):
+        raise FormatError(f"unknown {what} label {text!r}")
+    return text == "target"
+
+
+def score_set_rows(keys, scores, labels=None):
+    """``(keys, scores, labels)`` after the checks ``ScoreSet`` made, in its
+    order, on keys that are pairs of str."""
+    keys = [tuple(k) for k in keys]
+    scores = np.array(scores, dtype=np.float64)
+    if scores.ndim != 1 or len(scores) != len(keys):
+        raise ValidationError("scores must be one float per trial key")
+    if not np.all(np.isfinite(scores)):
+        raise ValidationError("scores contain non-finite values")
+    if len(set(keys)) != len(keys):
+        raise ValidationError("trial keys must be unique")
+    labels = None if labels is None else np.array(labels, dtype=bool)
+    if labels is not None and labels.shape != scores.shape:
+        raise ValidationError("labels must align with scores")
+    return keys, scores, labels
+
+
+def read_trials_rows(path):
+    """``(trials, labels)``: the (model id, test id) tuples and a bool array,
+    or None when the rows carry no label."""
+    trials, labels = [], []
+    for parts in _key_rows(path, "trials", "trial", 2, 3):
+        trials.append((parts[0], parts[1]))
+        if len(parts) == 3:
+            labels.append(_label_of(parts[2], "trial"))
+    return trials, (np.array(labels, dtype=bool) if labels else None)
+
+
+def read_scores_rows(path):
+    """``(keys, scores, labels)`` of a score file, one ``float`` per row."""
+    keys, values, labels = [], [], []
+    for parts in _key_rows(path, "scores", "score", 3, 4):
+        keys.append((parts[0], parts[1]))
+        try:
+            values.append(float(parts[2]))
+        except ValueError:
+            raise FormatError(f"malformed score for {parts[0]}/{parts[1]}") from None
+        if len(parts) == 4:
+            labels.append(_label_of(parts[3], "score"))
+    if not keys:
+        raise FormatError("score file holds no rows")
+    return score_set_rows(keys, values, labels or None)
+
+
+def write_key_rows(path, fmt, keys, scores=None, labels=None):
+    """A trials (``scores`` None) or scores file, one f-string per row with
+    each score's ``repr``."""
+    tails = [""] * len(keys) if labels is None else [
+        "\t" + ("target" if t else "nontarget") for t in np.asarray(labels).tolist()
+    ]
+    values = [""] * len(keys) if scores is None else [
+        "\t" + repr(s) for s in np.asarray(scores, dtype=np.float64).tolist()
+    ]
+    lines = (f"{m}\t{u}{v}{tail}\n" for (m, u), v, tail in zip(keys, values, tails))
+    ids = [("model_id", [m for m, _ in keys]), ("utt_id", [u for _, u in keys])]
+    formats._write_text(path, fmt, lines, ids)
+
+
+def fuse_rows(score_sets, weights):
+    """The weighted per-trial average of ``(keys, scores, labels)`` sets,
+    aligned to the first set's keys through a dict per set."""
+    from svbackend.errors import KeyMismatch, WeightInvalid
+
+    if not score_sets:
+        raise WeightInvalid("nothing to fuse")
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or len(w) != len(score_sets):
+        raise WeightInvalid(f"{len(w)} weights for {len(score_sets)} score sets")
+    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+        raise WeightInvalid("weights must be positive and finite")
+    base_keys, base_scores, labels = score_sets[0]
+    key_set = set(base_keys)
+    unit = w / np.sum(w)
+    fused = unit[0] * base_scores
+    for k, (keys, scores, set_labels) in enumerate(score_sets[1:], start=1):
+        if set(keys) != key_set:
+            raise KeyMismatch(f"score set {k} covers different trials")
+        idx = {key: i for i, key in enumerate(keys)}
+        order = [idx[key] for key in base_keys]
+        aligned = scores[order]
+        aligned_labels = None if set_labels is None else set_labels[order]
+        if aligned_labels is not None:
+            if labels is None:
+                labels = aligned_labels
+            elif not np.array_equal(labels, aligned_labels):
+                raise KeyMismatch(f"score set {k} disagrees on trial labels")
+        fused = fused + unit[k] * aligned
+    return score_set_rows(base_keys, fused, labels)

@@ -626,11 +626,11 @@ class TestTrialsEnrollScores:
         path = tmp_path / "trials.tsv"
         formats.write_trials(path, corpus.trials, corpus.labels)
         trials, labels = formats.read_trials(path)
-        assert trials == list(corpus.trials)
+        assert list(trials) == list(corpus.trials)
         assert labels.dtype == bool and not labels.flags.writeable
         assert labels.tolist() == corpus.labels.tolist()
         # the storage rule of ScoreSet keeps the array as read
-        assert ScoreSet(tuple(trials), np.zeros(len(trials)), labels).labels is labels
+        assert ScoreSet(trials, np.zeros(len(trials)), labels).labels is labels
 
     def test_trials_labels_must_align(self, corpus, tmp_path):
         path = tmp_path / "trials.tsv"
@@ -642,7 +642,7 @@ class TestTrialsEnrollScores:
         path = tmp_path / "trials.tsv"
         formats.write_trials(path, corpus.trials)
         trials, labels = formats.read_trials(path)
-        assert trials == list(corpus.trials)
+        assert list(trials) == list(corpus.trials)
         assert labels is None
 
     def test_mixed_arity_rejected(self, tmp_path):

@@ -23,19 +23,23 @@ SRC = str(Path(svbackend.__file__).resolve().parents[1])
 
 #: loaded by every stage: the package, the CLI, the file formats and the
 #: value types the formats share
-BASE = {"", "cli", "errors", "formats", "scores", "vecmath"}
+BASE = {"", "cli", "errors", "formats", "vecmath"}
+
+#: the modules of the trial and score files: key and score sets, and the
+#: column readers and writers with their float conversions
+SCORE_FILES = {"scores", "tsvcolumns", "textfloats"}
 
 #: the modules each stage loads besides ``BASE``
 STAGE_MODULES = {
-    "synth": {"synth", "planner", "prototypes", "textfloats"},
+    "synth": {"synth", "planner", "prototypes", "textfloats"} | SCORE_FILES,
     "plan-batches": {"planner", "prototypes", "textfloats"},
     "lid-train": {"lid", "prototypes", "textfloats"},
     "lid-classify": {"lid", "prototypes", "textfloats"},
     "alpha": {"scoring", "prototypes", "textfloats"},
-    "score": {"scoring", "prototypes", "textfloats"},
-    "calibrate": {"calibration"},
-    "fuse": {"calibration"},
-    "eval": {"metrics"},
+    "score": {"scoring", "prototypes", "textfloats"} | SCORE_FILES,
+    "calibrate": {"calibration"} | SCORE_FILES,
+    "fuse": {"calibration"} | SCORE_FILES,
+    "eval": {"metrics"} | SCORE_FILES,
     "aam-check": {"aam", "planner", "prototypes"},  # the random mode reads no file
     "aam-check --prototypes": {"aam", "planner", "prototypes", "textfloats"},
 }
@@ -104,7 +108,7 @@ def test_public_names_are_their_home_objects():
     for name in svbackend.__all__:
         home = importlib.import_module(f"svbackend.{svbackend._HOME[name]}")
         assert getattr(svbackend, name) is getattr(home, name), name
-    assert svbackend.ScoringMode is importlib.import_module("svbackend.scoring").ScoringMode
+    assert svbackend.ScoringMode is importlib.import_module("svbackend.vecmath").ScoringMode
 
 
 def test_unknown_names_raise_attribute_error():

@@ -21,13 +21,13 @@ from svbackend.scores import ScoreSet
 from svbackend.scoring import (
     Cohort,
     LanguageOffset,
-    ScoringMode,
     _snorm,
     estimate_alpha,
     score_trials,
 )
 from svbackend.synth import CorpusSpec, generate_corpus
-from svbackend.vecmath import ROW_BLOCK, Domain, Language, average_embedding, cosine, unit_rows
+from svbackend.vecmath import ROW_BLOCK, Domain, Language, ScoringMode, average_embedding, cosine
+from svbackend.vecmath import unit_rows
 
 from conftest import make_embedding, make_protos, make_table, rows_of
 from oracles import (

@@ -224,6 +224,65 @@ def test_format_exact_ties():
     assert_same_as_repr(np.concatenate(values))
 
 
+def test_format_points_inside_the_digits():
+    """1 <= |x| < 1e16, whose ``repr`` has its point among its digits: 1.0,
+    every power of ten and power of two there with 1-3 ulps either side, the
+    neighbourhood of 2**53, and both signs."""
+    anchors = [1.0] + [float(f"1e{k}") for k in range(18)] + [2.0**k for k in range(-2, 60)]
+    anchors += [2.0**53 + k for k in range(-40, 41, 2)] + [2.0**52 + k / 2 for k in range(-9, 10)]
+    values = [np.array(anchors)]
+    for toward in (0.0, np.inf):
+        y = values[0]
+        for _ in range(3):
+            y = np.nextafter(y, toward)
+            values.append(y)
+    values = np.concatenate(values)
+    assert_same_as_repr(np.concatenate([values, -values]), dim=9)
+
+
+def test_format_exact_ties_of_whole_parts():
+    """The ties of :func:`test_format_exact_ties` for e = 0 .. 15: x = m /
+    2**k with m odd and k = 16 - e or 17 - e, below 2**53 in m."""
+    rng = np.random.default_rng(41)
+    values = []
+    for e in range(16):
+        for k in (16 - e, 17 - e):
+            lo, hi = 10**e << k, min(10 ** (e + 1) << k, 1 << 53)
+            if lo < hi:
+                m = rng.integers(lo // 2, hi // 2, size=1500) * 2 + 1
+                values.append(m / 2.0**k)
+    assert_same_as_repr(np.concatenate(values))
+
+
+def test_format_neighbours_of_short_decimals_with_whole_parts():
+    """The values 1-3 ulps from random decimals of 12-16 digits in [1, 1e16)."""
+    rng = np.random.default_rng(43)
+    digits = rng.integers(12, 17, size=30_000)
+    exponent = rng.integers(0, 16, size=len(digits))
+    mantissa = rng.integers(10 ** (digits - 1), 10**digits)
+    x = np.array([float(f"{m}e{e - d + 1}") for m, e, d in zip(mantissa, exponent, digits)])
+    values = [x]
+    for toward in (np.inf, -np.inf):
+        y = x
+        for _ in range(3):
+            y = np.nextafter(y, toward)
+            values.append(y)
+    values = np.concatenate(values)
+    assert_same_as_repr(np.concatenate([values, -values]))
+
+
+def test_format_random_magnitudes():
+    """Normal values scaled by 10**u, u uniform in [-6, 18], of both signs:
+    half of them have a point inside their digits, and most of those take
+    the vectorized path."""
+    rng = np.random.default_rng(47)
+    values = rng.normal(size=200_000) * 10.0 ** rng.uniform(-6, 18, size=200_000)
+    assert_same_as_repr(values)
+    fast = textfloats._digits(values.copy())[4]
+    whole = (np.abs(values) >= 1) & (np.abs(values) < 1e16)
+    assert fast[whole].mean() > 0.9
+
+
 def test_format_empty_blocks():
     assert textfloats.format_rows(np.empty((3, 0))) == ["", "", ""]
     assert textfloats.format_rows(np.empty((0, 4))) == []
