@@ -81,18 +81,18 @@ def cmd_synth(args) -> None:
         seed=args.seed,
     )
     corpus = _layer("generate_corpus")(spec)
+    train, evals = corpus.train_embeddings, corpus.eval_embeddings
     out = Path(args.out_dir)
     if args.binary:
-        formats.write_embeddings_binary(out / "train_embeddings.sveb", corpus.train_embeddings)
+        formats.write_embeddings_binary(out / "train_embeddings.sveb", train)
     else:
-        formats.write_embeddings_text(out / "train_embeddings.tsv", corpus.train_embeddings)
-    formats.write_embeddings_text(out / "eval_embeddings.tsv", corpus.eval_embeddings)
+        formats.write_embeddings_text(out / "train_embeddings.tsv", train)
+    formats.write_embeddings_text(out / "eval_embeddings.tsv", evals)
     formats.write_prototypes(out / "prototypes.tsv", corpus.prototypes)
     formats.write_trials(out / "trials.tsv", corpus.trials, corpus.labels)
     formats.write_enroll_map(out / "enroll.tsv", corpus.enrollment_map)
     print(
-        f"wrote corpus to {out}: {len(corpus.train_embeddings)} train utts, "
-        f"{len(corpus.eval_embeddings)} eval utts, "
+        f"wrote corpus to {out}: {len(train)} train utts, {len(evals)} eval utts, "
         f"{corpus.prototypes.count} prototypes, {len(corpus.trials)} trials"
     )
 

@@ -12,20 +12,15 @@ value of every vector field's text, bit for bit, and raise where it raises.
 They convert ``ROW_BLOCK`` rows at a time with :mod:`.textfloats`, which
 takes a value of the shape ``-?D+(.D+)?`` with at most 19 ASCII digits
 (less the ``0`` of ``0.xxx``) through numpy and leaves every other value to
-``float``.  The text vector writers write each value's ``repr``, also
-``ROW_BLOCK`` rows at a time through :mod:`.textfloats`, which formats a
-value with 1e-4 <= |x| < 1e16 through numpy and leaves every other value, and
-any value it cannot certify, to ``repr``.
-
-The trial and score readers and writers (:func:`read_trials`,
-:func:`write_trials`, :func:`read_scores`, :func:`write_scores`) work on
+``float``.  The trial and score readers, and the one text writer of the
+four table files (embeddings, prototypes, trials and scores), work on
 columns through :mod:`.tsvcolumns`: trial keys are a :class:`.TrialKeys`,
-codes into tables of the distinct model and test ids, and no row becomes a
-Python object.
+codes into tables of the distinct ids, no row becomes a Python object, and
+every float is written as its ``repr`` by :func:`.textfloats.slots`.
 
-A reader imports the domain type it builds, and a text vector reader or
-writer :mod:`.textfloats`, inside its body, so a stage loads only the
-modules of the files it reads and writes.
+A reader imports the domain type it builds, and a text vector reader
+:mod:`.textfloats` and a table writer :mod:`.tsvcolumns`, inside its body,
+so a stage loads only the modules of the files it reads and writes.
 """
 
 from __future__ import annotations
@@ -145,19 +140,6 @@ def _floats(fields, names, fmt: str, out: np.ndarray) -> np.ndarray:
             row = names[exc.index // (len(out) // len(fields))]
             raise FormatError(f"malformed vector in {fmt} row {row!r}") from None
     return out
-
-
-def _vector_lines(columns, vectors):
-    """Each row's fields, tab-separated, and a newline: its ``columns`` (ids,
-    then Domain and Language) and its ``vectors`` row as comma-joined
-    ``repr`` decimals, converted ``ROW_BLOCK`` rows at a time."""
-    from . import textfloats
-
-    for s in range(0, len(vectors), ROW_BLOCK):
-        block = slice(s, s + ROW_BLOCK)
-        texts = textfloats.format_rows(vectors[block])
-        for *ids, domain, language, text in zip(*(col[block] for col in columns), texts):
-            yield "\t".join([*ids, domain.value, language.value, text]) + "\n"
 
 
 def _regular(path):
@@ -298,9 +280,10 @@ def _enum_column(enum_cls, texts, where: str) -> list:
 
 
 def write_embeddings_text(path, table: EmbeddingTable):
-    columns = (table.utt_ids, table.speaker_ids, table.domains, table.languages)
+    from . import tsvcolumns
+
     ids = [("utt_id", table.utt_ids), ("speaker_id", table.speaker_ids)]
-    _write_text(path, "embeddings", _vector_lines(columns, table.vectors), ids)
+    tsvcolumns.write_vectors(path, "embeddings", ids, table)
 
 
 def read_embeddings_text(path) -> EmbeddingTable:
@@ -455,9 +438,9 @@ def read_cohort(path, domains=None) -> Cohort:
 
 
 def write_prototypes(path, protos: PrototypeMatrix):
-    columns = (protos.speaker_ids, protos.domains, protos.languages)
-    lines = _vector_lines(columns, protos.vectors)
-    _write_text(path, "prototypes", lines, [("speaker_id", protos.speaker_ids)])
+    from . import tsvcolumns
+
+    tsvcolumns.write_vectors(path, "prototypes", [("speaker_id", protos.speaker_ids)], protos)
 
 
 def read_prototypes(path) -> PrototypeMatrix:
@@ -476,13 +459,13 @@ def read_prototypes(path) -> PrototypeMatrix:
 def write_trials(path, trials: TrialKeys | Sequence[tuple[str, str]], labels=None):
     """``trials``: a :class:`TrialKeys` or (model id, test id) pairs;
     ``labels``: one bool per trial (True = target), or None for an unlabeled
-    file.  The rows are built as columns by :mod:`.tsvcolumns`."""
+    file."""
     from . import tsvcolumns
     from .scores import TrialKeys
 
     if labels is not None and len(labels) != len(trials):
         raise FormatError(f"{len(labels)} labels for {len(trials)} trials")
-    tsvcolumns.write(path, "trials", TrialKeys.of(trials), labels=labels)
+    tsvcolumns.write_keys(path, "trials", TrialKeys.of(trials), labels=labels)
 
 
 def read_trials(path) -> tuple[TrialKeys, np.ndarray | None]:
@@ -540,11 +523,9 @@ def read_lid_decisions(path) -> dict[str, tuple[Language, float]]:
 
 
 def write_scores(path, scores: ScoreSet):
-    """Each score is written as its ``repr``; the rows are built as columns
-    by :mod:`.tsvcolumns`."""
     from . import tsvcolumns
 
-    tsvcolumns.write(path, "scores", scores.keys, scores.scores, scores.labels)
+    tsvcolumns.write_keys(path, "scores", scores.keys, scores.scores, scores.labels)
 
 
 def read_scores(path) -> ScoreSet:

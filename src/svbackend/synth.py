@@ -33,6 +33,7 @@ import numpy as np
 from .errors import SpecInvalid
 from .planner import philox_rng
 from .prototypes import PrototypeMatrix
+from .scores import TrialKeys
 from .vecmath import Domain, EmbeddingTable, Language, frozen_rows, unit_rows
 
 _STREAM_SHIFT = 0
@@ -93,7 +94,7 @@ class SyntheticCorpus:
     n_train: int
     prototypes: PrototypeMatrix
     enrollment_map: Mapping[str, tuple[str, ...]]
-    trials: tuple[tuple[str, str], ...]
+    trials: TrialKeys
     #: True for a target trial, aligned with ``trials``; stored by ``frozen_rows``
     labels: np.ndarray
 
@@ -159,50 +160,50 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
 
     n_train = len(cols[0])
     enrollment_map: dict[str, tuple[str, ...]] = {}
-    test_utts_by_speaker: dict[str, list[str]] = {}
+    test_ids: list[str] = []
+    n_tests: list[int] = []
     for k in range(spec.eval_speakers):
         sid = f"ev{k:03d}"
         enroll_ids = [f"{sid}-e{u:03d}" for u in range(spec.enroll_utts)]
         n_test = int(g_counts.integers(lo, hi + 1))
-        test_ids = [f"{sid}-t{u:03d}" for u in range(n_test)]
+        own_ids = [f"{sid}-t{u:03d}" for u in range(n_test)]
         english = (g_lang.uniform(size=n_test) < spec.english_fraction).tolist()
         langs = [Language.FARSI] * spec.enroll_utts + [
             Language.ENGLISH if en else Language.FARSI for en in english
         ]
         base = bases[n_train_speakers + k]
-        add_speaker(sid, Domain.DEEPMINE, base, langs, enroll_ids + test_ids)
+        add_speaker(sid, Domain.DEEPMINE, base, langs, enroll_ids + own_ids)
         enrollment_map[sid] = tuple(enroll_ids)
-        test_utts_by_speaker[sid] = test_ids
+        test_ids += own_ids
+        n_tests.append(n_test)
 
-    model_ids = list(enrollment_map)
-    target_pool = [
-        (sid, uid) for sid in model_ids for uid in test_utts_by_speaker[sid]
-    ]
-    nontarget_pool = [
-        (sid, uid)
-        for sid in model_ids
-        for other in model_ids
-        if other != sid
-        for uid in test_utts_by_speaker[other]
-    ]
-    if spec.target_trials > len(target_pool):
+    # the trial pools as codes: target trial i is test utterance i and its
+    # owner, nontarget trial j the j-th (model, test utterance) pair, in
+    # model order, whose utterance the model does not own
+    owner = np.repeat(np.arange(spec.eval_speakers), n_tests)  # each test utterance's model
+    pair_models, pair_tests = np.divmod(np.arange(spec.eval_speakers * len(owner)), len(owner))
+    other = owner[pair_tests] != pair_models
+    pair_models, pair_tests = pair_models[other], pair_tests[other]
+    if spec.target_trials > len(owner):
         raise SpecInvalid(
-            f"requested {spec.target_trials} target trials, only {len(target_pool)} possible"
+            f"requested {spec.target_trials} target trials, only {len(owner)} possible"
         )
-    if spec.nontarget_trials > len(nontarget_pool):
+    if spec.nontarget_trials > len(pair_tests):
         raise SpecInvalid(
             f"requested {spec.nontarget_trials} nontarget trials, "
-            f"only {len(nontarget_pool)} possible"
+            f"only {len(pair_tests)} possible"
         )
-    t_idx = g_trials.choice(len(target_pool), size=spec.target_trials, replace=False)
-    n_idx = g_trials.choice(len(nontarget_pool), size=spec.nontarget_trials, replace=False)
-    trials = [target_pool[int(i)] for i in t_idx] + [nontarget_pool[int(i)] for i in n_idx]
+    t_idx = g_trials.choice(len(owner), size=spec.target_trials, replace=False)
+    n_idx = g_trials.choice(len(pair_tests), size=spec.nontarget_trials, replace=False)
+    models = np.concatenate([owner[t_idx], pair_models[n_idx]])
+    tests = np.concatenate([t_idx, pair_tests[n_idx]])
+    trials = TrialKeys(tuple(enrollment_map), tuple(test_ids), models, tests)
 
     return SyntheticCorpus(
         embeddings=EmbeddingTable(*cols, vectors=np.concatenate(blocks)),
         n_train=n_train,
         prototypes=prototypes,
         enrollment_map=enrollment_map,
-        trials=tuple(trials),
+        trials=trials,
         labels=np.arange(len(trials)) < spec.target_trials,
     )

@@ -23,14 +23,14 @@ digit runs and commas) and s its number of fraction digits (s <= 19):
   quotient the check cannot certify (a near-tie, a power of two) goes to
   ``float``.
 
-:func:`format_rows` is the inverse: the text of each row of a float64
-block, byte for byte the ``repr`` of each value joined by commas, and
-:func:`slots` the bytes of each value of a flat array.  A value with 1e-4
-<= |x| < 1e16, whose ``repr`` is its shortest round-trip digits with a
-point among them (``-?0.``, zeros and the digits below 1), takes the
-vectorized path when its digits are certified (Steele & White, "How to
-Print Floating-Point Numbers Accurately", PLDI 1990); every other value,
-and every value the check cannot certify, goes through ``repr``.
+:func:`slots` is the inverse, the one float formatter of the table writer
+:func:`.tsvcolumns.write`: the bytes of each value of a flat float64 array,
+its ``repr`` and a comma, in a fixed-width slot.  A value with 1e-4 <= |x|
+< 1e16, whose ``repr`` is its shortest round-trip digits with a point among
+them (``-?0.``, zeros and the digits below 1), takes the vectorized path
+when its digits are certified (Steele & White, "How to Print Floating-Point
+Numbers Accurately", PLDI 1990); every other value, and every value the
+check cannot certify, goes through ``repr``.
 """
 
 from __future__ import annotations
@@ -235,25 +235,6 @@ def _layouts():
 
 
 _LAYOUTS = _layouts()
-
-
-def format_rows(block: np.ndarray) -> list[str]:
-    """The text of each row of the (rows, D) float64 ``block``: byte for byte
-    ``",".join(map(repr, row.tolist()))``.
-
-    One boolean compaction of the block's :func:`slots` drops the bytes a
-    value does not use.
-    """
-    block = np.asarray(block, np.float64)
-    rows, dim = block.shape
-    if not block.size:
-        return [""] * rows
-    out, keep = slots(block.ravel())
-    keep = keep.reshape(rows, dim * _WIDTH)
-    keep[:, -1] = False  # no comma after a row's last value
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    text = out.reshape(rows, dim * _WIDTH)[keep].tobytes().decode("ascii")
-    return [text[s:e] for s, e in zip([0, *ends[:-1]], ends)]
 
 
 def slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

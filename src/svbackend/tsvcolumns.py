@@ -1,11 +1,13 @@
-"""Trial and score files read and written as columns over the file's bytes.
+"""Table files read and written as columns over the file's bytes.
 
 :func:`read_trials` and :func:`read_scores` find the lines, comment lines
-and tab-separated fields of a file with numpy over its bytes; :func:`write`
-builds the rows of one from byte columns.  Neither makes a Python object
-per row: ids become :class:`~.scores.TrialKeys` codes into tables of the
-distinct ids, and scores go through :func:`.textfloats.parse_bytes` and
-:func:`.textfloats.slots`.
+and tab-separated fields of a file with numpy over its bytes, and make no
+Python object per row: ids become :class:`~.scores.TrialKeys` codes into
+tables of the distinct ids, and scores go through
+:func:`.textfloats.parse_bytes`.  :func:`write` is the one row writer of the
+four table files (trials, scores, embeddings and prototypes): it builds each
+block of rows from byte columns, ids and labels picked from tables and floats
+from :func:`.textfloats.slots`.
 
 The readers take and refuse what reading the file in text mode line by line
 does, and raise the same error at the same first defect.  Text mode decodes
@@ -246,32 +248,62 @@ def _column(data: bytes, a, start, end):
     return tuple(t.decode("utf-8") for t in table), codes
 
 
-def write(path, fmt: str, keys: TrialKeys, scores=None, labels=None):
+def write(path, fmt: str, n: int, ids, pieces):
+    """Write a ``fmt`` file of ``n`` rows: the one row writer of the table
+    files.  ``pieces(block)`` gives the ``(matrix, keep)`` pieces of the rows
+    of the slice ``block`` in column order, and ``_BLOCK_BYTES`` over the
+    width of one row's pieces sets the rows of a block.  ``ids`` holds the
+    ``(what, values)`` id columns checked before the file is opened."""
+    step = max(1, _BLOCK_BYTES // (sum(m.shape[1] for m, _ in pieces(slice(0, 1))) + 1))
+    blocks = (slice(s, min(s + step, n)) for s in range(0, n, step))
+    rows = (_join(b.stop - b.start, [*pieces(b), _NEWLINE_PIECE]) for b in blocks)
+    _write_text(path, fmt, rows, ids)
+
+
+def write_keys(path, fmt: str, keys: TrialKeys, scores=None, labels=None):
     """Write a ``fmt`` file with one row per trial of ``keys``: its model id,
     its test id, the ``repr`` of its score (when ``scores`` is given) and its
     label (when ``labels`` is), tab-separated.  The ids the trials use are
-    checked before the file is opened, model ids first, each in order of
-    first appearance."""
+    checked, model ids first, each in order of first appearance."""
     models, tests = _table(keys.model_ids), _table(keys.test_ids)
     ids = [("model_id", _used(keys.model_ids, keys.models))]
     ids.append(("utt_id", _used(keys.test_ids, keys.tests)))
-    width = models[0].shape[1] + tests[0].shape[1] + 64
 
-    def rows():
-        step = max(1, _BLOCK_BYTES // width)
-        for s in range(0, len(keys), step):
-            block = slice(s, s + step)
-            pieces = [_pick(models, keys.models[block]), _TAB_PIECE]
-            pieces.append(_pick(tests, keys.tests[block]))
-            if scores is not None:
-                out, keep = textfloats.slots(scores[block])
-                pieces += [_TAB_PIECE, (out[:, :-1], keep[:, :-1])]
-            if labels is not None:
-                pieces.append(_pick(_LABELS, labels[block].astype(np.intp)))
-            pieces.append(_NEWLINE_PIECE)
-            yield _join(len(pieces[0][0]), pieces)
+    def pieces(block):
+        out = [_pick(models, keys.models[block]), _TAB_PIECE, _pick(tests, keys.tests[block])]
+        if scores is not None:
+            out += [_TAB_PIECE, _floats(scores[block, None])]
+        if labels is not None:
+            out.append(_pick(_LABELS, labels[block].astype(np.intp)))
+        return out
 
-    _write_text(path, fmt, rows(), ids)
+    write(path, fmt, len(keys), ids, pieces)
+
+
+def write_vectors(path, fmt: str, ids, table):
+    """Write a ``fmt`` file of the rows of an embedding or prototype
+    ``table``: the ``(what, values)`` id columns ``ids``, Domain, Language
+    and the vector's values as ``repr`` joined by commas, tab-separated."""
+    texts = [values for _, values in ids]
+    texts += [[d.value for d in table.domains], [lang.value for lang in table.languages]]
+    columns = [_table(col) for col in texts]
+
+    def pieces(block):
+        out = []
+        for matrix, keep in columns:
+            out += [(matrix[block], keep[block]), _TAB_PIECE]
+        return [*out, _floats(table.vectors[block])]
+
+    write(path, fmt, len(table.vectors), ids, pieces)
+
+
+def _floats(block):
+    """The piece of the (rows, D) float64 ``block``: each row's values'
+    ``repr``, joined by commas, from one :func:`.textfloats.slots` call."""
+    rows, dim = block.shape
+    out, keep = textfloats.slots(block.ravel())
+    width = dim * out.shape[1]
+    return out.reshape(rows, width)[:, :-1], keep.reshape(rows, width)[:, :-1]
 
 
 def _used(table, codes) -> list[str]:

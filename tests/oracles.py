@@ -13,9 +13,10 @@ left-out prototype or enrollment model, and two triangular solves per llr.
 block ``scoring.snorm_stats``, and :func:`adaptive_snorm` and
 :func:`language_dependent_snorm` for ``scoring._snorm``.  The embedding
 readers are the per-row parsers the columnar ones replaced (one ``float``
-list or one ``struct.unpack`` per row), and so are the trial and score
-readers and writers (text-mode lines, one ``split`` and one ``float`` or
-f-string per row), with ``fuse``'s per-key dict alignment.  The batch
+list or one ``struct.unpack`` per row), the text vector writer is the
+per-row one (one ``repr`` per value, one join per row), and so are the trial
+and score readers and writers (text-mode lines, one ``split`` and one
+``float`` or f-string per row), with ``fuse``'s per-key dict alignment.  The batch
 planner's reference draws each group speaker's utterances with its own
 ``choice`` call.
 """
@@ -467,6 +468,19 @@ def read_embeddings_binary_rows(path):
     if offset != len(payload):
         raise FormatError("trailing bytes")
     return out
+
+
+def write_vector_rows(path, fmt, ids, table):
+    """An embeddings or prototypes file, one ``repr`` per value and one join
+    per row: each row's values of the ``(what, values)`` id columns ``ids``,
+    its Domain and Language, and its vector's values joined by commas."""
+    columns = (*(values for _, values in ids), table.domains, table.languages)
+    rows = zip(*columns, table.vectors.tolist())
+    lines = (
+        "\t".join([*row_ids, domain.value, language.value, ",".join(map(repr, vec))]) + "\n"
+        for *row_ids, domain, language, vec in rows
+    )
+    formats._write_text(path, fmt, lines, ids)
 
 
 # -- trial and score files: the per-row readers and writers the columnar ones

@@ -1,6 +1,7 @@
 """textfloats.parse against ``float``: the same bits for every token, or an
-error at the first token ``float`` rejects; and textfloats.format_rows
-against ``repr``: the same bytes for every value."""
+error at the first token ``float`` rejects; and textfloats.slots, and the
+text vector writer built on it, against ``repr``: the same bytes for every
+value."""
 
 import math
 import os
@@ -10,7 +11,10 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+import oracles
+
 from svbackend import formats, textfloats
+from svbackend.prototypes import PrototypeMatrix
 from svbackend.synth import CorpusSpec, generate_corpus
 from svbackend.vecmath import ROW_BLOCK, Domain, EmbeddingTable, Language
 
@@ -145,37 +149,69 @@ def test_certificate_refuses_ties_and_powers_of_two():
     assert q.tolist() == [float(1 << 53), float(1 << 53), 0.12345678901234567, float((1 << 53) + 2)]
 
 
-# -- format_rows against repr -------------------------------------------------
+# -- slots and the writer against repr -----------------------------------------
 
 
 def repr_rows(block):
     return [",".join(map(repr, row)) for row in block.tolist()]
 
 
+def slot_rows(block):
+    """Each row of the (rows, D) ``block`` from one ``textfloats.slots`` call,
+    compacted here: its values' kept bytes joined by commas."""
+    rows, dim = block.shape
+    out, keep = textfloats.slots(block.ravel())
+    texts = out[keep].tobytes().decode("ascii").split(",")  # each value ends in a comma
+    return [",".join(texts[r * dim : (r + 1) * dim]) for r in range(rows)]
+
+
 def assert_same_as_repr(values, dim=256):
-    """``format_rows`` of the values, ``dim`` to a row and ``ROW_BLOCK`` rows
-    to a block (the last row may be shorter, in a block of its own), against
-    the ``repr`` joins."""
+    """The values through :func:`slot_rows`, ``dim`` to a row and
+    ``ROW_BLOCK`` rows to a block (the last row may be shorter, in a block of
+    its own), against the ``repr`` joins."""
     values = np.asarray(values, np.float64).ravel()
     cut = len(values) - len(values) % dim
     rows = values[:cut].reshape(-1, dim)
     blocks = [rows[s : s + ROW_BLOCK] for s in range(0, len(rows), ROW_BLOCK)]
     blocks.append(values[cut:].reshape(1, -1))
     for block in blocks:
-        got, want = textfloats.format_rows(block), repr_rows(block)
+        got, want = slot_rows(block), repr_rows(block)
         if got != want:
             pairs = zip(",".join(got).split(","), ",".join(want).split(","))
             assert got == want, [(g, w) for g, w in pairs if g != w][:5]
 
 
+def assert_writes_the_oracles_bytes(tmp_path, table):
+    """The text writer of ``table`` (an embedding or prototype table) writes
+    the bytes of the per-row ``repr`` oracle."""
+    if isinstance(table, PrototypeMatrix):
+        fmt, write, ids = "prototypes", formats.write_prototypes, [("speaker_id", table.speaker_ids)]
+    else:
+        fmt, write = "embeddings", formats.write_embeddings_text
+        ids = [("utt_id", table.utt_ids), ("speaker_id", table.speaker_ids)]
+    want, got = tmp_path / "want.tsv", tmp_path / "got.tsv"
+    oracles.write_vector_rows(want, fmt, ids, table)
+    write(got, table)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def embedding_table(vectors, ids=None):
+    """An embedding table of the rows of ``vectors``, every Domain and
+    Language in turn."""
+    vectors = np.asarray(vectors, np.float64)
+    n = len(vectors)
+    ids = [f"u{k}" for k in range(n)] if ids is None else ids
+    domains = [list(Domain)[k % 3] for k in range(n)]
+    languages = [list(Language)[k % 4] for k in range(n)]
+    return EmbeddingTable(ids, ids[::-1], domains, languages, vectors)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_format_synth_vectors(seed):
+def test_format_synth_vectors(seed, tmp_path):
     corpus = generate_corpus(CorpusSpec(dim=256, seed=seed))
-    for vectors in (corpus.embeddings.vectors, corpus.prototypes.vectors):
-        assert vectors.size > 20_000
-        for s in range(0, len(vectors), ROW_BLOCK):
-            block = vectors[s : s + ROW_BLOCK]
-            assert textfloats.format_rows(block) == repr_rows(block)
+    for table in (corpus.embeddings, corpus.prototypes):
+        assert table.vectors.size > 20_000
+        assert_writes_the_oracles_bytes(tmp_path, table)
 
 
 @pytest.mark.parametrize("sigma", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6])
@@ -283,9 +319,54 @@ def test_format_random_magnitudes():
     assert fast[whole].mean() > 0.9
 
 
-def test_format_empty_blocks():
-    assert textfloats.format_rows(np.empty((3, 0))) == ["", "", ""]
-    assert textfloats.format_rows(np.empty((0, 4))) == []
+def test_format_empty_blocks(tmp_path):
+    """No rows, and rows of no values: ``slots`` against ``repr``, and the
+    writer against the oracle."""
+    assert slot_rows(np.empty((3, 0))) == ["", "", ""]
+    assert slot_rows(np.empty((0, 4))) == []
+    for vectors in (np.empty((3, 0)), np.empty((0, 4)), np.empty((0, 0))):
+        assert_writes_the_oracles_bytes(tmp_path, embedding_table(vectors))
+    assert (tmp_path / "got.tsv").read_bytes() == b"#fmt:embeddings:1\n"
+
+
+#: values the writer leaves to ``repr`` (-0.0, 0.0, 5e-324, 1e-05, 1e16) or
+#: writes with its point after every digit (2**53) or among them (2**k)
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, -1e-5, 1e16, -1e16, 2.0**53, -(2.0**53)]
+EDGE_VALUES += [2.0**k for k in range(-20, 60, 3)] + [-(2.0**k) for k in range(-19, 60, 7)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 256])
+def test_writer_edge_values(dim, tmp_path):
+    """Each edge value in every column of 197 rows (eight blocks of the
+    writer at D = 256), for embeddings and for prototypes, whose rows end in
+    1.0 to keep a norm."""
+    values = np.resize(np.array(EDGE_VALUES), (3 * ROW_BLOCK + 5) * dim).reshape(-1, dim)
+    assert_writes_the_oracles_bytes(tmp_path, embedding_table(values))
+    rows = np.concatenate([values, np.ones((len(values), 1))], axis=1)
+    table = embedding_table(rows)
+    protos = PrototypeMatrix(table.utt_ids, table.domains, table.languages, rows)
+    assert_writes_the_oracles_bytes(tmp_path, protos)
+
+
+def test_writer_non_ascii_ids(tmp_path):
+    """Ids of 1- to 4-byte UTF-8 characters, of different lengths."""
+    ids = ["ü-ß", "м.1", "語", "😀x", "a,b;c", "x" * 300, "é", "u\x00"]
+    table = embedding_table(np.random.default_rng(5).normal(size=(len(ids), 3)), ids)
+    assert_writes_the_oracles_bytes(tmp_path, table)
+    protos = PrototypeMatrix(ids, table.domains, table.languages, table.vectors)
+    assert_writes_the_oracles_bytes(tmp_path, protos)
+
+
+def test_writer_refuses_an_unencodable_id_before_opening(tmp_path):
+    """An id with a lone surrogate has no UTF-8 bytes: the vector writers
+    raise before they make the directory, as the trial and score writers do,
+    and leave no file holding the rows before it."""
+    table = embedding_table(np.ones((2, 2)), ["u1", "u\ud800"])
+    protos = PrototypeMatrix(table.utt_ids, table.domains, table.languages, table.vectors)
+    for write, payload in ((formats.write_embeddings_text, table), (formats.write_prototypes, protos)):
+        with pytest.raises(UnicodeEncodeError):
+            write(tmp_path / "new" / "out.tsv", payload)
+        assert not (tmp_path / "new").exists()
 
 
 def test_writer_matches_repr_and_reads_back(tmp_path):
