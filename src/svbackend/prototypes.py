@@ -5,8 +5,8 @@ trainer.  This store never recomputes anything implicitly: a new snapshot
 arrives as a new matrix, and the caller stamps the similarity snapshot it
 derives with an ``epoch_tag``.
 
-No N x N similarity matrix is built: :func:`top_similar` ranks a batch of
-anchors on demand, in O(TOP_BLOCK_ROWS * N) memory beyond the prototypes.
+No N x N similarity matrix is built: :func:`top_similar` ranks anchors on
+demand with ``vecmath.top_cosines``, in O(TOP_BLOCK_ROWS * N) extra memory.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IndexOutOfRange, KTooLarge, ParamInvalid, ValidationError
-from .vecmath import Domain, Language, frozen_rows, pair_cosines, unit_rows
+from .vecmath import Domain, Language, frozen_rows, top_cosines, unit_rows
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,6 @@ class PrototypeMatrix:
             raise IndexOutOfRange(f"unknown speaker_id {speaker_id!r}") from None
 
 
-#: Anchor rows per block of :func:`top_similar`'s BLAS filter (larger raised peak RSS).
-TOP_BLOCK_ROWS = 64
-
-
 class SimilaritySnapshot(NamedTuple):
     """One snapshot's speaker similarities: the prototypes (their unit rows)
     and the caller's ``epoch_tag`` (bookkeeping).  No N x N matrix is held:
@@ -100,25 +96,9 @@ def similarity_matrix(p: PrototypeMatrix, epoch_tag: int = 0) -> SimilaritySnaps
 
 def top_similar(sim: SimilaritySnapshot, anchors, k: int) -> np.ndarray:
     """(len(anchors), k) int array: each anchor, then its k-1 most similar
-    other speakers by ``pair_cosines`` over the unit rows U (bit for bit
-    scalar ``cosine``), descending, ties by ascending index.  Per block of
-    TOP_BLOCK_ROWS anchors a clipped BLAS product ``U[block] @ U.T``
-    filters: with t the (k-1)-th largest filtered value of the others, those
-    >= t - 2*delta (delta = 8*D*eps) are re-ranked by (-exact kernel, index)
-    in one sort per block.
-
-    Exactness.  Any floating-point D-term dot product (any order, blocking,
-    threads, FMA) is within gamma_D * sum|u_i v_i| + D*2**-1074 of the real
-    one (Higham, Accuracy and Stability, 3.1; gamma_D = D*u/(1 - D*u), u =
-    eps/2).  Unit rows have norms within 2*D*eps of 1, so for D*eps <= 0.01
-    filter and kernel differ by < 2.1*gamma_D + 2*D*2**-1074 < 2*D*eps <=
-    delta, clipped or not.  The k-1 others filtered >= t have exact values
-    >= t - delta, so the (k-1)-th largest exact value e* >= t - delta; each
-    of the exact top k-1 (ties at e* included) is >= e*, so it filters >=
-    t - 2*delta and is a candidate.  The filter's bits vary with the BLAS;
-    the output does not.  Raises IndexOutOfRange (an anchor outside
-    [0, N)), then ParamInvalid (k < 1), then KTooLarge (k > N).
-    """
+    other speakers by ``vecmath.top_cosines`` over the unit rows.  Raises
+    IndexOutOfRange (an anchor outside [0, N)), then ParamInvalid (k < 1),
+    then KTooLarge (k > N)."""
     n = sim.protos.count
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
     if len(anchors) and not (0 <= anchors.min() and anchors.max() < n):
@@ -128,20 +108,6 @@ def top_similar(sim: SimilaritySnapshot, anchors, k: int) -> np.ndarray:
         raise ParamInvalid(f"k must be >= 1, got {k}")
     if k > n:
         raise KTooLarge(f"k={k} exceeds speaker count {n}")
-    out = np.repeat(anchors[:, None], k, axis=1)  # every row starts with its anchor
-    if k == 1:
-        return out
     u = sim.protos.unit_rows
-    window = 2 * (8 * u.shape[1] * np.finfo(np.float64).eps)  # 2 * delta
-    kth = n - k + 1  # ascending position of the (k-1)-th largest other speaker
-    for start in range(0, len(anchors), TOP_BLOCK_ROWS):
-        block = anchors[start : start + TOP_BLOCK_ROWS]
-        approx = np.clip(u[block] @ u.T, -1.0, 1.0)
-        approx[np.arange(len(block)), block] = -np.inf
-        floor = np.partition(approx, kth, axis=1)[:, kth] - window
-        rows, cand = np.nonzero(approx >= floor[:, None])
-        exact = pair_cosines(u, block[rows], u, cand)
-        order = np.lexsort((cand, -exact, rows))
-        first = np.searchsorted(rows, np.arange(len(block)))  # rows ascend in both orders
-        out[start : start + len(block), 1:] = cand[order[first[:, None] + np.arange(k - 1)]]
-    return out
+    others = top_cosines(u, anchors, u, k - 1, (np.arange(len(anchors)), anchors))[0]
+    return np.concatenate([anchors[:, None], others], axis=1)

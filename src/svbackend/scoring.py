@@ -3,8 +3,8 @@
 The imposter cohort for trial scoring is built from training embeddings
 (one averaged vector per speaker); the cross-language compensation offset
 is estimated on the speaker prototypes.  Those are two distinct populations and
-are kept as two separate inputs throughout.  Both use one top-N statistics
-kernel, :func:`snorm_stats`, and one speaker exclusion, :meth:`Cohort.imposter_stats`.
+are kept as two separate inputs throughout.  Both use :func:`snorm_stats` on the exact
+``vecmath.top_cosines``, and one speaker exclusion, :meth:`Cohort.imposter_stats`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .prototypes import PrototypeMatrix
 from .vecmath import cosine  # noqa: F401
 from .vecmath import DEFAULT_TOP_N, Domain, EmbeddingTable, Language
 from .vecmath import average_embedding, frozen_rows
-from .vecmath import check_row_norms, mean_of_units, pair_cosines, unit_rows
+from .vecmath import check_row_norms, mean_of_units, pair_cosines, top_cosines, unit_rows
 
 if TYPE_CHECKING:
     from .scores import TrialKeys
@@ -69,19 +69,14 @@ class Cohort:
         return self._unit_rows
 
     def imposter_stats(self, units, speakers, top_n: int = DEFAULT_TOP_N) -> tuple:
-        """:func:`snorm_stats` of each row of ``units`` against the cohort rows
-        whose speaker is not among that row's ``speakers``, one call per row on
-        the kept rows (dropping scores from a product with every row would move
-        bits, as a gemv's depend on row positions).  EmptySet if none is kept."""
-        ids = np.array(self.speaker_ids)
-        mu, sigma = np.empty(len(units)), np.empty(len(units))
-        for i, drop in enumerate(speakers):
-            keep = ~np.isin(ids, list(drop))
-            if not keep.any():
-                raise EmptySet("excluding enrollment speakers emptied the cohort")
-            kept = self.unit_rows if keep.all() else self.unit_rows[keep]
-            mu[i : i + 1], sigma[i : i + 1] = snorm_stats(units[i : i + 1], kept, top_n)
-        return mu, sigma
+        """:func:`snorm_stats` of each row of ``units``, leaving out the cohort
+        rows of that row's ``speakers``.  EmptySet if none is left."""
+        column = dict(zip(self.speaker_ids, range(len(self))))
+        pairs = [(i, column[s]) for i, drop in enumerate(speakers) for s in column.keys() & drop]
+        rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        if np.bincount(rows).max(initial=0) == len(self):
+            raise EmptySet("excluding enrollment speakers emptied the cohort")
+        return snorm_stats(units, self.unit_rows, top_n, exclude=(rows, cols))
 
     @classmethod
     def from_embeddings(
@@ -129,32 +124,31 @@ class LanguageOffset:
             raise ValidationError("offset must be finite")
 
 
-def snorm_stats(units, rows, top_n: int = DEFAULT_TOP_N) -> tuple[np.ndarray, np.ndarray]:
+def snorm_stats(units, rows, top_n: int = DEFAULT_TOP_N, exclude=((), ())) -> tuple:
     """Statistics of the top-N cohort scores for each row of ``units``.
 
-    Scores every row of the (m, D) block ``units`` (unit-normalized vectors)
-    by cosine against every row of ``rows`` (unit-normalized cohort vectors,
-    e.g. :attr:`Cohort.unit_rows` or a row subset of it), keeps the top_n
-    highest, and returns two length-m arrays: their mean and population
-    standard deviation.  Each row takes one ``rows @ u`` product and one
-    partition.  A top_n beyond the cohort size falls back to the whole
-    cohort with one warning per call so small runs stay usable.
+    Ranks the unit cohort rows ``rows`` (e.g. :attr:`Cohort.unit_rows`) by
+    cosine against each unit row of the (m, D) block ``units`` with
+    ``vecmath.top_cosines``, less the (unit row, cohort row) pairs of
+    ``exclude``, and returns the ``np.mean`` and population ``np.std`` of each
+    row's top_n exact scores in descending order (two length-m arrays).  A row
+    with fewer rows left uses all of them, one warning per such count and call.
     """
     if top_n < 2:
         raise ParamInvalid(f"top_n must be >= 2, got {top_n}")
     if units.shape[1] != rows.shape[1]:
         raise DimensionMismatch(f"vector dim {units.shape[1]} vs cohort dim {rows.shape[1]}")
-    if top_n > len(rows):
-        log.warning("top_n=%d exceeds cohort size %d; using the whole cohort", top_n, len(rows))
-        top_n = len(rows)
-    k = len(rows) - top_n
-    selected = np.empty((len(units), top_n))
-    for i, u in enumerate(units):
-        selected[i] = np.partition(rows @ u, k)[k:]
-    sigma = np.std(selected, axis=1)
+    _, top = top_cosines(units, np.arange(len(units)), rows, min(top_n, len(rows)), exclude)
+    counts = np.count_nonzero(top > -np.inf, axis=1)
+    mu, sigma = np.empty(len(units)), np.empty(len(units))
+    for n in np.flatnonzero(np.bincount(counts)).tolist():
+        if n < top_n:
+            log.warning("top_n=%d exceeds cohort size %d; using the whole cohort", top_n, n)
+        group = counts == n
+        mu[group], sigma[group] = np.mean(top[group, :n], axis=1), np.std(top[group, :n], axis=1)
     if np.any(sigma <= 0.0):
         raise DegenerateCohort("selected cohort scores have zero variance")
-    return np.mean(selected, axis=1), sigma
+    return mu, sigma
 
 
 def _snorm(raw, mu_e, sigma_e, mu_t, sigma_t, shift):
@@ -216,8 +210,8 @@ def score_trials(
     :class:`.TrialKeys` or (model id, test id) pairs.  Enrollment and test
     utterances are looked up in ``table`` by id; each enrollment model is the
     average of its L2-normalized utterances.  Normalization statistics come
-    from one :func:`snorm_stats` call for all test utterances and one per
-    model, through :meth:`Cohort.imposter_stats`, which leaves the model's
+    from one :func:`snorm_stats` call for all test utterances and one for the
+    models, through :meth:`Cohort.imposter_stats`, which leaves each model's
     enrollment speakers out of its cohort.
     """
     if (offset is None) != (lid_decisions is None):

@@ -8,7 +8,7 @@ accumulation error, so nothing here computes in float32.
 two exact row kernels are :func:`row_norms` (used by :func:`unit_rows`,
 :func:`check_row_norms` and the AAM loss and gradients) and
 :func:`pair_cosines` (used by :func:`cosine`, the raw trial scores of
-``scoring.score_trials`` and the re-rank of ``prototypes.top_similar``).
+``scoring.score_trials`` and :func:`top_cosines`, the one top-N ranking).
 Both take numpy's pairwise ``np.sum`` along each C-contiguous row, not
 BLAS, ``ROW_BLOCK`` rows at a time.  A row's sum does not depend on its
 block or its neighbours, so every caller gets the same bits for the same
@@ -40,6 +40,8 @@ NORM_EPS = 1e-12
 #: Rows per block of :func:`row_norms` and :func:`pair_cosines`: keeps their
 #: (block, D) temporaries cache-sized (128 KB each at D = 256).
 ROW_BLOCK = 64
+#: Query rows per block of :func:`top_cosines`' BLAS filter (larger raised peak RSS).
+TOP_BLOCK_ROWS = 64
 
 
 class Domain(enum.Enum):
@@ -200,6 +202,44 @@ def pair_cosines(a: np.ndarray, ia, b: np.ndarray, ib) -> np.ndarray:
         pairs = slice(s, s + ROW_BLOCK)
         out[pairs] = np.sum(a[ia[pairs]] * b[ib[pairs]], axis=1)
     return np.clip(out, -1.0, 1.0, out=out)
+
+
+def top_cosines(a, ia, b, n: int, exclude) -> tuple[np.ndarray, np.ndarray]:
+    """The n rows of ``b`` with the largest :func:`pair_cosines` against each
+    row ``a[ia[k]]`` (unit rows; ``ia`` an int array; 0 <= n <= len(b)):
+    (len(ia), n) arrays of their indices and values, descending, ties by
+    ascending index; the pairs (k, j) of ``exclude`` (k ascending) rank last at -inf.
+
+    Exactness.  Per block of TOP_BLOCK_ROWS queries a clipped BLAS product
+    filters: with t the n-th largest filtered value, those >= t - 2*delta
+    (delta = 8*D*eps) are re-scored exactly and sorted at once.  Any
+    floating-point D-term dot product (any order, blocking, threads, FMA) is
+    within gamma_D * sum|u_i v_i| + D*2**-1074 of the real one (Higham,
+    Accuracy and Stability, 3.1; gamma_D = D*u/(1 - D*u), u = eps/2).  Unit
+    rows have norms within 2*D*eps of 1, so for D*eps <= 0.01 filter and
+    kernel differ by < 2.1*gamma_D + 2*D*2**-1074 < 2*D*eps <= delta, clipped
+    or not.  The n rows filtered >= t have exact values >= t - delta, so the
+    n-th largest exact value e* >= t - delta; each of the exact top n (ties at
+    e* included) is >= e*, so it filters >= t - 2*delta and is a candidate.
+    The filter's bits vary with the BLAS; the output does not.
+    """
+    ek, ej = (np.asarray(e, dtype=np.intp) for e in exclude)
+    cols, vals = np.empty((len(ia), n), dtype=np.intp), np.empty((len(ia), n))
+    window = 2 * (8 * b.shape[1] * np.finfo(np.float64).eps)  # 2 * delta
+    kth = len(b) - max(n, 1)  # ascending position of the n-th largest (n = 0 takes none)
+    for start in range(0, len(ia), TOP_BLOCK_ROWS):
+        block = ia[start : start + TOP_BLOCK_ROWS]
+        approx = np.clip(a[block] @ b.T, -1.0, 1.0)
+        lo, hi = np.searchsorted(ek, [start, start + len(block)])
+        approx[ek[lo:hi] - start, ej[lo:hi]] = -np.inf
+        floor = np.partition(approx, kth, axis=1)[:, kth] - window
+        rows, cand = np.nonzero(approx >= floor[:, None])
+        exact = pair_cosines(a, block[rows], b, cand)
+        exact[approx[rows, cand] == -np.inf] = -np.inf  # a -inf floor lets the excluded in
+        order = np.lexsort((-exact, rows))  # row-major like rows; ties keep nonzero's cand order
+        pick = order[np.searchsorted(rows, np.arange(len(block)))[:, None] + np.arange(n)]
+        cols[start : start + len(block)], vals[start : start + len(block)] = cand[pick], exact[pick]
+    return cols, vals
 
 
 def cosine(a, b) -> float:

@@ -90,23 +90,25 @@ def snorm_stats(x, rows: np.ndarray, top_n: int = DEFAULT_TOP_N) -> SnormStats:
     """Statistics of the top-N cohort scores for one vector.
 
     Scores x by cosine against every row of ``rows`` (unit-normalized cohort
-    vectors, e.g. :attr:`Cohort.unit_rows` or a row subset of it), keeps the
-    top_n highest, and returns their mean and population standard
-    deviation.  A top_n beyond the cohort size falls back to the whole
-    cohort with a warning so small runs stay usable.
+    vectors, e.g. :attr:`Cohort.unit_rows` or a row subset of it), one
+    written-out ``np.sum`` of the elementwise products per row, clipped to
+    [-1, 1]; keeps the top_n highest in (-score, row) order, and returns
+    their mean and population standard deviation.  A top_n beyond the
+    cohort size falls back to the whole cohort with a warning so small runs
+    stay usable.
     """
     if top_n < 2:
         raise ParamInvalid(f"top_n must be >= 2, got {top_n}")
     (xhat,) = unit_rows([x])
     if xhat.shape[0] != rows.shape[1]:
         raise DimensionMismatch(f"vector dim {xhat.shape[0]} vs cohort dim {rows.shape[1]}")
-    scores = rows @ xhat
+    scores = np.clip(np.sum(rows * xhat, axis=1), -1.0, 1.0)
     if top_n > len(scores):
         log.warning(
             "top_n=%d exceeds cohort size %d; using the whole cohort", top_n, len(scores)
         )
         top_n = len(scores)
-    selected = np.partition(scores, len(scores) - top_n)[len(scores) - top_n :]
+    selected = scores[np.lexsort((np.arange(len(scores)), -scores))[:top_n]]
     mu = float(np.mean(selected))
     sigma = float(np.std(selected))
     if sigma <= 0.0:

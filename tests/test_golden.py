@@ -10,13 +10,16 @@ order or to a writer shows here as a changed digest.
 
 import dataclasses
 import hashlib
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import svbackend
 from svbackend import formats
 from svbackend.cli import main
 
@@ -61,15 +64,17 @@ def digests(directory):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
 
 
-@pytest.fixture(scope="module")
-def corpora(tmp_path_factory):
-    text = tmp_path_factory.mktemp("text")
-    binary = tmp_path_factory.mktemp("binary")
+def write_corpora(text, binary):
     assert main(["synth", "--out-dir", str(text), *SYNTH_ARGS]) == 0
     assert main(
         ["synth", "--out-dir", str(binary), *SYNTH_ARGS, "--binary", "--english-fraction", "0.3"]
     ) == 0
     return text, binary
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    return write_corpora(tmp_path_factory.mktemp("text"), tmp_path_factory.mktemp("binary"))
 
 
 def plan(tmp_path, prototypes, embeddings, mode, u):
@@ -119,26 +124,26 @@ def test_tie_heavy_manifest_bytes(corpora, tmp_path):
 # lid-train, lid-classify, alpha and score, with --top-n 4 for alpha and score
 # (both corpora share the prototypes, so gb.json and alpha.tsv agree)
 GB_MODEL = "50b7a48db761391942906e2fe132817fbc3757875d26cbaebdf76657e28ff8af"
-ALPHA = "60175f41bd3887c281f1ed40ab5c427234fca4136bfef6423e476c75c19cd43c"
+ALPHA = "ec64cc2672899ef8f5252d6b480276d8e35a6f2b59797ca7431fe43c31f9cdaf"
 TEXT_LID = "3c2c61fc74e9f8422ce671e7c0d6ffb6fddd086f17151c6ab12f0bbcc3b9c1ff"
 EVALUATION = {
     ("text", "snorm-lid", "DEEPMINE"): {
         "gb.json": GB_MODEL,
         "lid.tsv": TEXT_LID,
         "alpha.tsv": ALPHA,
-        "scores.tsv": "a5f24beb6bd64ff98189a879d30c55a01d1745f668e9d97cbd7259f8158e6ee1",
+        "scores.tsv": "430b995228ad366739a139ecbba5bcb4404265fceedd08233d37152d813f401f",
     },
     ("binary", "snorm-lid", "DEEPMINE"): {
         "gb.json": GB_MODEL,
         "lid.tsv": "5b08893bcccd5b1a0fc3bd167fd16efcd1631d25dbea5a089d60d84117293817",
         "alpha.tsv": ALPHA,
-        "scores.tsv": "4f9800e1eeaaf7287e064a8431b6bf8d7316352572cfd014e7d110259099c993",
+        "scores.tsv": "56603e596f99b8708da4b37b7ead95deaeed607c5a6ae369e5b9b3a7bd5f1e36",
     },
     ("text", "snorm", None): {
         "gb.json": GB_MODEL,
         "lid.tsv": TEXT_LID,
         "alpha.tsv": ALPHA,
-        "scores.tsv": "12585fdede9a174407c547f4f98a97261198dd1e42afb057b74b307ab1a57b0d",
+        "scores.tsv": "bf2b5078fa5b95e7e2c053c30925a1c9fda239464a3f01c2386dbf41a37ec190",
     },
 }
 
@@ -173,8 +178,21 @@ def test_evaluation_chain_bytes(corpora, tmp_path, corpus, mode, domains):
     assert evaluate(tmp_path, directory, mode, domains) == EVALUATION[corpus, mode, domains]
 
 
-# other BLAS kernels and no numpy SIMD dispatch: the corpora and manifests
-# must not move (the evaluation digests do; see ROADMAP item 11)
+def chain_digests(root):
+    """The evaluation digests of every EVALUATION case, keyed by its test id,
+    on corpora written under ``root``."""
+    corpora = write_corpora(root / "text", root / "binary")
+    out = {}
+    for corpus, mode, domains in EVALUATION:
+        case = f"{corpus}-{mode}-{domains}"
+        (root / case).mkdir()
+        out[case] = evaluate(root / case, corpora[("text", "binary").index(corpus)], mode, domains)
+    return out
+
+
+# other BLAS kernels and no numpy SIMD dispatch: the corpora, manifests,
+# alpha.tsv and scores.tsv must not move (gb.json and lid.tsv do; see
+# ROADMAP item 11)
 KERNEL_SETTINGS = {
     "openblas-haswell": ("OPENBLAS_CORETYPE", "Haswell"),
     "openblas-sandybridge": ("OPENBLAS_CORETYPE", "Sandybridge"),
@@ -200,3 +218,24 @@ def test_corpus_and_manifest_digests_under_other_kernels(tmp_path, setting):
     proc = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     assert "8 passed" in proc.stdout.splitlines()[-1], proc.stdout[-3000:]
+
+
+@pytest.mark.parametrize("setting", list(KERNEL_SETTINGS))
+def test_alpha_and_score_digests_under_other_kernels(tmp_path, setting):
+    name, value = KERNEL_SETTINGS[setting]
+    env = dict(os.environ, **{name: value or dispatched_cpu_features()})
+    # the child runs in tmp_path: put the imported package's directory first
+    package_dir = str(Path(svbackend.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_dir, env.get("PYTHONPATH")]))
+    argv = [sys.executable, __file__, str(tmp_path)]
+    proc = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    got = json.loads(proc.stdout.splitlines()[-1])  # after the stages' own lines
+    for corpus, mode, domains in EVALUATION:
+        digests = got[f"{corpus}-{mode}-{domains}"]
+        for name in ("alpha.tsv", "scores.tsv"):
+            assert digests[name] == EVALUATION[corpus, mode, domains][name], (corpus, mode, name)
+
+
+if __name__ == "__main__":  # python tests/test_golden.py DIR: chain_digests(DIR) as JSON
+    print(json.dumps(chain_digests(Path(sys.argv[1]))))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from svbackend.errors import IndexOutOfRange, KTooLarge, NormUnderflow, ParamInvalid, ValidationError
-from svbackend.prototypes import TOP_BLOCK_ROWS, similarity_matrix, top_similar
-from svbackend.vecmath import ROW_BLOCK, cosine
+from svbackend.prototypes import similarity_matrix, top_similar
+from svbackend.vecmath import ROW_BLOCK, TOP_BLOCK_ROWS, cosine
 
 from conftest import make_protos
 from oracles import l2_normalize, similarity_matrix_full, top_similar_full

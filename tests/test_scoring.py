@@ -26,7 +26,8 @@ from svbackend.scoring import (
     score_trials,
 )
 from svbackend.synth import CorpusSpec, generate_corpus
-from svbackend.vecmath import ROW_BLOCK, Domain, Language, ScoringMode, average_embedding, cosine
+from svbackend.vecmath import ROW_BLOCK, TOP_BLOCK_ROWS, Domain, Language, ScoringMode
+from svbackend.vecmath import average_embedding, cosine
 from svbackend.vecmath import unit_rows
 
 from conftest import make_embedding, make_protos, make_table, rows_of
@@ -214,6 +215,29 @@ class TestImposterStats:
         warned = [r.message for r in caplog.records if "exceeds cohort size" in r.message]
         assert warned == ["top_n=8 exceeds cohort size 7; using the whole cohort"]
         self.check(cohort, rng.normal(size=(2, 6)), [("s1", "s2", "s3"), ()], 8)
+
+    def test_exclusions_over_several_blocks(self, rng, caplog):
+        # every cohort row twice (ties at the boundary); the rows cycle through
+        # 12, 9, 7 and 6 cohort rows left, so every block of TOP_BLOCK_ROWS
+        # queries mixes rows with fewer than top_n=8 left with fuller ones
+        means = np.repeat(rng.normal(size=(6, 5)), 2, axis=0)
+        cohort = Cohort(tuple(f"s{k}" for k in range(12)), means)
+        drops = [
+            (),
+            ("s1", "s2", "elsewhere", "s3"),
+            ("s0", "s1", "s2", "s3", "s4"),
+            [f"s{k}" for k in range(5, 11)],
+        ]
+        speakers = [drops[k % 4] for k in range(3 * TOP_BLOCK_ROWS + 7)]
+        vecs = rng.normal(size=(len(speakers), 5))
+        with caplog.at_level("WARNING"):
+            cohort.imposter_stats(unit_rows(vecs), speakers, 8)
+        warned = [r.message for r in caplog.records if "exceeds cohort size" in r.message]
+        assert warned == [
+            "top_n=8 exceeds cohort size 6; using the whole cohort",
+            "top_n=8 exceeds cohort size 7; using the whole cohort",
+        ]
+        self.check(cohort, vecs, speakers, 8)
 
     def test_excluding_every_speaker(self, rng):
         cohort = Cohort(("a", "b"), rng.normal(size=(2, 4)))
