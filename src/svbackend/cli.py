@@ -133,6 +133,8 @@ def cmd_aam_check(args) -> None:
         raise ParamInvalid(f"argument --instances: must be >= 1, got {args.instances}")
     if not args.tolerance >= 0:
         raise ParamInvalid(f"argument --tolerance: must be >= 0, got {args.tolerance}")
+    if bool(args.prototypes) != bool(args.embeddings):
+        raise ParamInvalid("arguments --prototypes and --embeddings are only used together")
     from .aam import AamConfig, LabeledBatch, aam_loss, finite_difference_check
     from .planner import philox_rng
     from .prototypes import PrototypeMatrix

@@ -9,7 +9,8 @@ re-writing what was read reproduces the file byte for byte.
 
 The text vector readers (embeddings and prototypes) return ``float``'s
 value of every vector field's text, bit for bit, and raise where it raises.
-They convert ``ROW_BLOCK`` rows at a time with :mod:`.textfloats`, which
+They read their file once and convert ``ROW_BLOCK`` rows at a time, into
+storage that grows with the rows kept, with :mod:`.textfloats`, which
 takes a value of the shape ``-?D+(.D+)?`` with at most 19 ASCII digits
 (less the ``0`` of ``0.xxx``) through numpy and leaves every other value to
 ``float``.  The trial and score readers, and the one text writer of the
@@ -127,35 +128,30 @@ def _rows(path, fmt: str, what: str, count: int):
         yield parts
 
 
-def _floats(fields, names, fmt: str, out: np.ndarray) -> np.ndarray:
-    """Write the values of the comma-joined vector ``fields`` (rows of one
-    dimension) into ``out`` and return it, each value ``float`` of its text,
-    bit for bit; a malformed value in ``fields[k]`` names row ``names[k]``."""
+def _floats(fields, names, fmt: str, dim: int) -> np.ndarray:
+    """The values of the comma-joined vector ``fields`` (rows of ``dim``) as
+    one flat float64 array, each value ``float`` of its text, bit for bit; a
+    malformed value in ``fields[k]`` names row ``names[k]``."""
+    out = np.empty(len(fields) * dim)
     if fields:
         from . import textfloats
 
         try:
             textfloats.parse(fields, out)
         except textfloats.MalformedToken as exc:
-            row = names[exc.index // (len(out) // len(fields))]
+            row = names[exc.index // dim]
             raise FormatError(f"malformed vector in {fmt} row {row!r}") from None
     return out
 
 
 def _regular(path):
-    """``path``, refused unless it is a regular file: a reader that opens its
-    file twice would lose to a pipe the bytes its first read took, or wait
-    for a writer that is gone."""
+    """``path``, refused unless it is a regular file: the embedding readers
+    open their file twice, once to sniff its header and once to read it, and
+    would lose to a pipe the bytes the sniff took, or wait for a writer that
+    is gone; every text vector reader refuses a pipe alike."""
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise FormatError(f"{path} is not a regular file")
     return path
-
-
-def _line_count(path) -> int:
-    """The number of lines of a :func:`_regular` file, a bound on its data
-    rows; this reads the file a second time."""
-    with open(_regular(path), "rb") as fh:
-        return sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b"")) + 1
 
 
 _ZERO_DIGITS = str.maketrans("123456789", "000000000")
@@ -173,9 +169,10 @@ def _vector_scan(path, fmt: str, n_fields: int, convert=lambda head: True):
     the indices of the rows whose leading fields ``convert`` picks, and their
     values as a read-only (rows, D) float64 matrix; and the values of the
     other rows that the caller must still check, as a (later rows, D) matrix.
-    Picked rows are converted ``ROW_BLOCK`` at a time into one buffer sized
-    from the file's line count.  Any error raised at a row comes after the
-    picked rows before it are converted, so a malformed value among them
+    Picked rows are converted ``ROW_BLOCK`` at a time and their values
+    appended to a ``bytearray``, so the file is read once and the values
+    take the room of the rows kept.  Any error raised at a row comes after
+    the picked rows before it are converted, so a malformed value among them
     wins.  An unpicked row stays unconverted while its values have the
     digit shapes of finite floats seen before, or new shapes of them, and
     its first value bounds its norm above ``NORM_EPS``: such a row has a
@@ -185,19 +182,16 @@ def _vector_scan(path, fmt: str, n_fields: int, convert=lambda head: True):
     heads: list[list[str]] = []
     rows: list[int] = []
     block: list[str] = []  # the vector fields of the picked rows not yet converted
-    later: list[np.ndarray] = []
-    dim, shapes, values = 0, set(), np.empty(0)
+    dim, shapes, values, later = 0, set(), bytearray(), bytearray()
 
     def flush():
-        done, end = len(rows) - len(block), len(rows) * dim
         fields = block.copy()
         block.clear()
-        if end > len(values):
-            raise FormatError(f"{path} changed while it was read")
-        _floats(fields, [heads[r][0] for r in rows[done:]], fmt, values[done * dim : end])
+        names = [heads[r][0] for r in rows[len(rows) - len(fields) :]]
+        values.extend(_floats(fields, names, fmt, dim).data)
 
     try:
-        for parts in _rows(path, fmt, fmt, n_fields):
+        for parts in _rows(_regular(path), fmt, fmt, n_fields):
             vec = parts[-1]
             n = vec.count(",") + 1
             dim = dim or n
@@ -207,8 +201,6 @@ def _vector_scan(path, fmt: str, n_fields: int, convert=lambda head: True):
                 )
             heads.append(parts[:-1])
             if convert(heads[-1]):
-                if not rows:
-                    values = np.empty(_line_count(path) * dim)
                 rows.append(len(heads) - 1)
                 block.append(vec)
                 if len(block) == ROW_BLOCK:
@@ -221,13 +213,12 @@ def _vector_scan(path, fmt: str, n_fields: int, convert=lambda head: True):
             # a norm is at least |first value|, so a first value above
             # 2 * NORM_EPS rules out NormUnderflow
             if not finite or abs(float(vec.partition(",")[0])) <= 2 * NORM_EPS:
-                later.append(_floats([vec], [parts[0]], fmt, np.empty(dim)))
+                later.extend(_floats([vec], [parts[0]], fmt, dim).data)
     except FormatError:
         flush()  # a malformed value in a picked row before the failing one comes first
         raise
     flush()
-    later_values = np.concatenate([np.empty(0), *later])
-    return heads, rows, _matrix(values[: len(rows) * dim], dim), _matrix(later_values, dim)
+    return heads, rows, _matrix(values, dim), _matrix(later, dim)
 
 
 def _columns(heads, fmt: str) -> list:
@@ -237,9 +228,9 @@ def _columns(heads, fmt: str) -> list:
     return [*ids, _enum_column(Domain, domains, fmt), _enum_column(Language, languages, fmt)]
 
 
-def _matrix(values: np.ndarray, dim: int) -> np.ndarray:
-    """The flat ``values`` of rows of ``dim`` as a read-only (n, D) array."""
-    values = values.reshape(len(values) // dim if dim else 0, dim)
+def _matrix(buffer: bytearray, dim: int) -> np.ndarray:
+    """The float64 values in ``buffer``, rows of ``dim``, as a read-only (n, D) array."""
+    values = np.frombuffer(buffer).reshape(-1, dim) if dim else np.empty((0, 0))
     values.setflags(write=False)
     return values
 

@@ -4,7 +4,8 @@ The imposter cohort for trial scoring is built from training embeddings
 (one averaged vector per speaker); the cross-language compensation offset
 is estimated on the speaker prototypes.  Those are two distinct populations and
 are kept as two separate inputs throughout.  Both use :func:`snorm_stats` on the exact
-``vecmath.top_cosines``, and one speaker exclusion, :meth:`Cohort.imposter_stats`.
+``vecmath.top_cosines``; :meth:`Cohort.imposter_stats` leaves enrollment speakers
+out, and the offset leaves each Farsi prototype out of its own ranking by index.
 """
 
 from __future__ import annotations
@@ -175,11 +176,10 @@ def estimate_alpha(protos: PrototypeMatrix, top_n: int = DEFAULT_TOP_N) -> Langu
         raise ClassTooSmall("need at least one English-labeled prototype")
 
     unit = protos.unit_rows
-    # the cohort normalizes the unit prototypes once more
-    cohort = Cohort(tuple(protos.speaker_ids[i] for i in farsi), unit[farsi])
-    own = [(sid,) for sid in cohort.speaker_ids]
-    mu_fa = float(np.mean(cohort.imposter_stats(cohort.unit_rows, own, top_n)[0]))
-    mu_usa = float(np.mean(snorm_stats(unit_rows(unit[usa]), cohort.unit_rows, top_n)[0]))
+    fa = unit_rows(unit[farsi])  # the unit prototypes normalized once more
+    own = np.arange(len(farsi))
+    mu_fa = float(np.mean(snorm_stats(fa, fa, top_n, exclude=(own, own))[0]))
+    mu_usa = float(np.mean(snorm_stats(unit_rows(unit[usa]), fa, top_n)[0]))
     return LanguageOffset(
         alpha=mu_fa - mu_usa,
         provenance=AlphaProvenance(

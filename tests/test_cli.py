@@ -312,6 +312,13 @@ class TestAamCheck:
         rc = main(["aam-check", f"{flag}={value}"])
         assert "gradient check" not in assert_param_invalid(rc, capsys, message)
 
+    @pytest.mark.parametrize("flag", ["--prototypes", "--embeddings"])
+    def test_lone_file_flag_is_usage_error(self, tmp_path, capsys, flag):
+        # the file need not exist: the flags are refused before any file is read
+        rc = main(["aam-check", flag, str(tmp_path / "missing.tsv"), "--instances", "2"])
+        out = assert_param_invalid(rc, capsys, "--prototypes and --embeddings are only used together")
+        assert "gradient check" not in out
+
 
 @pytest.fixture(scope="module")
 def pipeline_files(data_dir, tmp_path_factory):

@@ -1,16 +1,16 @@
+import dataclasses
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from svbackend import formats
+from svbackend import cli, formats
 from svbackend.calibration import CalibrationModel
 from svbackend.errors import (
     EmptySet,
@@ -26,10 +26,12 @@ from svbackend.prototypes import PrototypeMatrix, similarity_matrix
 from svbackend.scores import ScoreSet
 from svbackend.scoring import AlphaProvenance, Cohort, LanguageOffset
 from svbackend.synth import CorpusSpec, generate_corpus
-from svbackend.vecmath import Domain, Language
+from svbackend.vecmath import ROW_BLOCK, Domain, Language
 
 from conftest import (
     PROTOTYPE_DEFECTS,
+    TINY_SYNTH,
+    chain_argv,
     edit_prototype_row,
     make_embedding,
     make_protos,
@@ -111,6 +113,7 @@ class TestEmbeddingsText:
         extra = [make_embedding(f"x{k}", "sx", v) for k, v in enumerate(odd)]
         table = make_table(rows_of(corpus.embeddings) + extra)
         formats.write_embeddings_text(path, table)
+        assert len(table) > 3 * ROW_BLOCK  # the reader converts the rows in four blocks
         same_rows(formats.read_embeddings_text(path), read_embeddings_text_rows(path))
 
     def test_empty_file(self, tmp_path):
@@ -364,6 +367,19 @@ class TestReadCohort:
         if defect == "huge-row":
             assert want == (NormOverflow, "vector norm beyond the float64 range")
 
+    @pytest.mark.parametrize("domains", COHORT_DOMAINS)
+    def test_kept_rows_span_several_blocks(self, tmp_path, rng, domains):
+        """Kept speakers' rows, with dropped speakers' rows between them, are
+        converted ROW_BLOCK at a time; more than three blocks give the same
+        cohort as the whole table."""
+        lines = cohort_lines(rng, dim=32, copies=60)
+        first = dict(reversed(COHORT_ROWS))  # speaker -> Domain of its first row
+        kept = [f for f in lines if first[f[1]] in domains]
+        assert 3 * ROW_BLOCK < len(kept) < len(lines)
+        path = tmp_path / "cohort.tsv"
+        write_lines(path, lines)
+        assert isinstance(same_cohort_outcome(path, domains), Cohort)
+
     @pytest.mark.parametrize("domains", COHORT_DOMAINS + [None])
     def test_clean_file(self, tmp_path, rng, domains):
         path = tmp_path / "cohort.tsv"
@@ -450,6 +466,8 @@ def test_embedding_ids_on_cohort_defects(tmp_path, rng, defect, row):
         "formats.read_embedding_ids(path)",
         "formats.read_cohort(path)",
         "formats.read_cohort(path, [Domain.DEEPMINE])",
+        "formats.read_embeddings_text(path)",
+        "formats.read_prototypes(path)",
     ],
 )
 def test_embedding_pipe_is_refused_unopened(tmp_path, read):
@@ -589,28 +607,6 @@ class TestPrototypes:
         path.write_text(text)
         got = outcome(lambda: formats.read_prototypes(path))
         assert got[0] is FormatError and got[1].startswith(message)
-
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_pipe_is_refused(self, corpus, tmp_path):
-        """The values buffer is sized by a second read of the file, which
-        would take rows from a pipe: a pipe is refused, not read short."""
-        text = tmp_path / "p.tsv"
-        formats.write_prototypes(text, corpus.prototypes)
-        pipe = tmp_path / "pipe.tsv"
-        os.mkfifo(pipe)
-
-        def feed():
-            try:
-                pipe.write_bytes(text.read_bytes())
-            except BrokenPipeError:
-                pass
-
-        writer = threading.Thread(target=feed)
-        writer.start()
-        got = outcome(lambda: formats.read_prototypes(pipe))
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert got == (FormatError, f"{pipe} is not a regular file")
 
     def test_no_rows(self, tmp_path):
         path = tmp_path / "p.tsv"
@@ -983,3 +979,62 @@ class TestModels:
         assert back["eer"] == record["eer"]
         assert back["min_dcf"] == record["min_dcf"]
         assert back["n_target"] == 40.0
+
+
+@pytest.fixture(scope="module")
+def tiny_chain(tmp_path_factory):
+    """The corpus and every artifact of the tiny CLI chain, in ``corpus/`` and ``work/``."""
+    base = tmp_path_factory.mktemp("chain")
+    assert cli.main(["synth", "--out-dir", str(base / "corpus"), *TINY_SYNTH]) == 0
+    for argv in chain_argv(base / "corpus", base / "work").values():
+        assert cli.main(argv) == 0
+    return base
+
+
+def state(x):
+    """What a reader returned, as a comparable value: dataclass fields and
+    containers item by item, floats and arrays by their bits."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, [state(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, dict):
+        return [(k, state(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [state(v) for v in x]
+    return x
+
+
+#: a text file of the tiny chain -> the readers of its format
+LINE_END_READERS = {
+    "corpus/train_embeddings.tsv": [
+        formats.read_embeddings,
+        formats.read_embeddings_text,
+        formats.read_embedding_ids,
+        lambda path: formats.read_cohort(path, [Domain.DEEPMINE]),
+    ],
+    "corpus/prototypes.tsv": [formats.read_prototypes],
+    "corpus/enroll.tsv": [formats.read_enroll_map],
+    "work/lid.tsv": [formats.read_lid_decisions],
+    "work/alpha.tsv": [formats.read_alpha],
+    "work/cal.tsv": [formats.read_cal_model],
+    "work/metrics.tsv": [formats.read_metrics_record],
+    "work/manifest.tsv": [formats.read_manifests],
+    "work/gb.json": [formats.read_gb_model],
+}
+
+
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("name", sorted(LINE_END_READERS))
+def test_other_line_ends_read_the_same(tiny_chain, tmp_path, name, line_end):
+    """Every reader returns for a file with \\r\\n or lone \\r line ends what
+    it returns for the file the chain wrote."""
+    path = tiny_chain / name
+    data = path.read_bytes()
+    assert data.count(b"\n") > 1 and b"\r" not in data
+    other = tmp_path / path.name
+    other.write_bytes(data.replace(b"\n", line_end))
+    for read in LINE_END_READERS[name]:
+        assert state(read(other)) == state(read(path))

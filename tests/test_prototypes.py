@@ -5,7 +5,7 @@ import pytest
 
 from svbackend.errors import IndexOutOfRange, KTooLarge, NormUnderflow, ParamInvalid, ValidationError
 from svbackend.prototypes import similarity_matrix, top_similar
-from svbackend.vecmath import ROW_BLOCK, TOP_BLOCK_ROWS, cosine
+from svbackend.vecmath import PAIR_BLOCK, TOP_BLOCK_ROWS, cosine
 
 from conftest import make_protos
 from oracles import l2_normalize, similarity_matrix_full, top_similar_full
@@ -318,7 +318,7 @@ class TestTopSimilarAgainstFullRows:
 
     def test_tie_group_spans_several_pair_chunks(self, rng):
         p = self.tie_group_protos(rng)
-        assert TOP_BLOCK_ROWS * 299 > 8 * ROW_BLOCK
+        assert TOP_BLOCK_ROWS * 299 > 8 * PAIR_BLOCK
         anchors = list(range(0, 320, 2)) + [299, 300, 0]
         for k in (2, 8, 299, 300, 301, 320):
             self.check(p, anchors, k)

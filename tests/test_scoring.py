@@ -26,7 +26,7 @@ from svbackend.scoring import (
     score_trials,
 )
 from svbackend.synth import CorpusSpec, generate_corpus
-from svbackend.vecmath import ROW_BLOCK, TOP_BLOCK_ROWS, Domain, Language, ScoringMode
+from svbackend.vecmath import PAIR_BLOCK, TOP_BLOCK_ROWS, Domain, Language, ScoringMode
 from svbackend.vecmath import average_embedding, cosine
 from svbackend.vecmath import unit_rows
 
@@ -592,7 +592,7 @@ class TestScoreTrials:
 def differential_setup(rng, dim=8, n_distinct=10, copies=3, n_models=6, n_tests=110):
     """Trials scored against a cohort in which every vector appears
     ``copies`` times (exact ties at any top-N boundary) and which holds the
-    enrollment speakers of half the models; trials span many ``ROW_BLOCK`` blocks."""
+    enrollment speakers of half the models; trials span several ``PAIR_BLOCK`` blocks."""
     cohort_embs = [
         make_embedding(f"c{i}-{c}", f"coh{i}-{c}", vec)
         for i, vec in enumerate(rng.normal(size=(n_distinct, dim)))
@@ -649,7 +649,7 @@ class TestScoreTrialsAgainstOracle:
 
     def test_ties_and_enrollment_speakers_over_several_chunks(self, rng):
         trials, enroll, embs, cohort, decisions = differential_setup(rng)
-        assert len(trials) > 2 * ROW_BLOCK
+        assert len(trials) > 2 * PAIR_BLOCK
         assert set(cohort.speaker_ids) & {"spk0", "spk2", "spk4"}
         # top_n=5 over triplicated vectors: the boundary falls inside a tie
         self.check(trials, enroll, embs, cohort, decisions, top_n=5)

@@ -18,6 +18,7 @@ from svbackend.scores import ScoreSet
 from svbackend.scoring import Cohort
 from svbackend.synth import SyntheticCorpus
 from svbackend.vecmath import (
+    PAIR_BLOCK,
     ROW_BLOCK,
     Domain,
     EmbeddingTable,
@@ -327,8 +328,8 @@ class TestPairCosines:
 
     def test_equals_scalar_oracle_over_several_blocks(self, rng):
         a, b = rng.normal(size=(40, 64)), rng.normal(size=(30, 64))
-        ia = rng.integers(0, 40, size=3 * ROW_BLOCK + 5)
-        ib = rng.integers(0, 30, size=3 * ROW_BLOCK + 5)
+        ia = rng.integers(0, 40, size=3 * PAIR_BLOCK + 5)
+        ib = rng.integers(0, 30, size=3 * PAIR_BLOCK + 5)
         got = pair_cosines(unit_rows(a), ia, unit_rows(b), ib)
         assert got.tolist() == [scalar_cosine(a[i], b[j]) for i, j in zip(ia, ib)]
 
