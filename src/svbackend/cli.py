@@ -135,12 +135,17 @@ def cmd_aam_check(args) -> None:
         raise ParamInvalid(f"argument --tolerance: must be >= 0, got {args.tolerance}")
     if bool(args.prototypes) != bool(args.embeddings):
         raise ParamInvalid("arguments --prototypes and --embeddings are only used together")
+    if not args.prototypes and (args.margin, args.scale) != (None, None):
+        raise ParamInvalid(
+            "arguments --margin and --scale are only used with --prototypes and --embeddings"
+        )
     from .aam import AamConfig, LabeledBatch, aam_loss, finite_difference_check
     from .planner import philox_rng
     from .prototypes import PrototypeMatrix
 
     if args.prototypes and args.embeddings:
-        cfg = AamConfig(margin=args.margin, scale=args.scale)
+        given = {"margin": args.margin, "scale": args.scale}
+        cfg = AamConfig(**{k: v for k, v in given.items() if v is not None})
         protos = formats.read_prototypes(args.prototypes)
         table = formats.read_embeddings(args.embeddings)
         batch = LabeledBatch(
@@ -352,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aam-check", **sub_kwargs, help="margin-loss self-test / desk-scale loss oracle")
     p.add_argument("--seed", type=int, default=0, help="instance seed")
     p.add_argument("--instances", type=int, default=25, help="random gradient-check instances (>= 1)")
-    p.add_argument("--margin", type=float, default=0.2, help="loss margin (file mode)")
-    p.add_argument("--scale", type=float, default=30.0, help="logit scale (file mode)")
+    p.add_argument("--margin", type=float, help="loss margin (file mode; default 0.2)")
+    p.add_argument("--scale", type=float, help="logit scale (file mode; default 30.0)")
     p.add_argument("--tolerance", type=float, default=1e-4, help="max allowed relative gradient error (>= 0)")
     p.add_argument("--prototypes", help="with --embeddings: print the loss on this batch")
     p.add_argument("--embeddings")

@@ -319,6 +319,34 @@ class TestAamCheck:
         out = assert_param_invalid(rc, capsys, "--prototypes and --embeddings are only used together")
         assert "gradient check" not in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--margin", "2"],
+            ["--margin", "0.2"],
+            ["--scale", "30"],
+            ["--margin", "0.1", "--scale", "8"],
+        ],
+    )
+    def test_file_mode_flag_without_files_is_usage_error(self, capsys, flags):
+        # an in-range value too: the random check draws its own margin and scale
+        rc = main(["aam-check", *flags, "--instances", "1"])
+        message = "--margin and --scale are only used with --prototypes"
+        out = assert_param_invalid(rc, capsys, message)
+        assert "gradient check" not in out
+
+    def test_file_mode_defaults(self, data_dir, capsys):
+        files = [
+            "--prototypes", str(data_dir / "prototypes.tsv"),
+            "--embeddings", str(data_dir / "train_embeddings.tsv"),
+        ]  # fmt: skip
+        run_ok(["aam-check", *files])
+        default = capsys.readouterr().out
+        run_ok(["aam-check", *files, "--margin", "0.2", "--scale", "30.0"])
+        assert capsys.readouterr().out == default
+        run_ok(["aam-check", *files, "--margin", "0.3"])
+        assert capsys.readouterr().out != default
+
 
 @pytest.fixture(scope="module")
 def pipeline_files(data_dir, tmp_path_factory):
