@@ -229,6 +229,8 @@ def cmd_score(args) -> None:
     if args.cohort_domains == []:
         names = ",".join(d.value for d in Domain)
         raise ParamInvalid(f"--cohort-domains names no domain (choose from {names})")
+    if args.cohort_domains is not None and not args.cohort_embeddings:
+        raise ParamInvalid("--cohort-domains is only used with --cohort-embeddings")
 
     table = formats.read_embeddings(args.embeddings)
     trials, labels = formats.read_trials(args.trials)

@@ -469,16 +469,27 @@ def read_trials(path) -> tuple[TrialKeys, np.ndarray | None]:
 
 
 def write_enroll_map(path, enrollment_map: Mapping[str, Sequence[str]]):
-    pairs = [(m, u) for m, utt_ids in enrollment_map.items() for u in utt_ids]
+    pairs = list(_unrepeated((m, u) for m, utt_ids in enrollment_map.items() for u in utt_ids))
     ids = [("model_id", [m for m, _ in pairs]), ("utt_id", [u for _, u in pairs])]
     _write_text(path, "enroll", (f"{m}\t{u}\n" for m, u in pairs), ids)
 
 
 def read_enroll_map(path) -> dict[str, tuple[str, ...]]:
     out: dict[str, list[str]] = {}
-    for model_id, utt_id in _rows(path, "enroll", "enroll", 2):
+    for model_id, utt_id in _unrepeated(_rows(path, "enroll", "enroll", 2)):
         out.setdefault(model_id, []).append(utt_id)
     return {m: tuple(u) for m, u in out.items()}
+
+
+def _unrepeated(pairs):
+    """The ``(model, utterance)`` pairs, refusing a repeated one, which the
+    model's mean would count twice."""
+    seen = set()
+    for m, u in pairs:
+        if (m, u) in seen:
+            raise FormatError(f"duplicate enrollment of {u!r} for model {m!r}")
+        seen.add((m, u))
+        yield m, u
 
 
 # -- LID decisions ------------------------------------------------------------

@@ -10,17 +10,16 @@ block of rows from byte columns, ids and labels picked from tables and floats
 from :func:`.textfloats.slots`.
 
 The readers take and refuse what reading the file in text mode line by line
-does, and raise the same error at the same first defect.  Text mode decodes
-UTF-8 ``_CHUNK`` bytes at a time and translates ``\\r\\n`` and a lone
-``\\r`` to a line break; it raises on invalid UTF-8 when it decodes the
-chunk that shows it, so the rows of the lines completed before that chunk
-are checked first.  Rows are then checked in file order, and within a row
-its field count, then its score, then its label.
+does, and raise the same error at the same first defect.  Where the file is
+not UTF-8, they ask text mode for the lines it reads before it raises, and
+check the rows of those lines first.  ``\\r\\n`` and a lone ``\\r``
+become ``\\n`` before the lines are split, as text mode translates them.
+Rows are then checked in file order, and within a row its field count, then
+its score, then its label.
 """
 
 from __future__ import annotations
 
-import codecs
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +30,6 @@ from .errors import FormatError
 from .formats import _parse_header, _write_text
 from .scores import LABEL_NONTARGET, LABEL_TARGET, ScoreSet, TrialKeys, first_appearance
 
-#: the bytes ``io.TextIOWrapper`` reads and decodes at a time
-_CHUNK = 8192
 #: zeros after a file's bytes, so a window of up to 255 bytes from any field
 #: start stays in the array
 _PAD = 256
@@ -42,7 +39,7 @@ _BLOCK_BYTES = 1 << 18
 _BLOCK_SCORES = 4096
 #: the odd multiplier that mixes a field's key words into one hash
 _MIX = np.uint64(0x9E3779B97F4A7C15)
-_TAB, _NEWLINE, _COMMA, _HASH, _CR = b"\t\n,#\r"
+_TAB, _NEWLINE, _COMMA, _HASH = b"\t\n,#"
 
 
 def read_trials(path):
@@ -84,15 +81,19 @@ def _scan(path, fmt: str, what: str, counts: tuple[int, ...]):
     path = Path(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    stop, pending = len(data), None
+    pending = None
     try:
         data.decode("utf-8")
     except UnicodeDecodeError:
-        stop, reason = _decoded(data)
+        stop, reason = _decoded(path)
+        data = data[:stop]
         pending = FormatError(f"{path} is not valid UTF-8: {reason}")
+    if b"\r" in data:  # no UTF-8 multibyte sequence holds the byte 0x0D
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    stop = len(data)
     data += bytes(_PAD)
     a = np.frombuffer(data, np.uint8)
-    starts, ends = _lines(a[:stop], final=pending is None)
+    starts, ends = _lines(a[:stop])
     if not len(starts) and pending:
         raise pending
     _parse_header(data[starts[0] : ends[0]].decode("utf-8") if len(starts) else "", fmt)
@@ -120,42 +121,26 @@ def _scan(path, fmt: str, what: str, counts: tuple[int, ...]):
     return data, a, fields, pending
 
 
-def _decoded(data: bytes) -> tuple[int, str]:
-    """``(stop, reason)`` for bytes that are not UTF-8: the length of the
-    text that text mode decodes, ``_CHUNK`` bytes at a time, before the
-    chunk where its decoder raises, less the bytes of a character it holds
-    back unfinished; and the reason it gives."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    held = 0
-    for at in [*range(0, len(data), _CHUNK), len(data)]:
-        chunk = data[at : at + _CHUNK]
+def _decoded(path) -> tuple[int, str]:
+    """``(stop, reason)`` for a file that is not UTF-8: the UTF-8 length of
+    the lines text mode reads before it raises, and the reason it gives."""
+    stop = 0
+    with open(path, encoding="utf-8", newline="") as fh:
         try:
-            decoder.decode(chunk, final=not chunk)
+            for line in fh:
+                stop += len(line.encode("utf-8"))
         except UnicodeDecodeError as exc:
-            return at - held, exc.reason
-        held = len(decoder.getstate()[0])
-    raise AssertionError("the bytes decode")
+            return stop, exc.reason
+    raise AssertionError("the file decodes")
 
 
-def _lines(a, final: bool):
-    """``(starts, ends)`` of each line text mode reads from the bytes ``a``,
-    less its line break: '\\n', '\\r\\n' or a lone '\\r'.  With ``final``
-    the text after the last break is a line too; without it, that text is
-    still unread, and so is a '\\r' that ends ``a``, which text mode holds
-    back until it sees whether '\\n' follows."""
-    cr = np.flatnonzero(a == _CR)
+def _lines(a):
+    """``(starts, ends)`` of each line of the bytes ``a``, less its '\\n';
+    the text after the last '\\n' is a line when it is not empty."""
     lf = np.flatnonzero(a == _NEWLINE)
-    if not final and len(cr) and cr[-1] == len(a) - 1:
-        cr = cr[:-1]
-    lf = lf[(lf == 0) | (a[lf - 1] != _CR)]  # a '\n' after '\r' ends no second line
-    crlf = a[np.minimum(cr + 1, len(a) - 1)] == _NEWLINE
-    crlf[cr + 1 == len(a)] = False
-    # the breaks and the starts after them are both increasing
-    breaks = np.sort(np.concatenate([cr, lf]))
-    after = np.sort(np.concatenate([cr + 1 + crlf, lf + 1]))
-    starts = np.concatenate([[0], after]).astype(np.intp)
-    ends = np.concatenate([breaks, [len(a)]]).astype(np.intp)
-    if not final or starts[-1] == len(a):
+    starts = np.concatenate([[0], lf + 1]).astype(np.intp)
+    ends = np.concatenate([lf, [len(a)]]).astype(np.intp)
+    if starts[-1] == len(a):
         starts, ends = starts[:-1], ends[:-1]
     return starts, ends
 

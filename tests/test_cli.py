@@ -572,6 +572,21 @@ class TestScore:
         assert len(err) == 1 and err[0].startswith("error: ParamInvalid: --cohort-domains"), err
         assert not out.exists()
 
+    def test_cohort_domains_without_cohort_is_usage_error(self, data_dir, tmp_path, capsys):
+        # raw mode reads no cohort, so the domains would be ignored
+        out = tmp_path / "s.tsv"
+        rc = main(
+            [
+                "score", "--mode", "raw", "--out", str(out),
+                "--embeddings", str(data_dir / "eval_embeddings.tsv"),
+                "--trials", str(data_dir / "trials.tsv"),
+                "--enroll", str(data_dir / "enroll.tsv"),
+                "--cohort-domains", "DEEPMINE",
+            ]
+        )  # fmt: skip
+        assert_param_invalid(rc, capsys, "--cohort-domains is only used with --cohort-embeddings")
+        assert not out.exists()
+
     def test_trailing_comma_in_cohort_domains(self, data_dir, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         assert self.score_snorm(data_dir, a, "DEEPMINE,") == 0
@@ -813,6 +828,23 @@ class TestErrors:
             ]
         )
         assert_one_error_line(rc, capsys)
+
+    def test_repeated_enrollment_row(self, data_dir, tmp_path, capsys):
+        # a model's mean would count the repeated utterance twice
+        enroll = tmp_path / "enroll.tsv"
+        text = (data_dir / "enroll.tsv").read_text()
+        enroll.write_text(text + text.splitlines(keepends=True)[1])
+        out = tmp_path / "s.tsv"
+        rc = main(
+            [
+                "score", "--mode", "raw", "--out", str(out),
+                "--embeddings", str(data_dir / "eval_embeddings.tsv"),
+                "--trials", str(data_dir / "trials.tsv"),
+                "--enroll", str(enroll),
+            ]
+        )  # fmt: skip
+        assert "FormatError: duplicate enrollment of" in assert_one_error_line(rc, capsys)
+        assert not out.exists()
 
     def test_non_utf8_binary_string_table(self, data_dir, tmp_path, capsys):
         path = tmp_path / "e.sveb"

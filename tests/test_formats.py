@@ -652,6 +652,18 @@ class TestTrialsEnrollScores:
         formats.write_enroll_map(path, corpus.enrollment_map)
         assert formats.read_enroll_map(path) == dict(corpus.enrollment_map)
 
+    def test_enroll_repeated_row_rejected(self, tmp_path):
+        path = tmp_path / "enroll.tsv"
+        path.write_text("#fmt:enroll:1\nm1\tu1\nm2\tu1\nm1\tu2\nm1\tu1\n")
+        with pytest.raises(FormatError, match="duplicate enrollment of 'u1' for model 'm1'"):
+            formats.read_enroll_map(path)
+
+    def test_enroll_writer_refuses_a_repeated_utterance(self, tmp_path):
+        path = tmp_path / "enroll.tsv"
+        with pytest.raises(FormatError, match="duplicate enrollment of 'u2' for model 'm2'"):
+            formats.write_enroll_map(path, {"m1": ("u2",), "m2": ("u1", "u2", "u2")})
+        assert not path.exists()
+
     def test_scores_roundtrip_exact_floats(self, tmp_path, rng):
         keys = tuple((f"m{i}", f"t{i}") for i in range(50))
         ss = ScoreSet(

@@ -120,16 +120,38 @@ def test_alpha_and_snorm_lid_scores_under_other_kernels(sdsv, tmp_path):
         assert_same_bytes(tmp_path / "plain", tmp_path / name, ["alpha.tsv", "scores.tsv"])
 
 
-def test_corpus_with_crlf_line_ends(sdsv, tmp_path):
-    # every text input copied with \r\n line ends must give the same
-    # manifest, backend model, LID decisions, alpha and scores
-    crlf = tmp_path / "crlf"
-    crlf.mkdir()
+def chain(corpus, out, line_end):
+    """The sdsv-eval stages from ``plan-batches`` to ``score`` on ``corpus``,
+    writing into ``out``; then ``fuse`` and ``eval`` read a copy of its
+    ``scores.tsv`` with ``line_end`` line ends, writing into ``out/rescored``."""
+    for stage in ("plan-batches", "lid-train", "lid-classify", "alpha", "score"):
+        run(SDSV.stage_args(stage, corpus, out, SEED))
+    rescored = out / "rescored"
+    rescored.mkdir()
+    scores = rescored / "scores.tsv"
+    scores.write_bytes((out / "scores.tsv").read_bytes().replace(b"\n", line_end))
+    run(SDSV.stage_args("fuse", corpus, rescored, SEED))
+    run(edited(SDSV.stage_args("eval", corpus, rescored, SEED), scores=str(scores)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def sdsv_chain(sdsv, tmp_path_factory):
+    """The chain on the corpus as written, which every line-end case matches."""
+    return chain(sdsv, tmp_path_factory.mktemp("chain"), b"\n")
+
+
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_chain_with_other_line_ends(sdsv, sdsv_chain, tmp_path, line_end):
+    # every text input copied with other line ends must give the same
+    # manifest, backend model, LID decisions, alpha and scores, and a score
+    # file with them the same fused scores and metrics
+    copy = tmp_path / "corpus"
+    copy.mkdir()
     for f in sdsv.glob("*.tsv"):
-        (crlf / f.name).write_bytes(f.read_bytes().replace(b"\n", b"\r\n"))
-    assert sorted(os.listdir(crlf)) == sorted(os.listdir(sdsv))
-    for corpus in (sdsv, crlf):
-        for stage in ("plan-batches", "lid-train", "lid-classify", "alpha", "score"):
-            run(SDSV.stage_args(stage, corpus, tmp_path / f"out-{corpus.name}", SEED))
+        (copy / f.name).write_bytes(f.read_bytes().replace(b"\n", line_end))
+    assert sorted(os.listdir(copy)) == sorted(os.listdir(sdsv))
+    out = chain(copy, tmp_path / "out", line_end)
     artifacts = ["manifest.tsv", "gb.json", "lid.tsv", "alpha.tsv", "scores.tsv"]
-    assert_same_bytes(tmp_path / f"out-{sdsv.name}", tmp_path / "out-crlf", artifacts)
+    assert_same_bytes(sdsv_chain, out, artifacts)
+    assert_same_bytes(sdsv_chain / "rescored", out / "rescored", ["fused.tsv", "metrics.tsv"])

@@ -25,6 +25,8 @@ import oracles
 # a numpy overflow or invalid-value warning fails the test
 pytestmark = pytest.mark.filterwarnings("error")
 
+#: the bytes text mode reads and decodes at a time
+CHUNK = 8192
 S = b"#fmt:scores:1\n"
 T = b"#fmt:trials:1\n"
 
@@ -95,6 +97,10 @@ SCORE_DEFECTS = {
     "\\r\\n line ends": b"#fmt:scores:1\r\nm1\tu1\t0.5\r\nm1\tu2\t0.25\r\n",
     "lone \\r line ends": b"#fmt:scores:1\rm1\tu1\t0.5\rm1\tu2\t0.25\r",
     "mixed line ends": S + b"m1\tu1\t0.5\r\r\nm1\tu2\t0.25\n\rm1\tu3\t1.5\r",
+    "\\r\\r\\n line ends": b"#fmt:scores:1\r\r\nm1\tu1\t0.5\ttarget\r\r\nm1\tu2\t1\ttarget\r\r\n",
+    "\\n\\r line ends": b"#fmt:scores:1\n\rm1\tu1\t0.5\n\rm1\tu2\t0.25\n\r",
+    "a lone \\r at the end": S + b"m1\tu1\t0.5\ttarget\nm1\tu2\t0.25\tnontarget\r",
+    "\\r in an id": S + b"m1\tu1\t0.5\nm\r1\tu2\t0.25\nm1\tu\r3\t1.5\n",
     "comment and blank lines": S + b"# a comment\n\nm1\tu1\t0.5\n#\tx\ty\n\n\r\n",
     "a line of spaces": S + b"m1\tu1\t0.5\n  \n",
     "no final line break": S + b"m1\tu1\t0.5\nm1\tu2\t0.25",
@@ -143,6 +149,10 @@ TRIAL_DEFECTS = {
     "empty ids": T + b"\tu1\nm1\t\n",
     "\\r\\n line ends": b"#fmt:trials:1\r\nm1\tu1\r\nm1\tu2\r\n",
     "lone \\r line ends": b"#fmt:trials:1\rm1\tu1\rm1\tu2\r",
+    "\\r\\r\\n line ends": b"#fmt:trials:1\r\r\nm1\tu1\r\r\nm1\tu2\r\r\n",
+    "\\n\\r line ends": b"#fmt:trials:1\n\rm1\tu1\n\rm1\tu2\n\r",
+    "a lone \\r at the end": T + b"m1\tu1\ttarget\nm1\tu2\tnontarget\r",
+    "\\r in an id": T + b"m1\tu1\nm\r1\tu2\n",
     "comment and blank lines": T + b"# a comment\n\nm1\tu1\n#\tx\ty\n\n",
     "no final line break": T + b"m1\tu1\ttarget",
     "invalid UTF-8": T + b"m1\tu1\nm\xc3(\tu2\n",
@@ -210,9 +220,9 @@ def test_invalid_utf8_around_decoding_chunks(bad, tmp_path):
     The invalid bytes are put at each offset around the first two chunk
     ends, with a malformed score before or after them."""
     base = rows_file(700, cut=1)
-    assert len(base) > 3 * tsvcolumns._CHUNK
+    assert len(base) > 3 * CHUNK
     path = tmp_path / "scores.tsv"
-    for end in (tsvcolumns._CHUNK, 2 * tsvcolumns._CHUNK):
+    for end in (CHUNK, 2 * CHUNK):
         for at in range(end - 40, end + 6):
             for malformed in (None, at - 300, at - 30, at + 30):
                 data = bytearray(base)
@@ -236,7 +246,7 @@ def test_line_breaks_and_characters_across_chunk_ends(tmp_path):
         pieces, range(-4, 5), (b"", b"\tx"), (b"", b"\xff")
     ):
         data = bytearray(base)
-        at = tsvcolumns._CHUNK + shift - len(piece)  # the piece ends at the shift
+        at = CHUNK + shift - len(piece)  # the piece ends at the shift
         data[at:at] = field + piece
         if bad:
             data[at + 60 : at + 60] = bad
