@@ -9,11 +9,14 @@ re-writing what was read reproduces the file byte for byte.
 
 The text vector readers (embeddings and prototypes) return ``float``'s
 value of every vector field's text, bit for bit, and raise where it raises.
-They read their file once and convert ``ROW_BLOCK`` rows at a time, into
-storage that grows with the rows kept, with :mod:`.textfloats`, which
-takes a value of the shape ``-?D+(.D+)?`` with at most 19 ASCII digits
-(less the ``0`` of ``0.xxx``) through numpy and leaves every other value to
-``float``.  The trial and score readers, and the one text writer of the
+They read their file once, ``ROW_BLOCK`` rows at a time, with one token
+pass of :mod:`.textfloats` per block, which finds the values of the shape
+``-?D+(.D+)?`` with at most 19 ASCII digits (less the ``0`` of ``0.xxx``)
+and counts each row's values.  The rows a reader keeps are converted from
+the same pass, into storage that grows with the rows kept: such values
+through numpy, every other value through ``float``.  Of the rows it drops,
+only the values of other shapes (and each row's first) go through
+``float``, to check them.  The trial and score readers, and the one text writer of the
 four table files (embeddings, prototypes, trials and scores), work on
 columns through :mod:`.tsvcolumns`: trial keys are a :class:`.TrialKeys`,
 codes into tables of the distinct ids, no row becomes a Python object, and
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import stat
 import struct
 from pathlib import Path
@@ -128,22 +130,6 @@ def _rows(path, fmt: str, what: str, count: int):
         yield parts
 
 
-def _floats(fields, names, fmt: str, dim: int) -> np.ndarray:
-    """The values of the comma-joined vector ``fields`` (rows of ``dim``) as
-    one flat float64 array, each value ``float`` of its text, bit for bit; a
-    malformed value in ``fields[k]`` names row ``names[k]``."""
-    out = np.empty(len(fields) * dim)
-    if fields:
-        from . import textfloats
-
-        try:
-            textfloats.parse(fields, out)
-        except textfloats.MalformedToken as exc:
-            row = names[exc.index // dim]
-            raise FormatError(f"malformed vector in {fmt} row {row!r}") from None
-    return out
-
-
 def _regular(path):
     """``path``, refused unless it is a regular file: the embedding readers
     open their file twice, once to sniff its header and once to read it, and
@@ -154,11 +140,13 @@ def _regular(path):
     return path
 
 
-_ZERO_DIGITS = str.maketrans("123456789", "000000000")
-#: Shapes (digits 1-9 mapped to 0) of decimals that ``float`` parses to a finite
-#: value, |x| <= 1e116, so a row of them has a finite norm: every ``repr`` of a
-#: float64 with |x| < 1e100 has one.
-_FINITE_SHAPE = re.compile(r"-?0{1,17}(\.0+)?(e-0+|e\+00?)?")
+#: a block of unpicked rows is checked once its text reaches this size
+#: (about 9 rows at D = 256): the token pass's temporaries, two to three
+#: times the text, are then the bulk of a read that keeps no values
+_UNPICKED_BYTES = 48 << 10
+#: a row of values of magnitude at most this has a finite norm for every
+#: dimension below 1e100 (its sum of squares is at most D * 1e200)
+_NORM_SAFE = 1e100
 
 
 def _vector_scan(path, fmt: str, n_fields: int, convert=lambda head: True):
@@ -169,56 +157,97 @@ def _vector_scan(path, fmt: str, n_fields: int, convert=lambda head: True):
     the indices of the rows whose leading fields ``convert`` picks, and their
     values as a read-only (rows, D) float64 matrix; and the values of the
     other rows that the caller must still check, as a (later rows, D) matrix.
-    Picked rows are converted ``ROW_BLOCK`` at a time and their values
-    appended to a ``bytearray``, so the file is read once and the values
-    take the room of the rows kept.  Any error raised at a row comes after
-    the picked rows before it are converted, so a malformed value among them
-    wins.  An unpicked row stays unconverted while its values have the
-    digit shapes of finite floats seen before, or new shapes of them, and
-    its first value bounds its norm above ``NORM_EPS``: such a row has a
-    finite norm above it.  Any other row is converted at its place
-    (FormatError if malformed) and goes to ``later``.
+    The rows go through :func:`_vector_block` ``ROW_BLOCK`` at a time, or,
+    while none of them is picked, once their text reaches
+    ``_UNPICKED_BYTES``; the values are appended to a ``bytearray``, so the
+    file is read once and the values take the room of the rows kept.  A
+    field count error is raised after the rows before it are checked, so the
+    first defective row in the file wins.
     """
     heads: list[list[str]] = []
-    rows: list[int] = []
-    block: list[str] = []  # the vector fields of the picked rows not yet converted
-    dim, shapes, values, later = 0, set(), bytearray(), bytearray()
+    picked: list[bool] = []
+    block = bytearray(b",")  # the vector fields of the rows not yet checked, each and a comma
+    starts: list[int] = []  # where each of those fields starts in ``block``
+    dim, values, later = 0, bytearray(), bytearray()
 
     def flush():
-        fields = block.copy()
-        block.clear()
-        names = [heads[r][0] for r in rows[len(rows) - len(fields) :]]
-        values.extend(_floats(fields, names, fmt, dim).data)
+        nonlocal dim
+        if starts:
+            first = len(heads) - len(starts)
+            names = [head[0] for head in heads[first:]]
+            dim = _vector_block(block, starts, np.array(picked[first:]), names, fmt, dim, values, later)
+            del block[1:], starts[:]
 
     try:
         for parts in _rows(_regular(path), fmt, fmt, n_fields):
-            vec = parts[-1]
-            n = vec.count(",") + 1
-            dim = dim or n
-            if n != dim:
-                raise FormatError(
-                    f"mixed dimensions: {fmt} row {parts[0]!r} has {n} values, earlier rows {dim}"
-                )
             heads.append(parts[:-1])
-            if convert(heads[-1]):
-                rows.append(len(heads) - 1)
-                block.append(vec)
-                if len(block) == ROW_BLOCK:
-                    flush()
-                continue
-            new = set(vec.translate(_ZERO_DIGITS).split(",")) - shapes
-            finite = all(map(_FINITE_SHAPE.fullmatch, new))
-            if finite:
-                shapes |= new
-            # a norm is at least |first value|, so a first value above
-            # 2 * NORM_EPS rules out NormUnderflow
-            if not finite or abs(float(vec.partition(",")[0])) <= 2 * NORM_EPS:
-                later.extend(_floats([vec], [parts[0]], fmt, dim).data)
+            picked.append(convert(heads[-1]))
+            starts.append(len(block))
+            block += parts[-1].encode("utf-8", "surrogatepass")
+            block += b","
+            if len(starts) == ROW_BLOCK or len(block) >= _UNPICKED_BYTES and not any(
+                picked[-len(starts) :]
+            ):
+                flush()
     except FormatError:
-        flush()  # a malformed value in a picked row before the failing one comes first
+        flush()  # a defect in a row before the failing one comes first
         raise
     flush()
+    rows = [r for r, pick in enumerate(picked) if pick]
     return heads, rows, _matrix(values, dim), _matrix(later, dim)
+
+
+def _vector_block(raw, starts, picked, names, fmt: str, dim: int, values, later) -> int:
+    """Check the vector fields of consecutive rows, named ``names``, in the
+    UTF-8 ``raw``, where each starts at its offset in ``starts`` after a
+    comma and ends at a comma, with one :func:`.textfloats.tokens` pass;
+    append the values of the ``picked`` rows to ``values`` and those of the
+    other rows that may fail the caller's checks to ``later``.  Returns the
+    dimension: ``dim``, or the first row's value count when ``dim`` is 0.
+
+    The first defective row wins, and in one row a wrong value count wins
+    over a malformed value (FormatError).  Picked rows are converted.  Of
+    an unpicked row, only the tokens that are not fast (a fast token is
+    finite and at most 1e19) and the first one go through ``float``; it is
+    converted into ``later`` only when one of its values is not finite or
+    above ``_NORM_SAFE`` in magnitude, or its first value, a bound of its
+    norm, is at most ``2 * NORM_EPS``.  Every other row has a finite norm
+    above ``NORM_EPS``.  It overwrites ``raw``.
+    """
+    from . import textfloats
+
+    found = textfloats.tokens(raw)
+    first = np.searchsorted(found.start, starts)  # each row's first token
+    counts = np.diff(first, append=len(found.start))
+    dim = dim or int(counts[0])
+    wrong = np.flatnonzero(counts != dim)
+    if len(wrong):
+        r = int(wrong[0])
+        if r:  # a malformed value in an earlier row comes first
+            _vector_block(raw[: starts[r]], starts[:r], picked[:r], names, fmt, dim, values, later)
+        raise FormatError(
+            f"mixed dimensions: {fmt} row {names[r]!r} has {counts[r]} values, earlier rows {dim}"
+        )
+    slow = np.flatnonzero(~found.fast)
+    block = None
+    try:
+        if picked.any():
+            block = textfloats.convert(raw, found, np.empty(len(found.start))).reshape(-1, dim)
+            loose, leads = block.ravel()[slow], block[:, 0]
+        else:
+            loose, leads = (textfloats.floats(raw, found, t) for t in (slow, first))
+    except textfloats.MalformedToken as exc:
+        row = names[np.searchsorted(first, exc.index, "right") - 1]
+        raise FormatError(f"malformed vector in {fmt} row {row!r}") from None
+    late = np.abs(leads) <= 2 * NORM_EPS
+    late[np.searchsorted(first, slow[~(np.abs(loose) <= _NORM_SAFE)], "right") - 1] = True
+    late &= ~picked
+    if late.any() and block is None:
+        block = textfloats.convert(raw, found, np.empty(len(found.start))).reshape(-1, dim)
+    if block is not None:
+        values.extend(block[picked].data)
+        later.extend(block[late].data)
+    return dim
 
 
 def _columns(heads, fmt: str) -> list:

@@ -7,7 +7,10 @@ shape ``-?D+(.D+)?`` (``D`` an ASCII digit) with at most 19 digits, less
 the ``0`` of a ``0.xxx`` token, takes the vectorized path.  Every other
 token (an exponent, ``+``, ``_``, whitespace, a non-ASCII byte, ``nan``,
 ``inf``, more digits, an empty or malformed token) goes through ``float``
-itself, so it keeps ``float``'s value or its error.
+itself, so it keeps ``float``'s value or its error.  The two halves are
+apart: :func:`tokens` is the one pass that classifies the tokens of a
+block, and :func:`convert` turns them into values; a reader that only
+checks some rows runs :func:`floats` on their slow tokens instead.
 
 A vectorized token is m / 10**s, with m its digits read as one integer
 (m < 10**19 < 2**64, parsed by one ``np.fromstring`` call that sees only
@@ -34,6 +37,8 @@ check cannot certify, goes through ``repr``.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,31 +74,29 @@ def parse(fields: list[str], out: np.ndarray) -> np.ndarray:
 def parse_bytes(raw: bytearray, out: np.ndarray) -> np.ndarray:
     """:func:`parse` of the UTF-8 ``raw``, which holds a comma before each
     token and after the last; it overwrites ``raw``."""
-    start, end, neg, frac, fast = _tokens(np.frombuffer(raw, np.uint8))
-    if len(start) != len(out):
-        raise ValueError(f"fields hold {len(start)} tokens for {len(out)} values")
-    slow = {t: raw[start[t] : end[t]] for t in np.flatnonzero(~fast).tolist()}
-    if fast.any() and (end > start).all():  # an empty token (malformed) would leave an empty run
-        m = _mantissas(raw, start, end, neg, fast)
-        q = np.divide(m, _POW10[frac], out=out)
-        big = np.flatnonzero(fast & (m >= np.uint64(1 << 53)))
-        if len(big):
-            q[big], certified = _corrected(m[big], q[big], _POW10[frac[big]])
-            slow.update((t, raw[start[t] : end[t]]) for t in big[~certified].tolist())
-        q.view(np.uint64)[neg] |= np.uint64(1 << 63)  # q >= 0: set the sign bit
-    for t in sorted(slow):
-        try:
-            out[t] = float(slow[t].decode("utf-8", "surrogatepass"))
-        except ValueError:
-            raise MalformedToken(t) from None
-    return out
+    found = tokens(raw)
+    if len(found.start) != len(out):
+        raise ValueError(f"fields hold {len(found.start)} tokens for {len(out)} values")
+    return convert(raw, found, out)
 
 
-def _tokens(a):
-    """``(start, end, neg, frac, fast)`` of each token of the bytes ``a``,
-    which hold a comma before each token and after the last: its byte range,
-    whether a '-' leads it, its digits after the '.', and whether it takes
-    the vectorized path."""
+class Tokens(NamedTuple):
+    """The tokens of a buffer: each one's byte range, whether a '-' leads
+    it, its digits after the '.', and whether it takes the vectorized path
+    (``frac`` is 0 where it does not)."""
+
+    start: np.ndarray
+    end: np.ndarray
+    neg: np.ndarray
+    frac: np.ndarray
+    fast: np.ndarray
+
+
+def tokens(raw) -> Tokens:
+    """The :class:`Tokens` of the bytes ``raw``, which hold a comma before
+    each token and after the last.  A fast token's value is finite and at
+    most 1e19 in magnitude."""
+    a = np.frombuffer(raw, np.uint8)
     pos = np.flatnonzero(a - np.uint8(48) > 9)  # the non-digit bytes
     byte = a[pos]
     comma = np.flatnonzero(byte == _COMMA)
@@ -115,13 +118,49 @@ def _tokens(a):
     # 19 digits, or 0.xxx with 19 after the point
     fast &= (whole + frac <= 19) | (whole == 1) & (a[point - 1] == _ZERO) & (frac <= 19)
     frac[~fast] = 0
-    return start, end, neg, frac.astype(np.uint8), fast
+    return Tokens(start, end, neg, frac.astype(np.uint8), fast)
 
 
-def _mantissas(raw, start, end, neg, fast):
+def convert(raw: bytearray, found: Tokens, out: np.ndarray) -> np.ndarray:
+    """Write ``float`` of each of the tokens ``found`` in ``raw`` into
+    ``out``, one element per token, and return ``out``; raises
+    :class:`MalformedToken` at the first token ``float`` rejects.  It
+    overwrites ``raw``."""
+    slow = np.flatnonzero(~found.fast)
+    values = floats(raw, found, slow)  # before _mantissas overwrites their bytes
+    if len(slow) < len(out):  # no token is empty (malformed) here
+        m = _mantissas(raw, found)
+        q = np.divide(m, _POW10[found.frac], out=out)
+        big = np.flatnonzero(found.fast & (m >= np.uint64(1 << 53)))
+        if len(big):
+            q[big], certified = _corrected(m[big], q[big], _POW10[found.frac[big]])
+            big = big[~certified]  # left to float below
+        q.view(np.uint64)[found.neg] |= np.uint64(1 << 63)  # q >= 0: set the sign bit
+        out[big] = floats(raw, found, big)
+    out[slow] = values
+    return out
+
+
+def floats(raw, found: Tokens, which: np.ndarray) -> np.ndarray:
+    """``float`` of each token ``which`` (ascending indices) of ``raw``;
+    raises :class:`MalformedToken` at the first token ``float`` rejects."""
+    out = np.empty(len(which))
+    for c in range(0, len(which), 256):  # Python ints for 256 tokens at a time
+        part = which[c : c + 256]
+        spans = zip(part.tolist(), found.start[part].tolist(), found.end[part].tolist())
+        for k, (t, s, e) in enumerate(spans, c):
+            try:
+                out[k] = float(raw[s:e].decode("utf-8", "surrogatepass"))
+            except ValueError:
+                raise MalformedToken(t) from None
+    return out
+
+
+def _mantissas(raw, found: Tokens):
     """The digits of each token as one integer m < 10**19 (uint64): ``m /
     10**frac`` is its magnitude where ``fast``.  Every byte of a slow token
     in ``raw`` becomes '0'."""
+    start, end, neg, _, fast = found
     a = np.frombuffer(raw, np.uint8)
     minus = start[neg & fast]
     a[minus] = _ZERO

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from svbackend import cli, formats
+from svbackend import cli, formats, textfloats
 from svbackend.calibration import CalibrationModel
 from svbackend.errors import (
     EmptySet,
@@ -201,9 +201,10 @@ class TestEmbeddingsBinary:
         assert len(formats.read_embeddings_binary(path)) == 0
 
 
-def shape_accepted(token: str) -> bool:
-    """Whether the inventory reader takes ``token`` as finite without ``float``."""
-    return formats._FINITE_SHAPE.fullmatch(token.translate(formats._ZERO_DIGITS)) is not None
+def fast_tokens(tokens: list[str]) -> np.ndarray:
+    """Whether the text vector readers take each of ``tokens`` (none holds a
+    comma) without ``float``: the fast tokens of :func:`textfloats.tokens`."""
+    return textfloats.tokens(bytearray(",".join(["", *tokens, ""]), "utf-8", "surrogatepass")).fast
 
 
 class TestEmbeddingIds:
@@ -221,9 +222,9 @@ class TestEmbeddingIds:
         path = tmp_path / "e.tsv"
         formats.write_embeddings_text(path, corpus.train_embeddings)
         lines = path.read_text().splitlines(keepends=True)
-        tokens = [" 0.5 ", "1_0", "1E-5", "1e+100", "+2.5", "9" * 18, "1.", ".5", "1e+300"]
+        tokens = [" 0.5 ", "1_0", "1E-5", "1e+100", "+2.5", "9" * 20, "1.", ".5", "1e+300"]
         for k, token in enumerate(tokens, start=1):
-            assert not shape_accepted(token)
+            assert not fast_tokens([token])[0]
             head, vec = lines[k].rsplit("\t", 1)
             lines[k] = head + "\t" + ",".join([token] + vec.split(",")[1:])
         path.write_text("".join(lines))
@@ -410,6 +411,11 @@ class TestReadCohort:
             (("malformed", 70), ("dimension", 76), "malformed vector in embeddings row 'u70'"),
             (("huge-row", 4), ("tiny-row", 2), "vector norm 1.6e-13 <= 1e-12"),
             (("tiny-row", 4), ("huge-row", 2), "vector norm 1.6e-13 <= 1e-12"),
+            # one block, one defect in a kept row and one in a dropped row
+            (("dimension", 2), ("malformed", 4), "mixed dimensions: embeddings row 'u2' has 255"),
+            (("malformed", 2), ("dimension", 4), "malformed vector in embeddings row 'u2'"),
+            (("malformed", 4), ("field-count", 5), "malformed vector in embeddings row 'u4'"),
+            (("malformed", 4), ("dimension", 4), "mixed dimensions: embeddings row 'u4' has 255"),
         ],
     )
     def test_two_defects(self, tmp_path, rng, first, second, message):
@@ -420,6 +426,25 @@ class TestReadCohort:
         write_lines(path, lines)
         for domains in COHORT_DOMAINS:  # row 4 is dropped in one, kept in the other
             assert same_cohort_outcome(path, domains)[1].startswith(message)
+
+    def test_keeps_few_rows_in_little_memory(self, tmp_path, rng):
+        """A cohort of a tenth of the rows: the dropped rows' values are
+        checked, not stored."""
+        n, dim = 2000, 256
+        rows = [
+            make_embedding(f"u{k}", f"s{k % 50}", v, Domain.DEEPMINE if k % 50 < 5 else Domain.VOX)
+            for k, v in enumerate(rng.normal(size=(n, dim)))
+        ]
+        path = tmp_path / "e.tsv"
+        formats.write_embeddings_text(path, make_table(rows))
+        tracemalloc.start()
+        try:
+            cohort = formats.read_cohort(path, [Domain.DEEPMINE])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cohort.speaker_ids == ("s0", "s1", "s2", "s3", "s4")
+        assert peak < 0.75 * n * dim * 8  # no (n, D) float64 array
 
     def test_no_kept_speaker(self, tmp_path, rng):
         lines = [f for f in cohort_lines(rng) if f[2] != "DEEPMINE"]
@@ -456,6 +481,53 @@ def test_embedding_ids_on_cohort_defects(tmp_path, rng, defect, row):
     want = outcome(lambda: formats.read_embeddings(path))
     got = outcome(lambda: formats.read_embedding_ids(path))
     assert got == (want if isinstance(want, tuple) else (want.utt_ids, want.speaker_ids))
+
+
+#: values the differential test draws besides float reprs
+HOSTILE_VALUES = [
+    "1e+200", "1e-400", "1e400", "9" * 400, "0" * 30 + "1", "1_0", "+1", ".5", "5.", "0x10",
+    " 1", "١", "nan", "-inf", "infinity", "-", "", "1.2.3", "1e-14", "1e+99", "1e-05", "1E5", "-0",
+]  # fmt: skip
+
+
+def random_vector_lines(rng, dim=4):
+    """The data lines of a random text embedding file, split into fields:
+    mostly up to five rows, now and then more than two blocks of ROW_BLOCK;
+    values are float reprs from 1e-15 to 1e25 in magnitude (in a few rows
+    all below 1e-12) and, at a rate drawn per file, HOSTILE_VALUES; a row
+    may hold one value too many or too few."""
+    long = rng.random() < 0.1
+    n = int(rng.integers(2 * ROW_BLOCK, 3 * ROW_BLOCK) if long else rng.integers(1, 6))
+    hostile = rng.choice([0.0, 1 / (4 * n * dim), 0.05, 0.3])
+    miscount = rng.choice([0.0, 1 / (2 * n)])
+    speakers = np.sort(rng.integers(0, n // 4 + 2, size=n))  # runs of rows, kept or dropped
+    domains = rng.choice([d.value for d in Domain], size=n // 4 + 2)
+    lines = []
+    for k, spk in enumerate(speakers.tolist()):
+        count = dim + (int(rng.choice([-1, 1])) if rng.random() < miscount else 0)
+        low, high = (-17, -12) if rng.random() < 0.05 else (-15, 26)  # a tiny row, now and then
+        scale = 10.0 ** rng.integers(low, high, size=count)
+        values = [repr(v) for v in (rng.normal(size=count) * scale).tolist()]
+        for j in np.flatnonzero(rng.random(count) < hostile).tolist():
+            values[j] = str(rng.choice(HOSTILE_VALUES))
+        lines.append([f"u{k}", f"s{spk}", domains[spk], "FARSI", ",".join(values)])
+    return lines
+
+
+@pytest.mark.parametrize(("seed", "dim"), [(0, 4), (1, 4), (2, 4), (3, 4), (4, 1200)])
+def test_readers_match_the_full_reader(tmp_path, seed, dim):
+    """read_embedding_ids and read_cohort against read_embeddings on random
+    files with hostile values: the same value, or the same error.  Rows of
+    1,200 values fill a block of unpicked rows in a few rows."""
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "e.tsv"
+    for _ in range(60 if dim < 100 else 12):
+        write_lines(path, random_vector_lines(rng, dim))
+        want = outcome(lambda: formats.read_embeddings(path))
+        got = outcome(lambda: formats.read_embedding_ids(path))
+        assert got == (want if isinstance(want, tuple) else (want.utt_ids, want.speaker_ids))
+        for domains in ([Domain.DEEPMINE], [Domain.VOX]):
+            same_cohort_outcome(path, domains)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -501,9 +573,15 @@ def test_embedding_pipe_is_refused_unopened(tmp_path, read):
 
 
 class TestFiniteShapeRule:
-    """The digit shapes that the inventory reader accepts without ``float``."""
+    """The token shape that the text vector readers take without ``float``:
+    the fast tokens of :func:`textfloats.tokens`, finite and within the
+    bound that keeps a row's norm finite.  Every other token of an
+    unpicked row goes through ``float``."""
 
     def test_every_float64_repr_below_1e100_is_accepted(self, rng):
+        """Each ``repr`` below 1e100 is a fast token or, through ``float``,
+        within ``_NORM_SAFE``: a row of them stays unconverted unless its
+        first value is tiny.  Larger ones are slow and beyond the bound."""
         n = 20_000
         random_bits = np.frombuffer(rng.bytes(8 * n), dtype=np.float64)
         subnormal = rng.integers(1, 1 << 52, size=n).view(np.float64)
@@ -511,24 +589,27 @@ class TestFiniteShapeRule:
         values = np.concatenate([random_bits, subnormal, -subnormal, large, -large]).tolist()
         values += [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 9.999999999999999e99]
         values += [2.2250738585072014e-308, 1e-5, 0.1, 123456789.123]
-        below = [v for v in values if abs(v) < 1e100]
-        assert len(below) > 4 * n
-        assert not [v for v in below if not shape_accepted(repr(v))]
-        # a three-digit exponent could be e+999: those rows go through float
-        above = [v for v in values if 1e100 <= abs(v) < math.inf]
-        assert len(above) > n / 4 and not any(shape_accepted(repr(v)) for v in above)
+        fast = fast_tokens([repr(v) for v in values])
+        magnitude = np.abs(values)
+        assert fast.any() and (magnitude[fast] <= 1e19).all()
+        accepted = fast | (magnitude <= formats._NORM_SAFE)
+        below = magnitude < 1e100
+        assert below.sum() > 4 * n and accepted[below].all()
+        assert (~below).sum() > n / 4 and not accepted[~below].any()
 
     def test_accepted_tokens_are_finite_floats(self):
-        ints = ["0", "9", "-9", "9" * 16, "9" * 17, "-" + "9" * 17, "9" * 18, "1" + "0" * 17]
-        fracs = ["", ".0", ".9", "." + "9" * 40]
-        exps = ["", "e+0", "e+9", "e+99", "e+100", "e+099", "e-0", "e-99", "e-400", "e-" + "9" * 40]
-        accepted = [i + f + e for i in ints for f in fracs for e in exps]
-        accepted = [t for t in accepted if shape_accepted(t)]
-        assert len(accepted) == 6 * 4 * 8  # 17 integer digits at most, exponents up to e+99
+        ints = ["0", "9", "-9", "9" * 16, "9" * 17, "-" + "9" * 17, "9" * 18, "9" * 19, "9" * 20]
+        fracs = ["", ".0", ".9", "." + "9" * 18, "." + "9" * 19, "." + "9" * 40]
+        exps = ["", "e+0", "e-0", "e+99"]
+        tokens = [i + f + e for i in ints for f in fracs for e in exps]
+        accepted = [t for t, fast in zip(tokens, fast_tokens(tokens)) if fast]
+        # no exponent, and at most 19 digits less the 0 of 0.xxx
+        digits = {t: sum(c.isdigit() for c in t) - t.startswith("0.") for t in tokens}
+        assert accepted == [t for t in tokens if "e" not in t and digits[t] <= 19]
         for token in accepted:
-            assert math.isfinite(float(token)), token
-        assert abs(float("9" * 17 + "." + "9" * 40 + "e+99")) <= 1e116
-        assert not shape_accepted("9" * 18) and not shape_accepted("1e+100")
+            value = float(token)
+            assert math.isfinite(value) and abs(value) <= 1e19 <= formats._NORM_SAFE, token
+        assert not fast_tokens(["9" * 20, "1e+100"]).any()
 
     @pytest.mark.parametrize(
         "token",
@@ -536,7 +617,7 @@ class TestFiniteShapeRule:
          "--1", "+1", "1E5", "1e5", "", "-", "0x1", "١"],
     )
     def test_hostile_tokens_are_left_to_float(self, token):
-        assert not shape_accepted(token)
+        assert not fast_tokens([token])[0]
 
 
 class TestPrototypes:
