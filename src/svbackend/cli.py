@@ -203,7 +203,7 @@ def cmd_lid_classify(args) -> None:
         for utt_id, en, llr in zip(table.utt_ids, is_english.tolist(), llrs.tolist())
     }
     formats.write_lid_decisions(args.out, decisions)
-    n_en = int(is_english.sum())
+    n_en = sum(lang is Language.ENGLISH for lang, _ in decisions.values())
     print(f"classified {len(decisions)} utterances ({n_en} English) to {args.out}")
 
 

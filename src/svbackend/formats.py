@@ -206,13 +206,14 @@ def _vector_block(raw, starts, picked, names, fmt: str, dim: int, values, later)
     dimension: ``dim``, or the first row's value count when ``dim`` is 0.
 
     The first defective row wins, and in one row a wrong value count wins
-    over a malformed value (FormatError).  Picked rows are converted.  Of
-    an unpicked row, only the tokens that are not fast (a fast token is
-    finite and at most 1e19) and the first one go through ``float``; it is
-    converted into ``later`` only when one of its values is not finite or
-    above ``_NORM_SAFE`` in magnitude, or its first value, a bound of its
-    norm, is at most ``2 * NORM_EPS``.  Every other row has a finite norm
-    above ``NORM_EPS``.  It overwrites ``raw``.
+    over a malformed value (FormatError): one ``float`` pass over the tokens
+    that are not fast (a fast token is finite and at most 1e19) finds the
+    first malformed row, and a wrong count at or before it is reported in
+    its place.  Every row's first token goes through ``float`` too; a row is
+    converted when it is picked, or into ``later`` when one of its values is
+    not finite or above ``_NORM_SAFE`` in magnitude, or its first value, a
+    bound of its norm, is at most ``2 * NORM_EPS``.  Every other row has a
+    finite norm above ``NORM_EPS``.  It overwrites ``raw``.
     """
     from . import textfloats
 
@@ -220,31 +221,24 @@ def _vector_block(raw, starts, picked, names, fmt: str, dim: int, values, later)
     first = np.searchsorted(found.start, starts)  # each row's first token
     counts = np.diff(first, append=len(found.start))
     dim = dim or int(counts[0])
-    wrong = np.flatnonzero(counts != dim)
+    slow = np.flatnonzero(~found.fast)
+    try:
+        loose, bad = textfloats.floats(raw, found, slow), len(starts)
+    except textfloats.MalformedToken as exc:
+        bad = np.searchsorted(first, exc.index, "right") - 1  # the first malformed row
+    wrong = np.flatnonzero(counts[: bad + 1] != dim)
     if len(wrong):
         r = int(wrong[0])
-        if r:  # a malformed value in an earlier row comes first
-            _vector_block(raw[: starts[r]], starts[:r], picked[:r], names, fmt, dim, values, later)
         raise FormatError(
             f"mixed dimensions: {fmt} row {names[r]!r} has {counts[r]} values, earlier rows {dim}"
         )
-    slow = np.flatnonzero(~found.fast)
-    block = None
-    try:
-        if picked.any():
-            block = textfloats.convert(raw, found, np.empty(len(found.start))).reshape(-1, dim)
-            loose, leads = block.ravel()[slow], block[:, 0]
-        else:
-            loose, leads = (textfloats.floats(raw, found, t) for t in (slow, first))
-    except textfloats.MalformedToken as exc:
-        row = names[np.searchsorted(first, exc.index, "right") - 1]
-        raise FormatError(f"malformed vector in {fmt} row {row!r}") from None
-    late = np.abs(leads) <= 2 * NORM_EPS
+    if bad < len(starts):
+        raise FormatError(f"malformed vector in {fmt} row {names[bad]!r}")
+    late = np.abs(textfloats.floats(raw, found, first)) <= 2 * NORM_EPS
     late[np.searchsorted(first, slow[~(np.abs(loose) <= _NORM_SAFE)], "right") - 1] = True
     late &= ~picked
-    if late.any() and block is None:
+    if picked.any() or late.any():
         block = textfloats.convert(raw, found, np.empty(len(found.start))).reshape(-1, dim)
-    if block is not None:
         values.extend(block[picked].data)
         later.extend(block[late].data)
     return dim
@@ -525,9 +519,11 @@ def _unrepeated(pairs):
 
 
 def write_lid_decisions(path, decisions: Mapping[str, tuple[Language, float]]):
-    for language, _ in decisions.values():
+    for utt_id, (language, llr) in decisions.items():
         if language not in (Language.FARSI, Language.ENGLISH):
             raise FormatError(f"LID decision must be FARSI or ENGLISH, got {language}")
+        if not np.isfinite(llr):
+            raise FormatError(f"non-finite llr for {utt_id!r}")
     lines = (f"{u}\t{lang.value}\t{_f(llr)}\n" for u, (lang, llr) in decisions.items())
     _write_text(path, "lid", lines, [("utt_id", decisions)])
 

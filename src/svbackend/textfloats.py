@@ -1,16 +1,16 @@
 """Exact vectorized conversion between float64 values and their decimals.
 
-:func:`parse` writes ``float(token)`` of every token of a block of
-comma-joined fields into an array, bit for bit, with a few numpy passes over
-the block's bytes in place of one ``float`` call per token.  A token of the
-shape ``-?D+(.D+)?`` (``D`` an ASCII digit) with at most 19 digits, less
-the ``0`` of a ``0.xxx`` token, takes the vectorized path.  Every other
-token (an exponent, ``+``, ``_``, whitespace, a non-ASCII byte, ``nan``,
-``inf``, more digits, an empty or malformed token) goes through ``float``
-itself, so it keeps ``float``'s value or its error.  The two halves are
-apart: :func:`tokens` is the one pass that classifies the tokens of a
-block, and :func:`convert` turns them into values; a reader that only
-checks some rows runs :func:`floats` on their slow tokens instead.
+A reader hands a block of UTF-8 bytes, a comma before each token and after
+the last, to :func:`tokens`, the one pass that classifies its tokens, and
+then to :func:`convert`, which writes ``float(token)`` of every token into
+an array, bit for bit, with a few numpy passes over the block's bytes in
+place of one ``float`` call per token.  A token of the shape ``-?D+(.D+)?``
+(``D`` an ASCII digit) with at most 19 digits, less the ``0`` of a
+``0.xxx`` token, takes the vectorized path.  Every other token (an
+exponent, ``+``, ``_``, whitespace, a non-ASCII byte, ``nan``, ``inf``,
+more digits, an empty or malformed token) goes through ``float`` itself,
+so it keeps ``float``'s value or its error; a reader that only checks some
+tokens runs :func:`floats` on them instead.
 
 A vectorized token is m / 10**s, with m its digits read as one integer
 (m < 10**19 < 2**64, parsed by one ``np.fromstring`` call that sees only
@@ -60,24 +60,6 @@ class MalformedToken(ValueError):
     def __init__(self, index: int):
         super().__init__(index)
         self.index = index
-
-
-def parse(fields: list[str], out: np.ndarray) -> np.ndarray:
-    """Write ``float(token)`` of each token of the comma-joined ``fields``
-    into the float64 array ``out``, which has one element per token, and
-    return ``out``.  Raises :class:`MalformedToken` with the index of the
-    first token that ``float`` rejects."""
-    # a comma before each token and after the last
-    return parse_bytes(bytearray(",".join(["", *fields, ""]), "utf-8", "surrogatepass"), out)
-
-
-def parse_bytes(raw: bytearray, out: np.ndarray) -> np.ndarray:
-    """:func:`parse` of the UTF-8 ``raw``, which holds a comma before each
-    token and after the last; it overwrites ``raw``."""
-    found = tokens(raw)
-    if len(found.start) != len(out):
-        raise ValueError(f"fields hold {len(found.start)} tokens for {len(out)} values")
-    return convert(raw, found, out)
 
 
 class Tokens(NamedTuple):

@@ -4,7 +4,7 @@
 and tab-separated fields of a file with numpy over its bytes, and make no
 Python object per row: ids become :class:`~.scores.TrialKeys` codes into
 tables of the distinct ids, and scores go through
-:func:`.textfloats.parse_bytes`.  :func:`write` is the one row writer of the
+:func:`.textfloats.convert`.  :func:`write` is the one row writer of the
 four table files (trials, scores, embeddings and prototypes): it builds each
 block of rows from byte columns, ids and labels picked from tables and floats
 from :func:`.textfloats.slots`.
@@ -190,7 +190,7 @@ def _scores(a, fields):
         e = min(s + _BLOCK_SCORES, good)
         raw = bytearray(b",") + text[seps[s - 1] + 1 if s else 0 : seps[e - 1] + 1].tobytes()
         try:
-            textfloats.parse_bytes(raw, scores[s:e])
+            textfloats.convert(raw, textfloats.tokens(raw), scores[s:e])
         except textfloats.MalformedToken as exc:
             return scores, s + exc.index
     return scores, good

@@ -439,6 +439,26 @@ def test_lid_classify_non_finite_threshold(pipeline_files, data_dir, tmp_path, c
     assert not out.exists()
 
 
+def test_lid_classify_counts_english_from_the_decisions_it_writes(
+    pipeline_files, data_dir, tmp_path, capsys
+):
+    # a repeated utterance id is read, and its last row's decision is written once
+    argv = ["lid-classify", "--model", str(pipeline_files / "gb.json"), "--embeddings"]
+    lid = pipeline_files / "lid.tsv"
+    decided = formats.read_lid_decisions(lid)
+    english = next(u for u, (lang, _) in decided.items() if lang is Language.ENGLISH)
+    text = (data_dir / "eval_embeddings.tsv").read_text()
+    text += next(line + "\n" for line in text.splitlines() if line.startswith(english + "\t"))
+    path, out = tmp_path / "e.tsv", tmp_path / "lid.tsv"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main([*argv, str(path), "--out", str(out)]) == 0
+    decisions = formats.read_lid_decisions(out)
+    n_en = sum(lang is Language.ENGLISH for lang, _ in decisions.values())
+    assert f"classified {len(decisions)} utterances ({n_en} English)" in capsys.readouterr().out
+    assert decisions.keys() == decided.keys()
+
+
 class TestScore:
     def test_scores_written_with_labels(self, pipeline_files):
         ss = formats.read_scores(pipeline_files / "scores.tsv")

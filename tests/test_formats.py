@@ -673,6 +673,8 @@ class TestPrototypes:
             ((("field-count", 3), ("malformed", 10)), "prototypes row needs 4 fields, got 3"),
             ((("malformed", 70), ("field-count", 90)), "malformed vector in prototypes row 'spk070'"),
             ((("malformed", 63), ("mixed-dimensions", 64)), "malformed vector in prototypes row 'spk063'"),
+            ((("malformed", 20), ("mixed-dimensions", 20)), "mixed dimensions: prototypes row 'spk020'"),
+            ((("malformed", 20), ("mixed-dimensions", 21)), "malformed vector in prototypes row 'spk020'"),
             ((("mixed-dimensions", 64), ("malformed", 70)), "mixed dimensions: prototypes row 'spk064'"),
             ((("malformed", 10), ("malformed", 70)), "malformed vector in prototypes row 'spk010'"),
         ],
@@ -768,6 +770,14 @@ class TestLidDecisions:
     def test_only_two_languages_allowed(self, tmp_path):
         with pytest.raises(FormatError):
             formats.write_lid_decisions(tmp_path / "x.tsv", {"u": (Language.OTHER, 0.0)})
+
+    @pytest.mark.parametrize("llr", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_llr_refused_before_writing(self, tmp_path, llr):
+        # read_lid_decisions refuses it: no file and no directory is made
+        path = tmp_path / "new" / "lid.tsv"
+        with pytest.raises(FormatError, match="non-finite llr for 'u1'"):
+            formats.write_lid_decisions(path, {"u0": (Language.ENGLISH, 0.5), "u1": (Language.FARSI, llr)})
+        assert not path.parent.exists()
 
 
 class TestManifests:

@@ -1,4 +1,4 @@
-"""textfloats.parse against ``float``: the same bits for every token, or an
+"""textfloats.convert against ``float``: the same bits for every token, or an
 error at the first token ``float`` rejects; and textfloats.slots, and the
 text vector writer built on it, against ``repr``: the same bytes for every
 value."""
@@ -23,9 +23,11 @@ pytestmark = pytest.mark.filterwarnings("error")
 
 
 def parse(tokens, per_field=256):
-    """The tokens through ``textfloats.parse``, ``per_field`` to a field."""
+    """The tokens through ``textfloats.convert``, ``per_field`` to a field."""
     fields = [",".join(tokens[k : k + per_field]) for k in range(0, len(tokens), per_field)]
-    return textfloats.parse(fields, np.empty(len(tokens)))
+    # a comma before each token and after the last
+    raw = bytearray(",".join(["", *fields, ""]), "utf-8", "surrogatepass")
+    return textfloats.convert(raw, textfloats.tokens(raw), np.empty(len(tokens)))
 
 
 def assert_same_as_float(tokens):
@@ -132,11 +134,6 @@ def test_first_malformed_token_is_named(token, at):
     with pytest.raises(textfloats.MalformedToken) as err:
         parse(tokens)
     assert err.value.index == at
-
-
-def test_token_count_must_match():
-    with pytest.raises(ValueError, match="2 tokens for 3 values"):
-        textfloats.parse(["1.0,2.0"], np.empty(3))
 
 
 def test_certificate_refuses_ties_and_powers_of_two():
