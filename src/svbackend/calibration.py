@@ -120,11 +120,15 @@ def fuse(score_sets: list[ScoreSet], weights) -> ScoreSet:
         raise WeightInvalid(f"{len(w)} weights for {len(score_sets)} score sets")
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise WeightInvalid("weights must be positive and finite")
+    with np.errstate(over="ignore"):
+        total = np.sum(w)
+    if total == np.inf:  # every weight would normalize to 0
+        raise WeightInvalid("weights sum beyond the float64 range")
 
     base = score_sets[0]
     base_keys = base.keys
     base_flat = base_keys.flat()
-    unit = w / np.sum(w)
+    unit = w / total
 
     fused = unit[0] * base.scores
     labels = base.labels

@@ -684,7 +684,7 @@ def read_gb_model(path) -> GaussianBackend:
         )
     except KeyError as exc:
         raise FormatError(f"backend model missing field {exc}") from None
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: an int beyond float64
         raise FormatError(f"malformed backend model field: {exc}") from None
     if type(dim) is not int or dim != gb.dim:
         raise FormatError(

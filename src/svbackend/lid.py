@@ -55,6 +55,8 @@ class GaussianBackend:
             raise ValidationError("backend means and covariance must be finite")
         if not np.allclose(cov, cov.T, atol=1e-9, rtol=0):
             raise ValidationError("shared covariance is not symmetric")
+        if self.diagonal and np.any(cov[~np.eye(d, dtype=bool)]):
+            raise ValidationError("diagonal backend has a nonzero off-diagonal covariance entry")
         w = self.interpolation_weight
         if not 0.0 <= w <= 1.0:
             raise WeightOutOfRange(f"interpolation weight {w} outside [0, 1]")

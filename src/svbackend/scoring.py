@@ -30,8 +30,8 @@ from .prototypes import PrototypeMatrix
 # unused here: perfbench counts scoring.cosine calls
 from .vecmath import cosine  # noqa: F401
 from .vecmath import DEFAULT_TOP_N, Domain, EmbeddingTable, Language
-from .vecmath import average_embedding, frozen_rows
-from .vecmath import check_row_norms, mean_of_units, pair_cosines, top_cosines, unit_rows
+from .vecmath import NORM_EPS, check_row_norms, frozen_rows, group_means
+from .vecmath import pair_cosines, row_norms, top_cosines, unit_rows
 
 if TYPE_CHECKING:
     from .scores import TrialKeys
@@ -87,10 +87,11 @@ class Cohort:
 
         Speaker order follows first appearance.  With ``domains``, only
         speakers whose first utterance is in one of them are kept, and only
-        their rows are normalized and averaged.  Every row's norm is still
-        checked, so a degenerate row raises NormUnderflow wherever it is.
+        their rows are normalized and averaged, by one :func:`.group_means`
+        call.  Every row's norm is still checked, so a degenerate row raises
+        NormUnderflow wherever it is.
         """
-        check_row_norms(table.vectors)
+        norms = check_row_norms(table.vectors)
         groups: dict[str, list[int]] = {}
         for row, sid in enumerate(table.speaker_ids):
             groups.setdefault(sid, []).append(row)
@@ -99,8 +100,7 @@ class Cohort:
         if domains is not None and not kept:
             names = "+".join(sorted(d.value for d in allowed))
             raise EmptySet(f"no cohort speakers left for domains {names}")
-        units = (unit_rows(table.vectors[rows]) for rows in kept.values())
-        return cls(tuple(kept), [mean_of_units(unit) for unit in units])
+        return cls(tuple(kept), group_means(table.vectors, norms, list(kept.values())))
 
 
 @dataclass(frozen=True)
@@ -209,10 +209,13 @@ def score_trials(
     Any other combination raises ParamInvalid.  ``trials`` is a
     :class:`.TrialKeys` or (model id, test id) pairs.  Enrollment and test
     utterances are looked up in ``table`` by id; each enrollment model is the
-    average of its L2-normalized utterances.  Normalization statistics come
-    from one :func:`snorm_stats` call for all test utterances and one for the
-    models, through :meth:`Cohort.imposter_stats`, which leaves each model's
-    enrollment speakers out of its cohort.
+    average of its L2-normalized utterances, all models by one
+    :func:`.group_means` call.  A model's defects rank as :func:`.average_embedding`
+    of its rows would raise them, model by model: MissingEmbedding, then the
+    norm check of its rows, then EmptySet or DegenerateAverage.  Normalization
+    statistics come from one :func:`snorm_stats` call for all test utterances
+    and one for the models, through :meth:`Cohort.imposter_stats`, which
+    leaves each model's enrollment speakers out of its cohort.
     """
     if (offset is None) != (lid_decisions is None):
         raise ParamInvalid("a language offset and language decisions are only used together")
@@ -230,11 +233,18 @@ def score_trials(
 
     model_ids = list(enrollment_map)
     model_row = {m: k for k, m in enumerate(model_ids)}
-    model_vecs, model_speakers = [], []
+    norms = row_norms(table.vectors)
+    unfit = set(np.flatnonzero((norms <= NORM_EPS) | (norms == np.inf)).tolist())
+    groups = []
     for model_id in model_ids:
-        rows = [row_of(u) for u in enrollment_map[model_id]]
-        model_vecs.append(average_embedding(table.vectors[rows]))
-        model_speakers.append({table.speaker_ids[r] for r in rows})
+        rows = [table.row_of.get(u, -1) for u in enrollment_map[model_id]]
+        if -1 in rows or not unfit.isdisjoint(rows):
+            group_means(table.vectors, norms, groups)  # an earlier model's defect comes first
+            check_row_norms(table.vectors[[row_of(u) for u in enrollment_map[model_id]]])
+        groups.append(rows)
+    # normalized at once, so the means are freed before the per-trial arrays exist
+    model_unit = unit_rows(group_means(table.vectors, norms, groups), table.dim)
+    model_speakers = [{table.speaker_ids[r] for r in rows} for rows in groups]
 
     # trial -> (model row, test row); test rows in order of first appearance
     mi = np.array([model_row.get(m, -1) for m in keys.model_ids], np.intp)[keys.models]
@@ -245,7 +255,6 @@ def score_trials(
     test_ids = [keys.test_ids[c] for c in keys.tests[first].tolist()]
     test_vecs = table.vectors[[row_of(u) for u in test_ids]]
 
-    model_unit = unit_rows(model_vecs, table.dim)
     test_unit = unit_rows(test_vecs, table.dim)
     raw = pair_cosines(model_unit, mi, test_unit, ti)  # the kernel of ``cosine``
     if cohort is None:

@@ -12,12 +12,14 @@ two exact row kernels are :func:`row_norms` (used by :func:`unit_rows`,
 Both take numpy's pairwise ``np.sum`` along each C-contiguous row, not
 BLAS, ``ROW_BLOCK`` rows or ``PAIR_BLOCK`` pairs at a time.  A row's sum does
 not depend on its block or its neighbours, so every caller gets the same bits
-for the same vectors.
+for the same vectors.  :func:`group_means` is the one averaging kernel (cohort
+speakers and enrollment models): exact column sums, equal to ``math.fsum``.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,6 +47,10 @@ ROW_BLOCK = 64
 PAIR_BLOCK = 64
 #: Query rows per block of :func:`top_cosines`' BLAS filter (larger raised peak RSS).
 TOP_BLOCK_ROWS = 64
+#: Groups per block of :func:`group_means`: its five (block, D) buffers take
+#: 64 KB each at D = 256.  Blocks of 64 groups were 10% faster on 8k groups of
+#: 8 rows but raised the sdsv-eval ``score`` stage's peak RSS by up to 0.8 MB.
+GROUP_BLOCK = 32
 
 
 class Domain(enum.Enum):
@@ -256,25 +262,86 @@ def cosine(a, b) -> float:
 
 
 def average_embedding(vectors) -> np.ndarray:
-    """Arithmetic mean of the L2-normalized vectors (see :func:`mean_of_units`)."""
-    return mean_of_units(unit_rows(vectors))
+    """Arithmetic mean of the L2-normalized vectors: :func:`group_means` of
+    the :func:`unit_rows` as one group."""
+    unit = unit_rows(vectors)
+    return group_means(unit, np.ones(len(unit)), [range(len(unit))])[0]
 
 
-def mean_of_units(unit: np.ndarray) -> np.ndarray:
-    """Column mean of unit-normalized rows, e.g. from :func:`unit_rows`.
+def group_means(x: np.ndarray, norms: np.ndarray, groups) -> np.ndarray:
+    """(len(groups), D) column means of unit rows: row g is the mean of the
+    rows ``x[r] / norms[r]`` for r in ``groups[g]``, each column
+    ``math.fsum(column) / len(groups[g])`` bit for bit, so it does not depend
+    on the order of a group's rows.  ``norms`` are the :func:`row_norms` of
+    ``x`` (or ones for unit rows), so ``x[r] / norms[r]`` is the row of
+    :func:`unit_rows`.  The means are not re-normalized: cosine scoring is
+    scale-invariant.
 
-    The result is intentionally not re-normalized: cosine scoring is
-    scale-invariant, so the extra division would be immaterial downstream.
-    Accumulation uses exact summation, making the result independent of
-    row order.
+    Exactness.  Groups go longest first, ``GROUP_BLOCK`` at a time; step k
+    gathers the k-th unit row of each group in the block, -0.0 past a
+    group's end (x + -0.0 == x, also for x = +0.0).  Each step takes
+    s, e = TwoSum(s, x) and c, e2 = TwoSum(c, e) from s = c = +0.0.  TwoSum
+    (Knuth; Ogita, Rump and Oishi, "Accurate Sum and Dot Product", 2005) is
+    error-free: a + b == s + e exactly for any finite a, b without overflow
+    (subnormal sums are exact), and |partial sums| <= group size here.  So
+    after the last step the column's exact sum is s + c + (sum of all e2).
+    Where every e2 was 0, s + c is the exact sum and fl(s + c) is its
+    correctly rounded value, ties to even: the value ``math.fsum``
+    (Shewchuk's algorithm) returns.  Neither s nor c is ever -0.0 (a
+    cancellation rounds to +0.0), so an exactly zero sum is +0.0, as fsum
+    gives it.  Each column where some e2 != 0 goes to ``math.fsum``.  Only
+    correctly rounded elementwise + and - touch the sums, so no BLAS or SIMD
+    setting moves a bit.
 
     Raises:
-        EmptySet: no rows.
-        DegenerateAverage: the rows cancel to (near) zero.
+        EmptySet: a group without rows.
+        DegenerateAverage: a group's rows cancel to (near) zero.
+        The first group in order that is either raises.
     """
-    if not len(unit):
+    sizes = np.array([len(g) for g in groups], dtype=np.intp)
+    flat = np.fromiter(itertools.chain.from_iterable(groups), np.intp, int(sizes.sum()))
+    first = np.cumsum(sizes) - sizes  # each group's offset in flat
+    order = np.argsort(-sizes, kind="stable")
+    out = np.empty((len(groups), x.shape[1]))
+    buffers = [np.empty((min(len(groups), GROUP_BLOCK), x.shape[1])) for _ in range(5)]
+    flags = np.empty(buffers[0].shape, dtype=bool)
+    for start in range(0, len(order), GROUP_BLOCK):
+        block = order[start : start + GROUP_BLOCK]
+        n = sizes[block]
+        s, c, t, u, v = (b[: len(block)] for b in buffers)
+        s.fill(0.0)
+        c.fill(0.0)
+        inexact = flags[: len(block)]
+        inexact.fill(False)
+        for k in range(int(n.max(initial=0))):
+            live = int(np.count_nonzero(n > k))  # n descends: live groups come first
+            rows = flat[first[block[:live]] + k]
+            np.take(x, rows, axis=0, out=u[:live], mode="clip")  # "raise" would buffer out
+            np.divide(u[:live], norms[rows, None], out=u[:live])
+            u[live:] = -0.0
+            _two_sum(s, u, t, v)  # t = s + u rounded, u = its error
+            _two_sum(c, u, s, v)  # s = c + u rounded, u = its error
+            s, c, t = t, s, c
+            np.logical_or(inexact, u, out=inexact)
+        total = np.add(s, c, out=s)
+        for g, j in zip(*np.nonzero(inexact)):
+            rows = flat[first[block[g]] : first[block[g]] + n[g]]
+            total[g, j] = math.fsum((x[rows, j] / norms[rows]).tolist())
+        out[block] = np.divide(total, np.maximum(n, 1)[:, None], out=total)  # empty: 0
+    bad = np.flatnonzero(row_norms(out) <= NORM_EPS)
+    if len(bad) and sizes[bad[0]] == 0:
         raise EmptySet("cannot average an empty set of embeddings")
-    mean = np.array([math.fsum(col) for col in unit.T.tolist()]) / len(unit)
-    if math.sqrt(np.sum(mean * mean)) <= NORM_EPS:
+    if len(bad):
         raise DegenerateAverage("member vectors cancel; average is degenerate")
-    return mean
+    return out
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Knuth's TwoSum in place: ``out`` = fl(a + b) and ``b`` = a + b - out,
+    exactly; ``a`` and ``scratch`` are overwritten."""
+    np.add(a, b, out=out)
+    np.subtract(out, a, out=scratch)  # b's share of the rounded sum
+    np.subtract(b, scratch, out=b)
+    np.subtract(out, scratch, out=scratch)  # a's share
+    np.subtract(a, scratch, out=a)
+    np.add(a, b, out=b)

@@ -48,7 +48,7 @@ from svbackend.errors import (
 )
 from svbackend.scoring import DEFAULT_TOP_N, Cohort, LanguageOffset
 from svbackend.vecmath import ScoringMode
-from svbackend.vecmath import NORM_EPS, Domain, Language, mean_of_units, unit_rows
+from svbackend.vecmath import NORM_EPS, Domain, Language, unit_rows
 
 log = logging.getLogger(__name__)
 
@@ -231,14 +231,40 @@ def fit_logreg_reference(scores, labels, l2=1e-6):
 
 def average_vectors(vecs):
     """Mean of the vectors after one ``l2_normalize`` call each, summed
-    exactly column by column."""
-    units = [l2_normalize(v) for v in vecs]
-    if not units:
+    exactly column by column (:func:`mean_of_units`)."""
+    return mean_of_units(np.array([l2_normalize(v) for v in vecs]))
+
+
+def mean_of_units(unit):
+    """Column mean of unit rows, one ``math.fsum`` per column: the reference
+    for ``vecmath.group_means``.
+
+    Raises:
+        EmptySet: no rows.
+        DegenerateAverage: the rows cancel to (near) zero.
+    """
+    if not len(unit):
         raise EmptySet("cannot average an empty set of embeddings")
-    mean = np.array([math.fsum(col) for col in np.stack(units).T]) / len(units)
-    if math.sqrt(float(np.sum(mean * mean))) <= NORM_EPS:
+    mean = np.array([math.fsum(col) for col in unit.T.tolist()]) / len(unit)
+    if math.sqrt(np.sum(mean * mean)) <= NORM_EPS:
         raise DegenerateAverage("member vectors cancel; average is degenerate")
     return mean
+
+
+def enrollment_means(enrollment_map, table):
+    """The enrollment models of ``score_trials``, one model at a time in map
+    order: look its utterances up (MissingEmbedding at the first absent
+    one), normalize them with ``unit_rows`` and average with
+    :func:`mean_of_units`, so the first model with a defect raises it."""
+    means = []
+    for utt_ids in enrollment_map.values():
+        rows = []
+        for utt_id in utt_ids:
+            if utt_id not in table.row_of:
+                raise MissingEmbedding(f"no embedding for utterance {utt_id!r}")
+            rows.append(table.row_of[utt_id])
+        means.append(mean_of_units(unit_rows(table.vectors[rows])))
+    return means
 
 
 def full_cohort(table):

@@ -148,6 +148,8 @@ class TestFuse:
             fuse([a, a], [1.0, -1.0])
         with pytest.raises(WeightInvalid):
             fuse([], [])
+        with pytest.raises(WeightInvalid, match="sum beyond the float64 range"):
+            fuse([a, a], [1e308, 1e308])
 
     def test_conflicting_labels_rejected(self, rng):
         scores = rng.normal(size=5)

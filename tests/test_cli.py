@@ -663,6 +663,14 @@ class TestCalibrateFuseEval:
         assert_param_invalid(rc, capsys, f"{n} weights for 2 score files")
         assert not out.exists()
 
+    def test_fuse_refuses_weights_whose_sum_overflows(self, pipeline_files, tmp_path, capsys):
+        out = tmp_path / "fused.tsv"
+        scores = [str(pipeline_files / "scores.tsv")] * 2
+        rc = main(["fuse", "--scores", *scores, "--weights", "1e308,1e308", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and err == ["error: WeightInvalid: weights sum beyond the float64 range"]
+        assert not out.exists()
+
     def test_fuse_nondyadic_weights_stay_close(self, pipeline_files, tmp_path):
         out = tmp_path / "fused2.tsv"
         run_ok(
@@ -979,6 +987,28 @@ class TestErrors:
         capsys.readouterr()
         line = assert_one_error_line(self.classify_with(model, data_dir, tmp_path), capsys)
         assert line == "error: ValidationError: backend means and covariance must be finite"
+        assert not (tmp_path / "lid.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "field", ["mu_farsi", "mu_usa", "mu_english_effective", "shared_cov"]
+    )
+    def test_backend_model_int_beyond_float(self, data_dir, tmp_path, capsys, field):
+        model = self.model_with(data_dir, tmp_path, field, "1" + "0" * 400)  # 10**400
+        capsys.readouterr()
+        line = assert_one_error_line(self.classify_with(model, data_dir, tmp_path), capsys)
+        message = "malformed backend model field: int too large to convert to float"
+        assert line == f"error: FormatError: {message}"
+        assert not (tmp_path / "lid.tsv").exists()
+
+    def test_diagonal_backend_model_with_a_full_covariance(self, data_dir, tmp_path, capsys):
+        model = self.trained_model(data_dir, tmp_path)
+        text = model.read_text()
+        assert '\n "diagonal": false,\n' in text
+        model.write_text(text.replace('\n "diagonal": false,\n', '\n "diagonal": true,\n'))
+        capsys.readouterr()
+        line = assert_one_error_line(self.classify_with(model, data_dir, tmp_path), capsys)
+        message = "diagonal backend has a nonzero off-diagonal covariance entry"
+        assert line == f"error: ValidationError: {message}"
         assert not (tmp_path / "lid.tsv").exists()
 
     @pytest.mark.parametrize(

@@ -3,7 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from svbackend.errors import ClassTooSmall, DimensionMismatch, NormUnderflow, WeightOutOfRange
+from svbackend.errors import (
+    ClassTooSmall,
+    DimensionMismatch,
+    NormUnderflow,
+    ValidationError,
+    WeightOutOfRange,
+)
 from svbackend.lid import adapt_english_mean, affine_coefficients, classify, train_gb
 from svbackend.vecmath import Domain, Language
 
@@ -99,6 +105,12 @@ class TestTrain:
         gb = train_gb(protos, diagonal=True)
         offdiag = gb.shared_cov - np.diag(np.diagonal(gb.shared_cov))
         assert np.abs(offdiag).max() == 0.0
+
+    def test_diagonal_flag_refuses_a_full_covariance(self, rng):
+        full = train_gb(two_cluster_protos(rng))
+        assert np.any(full.shared_cov != np.diag(np.diagonal(full.shared_cov)))
+        with pytest.raises(ValidationError, match="nonzero off-diagonal"):
+            dataclasses.replace(full, diagonal=True)
 
 
 class TestAdapt:

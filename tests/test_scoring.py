@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from svbackend.scoring import (
     score_trials,
 )
 from svbackend.synth import CorpusSpec, generate_corpus
-from svbackend.vecmath import PAIR_BLOCK, TOP_BLOCK_ROWS, Domain, Language, ScoringMode
+from svbackend.vecmath import PAIR_BLOCK, TOP_BLOCK_ROWS, Domain, EmbeddingTable, Language
+from svbackend.vecmath import ScoringMode
 from svbackend.vecmath import average_embedding, cosine
 from svbackend.vecmath import unit_rows
 
@@ -35,6 +38,7 @@ from oracles import (
     SnormStats,
     adaptive_snorm,
     cohort_from_all_rows,
+    enrollment_means,
     estimate_alpha_rebuild,
     excluding_speakers,
     first_row_domains,
@@ -451,6 +455,25 @@ class TestCohort:
         with pytest.raises(NormUnderflow):
             Cohort.from_embeddings(make_table(zero), domains=[Domain.DEEPMINE])
 
+    def test_benchmark_cohort_in_little_memory(self, rng):
+        """The sdsv-eval cohort: 160 kept speakers of 5-9 rows, among 440."""
+        sizes = rng.integers(5, 10, size=440)
+        spk = np.repeat(np.arange(440), sizes).tolist()
+        n, dim, kept = len(spk), 256, int(sizes[:160].sum())
+        table = EmbeddingTable(
+            [f"u{k}" for k in range(n)], [f"s{s}" for s in spk],
+            [Domain.DEEPMINE if s < 160 else Domain.VOX for s in spk], [Language.FARSI] * n,
+            rng.normal(size=(n, dim)),
+        )
+        tracemalloc.start()
+        try:
+            cohort = Cohort.from_embeddings(table, [Domain.DEEPMINE])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cohort.speaker_ids == tuple(f"s{s}" for s in range(160))
+        assert peak < 0.75 * kept * dim * 8  # no (kept rows, D) float64 array
+
     def test_excluding_speakers(self):
         # the model's own speaker "a" scores 1.0 against it and must not
         # enter its imposter statistics; the test side keeps every entry
@@ -491,7 +514,37 @@ def tiny_trial_setup(rng, n_cohort=24, dim=8):
     return trials, enroll, embs, cohort
 
 
+def outcome(build):
+    try:
+        return "ok", build()
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+
+
+#: Enrollment utterances of a model with each kind of defect.
+MODEL_DEFECTS = {
+    "missing": ("g0", "absent", "g1"),
+    "underflow": ("g1", "z13", "z14"),  # the smallest norm, 1e-14, is named
+    "overflow": ("g0", "big"),
+    "empty": (),
+    "degenerate": ("plus", "minus"),
+}
+
+
 class TestScoreTrials:
+    @pytest.mark.parametrize("first, second", itertools.permutations(MODEL_DEFECTS, 2))
+    def test_first_defective_model_wins(self, rng, first, second):
+        basis = np.eye(8)
+        v = rng.normal(size=8)
+        rows = {"g0": rng.normal(size=8), "g1": rng.normal(size=8), "t0": rng.normal(size=8),
+                "z13": 1e-13 * basis[0], "z14": 1e-14 * basis[1], "big": np.full(8, 1e200),
+                "plus": v, "minus": -v}
+        table = make_table(make_embedding(u, f"spk-{u}", vec) for u, vec in rows.items())
+        enroll = {"good": ("g0", "g1"), first: MODEL_DEFECTS[first], second: MODEL_DEFECTS[second]}
+        got = outcome(lambda: score_trials([("good", "t0")], enroll, table))
+        want = outcome(lambda: enrollment_means(enroll, table))
+        assert got == want and want[0] != "ok"
+
     def test_raw_identical_vectors(self, rng):
         v = rng.normal(size=5)
         embs = make_table([make_embedding("e0", "s", v), make_embedding("t0", "s", 2.0 * v)])

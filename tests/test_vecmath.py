@@ -18,6 +18,7 @@ from svbackend.scores import ScoreSet
 from svbackend.scoring import Cohort
 from svbackend.synth import SyntheticCorpus
 from svbackend.vecmath import (
+    GROUP_BLOCK,
     PAIR_BLOCK,
     ROW_BLOCK,
     Domain,
@@ -27,13 +28,14 @@ from svbackend.vecmath import (
     check_row_norms,
     cosine,
     frozen_rows,
+    group_means,
     pair_cosines,
     row_norms,
     unit_rows,
 )
 
 from conftest import make_embedding, make_table
-from oracles import average_vectors, l2_normalize, scalar_cosine
+from oracles import average_vectors, l2_normalize, mean_of_units, scalar_cosine
 
 
 class TestL2Normalize:
@@ -150,6 +152,110 @@ class TestAverageEmbedding:
         for n in (1, 2, 5, 9):
             vecs = rng.normal(size=(n, 33)) * rng.uniform(1e-3, 1e3, size=(n, 1))
             assert np.array_equal(average_embedding(vecs), average_vectors(list(vecs)))
+
+
+def oracle_means(x, norms, groups):
+    """:func:`oracles.mean_of_units` of each group's unit rows x[r] / norms[r]."""
+    means = [mean_of_units(x[list(g)] / norms[list(g), None]) for g in groups]
+    return np.reshape(means, (len(groups), x.shape[1]))
+
+
+def same_bits(a, b):
+    """Equal arrays down to the sign of zero."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestGroupMeans:
+    """vecmath.group_means against one math.fsum per column and group."""
+
+    def check(self, x, groups, norms=None):
+        norms = row_norms(x) if norms is None else norms
+        got = group_means(x, norms, groups)
+        assert same_bits(got, oracle_means(x, norms, groups))
+        return got
+
+    def test_groups_of_one_two_and_hundreds(self, rng):
+        x = rng.normal(size=(700, 32)) * rng.uniform(1e-3, 1e3, size=(700, 1))
+        for groups in ([[5]], [[3, 9]], [range(400)], [range(1, 700, 2), [0], [2, 4]]):
+            self.check(x, groups)
+        # a one-row group is its unit row
+        assert same_bits(group_means(x, row_norms(x), [[7]])[0], unit_rows(x[7:8])[0])
+
+    def test_many_groups_of_mixed_sizes(self, rng):
+        sizes = rng.integers(1, 40, size=5 * GROUP_BLOCK + 3)
+        rows = rng.permutation(int(sizes.sum()))  # each group's rows scattered
+        groups = np.split(rows, np.cumsum(sizes)[:-1])
+        self.check(rng.normal(size=(len(rows), 24)), groups)
+
+    def test_benchmark_dimension(self, rng):
+        groups = [range(8 * g, 8 * g + 8) for g in range(3 * GROUP_BLOCK)]
+        self.check(rng.normal(size=(8 * len(groups), 256)), groups)
+
+    def test_constructed_cancellations(self, rng):
+        # column 0 keeps every mean's norm above NORM_EPS; the others mix
+        # magnitudes 1e-12..1, exact negatives and values that nearly cancel
+        for _ in range(50):
+            n = int(rng.integers(2, 60))
+            x = rng.choice([-1.0, 1.0], size=(n, 16)) * 10.0 ** rng.uniform(-12, 0, size=(n, 16))
+            half = n // 2
+            x[half : 2 * half] = -x[:half] * rng.choice([1.0, 1.0 + 2**-52], size=(half, 16))
+            x[:, 0] = 1.0
+            self.check(x[rng.permutation(n)], [range(n), range(0, n, 3)], np.ones(n))
+
+    def test_half_ulp_ties(self, rng):
+        tie = 2.0**-53  # half an ulp of 1.0
+        x = np.array(
+            [
+                [1.0, 1.0 + 2**-52, 1.0, 0.5],
+                [tie, tie, -tie, tie / 2],
+                [0.0, 0.0, 3 * tie, tie / 4],
+            ]
+        )
+        means = self.check(x, [range(3)], np.ones(3))
+        # ties to even: 1 + 2**-53 -> 1; 1 + 3 * 2**-53 -> 1 + 2**-51
+        assert means[0, :3].tolist() == [1.0 / 3, (1.0 + 2**-51) / 3, (1.0 + 2**-52) / 3]
+        # hundreds of rows on a grid of half ulps, so many partial sums tie
+        x = rng.integers(-4, 5, size=(500, 8)) * tie
+        x[:, 0] += rng.choice([0.5, 1.0, 2.0], size=500)
+        self.check(x, [range(500), range(0, 500, 7), range(3, 400)], np.ones(500))
+
+    def test_negative_zero_and_subnormals(self):
+        tiny = 5e-324
+        x = np.array(
+            [
+                [1.0, -0.0, -0.0, 3 * tiny, -1e-310],
+                [1.0, -0.0, 0.0, -tiny, 1e-310 + tiny],
+                [1.0, -0.0, -0.0, tiny, -2 * tiny],
+            ]
+        )
+        means = self.check(x, [range(3), [1], [0]], np.ones(3))
+        assert same_bits(means[:, 1], np.zeros(3))  # fsum of -0.0s is +0.0
+        assert not np.signbit(means[0, 2])
+
+    def test_row_order_does_not_matter(self, rng):
+        x = rng.normal(size=(60, 16)) * 10.0 ** rng.uniform(-6, 6, size=(60, 1))
+        groups = [range(0, 60, 2), range(1, 60, 2), range(10, 50)]
+        ref = self.check(x, groups)
+        for _ in range(10):
+            shuffled = [rng.permutation(list(g)) for g in groups]
+            assert same_bits(group_means(x, row_norms(x), shuffled), ref)
+
+    def test_column_on_the_fsum_fallback(self):
+        # column 1: s + c = 1 + 2**-53, a tie that rounds to 1.0, but the
+        # exact sum 1 + 2**-53 + 2**-106 rounds up: the second-level error
+        # of the last step is 2**-106, so only math.fsum gets this column
+        x = np.array([[1.0, 1.0], [0.0, 2.0**-53], [0.0, 2.0**-106]])
+        means = self.check(x, [range(3)], np.ones(3))
+        assert means[0, 1] == (1.0 + 2**-52) / 3
+
+    def test_first_defect_in_group_order(self, rng):
+        x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DegenerateAverage, match="member vectors cancel"):
+            group_means(x, np.ones(3), [[2], [0, 1], []])
+        with pytest.raises(EmptySet, match="cannot average an empty set"):
+            group_means(x, np.ones(3), [[2], [], [0, 1]])
+        assert group_means(x, np.ones(3), []).shape == (0, 2)
 
 
 class TestUnitRows:
