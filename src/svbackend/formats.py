@@ -484,8 +484,8 @@ def write_trials(path, trials: TrialKeys | Sequence[tuple[str, str]], labels=Non
 
 def read_trials(path) -> tuple[TrialKeys, np.ndarray | None]:
     """Returns (trial keys, labels or None): the labels are one read-only bool
-    array aligned with the trials, and are all-or-nothing.  The rows are
-    read as columns by :mod:`.tsvcolumns`."""
+    array aligned with the trials, and are all-or-nothing.  A file with no
+    rows is refused.  The rows are read as columns by :mod:`.tsvcolumns`."""
     from . import tsvcolumns
 
     return tsvcolumns.read_trials(path)
@@ -629,30 +629,19 @@ def read_manifests(path) -> list[BatchManifest]:
 # -- Gaussian backend model ---------------------------------------------------
 
 
-def _json_floats(values: list, depth: int) -> str:
-    """The float list ``values`` as ``json.dump(..., indent=1)`` writes it
-    ``depth`` levels deep, made by the C encoder behind ``json.dumps`` (the
-    indenting encoder is pure Python).  No float's text holds ``", "``."""
-    pad = "\n" + " " * (depth + 1)
-    items = json.dumps(values)[1:-1].replace(", ", "," + pad)
-    return f"[{pad}{items}\n{' ' * depth}]" if values else "[]"
-
-
 def write_gb_model(path, gb: GaussianBackend):
-    """The bytes of ``json.dump(body, fh, indent=1, sort_keys=True)`` for
-    the body :func:`read_gb_model` reads, one covariance row at a time."""
+    """The bytes of ``json.dumps(body, sort_keys=True)`` for the body
+    :func:`read_gb_model` reads, made by the C encoder behind ``json.dumps``
+    one covariance row at a time (``shared_cov`` is the last key)."""
+    head = {key: getattr(gb, key) for key in ("diagonal", "dim", "interpolation_weight")}
+    for key in ("mu_english_effective", "mu_farsi", "mu_usa"):
+        head[key] = getattr(gb, key).tolist()
 
     def chunks():
-        yield "{\n"
-        yield f' "diagonal": {json.dumps(gb.diagonal)},\n'
-        yield f' "dim": {json.dumps(gb.dim)},\n'
-        yield f' "interpolation_weight": {json.dumps(gb.interpolation_weight)},\n'
-        for key in ("mu_english_effective", "mu_farsi", "mu_usa"):
-            yield f' "{key}": {_json_floats(getattr(gb, key).tolist(), 1)},\n'
-        yield ' "shared_cov": ['
+        yield json.dumps(head, sort_keys=True)[:-1] + ', "shared_cov": ['
         for i, row in enumerate(gb.shared_cov):
-            yield ("," if i else "") + "\n  " + _json_floats(row.tolist(), 2)
-        yield "\n ]\n}\n" if gb.dim else "]\n}\n"
+            yield (", " if i else "") + json.dumps(row.tolist())
+        yield "]}\n"
 
     _write_text(path, "gb-model", chunks())
 

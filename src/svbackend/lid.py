@@ -22,7 +22,7 @@ from .errors import (
     WeightOutOfRange,
 )
 from .prototypes import PrototypeMatrix
-from .vecmath import Language, frozen_rows, unit_rows
+from .vecmath import ROW_BLOCK, Language, frozen_rows, unit_rows
 
 #: Ridge on the pooled covariance, as a fraction of the mean eigenvalue.
 #: Prototype counts are far below the embedding dimension, so the raw
@@ -129,13 +129,19 @@ def classify(
 
     Each vector is L2-normalized and scored with the affine llr
     ``log N(x; mu_EN, cov) - log N(x; mu_FA, cov) = a.x + b`` of
-    :func:`affine_coefficients`.  Returns ``(is_english, llr)``, two arrays
-    aligned with the input, with ``is_english = llr > tau`` for a finite ``tau``.
+    :func:`affine_coefficients`.  ``a.x`` is the pairwise ``np.sum`` along
+    the row, taken over ``ROW_BLOCK`` rows at a time, so a vector's llr does
+    not depend on the other vectors of the batch.  Returns ``(is_english,
+    llr)``, two arrays aligned with the input, with ``is_english = llr > tau``
+    for a finite ``tau``.
     """
     if not np.isfinite(tau):
         raise ParamInvalid(f"threshold must be finite, got {tau}")
     a, b = affine_coefficients(gb)
-    llr = unit_rows(vectors, gb.dim) @ a + b
+    u = unit_rows(vectors, gb.dim)
+    llr = np.empty(len(u))
+    for s in range(0, len(u), ROW_BLOCK):
+        llr[s : s + ROW_BLOCK] = np.sum(u[s : s + ROW_BLOCK] * a, axis=1) + b
     return llr > tau, llr
 
 

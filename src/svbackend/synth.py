@@ -21,6 +21,9 @@ utterances), mirroring the usual train/eval split.
 Generation is single-threaded and stream-split per purpose, so a given
 seed reproduces the corpus byte-for-byte; language labels draw from their
 own stream and therefore never perturb the vectors of other utterances.
+The corpus is built as columns: each stream is drawn once, for every
+speaker, test utterance or row at a time, and these draws equal the
+per-speaker draws of the same stream in speaker order.
 """
 
 from __future__ import annotations
@@ -89,9 +92,9 @@ class CorpusSpec:
 
 @dataclass(frozen=True)
 class SyntheticCorpus:
-    #: the training utterances, then (from row ``n_train`` on) the eval ones
-    embeddings: EmbeddingTable
-    n_train: int
+    train_embeddings: EmbeddingTable
+    #: each eval speaker's enrollment utterances, then its test utterances
+    eval_embeddings: EmbeddingTable
     prototypes: PrototypeMatrix
     enrollment_map: Mapping[str, tuple[str, ...]]
     trials: TrialKeys
@@ -100,14 +103,6 @@ class SyntheticCorpus:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", frozen_rows(self.labels, bool))
-
-    @property
-    def train_embeddings(self) -> EmbeddingTable:
-        return self.embeddings[: self.n_train]
-
-    @property
-    def eval_embeddings(self) -> EmbeddingTable:
-        return self.embeddings[self.n_train :]
 
 
 def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
@@ -118,64 +113,60 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
     g_lang = philox_rng(spec.seed, _STREAM_LANGUAGE)
     g_trials = philox_rng(spec.seed, _STREAM_TRIALS)
 
+    # the speaker columns: the training speakers, then the eval speakers
     train_plan = [
         (Domain.VOX, "vox", spec.vox_speakers, Language.ENGLISH),
         (Domain.LIBRI, "lib", spec.libri_speakers, Language.ENGLISH),
         (Domain.DEEPMINE, "dm", spec.deepmine_speakers, Language.FARSI),
     ]
-    n_train_speakers = spec.vox_speakers + spec.libri_speakers + spec.deepmine_speakers
-    n_speakers = n_train_speakers + spec.eval_speakers
+    train = [(f"{p}{k:03d}", d, lang) for d, p, n, lang in train_plan for k in range(n)]
+    n_train = len(train)
+    eval_ids = [f"ev{k:03d}" for k in range(spec.eval_speakers)]
+    speaker_ids = [sid for sid, _, _ in train] + eval_ids
+    domains = [d for _, d, _ in train] + [Domain.DEEPMINE] * spec.eval_speakers
+    # 1 for an English, 0 for a Farsi speaker or utterance: the row of ``offsets``
+    english_train = np.array([lang is Language.ENGLISH for _, _, lang in train], np.intp)
+
     (shift_dir,) = unit_rows(g_shift.normal(size=(1, spec.dim)))
     half_shift = 0.5 * spec.language_shift * shift_dir
-    bases = unit_rows(g_speakers.normal(size=(n_speakers, spec.dim)))
+    offsets = np.stack([-half_shift, half_shift])  # a language center's offset from its base
+    bases = unit_rows(g_speakers.normal(size=(len(speaker_ids), spec.dim)))
     lo, hi = spec.utts_per_speaker
+    # a training speaker's utterance count, an eval speaker's test-utterance count
+    counts = g_counts.integers(lo, hi + 1, size=len(speaker_ids))
+    n_tests = counts[n_train:]
 
-    def language_center(base: np.ndarray, lang: Language) -> np.ndarray:
-        return base + half_shift if lang is Language.ENGLISH else base - half_shift
+    # the row columns: each training speaker's utterances, then each eval
+    # speaker's enrollment utterances (Farsi) and test utterances
+    sizes = np.concatenate([counts[:n_train], spec.enroll_utts + n_tests])
+    speaker = np.repeat(np.arange(len(sizes)), sizes)
+    pos = np.arange(len(speaker)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    is_test = (speaker >= n_train) & (pos >= spec.enroll_utts)
+    english = np.append(english_train, np.zeros(spec.eval_speakers, np.intp))[speaker]
+    english[is_test] = g_lang.uniform(size=int(n_tests.sum())) < spec.english_fraction
 
-    cols: tuple[list, ...] = ([], [], [], [])  # utt_ids, speaker_ids, domains, languages
-    blocks: list[np.ndarray] = []
+    noise = g_noise.normal(size=(len(speaker), spec.dim)) / spec.concentration
+    vectors = unit_rows(bases[speaker] + offsets[english] + noise)
+    vectors.setflags(write=False)  # so each table keeps its rows without a copy
+    prototypes = PrototypeMatrix(*zip(*train), unit_rows(bases[:n_train] + offsets[english_train]))
 
-    def add_speaker(sid, domain, base, langs: list[Language], utt_ids: list[str]) -> None:
-        """Append one speaker's utterances, one noise draw and one
-        normalization for all of them."""
-        n = len(langs)
-        centers = np.array([language_center(base, lang) for lang in langs])
-        noise = g_noise.normal(size=(n, spec.dim)) / spec.concentration
-        blocks.append(unit_rows(centers + noise))
-        for col, values in zip(cols, (utt_ids, [sid] * n, [domain] * n, langs)):
-            col.extend(values)
-
-    speakers: list[tuple[str, Domain, Language]] = []  # the prototype columns, row-wise
-    for domain, prefix, count, native in train_plan:
-        for k in range(count):
-            sid = f"{prefix}{k:03d}"
-            speakers.append((sid, domain, native))
-            n_utts = int(g_counts.integers(lo, hi + 1))
-            utt_ids = [f"{sid}-u{u:03d}" for u in range(n_utts)]
-            add_speaker(sid, domain, bases[len(speakers) - 1], [native] * n_utts, utt_ids)
-
-    proto_rows = [language_center(b, lang) for b, (_, _, lang) in zip(bases, speakers)]
-    prototypes = PrototypeMatrix(*zip(*speakers), unit_rows(proto_rows))
-
-    n_train = len(cols[0])
-    enrollment_map: dict[str, tuple[str, ...]] = {}
-    test_ids: list[str] = []
-    n_tests: list[int] = []
-    for k in range(spec.eval_speakers):
-        sid = f"ev{k:03d}"
-        enroll_ids = [f"{sid}-e{u:03d}" for u in range(spec.enroll_utts)]
-        n_test = int(g_counts.integers(lo, hi + 1))
-        own_ids = [f"{sid}-t{u:03d}" for u in range(n_test)]
-        english = (g_lang.uniform(size=n_test) < spec.english_fraction).tolist()
-        langs = [Language.FARSI] * spec.enroll_utts + [
-            Language.ENGLISH if en else Language.FARSI for en in english
-        ]
-        base = bases[n_train_speakers + k]
-        add_speaker(sid, Domain.DEEPMINE, base, langs, enroll_ids + own_ids)
-        enrollment_map[sid] = tuple(enroll_ids)
-        test_ids += own_ids
-        n_tests.append(n_test)
+    kind = np.where(speaker < n_train, "u", np.where(is_test, "t", "e"))
+    number = np.where(is_test, pos - spec.enroll_utts, pos)
+    utt_ids = [
+        f"{speaker_ids[s]}-{k}{u:03d}"
+        for s, k, u in zip(speaker.tolist(), kind.tolist(), number.tolist())
+    ]
+    cols = (
+        utt_ids,
+        [speaker_ids[s] for s in speaker.tolist()],
+        [domains[s] for s in speaker.tolist()],
+        [(Language.FARSI, Language.ENGLISH)[en] for en in english.tolist()],
+    )
+    n_rows = int(counts[:n_train].sum())  # the training rows
+    enrollment_map = {
+        sid: tuple(f"{sid}-e{u:03d}" for u in range(spec.enroll_utts)) for sid in eval_ids
+    }
+    test_ids = [utt_ids[r] for r in np.flatnonzero(is_test).tolist()]
 
     # the trial pools as codes: target trial i is test utterance i and its
     # owner, nontarget trial j the j-th (model, test utterance) pair, in
@@ -197,11 +188,11 @@ def generate_corpus(spec: CorpusSpec) -> SyntheticCorpus:
     n_idx = g_trials.choice(len(pair_tests), size=spec.nontarget_trials, replace=False)
     models = np.concatenate([owner[t_idx], pair_models[n_idx]])
     tests = np.concatenate([t_idx, pair_tests[n_idx]])
-    trials = TrialKeys(tuple(enrollment_map), tuple(test_ids), models, tests)
+    trials = TrialKeys(tuple(eval_ids), tuple(test_ids), models, tests)
 
     return SyntheticCorpus(
-        embeddings=EmbeddingTable(*cols, vectors=np.concatenate(blocks)),
-        n_train=n_train,
+        train_embeddings=EmbeddingTable(*(c[:n_rows] for c in cols), vectors[:n_rows]),
+        eval_embeddings=EmbeddingTable(*(c[n_rows:] for c in cols), vectors[n_rows:]),
         prototypes=prototypes,
         enrollment_map=enrollment_map,
         trials=trials,

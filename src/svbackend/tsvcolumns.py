@@ -51,6 +51,8 @@ def read_trials(path):
         raise FormatError(f"unknown trial label {_text(data, fields, bad, 2)!r}")
     if pending:
         raise pending
+    if not len(fields):
+        raise FormatError("trial file holds no rows")
     return _keys(data, a, fields), labels
 
 

@@ -117,12 +117,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.utt_ids)
 
-    def __getitem__(self, rows) -> "EmbeddingTable":
-        """The table of the selected rows (a slice or a sequence of row indices)."""
-        idx = np.arange(len(self))[rows].tolist()
-        picked = {name: [getattr(self, name)[i] for i in idx] for name in _ID_COLUMNS}
-        return EmbeddingTable(**picked, vectors=self.vectors[idx])
-
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]

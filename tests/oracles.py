@@ -565,6 +565,8 @@ def read_trials_rows(path):
         trials.append((parts[0], parts[1]))
         if len(parts) == 3:
             labels.append(_label_of(parts[2], "trial"))
+    if not trials:
+        raise FormatError("trial file holds no rows")
     return trials, (np.array(labels, dtype=bool) if labels else None)
 
 

@@ -282,7 +282,7 @@ def _structure_spec(seed, shift):
 
 
 def _pipeline_eers(corpus, top_n=40):
-    emb = corpus.embeddings
+    emb = corpus.eval_embeddings
     train = corpus.train_embeddings
     cohorts = {
         "farsi": Cohort.from_embeddings(train, domains=[Domain.DEEPMINE]),

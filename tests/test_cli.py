@@ -489,6 +489,25 @@ class TestScore:
         assert_param_invalid(rc, capsys, "--mode snorm-lid requires --lid decisions")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["raw", "snorm", "snorm-lid"])
+    def test_trials_file_without_rows(self, pipeline_files, data_dir, tmp_path, capsys, mode):
+        # a score file with no rows is refused by calibrate, fuse and eval,
+        # so score refuses the trials before it writes one
+        trials = tmp_path / "trials.tsv"
+        trials.write_text("#fmt:trials:1\n")
+        out = tmp_path / "scores.tsv"
+        argv = [
+            "score", "--mode", mode, "--out", str(out),
+            "--embeddings", str(data_dir / "eval_embeddings.tsv"),
+            "--trials", str(trials), "--enroll", str(data_dir / "enroll.tsv"),
+            "--cohort-embeddings", str(data_dir / "train_embeddings.tsv"),
+            "--lid", str(pipeline_files / "lid.tsv"), "--alpha", str(pipeline_files / "alpha.tsv"),
+        ]  # fmt: skip
+        capsys.readouterr()
+        line = assert_one_error_line(main(argv), capsys)
+        assert line == "error: FormatError: trial file holds no rows"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "mode, drop, message",
         [
@@ -951,8 +970,8 @@ class TestErrors:
         run_ok(["lid-train", "--prototypes", str(data_dir / "prototypes.tsv"), "--out", str(model)])
         capsys.readouterr()
         text = model.read_text()
-        assert re.search(rf'\n "{field}": (16|false|0\.75),\n', text)
-        model.write_text(re.sub(rf'\n "{field}": [^,]*,', f'\n "{field}": {value},', text))
+        assert re.search(rf'"{field}": (16|false|0\.75),', text)
+        model.write_text(re.sub(rf'"{field}": [^,]*,', f'"{field}": {value},', text))
         line = assert_one_error_line(self.classify_with(model, data_dir, tmp_path), capsys)
         assert line.startswith(f"error: FormatError: backend model {field} {value}")
 
@@ -1003,8 +1022,8 @@ class TestErrors:
     def test_diagonal_backend_model_with_a_full_covariance(self, data_dir, tmp_path, capsys):
         model = self.trained_model(data_dir, tmp_path)
         text = model.read_text()
-        assert '\n "diagonal": false,\n' in text
-        model.write_text(text.replace('\n "diagonal": false,\n', '\n "diagonal": true,\n'))
+        assert '"diagonal": false,' in text
+        model.write_text(text.replace('"diagonal": false,', '"diagonal": true,'))
         capsys.readouterr()
         line = assert_one_error_line(self.classify_with(model, data_dir, tmp_path), capsys)
         message = "diagonal backend has a nonzero off-diagonal covariance entry"

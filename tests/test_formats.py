@@ -55,6 +55,12 @@ def corpus():
     return generate_corpus(CorpusSpec(**SMALL, seed=21))
 
 
+@pytest.fixture(scope="module")
+def both(corpus):
+    """One table of the corpus's training rows, then its eval rows."""
+    return make_table(rows_of(corpus.train_embeddings) + rows_of(corpus.eval_embeddings))
+
+
 def same_rows(table, rows):
     """Ids and labels equal, vectors bitwise equal."""
     assert len(table) == len(rows)
@@ -80,7 +86,7 @@ class TestEmbeddingsText:
 
     def test_header_first_line(self, corpus, tmp_path):
         path = tmp_path / "embs.tsv"
-        formats.write_embeddings_text(path, corpus.train_embeddings[:1])
+        formats.write_embeddings_text(path, make_table(rows_of(corpus.train_embeddings)[:1]))
         assert path.read_text().splitlines()[0] == "#fmt:embeddings:1"
 
     def test_wrong_format_name(self, corpus, tmp_path):
@@ -100,18 +106,18 @@ class TestEmbeddingsText:
         with pytest.raises(FormatError):
             formats.write_embeddings_text(tmp_path / "bad.tsv", bad)
 
-    def test_write_read_write_reproduces_bytes(self, corpus, tmp_path):
+    def test_write_read_write_reproduces_bytes(self, both, tmp_path):
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        formats.write_embeddings_text(p1, corpus.embeddings)
+        formats.write_embeddings_text(p1, both)
         formats.write_embeddings_text(p2, formats.read_embeddings_text(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_matches_per_row_reader(self, corpus, tmp_path, rng):
+    def test_matches_per_row_reader(self, both, tmp_path, rng):
         path = tmp_path / "a.tsv"
         # extreme magnitudes and subnormals next to the synthetic rows
-        odd = rng.normal(size=(3, corpus.embeddings.dim)) * [[1e-310], [1e300], [1.0]]
+        odd = rng.normal(size=(3, both.dim)) * [[1e-310], [1e300], [1.0]]
         extra = [make_embedding(f"x{k}", "sx", v) for k, v in enumerate(odd)]
-        table = make_table(rows_of(corpus.embeddings) + extra)
+        table = make_table(rows_of(both) + extra)
         formats.write_embeddings_text(path, table)
         assert len(table) > 3 * ROW_BLOCK  # the reader converts the rows in four blocks
         same_rows(formats.read_embeddings_text(path), read_embeddings_text_rows(path))
@@ -151,29 +157,30 @@ class TestEmbeddingsBinary:
     def test_dispatcher_sniffs_both(self, corpus, tmp_path):
         t = tmp_path / "t.tsv"
         b = tmp_path / "b.sveb"
-        formats.write_embeddings_text(t, corpus.eval_embeddings[:3])
-        formats.write_embeddings_binary(b, corpus.eval_embeddings[:3])
+        first = make_table(rows_of(corpus.eval_embeddings)[:3])
+        formats.write_embeddings_text(t, first)
+        formats.write_embeddings_binary(b, first)
         assert formats.read_embeddings(t).utt_ids == formats.read_embeddings(b).utt_ids
 
     def test_truncation_detected(self, corpus, tmp_path):
         path = tmp_path / "a.sveb"
-        formats.write_embeddings_binary(path, corpus.eval_embeddings[:3])
+        formats.write_embeddings_binary(path, make_table(rows_of(corpus.eval_embeddings)[:3]))
         data = path.read_bytes()
         path.write_bytes(data[:-4])
         with pytest.raises(FormatError):
             formats.read_embeddings_binary(path)
 
-    def test_write_read_write_reproduces_bytes(self, corpus, tmp_path):
+    def test_write_read_write_reproduces_bytes(self, both, tmp_path):
         # the first write quantizes; every later write reproduces its bytes
         p1, p2, p3 = (tmp_path / f"{k}.sveb" for k in range(3))
-        formats.write_embeddings_binary(p1, corpus.embeddings)
+        formats.write_embeddings_binary(p1, both)
         formats.write_embeddings_binary(p2, formats.read_embeddings_binary(p1))
         formats.write_embeddings_binary(p3, formats.read_embeddings(p2))
         assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
 
-    def test_matches_per_record_reader(self, corpus, tmp_path):
+    def test_matches_per_record_reader(self, both, tmp_path):
         path = tmp_path / "a.sveb"
-        formats.write_embeddings_binary(path, corpus.embeddings)
+        formats.write_embeddings_binary(path, both)
         same_rows(formats.read_embeddings_binary(path), read_embeddings_binary_rows(path))
 
     def test_string_table_is_interned_in_row_order(self, tmp_path):
@@ -395,7 +402,7 @@ class TestReadCohort:
         assert cohort.speaker_ids == expected[domains and domains[0]]
         if domains == [Domain.DEEPMINE]:
             table = formats.read_embeddings(path)
-            m1 = table[[6, 8]]
+            m1 = make_table([rows_of(table)[r] for r in (6, 8)])
             assert (cohort.means[2] == Cohort.from_embeddings(m1).means[0]).all()
 
     @pytest.mark.parametrize(
@@ -968,10 +975,9 @@ LITERAL_FORMATS = {
             shared_cov=np.array([[2.0, 0.5], [0.5, 1.0]]),
             interpolation_weight=0.5,
         ),
-        '#fmt:gb-model:1\n{\n "diagonal": false,\n "dim": 2,\n "interpolation_weight": 0.5,\n'
-        ' "mu_english_effective": [\n  0.5,\n  1.0\n ],\n "mu_farsi": [\n  1.0,\n  0.0\n ],\n'
-        ' "mu_usa": [\n  0.0,\n  2.0\n ],\n "shared_cov": [\n  [\n   2.0,\n   0.5\n  ],\n'
-        "  [\n   0.5,\n   1.0\n  ]\n ]\n}\n",
+        '#fmt:gb-model:1\n{"diagonal": false, "dim": 2, "interpolation_weight": 0.5,'
+        ' "mu_english_effective": [0.5, 1.0], "mu_farsi": [1.0, 0.0], "mu_usa": [0.0, 2.0],'
+        ' "shared_cov": [[2.0, 0.5], [0.5, 1.0]]}\n',
     ),
     "cal-model": (
         formats.write_cal_model,
@@ -1040,7 +1046,7 @@ class TestModels:
         }
         path = tmp_path / "gb.json"
         formats.write_gb_model(path, gb)
-        want = "#fmt:gb-model:1\n" + json.dumps(body, indent=1, sort_keys=True) + "\n"
+        want = "#fmt:gb-model:1\n" + json.dumps(body, sort_keys=True) + "\n"
         assert path.read_text(encoding="utf-8") == want
 
     def test_gb_writer_streams_rows(self, tmp_path):

@@ -123,9 +123,9 @@ def test_tie_heavy_manifest_bytes(corpora, tmp_path):
 # (corpus, score mode, --cohort-domains) -> digests of the evaluation chain:
 # lid-train, lid-classify, alpha and score, with --top-n 4 for alpha and score
 # (both corpora share the prototypes, so gb.json and alpha.tsv agree)
-GB_MODEL = "50b7a48db761391942906e2fe132817fbc3757875d26cbaebdf76657e28ff8af"
+GB_MODEL = "516fa2e5545357130985546daf69cdd26309e44ce1163a59a3bd6c4383731534"
 ALPHA = "ec64cc2672899ef8f5252d6b480276d8e35a6f2b59797ca7431fe43c31f9cdaf"
-TEXT_LID = "3c2c61fc74e9f8422ce671e7c0d6ffb6fddd086f17151c6ab12f0bbcc3b9c1ff"
+TEXT_LID = "6bc38eea529fe1bebba071df7ef4c7188709a908e6dbb69d88046adfe9a77907"
 EVALUATION = {
     ("text", "snorm-lid", "DEEPMINE"): {
         "gb.json": GB_MODEL,
@@ -135,7 +135,7 @@ EVALUATION = {
     },
     ("binary", "snorm-lid", "DEEPMINE"): {
         "gb.json": GB_MODEL,
-        "lid.tsv": "5b08893bcccd5b1a0fc3bd167fd16efcd1631d25dbea5a089d60d84117293817",
+        "lid.tsv": "b7b0a21cc0386248f24db38dbc22c234d05ac8277bec5d800075658bf8dbc6f9",
         "alpha.tsv": ALPHA,
         "scores.tsv": "56603e596f99b8708da4b37b7ead95deaeed607c5a6ae369e5b9b3a7bd5f1e36",
     },

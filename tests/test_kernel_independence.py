@@ -6,11 +6,13 @@ sizes and stage arguments of a ``perfbench/workloads.py`` workload at seed
 write byte for byte.  The settings are those of ``tests/test_golden.py``:
 OpenBLAS' Prescott kernels and numpy's baseline kernels (no SIMD dispatch).
 The golden digests pin small corpora; these cases cover the value ranges
-and row counts of the benchmark's corpora.
+and row counts of the benchmark's corpora, and pin the sha256 of every file
+``synth`` writes at those sizes.
 """
 
 import dataclasses
 import filecmp
+import hashlib
 import os
 import subprocess
 import sys
@@ -78,6 +80,49 @@ def sdsv(tmp_path_factory):
     corpus = tmp_path_factory.mktemp("sdsv")
     run(SDSV.synth_args(corpus, SEED))
     return corpus
+
+
+# sha256 of every file synth writes at each workload's sizes, seed 1, with a
+# text or a binary training file
+SYNTH_DIGESTS = {
+    "sdsv-eval": {
+        "enroll.tsv": "8abb7aece39fd7f6a963aec2ffcca0d439ac0fef408a5d72034516be184a367d",
+        "eval_embeddings.tsv": "5a43c22bda3d5c179d6e749f6904f202e1c6c7dd70455effc59df93dbc7cd1d3",
+        "prototypes.tsv": "33e1756354843bc05949197d82ba54811813cd8d9da44c986a5a0f680a72cd6b",
+        "train_embeddings.sveb": "415809c8a81ec52db2c9d4fb782a5a89501b44499c07b862250eade408c7640e",
+        "train_embeddings.tsv": "53d200b32ca7ebb3be4d57ee177c88e0ef969339d3aa811723fc6de4a71d3634",
+        "trials.tsv": "32d49382eb4e2b0fc05fd7e73aed7715fc16dd01f75c6973e6eb69bad5f50e53",
+    },
+    "train-plan": {
+        "enroll.tsv": "39fc6298a2dbd698285271774279d7afc4e4a57dd0c24b1bba2acedd1399b916",
+        "eval_embeddings.tsv": "6f3af17aa789fbece81e893c19794681b0073cc39c089dbff33f330562448985",
+        "prototypes.tsv": "9427a6cffe12956110ee299a79fb783f77bddda0107e1a51f89984102c7dd850",
+        "train_embeddings.sveb": "2e8a21f1d12331c95d08ea7d644c50ef12530cd267ec376b3087cf2e1db1b243",
+        "train_embeddings.tsv": "a2e63fac18f54efe5711c454c823935783b5b92666a30da145b9617ce33c03da",
+        "trials.tsv": "15c09bfba77e69c0af5dbc66e37ef0ccac298ffb3e89bca9657d68c30262f49a",
+    },
+    "dense-trials": {
+        "enroll.tsv": "8c36025042468085b182623ba49f319423b21cc0a5fbc28d1a513c43838350ce",
+        "eval_embeddings.tsv": "db0d24c3ec8d77bdcb3400cf0916d9b7dd5808f00e6f7ad3f1b2f017a6549218",
+        "prototypes.tsv": "f66ef6136c675941da199a48d5c392b2282c2eeb70a9698b763d701d3aa7a408",
+        "train_embeddings.sveb": "1bd5f3c647fd4e0645148e37f6d533b3a85faa5e74a7351094bff7ee44c465f9",
+        "train_embeddings.tsv": "a2b9eb180bfbe62f0199acaf84a719dbab3b322bdceb6e30159d2dd8853268e5",
+        "trials.tsv": "a6060535fe1be720104ad1d63ec761dbb8e8bf2c405b2f98378c487a5e84cc32",
+    },
+}
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+@pytest.mark.parametrize("name", list(SYNTH_DIGESTS))
+def test_synth_bytes_at_benchmark_sizes(sdsv, tmp_path, name, binary):
+    workload = dataclasses.replace(WORKLOADS[name], binary=binary)
+    corpus = sdsv
+    if workload != SDSV:
+        corpus = tmp_path
+        run(workload.synth_args(corpus, SEED))
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in corpus.iterdir()}
+    other = "train_embeddings.tsv" if binary else "train_embeddings.sveb"
+    assert got == {f: d for f, d in SYNTH_DIGESTS[name].items() if f != other}
 
 
 def test_synth_without_simd_dispatch(sdsv, tmp_path):

@@ -176,6 +176,18 @@ class TestClassify:
             assert np.array_equal(is_english, oracle > tau)
         assert 0 < is_english.sum() < len(vecs)
 
+    @pytest.mark.parametrize("dim", [8, 256])
+    def test_llr_does_not_depend_on_the_batch(self, rng, dim):
+        # each row's llr is its row of the full batch, bit for bit, whatever
+        # rows share its call (a BLAS product picks its kernel by batch size)
+        gb = adapt_english_mean(train_gb(two_cluster_protos(rng, dim=dim)), 0.75)
+        vecs = rng.normal(size=(300, dim))
+        _, full = classify(gb, vecs)
+        for n in (1, 2, 3, 4, 5, 17, 64, 100):
+            for start in (0, 7, 300 - n):
+                _, part = classify(gb, vecs[start : start + n])
+                assert part.tobytes() == full[start : start + n].tobytes(), (n, start)
+
     def test_batch_shapes_and_degenerate_rows(self, rng):
         gb = train_gb(two_cluster_protos(rng))
         is_english, llrs = classify(gb, [])

@@ -5,12 +5,17 @@ import pytest
 from scipy.stats import mannwhitneyu
 
 from svbackend.errors import SpecInvalid
-from svbackend.planner import UtteranceInventory
+from svbackend.planner import UtteranceInventory, philox_rng
 from svbackend.scoring import estimate_alpha
 from svbackend.synth import CorpusSpec, SyntheticCorpus, generate_corpus
 from svbackend.vecmath import Domain, Language, cosine
 
 from conftest import rows_of
+
+
+def all_rows(corpus):
+    """The rows of both tables: the training utterances, then the eval ones."""
+    return rows_of(corpus.train_embeddings) + rows_of(corpus.eval_embeddings)
 
 
 SMALL = dict(
@@ -78,7 +83,7 @@ class TestStructure:
         a = generate_corpus(CorpusSpec(**SMALL, seed=9))
         b = generate_corpus(CorpusSpec(**SMALL, seed=9))
         assert a.trials == b.trials
-        for ea, eb in zip(rows_of(a.embeddings), rows_of(b.embeddings)):
+        for ea, eb in zip(all_rows(a), all_rows(b)):
             assert ea.utt_id == eb.utt_id
             assert np.array_equal(ea.vec, eb.vec)
         assert np.array_equal(a.prototypes.w, b.prototypes.w)
@@ -97,7 +102,7 @@ class TestLanguageShift:
         langs_en = {e.utt_id: e.language for e in rows_of(all_en.eval_embeddings)}
         langs_fa = {e.utt_id: e.language for e in rows_of(all_fa.eval_embeddings)}
         assert any(langs_en[u] != langs_fa[u] for u in langs_en)
-        for ea, eb in zip(rows_of(all_en.embeddings), rows_of(all_fa.embeddings)):
+        for ea, eb in zip(all_rows(all_en), all_rows(all_fa)):
             assert ea.utt_id == eb.utt_id
             assert np.array_equal(ea.vec, eb.vec)
 
@@ -165,13 +170,44 @@ class TestLanguageShift:
         fingerprint = float(np.sum(e.vec * np.arange(1, len(e.vec) + 1)))
         assert fingerprint == pytest.approx(-6.966771186753838, abs=1e-12)
 
-    def test_embeddings_property_concatenates(self):
+    def test_two_stored_tables(self):
         corpus = generate_corpus(CorpusSpec(**SMALL, seed=0))
         assert isinstance(corpus, SyntheticCorpus)
-        assert len(corpus.embeddings) == len(corpus.train_embeddings) + len(
-            corpus.eval_embeddings
-        )
         train, ev = corpus.train_embeddings, corpus.eval_embeddings
-        assert corpus.embeddings.utt_ids == train.utt_ids + ev.utt_ids
-        stacked = np.concatenate([train.vectors, ev.vectors])
-        assert np.array_equal(corpus.embeddings.vectors, stacked)
+        assert corpus.train_embeddings is train and corpus.eval_embeddings is ev
+        assert not train.vectors.flags.writeable and not ev.vectors.flags.writeable
+        assert all(u.split("-")[1].startswith("u") for u in train.utt_ids)
+        # each eval speaker's enrollment utterances, then its test utterances
+        tests = corpus.trials.test_ids
+        want = [
+            u
+            for m, enroll in corpus.enrollment_map.items()
+            for u in enroll + tuple(t for t in tests if t.startswith(m + "-"))
+        ]
+        assert list(ev.utt_ids) == want and len(tests) == len(ev) - 3 * 10
+
+
+class TestDrawsAsColumns:
+    """``generate_corpus`` draws each Philox stream once for all speakers or
+    rows; these are the per-speaker draws it replaces, on this numpy."""
+
+    @pytest.mark.parametrize(("lo", "hi"), [(2, 2), (5, 9), (1, 1000), (0, 2**40)])
+    def test_integers_equal_scalar_draws(self, lo, hi):
+        batched, scalar = philox_rng(7, 2), philox_rng(7, 2)
+        counts = batched.integers(lo, hi + 1, size=301)
+        assert counts.tolist() == [int(scalar.integers(lo, hi + 1)) for _ in range(301)]
+        assert batched.random() == scalar.random()  # the same place in the stream
+
+    @pytest.mark.parametrize("dim", [1, 16, 256])
+    def test_normal_and_uniform_equal_per_speaker_draws(self, dim):
+        sizes = [2, 9, 1, 5, 4, 0, 7, 3]
+        draws = {
+            "normal": lambda g, n: g.normal(size=(n, dim)),
+            "uniform": lambda g, n: g.uniform(size=n),
+        }
+        for name, draw in draws.items():
+            batched, split = philox_rng(3, 4), philox_rng(3, 4)
+            whole = draw(batched, sum(sizes))
+            parts = np.concatenate([draw(split, n) for n in sizes])
+            assert whole.tobytes() == parts.tobytes(), name
+            assert batched.random() == split.random(), name

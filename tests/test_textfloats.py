@@ -45,8 +45,9 @@ def fixed(value: Decimal) -> str:
 def test_synth_corpus_values(tmp_path):
     corpus = generate_corpus(CorpusSpec(dim=256, seed=5))
     formats.write_prototypes(tmp_path / "p.tsv", corpus.prototypes)
-    formats.write_embeddings_text(tmp_path / "e.tsv", corpus.embeddings)
-    for name in ("p.tsv", "e.tsv"):
+    formats.write_embeddings_text(tmp_path / "e.tsv", corpus.train_embeddings)
+    formats.write_embeddings_text(tmp_path / "v.tsv", corpus.eval_embeddings)
+    for name in ("p.tsv", "e.tsv", "v.tsv"):
         lines = (tmp_path / name).read_text().splitlines()[1:]
         tokens = ",".join(line.rpartition("\t")[2] for line in lines).split(",")
         assert len(tokens) > 20_000
@@ -206,7 +207,7 @@ def embedding_table(vectors, ids=None):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_format_synth_vectors(seed, tmp_path):
     corpus = generate_corpus(CorpusSpec(dim=256, seed=seed))
-    for table in (corpus.embeddings, corpus.prototypes):
+    for table in (corpus.train_embeddings, corpus.eval_embeddings, corpus.prototypes):
         assert table.vectors.size > 20_000
         assert_writes_the_oracles_bytes(tmp_path, table)
 

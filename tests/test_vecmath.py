@@ -506,8 +506,15 @@ class TestEmbeddingType:
         )
         assert len(t) == 3 and t.dim == 2
         assert t.row_of == {"u": 2, "v": 1}
-        sub = t[1:]
+        # a selection of rows is a table built from the selected columns; a
+        # slice of the read-only vectors is kept as a view
+        cols = (t.utt_ids, t.speaker_ids, t.domains, t.languages)
+        sub = EmbeddingTable(*(c[1:] for c in cols), t.vectors[1:])
         assert sub.utt_ids == ("v", "u") and sub.domains == (Domain.LIBRI, Domain.VOX)
+        assert sub.row_of == {"v": 0, "u": 1}
         assert np.array_equal(sub.vectors, [[0.0, 1.0], [2.0, 0.0]])
-        assert t[[2, 0]].speaker_ids == ("s3", "s1")
-        assert len(t[:0]) == 0 and t[:0].dim == 2
+        assert np.shares_memory(sub.vectors, t.vectors)
+        picked = EmbeddingTable(*([c[r] for r in (2, 0)] for c in cols), t.vectors[[2, 0]])
+        assert picked.speaker_ids == ("s3", "s1")
+        empty = EmbeddingTable(*(c[:0] for c in cols), t.vectors[:0])
+        assert len(empty) == 0 and empty.dim == 2
