@@ -19,12 +19,14 @@ _EXPORTS = {
     "planner": (
         "BatchManifest",
         "PlannerConfig",
+        "SimilaritySnapshot",
         "UtteranceInventory",
         "plan_pass_balanced",
         "plan_pass_broad",
         "sample_utterances",
+        "similarity_matrix",
+        "top_similar",
     ),
-    "prototypes": ("PrototypeMatrix", "SimilaritySnapshot", "similarity_matrix", "top_similar"),
     "scores": ("ScoreSet",),
     "scoring": ("Cohort", "LanguageOffset", "estimate_alpha", "score_trials", "snorm_stats"),
     "synth": ("CorpusSpec", "SyntheticCorpus", "generate_corpus"),
@@ -32,6 +34,7 @@ _EXPORTS = {
         "Domain",
         "EmbeddingTable",
         "Language",
+        "PrototypeMatrix",
         "ScoringMode",
         "average_embedding",
         "cosine",

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, GradSingularity, IndexOutOfRange, ValidationError
-from .prototypes import PrototypeMatrix
-from .vecmath import frozen_rows, row_norms, unit_rows
+from .vecmath import PrototypeMatrix, frozen_rows, row_norms, unit_rows
 
 #: Cosines are clamped to +/-(1 - COS_CLAMP) before the margin identity;
 #: the sqrt in sin(theta) is singular at +/-1.

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import KeyMismatch, NonConvergence, ValidationError, WeightInvalid
 from .scores import ScoreSet
-
-log = logging.getLogger(__name__)
 
 #: L2 penalty on (a, b); keeps the optimum finite on separable data.
 L2_PENALTY = 1e-6

@@ -18,14 +18,14 @@ import numpy as np
 
 from . import formats
 from .errors import NumericalError, ParamInvalid, PipelineError
-from .vecmath import DEFAULT_TOP_N, Domain, Language, ScoringMode
+from .vecmath import DEFAULT_TOP_N, Domain, Language, PrototypeMatrix, ScoringMode, philox_rng
 
 # Tracer-forced: perfbench/traced_cli.py times these layers by rebinding
 # ``cli.<name>`` to a wrapper, so the commands call them through _layer.
 # This lookup goes once the tracer reads spans recorded inside svbackend.
 _LAYERS = {
     "generate_corpus": "synth",
-    "similarity_matrix": "prototypes",
+    "similarity_matrix": "planner",
     "plan_pass_broad": "planner",
     "plan_pass_balanced": "planner",
     "train_gb": "lid",
@@ -140,8 +140,6 @@ def cmd_aam_check(args) -> None:
             "arguments --margin and --scale are only used with --prototypes and --embeddings"
         )
     from .aam import AamConfig, LabeledBatch, aam_loss, finite_difference_check
-    from .planner import philox_rng
-    from .prototypes import PrototypeMatrix
 
     if args.prototypes and args.embeddings:
         given = {"margin": args.margin, "scale": args.scale}

@@ -23,16 +23,15 @@ codes into tables of the distinct ids, no row becomes a Python object, and
 every float is written as its ``repr`` by :func:`.textfloats.slots`.
 
 A reader imports the domain type it builds, and a text vector reader
-:mod:`.textfloats` and a table writer :mod:`.tsvcolumns`, inside its body,
-so a stage loads only the modules of the files it reads and writes.
+:mod:`.textfloats`, a table writer :mod:`.tsvcolumns` and the binary and
+JSON codecs ``struct`` and ``json``, inside its body, so a stage loads only
+the modules of the files it reads and writes.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import stat
-import struct
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -40,13 +39,12 @@ import numpy as np
 
 from .errors import FormatError, VersionUnsupported
 from .vecmath import NORM_EPS, ROW_BLOCK, Domain, EmbeddingIds, EmbeddingTable, Language
-from .vecmath import check_columns, check_row_norms, frozen_rows
+from .vecmath import PrototypeMatrix, check_columns, check_row_norms, frozen_rows
 
 if TYPE_CHECKING:
     from .calibration import CalibrationModel
     from .lid import GaussianBackend
     from .planner import BatchManifest
-    from .prototypes import PrototypeMatrix
     from .scores import ScoreSet, TrialKeys
     from .scoring import Cohort, LanguageOffset
 
@@ -321,6 +319,8 @@ def write_embeddings_binary(path, table: EmbeddingTable):
     table (u32 count, each u32 length + UTF-8 bytes) and per-record id/enum
     references (u32 utt, u32 speaker, u8 domain, u8 language).
     """
+    import struct
+
     strings: dict[str, int] = {}
 
     def intern(s: str) -> int:
@@ -348,6 +348,8 @@ def write_embeddings_binary(path, table: EmbeddingTable):
 
 def _read_binary(path):
     """The float32 (count, dim) vectors and the four id columns, checked."""
+    import struct
+
     p = Path(path)
     with open(p, "rb") as fh:
         raw = fh.read()  # all at once: a read after a readline would copy the payload
@@ -459,8 +461,6 @@ def write_prototypes(path, protos: PrototypeMatrix):
 
 def read_prototypes(path) -> PrototypeMatrix:
     """Every row of the file through :func:`_vector_scan`, converted."""
-    from .prototypes import PrototypeMatrix
-
     heads, _, values, _ = _vector_scan(path, "prototypes", 4)
     if not heads:
         raise FormatError("prototype file holds no rows")
@@ -519,6 +519,10 @@ def _unrepeated(pairs):
 
 
 def write_lid_decisions(path, decisions: Mapping[str, tuple[Language, float]]):
+    """An empty mapping is refused, as :func:`read_lid_decisions` refuses a
+    file with no rows."""
+    if not decisions:
+        raise FormatError("LID file holds no rows")
     for utt_id, (language, llr) in decisions.items():
         if language not in (Language.FARSI, Language.ENGLISH):
             raise FormatError(f"LID decision must be FARSI or ENGLISH, got {language}")
@@ -543,6 +547,8 @@ def read_lid_decisions(path) -> dict[str, tuple[Language, float]]:
         if utt_id in out:
             raise FormatError(f"duplicate LID decision for {utt_id!r}")
         out[utt_id] = (lang, value)
+    if not out:
+        raise FormatError("LID file holds no rows")
     return out
 
 
@@ -633,6 +639,8 @@ def write_gb_model(path, gb: GaussianBackend):
     """The bytes of ``json.dumps(body, sort_keys=True)`` for the body
     :func:`read_gb_model` reads, made by the C encoder behind ``json.dumps``
     one covariance row at a time (``shared_cov`` is the last key)."""
+    import json
+
     head = {key: getattr(gb, key) for key in ("diagonal", "dim", "interpolation_weight")}
     for key in ("mu_english_effective", "mu_farsi", "mu_usa"):
         head[key] = getattr(gb, key).tolist()
@@ -647,6 +655,8 @@ def write_gb_model(path, gb: GaussianBackend):
 
 
 def read_gb_model(path) -> GaussianBackend:
+    import json
+
     from .lid import GaussianBackend
 
     p = Path(path)

@@ -21,8 +21,7 @@ from .errors import (
     ValidationError,
     WeightOutOfRange,
 )
-from .prototypes import PrototypeMatrix
-from .vecmath import ROW_BLOCK, Language, frozen_rows, unit_rows
+from .vecmath import ROW_BLOCK, Language, PrototypeMatrix, frozen_rows, unit_rows
 
 #: Ridge on the pooled covariance, as a fraction of the mean eigenvalue.
 #: Prototype counts are far below the embedding dimension, so the raw

@@ -6,12 +6,14 @@ most similar speakers (itself included), so batches concentrate confusable
 speakers.  Two passes: a broad pass anchoring every speaker once, and a
 domain-balanced pass anchoring all target-domain speakers plus an equal
 number of freshly drawn out-of-domain speakers.  A pass ranks all its
-anchors with one :func:`top_similar` call; no N x N matrix is built.
+anchors with one :func:`top_similar` call, by ``vecmath.top_cosines`` in
+O(TOP_BLOCK_ROWS * N) extra memory; no N x N matrix is built.
 
-The planner never touches the snapshot's provenance: the caller supplies a
-fresh snapshot (new ``epoch_tag``) between passes.
+The planner never touches the snapshot's provenance: the caller stamps each
+new prototype matrix with :func:`similarity_matrix` (a new ``epoch_tag``)
+between passes.
 
-Randomness: counter-based Philox streams, split per purpose -
+Randomness: counter-based ``vecmath.philox_rng`` streams, split per purpose -
 ``(pass_id, 0)`` drives anchor ordering (and the out-of-domain draw of
 the balanced pass), ``(pass_id, 1, anchor_position)`` drives the utterance
 sampling of that anchor's group, one ``integers`` draw per group when
@@ -23,22 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfigInvalid,
-    DomainTooSmall,
-    InventoryGap,
-    KTooLarge,
-    ValidationError,
-)
-from .prototypes import PrototypeMatrix, SimilaritySnapshot, top_similar
-from .vecmath import Domain, EmbeddingIds, EmbeddingTable
+from .errors import ConfigInvalid, DomainTooSmall, IndexOutOfRange, InventoryGap, KTooLarge
+from .errors import ParamInvalid, ValidationError
+from .vecmath import Domain, EmbeddingIds, EmbeddingTable, PrototypeMatrix
+from .vecmath import philox_rng, top_cosines
 
 _STREAM_ANCHORS = 0
 _STREAM_UTTS = 1
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -122,11 +119,37 @@ class BatchManifest:
         return anchors
 
 
-def philox_rng(seed: int, *key: int) -> np.random.Generator:
-    """The Philox stream of ``key`` under ``seed`` (any int; taken mod 2**64).
-    The planner's keys start with the pass id; ``synth`` keys by purpose."""
-    ss = np.random.SeedSequence(entropy=int(seed) & _SEED_MASK, spawn_key=tuple(map(int, key)))
-    return np.random.Generator(np.random.Philox(ss))
+class SimilaritySnapshot(NamedTuple):
+    """One snapshot's speaker similarities: the prototypes (their unit rows)
+    and the caller's ``epoch_tag`` (bookkeeping).  No N x N matrix is held:
+    :func:`top_similar` computes the rows of its anchors on demand."""
+
+    protos: PrototypeMatrix
+    epoch_tag: int = 0
+
+
+def similarity_matrix(p: PrototypeMatrix, epoch_tag: int = 0) -> SimilaritySnapshot:
+    """The O(1) similarity snapshot of ``p``, stamped with ``epoch_tag``."""
+    return SimilaritySnapshot(p, epoch_tag)
+
+
+def top_similar(sim: SimilaritySnapshot, anchors, k: int) -> np.ndarray:
+    """(len(anchors), k) int array: each anchor, then its k-1 most similar
+    other speakers by ``vecmath.top_cosines`` over the unit rows.  Raises
+    IndexOutOfRange (an anchor outside [0, N)), then ParamInvalid (k < 1),
+    then KTooLarge (k > N)."""
+    n = sim.protos.count
+    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
+    if len(anchors) and not (0 <= anchors.min() and anchors.max() < n):
+        bad = anchors[(anchors < 0) | (anchors >= n)][0]
+        raise IndexOutOfRange(f"speaker index {bad} outside [0, {n})")
+    if k < 1:
+        raise ParamInvalid(f"k must be >= 1, got {k}")
+    if k > n:
+        raise KTooLarge(f"k={k} exceeds speaker count {n}")
+    u = sim.protos.unit_rows
+    others = top_cosines(u, anchors, u, k - 1, (np.arange(len(anchors)), anchors))[0]
+    return np.concatenate([anchors[:, None], others], axis=1)
 
 
 def sample_utterances(

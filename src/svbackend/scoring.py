@@ -26,10 +26,9 @@ from .errors import (
     ParamInvalid,
     ValidationError,
 )
-from .prototypes import PrototypeMatrix
 # unused here: perfbench counts scoring.cosine calls
 from .vecmath import cosine  # noqa: F401
-from .vecmath import DEFAULT_TOP_N, Domain, EmbeddingTable, Language
+from .vecmath import DEFAULT_TOP_N, Domain, EmbeddingTable, Language, PrototypeMatrix
 from .vecmath import NORM_EPS, check_row_norms, frozen_rows, group_means
 from .vecmath import pair_cosines, row_norms, top_cosines, unit_rows
 

@@ -34,10 +34,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SpecInvalid
-from .planner import philox_rng
-from .prototypes import PrototypeMatrix
 from .scores import TrialKeys
-from .vecmath import Domain, EmbeddingTable, Language, frozen_rows, unit_rows
+from .vecmath import Domain, EmbeddingTable, Language, PrototypeMatrix
+from .vecmath import frozen_rows, philox_rng, unit_rows
 
 _STREAM_SHIFT = 0
 _STREAM_SPEAKERS = 1

@@ -251,7 +251,10 @@ def write_keys(path, fmt: str, keys: TrialKeys, scores=None, labels=None):
     """Write a ``fmt`` file with one row per trial of ``keys``: its model id,
     its test id, the ``repr`` of its score (when ``scores`` is given) and its
     label (when ``labels`` is), tab-separated.  The ids the trials use are
-    checked, model ids first, each in order of first appearance."""
+    checked, model ids first, each in order of first appearance.  Zero
+    trials are refused, as the readers refuse a file with no rows."""
+    if not len(keys):
+        raise FormatError(f"{fmt.removesuffix('s')} file holds no rows")
     models, tests = _table(keys.model_ids), _table(keys.test_ids)
     ids = [("model_id", _used(keys.model_ids, keys.models))]
     ids.append(("utt_id", _used(keys.test_ids, keys.tests)))

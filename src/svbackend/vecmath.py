@@ -1,4 +1,7 @@
-"""Vector primitives shared by every pipeline stage.
+"""Vector primitives and the records every pipeline stage shares: the
+columnar tables :class:`EmbeddingTable` (utterances) and
+:class:`PrototypeMatrix` (speakers), and :func:`philox_rng`, the one rule
+from a seed and a key to a random stream.
 
 All arithmetic runs in float64 regardless of how inputs were stored;
 normalization statistics and cost sweeps downstream are sensitive to
@@ -30,6 +33,7 @@ from .errors import (
     DegenerateAverage,
     DimensionMismatch,
     EmptySet,
+    IndexOutOfRange,
     NormOverflow,
     NormUnderflow,
     ValidationError,
@@ -51,6 +55,7 @@ TOP_BLOCK_ROWS = 64
 #: 64 KB each at D = 256.  Blocks of 64 groups were 10% faster on 8k groups of
 #: 8 rows but raised the sdsv-eval ``score`` stage's peak RSS by up to 0.8 MB.
 GROUP_BLOCK = 32
+_SEED_MASK = (1 << 64) - 1
 
 
 class Domain(enum.Enum):
@@ -120,6 +125,74 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+
+@dataclass(frozen=True)
+class PrototypeMatrix:
+    """Speaker prototypes as columns: row j of the (N, D) float64 ``vectors``
+    (typically a trainer's unnormalized classifier weights, stored by
+    :func:`frozen_rows`) is the prototype of speaker ``speaker_ids[j]``.  The
+    unit rows are made once at construction since every consumer works on
+    directions.
+    """
+
+    speaker_ids: tuple[str, ...]
+    domains: tuple[Domain, ...]
+    languages: tuple[Language, ...]
+    vectors: np.ndarray
+
+    def __post_init__(self):
+        cols = [tuple(self.speaker_ids), tuple(self.domains), tuple(self.languages)]
+        arr = frozen_rows(self.vectors)
+        if arr.ndim != 2:
+            raise ValidationError(f"prototype matrix must be 2-D, got shape {arr.shape}")
+        n, d = arr.shape
+        if n < 2:
+            raise ValidationError("a prototype matrix needs at least 2 speakers")
+        for col in cols:
+            if len(col) != n:
+                raise ValidationError(f"{len(col)} speaker records for {n} columns")
+        if len(set(cols[0])) != n:
+            raise ValidationError("speaker_ids must be unique")
+        # rejects non-finite entries, and degenerate rows with NormUnderflow
+        unit = unit_rows(arr, d)
+        unit.setflags(write=False)
+        for name, col in zip(("speaker_ids", "domains", "languages"), cols):
+            object.__setattr__(self, name, col)
+        object.__setattr__(self, "vectors", arr)
+        object.__setattr__(self, "_unit_rows", unit)
+        object.__setattr__(self, "_index", {sid: j for j, sid in enumerate(cols[0])})
+
+    @property
+    def w(self) -> np.ndarray:
+        """The D x N view ``vectors.T``: the AAM class weights ``aam_grad`` differentiates."""
+        return self.vectors.T
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def count(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def unit_rows(self) -> np.ndarray:
+        """(N, D) array of unit-normalized prototypes, one speaker per row."""
+        return self._unit_rows
+
+    def index_of(self, speaker_id: str) -> int:
+        try:
+            return self._index[speaker_id]
+        except KeyError:
+            raise IndexOutOfRange(f"unknown speaker_id {speaker_id!r}") from None
+
+
+def philox_rng(seed: int, *key: int) -> np.random.Generator:
+    """The Philox stream of ``key`` under ``seed`` (any int; taken mod 2**64).
+    The planner's keys start with the pass id; ``synth`` keys by purpose."""
+    ss = np.random.SeedSequence(entropy=int(seed) & _SEED_MASK, spawn_key=tuple(map(int, key)))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def frozen_rows(x, dtype=np.float64) -> np.ndarray:

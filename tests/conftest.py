@@ -7,8 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from svbackend.prototypes import PrototypeMatrix
-from svbackend.vecmath import Domain, EmbeddingTable, Language
+from svbackend.vecmath import Domain, EmbeddingTable, Language, PrototypeMatrix
 
 
 def make_protos(w, languages=None, domains=None):

@@ -48,7 +48,7 @@ from svbackend.errors import (
 )
 from svbackend.scoring import DEFAULT_TOP_N, Cohort, LanguageOffset
 from svbackend.vecmath import ScoringMode
-from svbackend.vecmath import NORM_EPS, Domain, Language, unit_rows
+from svbackend.vecmath import NORM_EPS, Domain, Language, philox_rng, unit_rows
 
 log = logging.getLogger(__name__)
 
@@ -426,7 +426,7 @@ def build_batches_loop(cfg, sim, inv, anchor_order, pass_id):
     anchors = np.resize(anchor_order, math.ceil(len(anchor_order) / a) * a)
     batches, entries = [], []
     for pos, anchor in enumerate(anchors.tolist()):
-        g_utts = planner.philox_rng(cfg.seed, pass_id, planner._STREAM_UTTS, pos)
+        g_utts = philox_rng(cfg.seed, pass_id, planner._STREAM_UTTS, pos)
         for spk in top_similar_full(s, anchor, cfg.imposters_per_anchor):
             for utt in planner.sample_utterances(inv, spk, cfg.utts_per_speaker, g_utts):
                 entries.append((utt, spk))

@@ -25,8 +25,8 @@ from svbackend.planner import (
     UtteranceInventory,
     plan_pass_balanced,
     plan_pass_broad,
+    similarity_matrix,
 )
-from svbackend.prototypes import PrototypeMatrix, similarity_matrix
 from svbackend.scores import ScoreSet
 from svbackend.scoring import (
     Cohort,
@@ -36,7 +36,7 @@ from svbackend.scoring import (
     score_trials,
 )
 from svbackend.synth import CorpusSpec, generate_corpus
-from svbackend.vecmath import Domain, Language
+from svbackend.vecmath import Domain, Language, PrototypeMatrix
 
 from conftest import make_protos
 from oracles import (

@@ -439,6 +439,18 @@ def test_lid_classify_non_finite_threshold(pipeline_files, data_dir, tmp_path, c
     assert not out.exists()
 
 
+def test_lid_classify_embeddings_without_rows(pipeline_files, tmp_path, capsys):
+    # a LID file with no rows is refused by score --mode snorm-lid, so
+    # lid-classify refuses to write one
+    empty, out = tmp_path / "e.tsv", tmp_path / "lid.tsv"
+    empty.write_text("#fmt:embeddings:1\n")
+    argv = ["lid-classify", "--model", str(pipeline_files / "gb.json"), "--embeddings", str(empty)]
+    capsys.readouterr()
+    line = assert_one_error_line(main([*argv, "--out", str(out)]), capsys)
+    assert line == "error: FormatError: LID file holds no rows"
+    assert not out.exists()
+
+
 def test_lid_classify_counts_english_from_the_decisions_it_writes(
     pipeline_files, data_dir, tmp_path, capsys
 ):

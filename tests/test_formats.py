@@ -21,12 +21,12 @@ from svbackend.errors import (
     VersionUnsupported,
 )
 from svbackend.lid import GaussianBackend, adapt_english_mean, train_gb
-from svbackend.planner import BatchManifest, PlannerConfig, UtteranceInventory, plan_pass_broad
-from svbackend.prototypes import PrototypeMatrix, similarity_matrix
-from svbackend.scores import ScoreSet
+from svbackend.planner import BatchManifest, PlannerConfig, UtteranceInventory
+from svbackend.planner import plan_pass_broad, similarity_matrix
+from svbackend.scores import ScoreSet, TrialKeys
 from svbackend.scoring import AlphaProvenance, Cohort, LanguageOffset
 from svbackend.synth import CorpusSpec, generate_corpus
-from svbackend.vecmath import ROW_BLOCK, Domain, Language
+from svbackend.vecmath import ROW_BLOCK, Domain, EmbeddingTable, Language, PrototypeMatrix
 
 from conftest import (
     PROTOTYPE_DEFECTS,
@@ -900,6 +900,57 @@ class TestIds:
                         write(path, payload)
                 assert not fresh.parent.exists()
                 assert existing.read_bytes() == before
+
+
+def embedding_rows(table):
+    return table.utt_ids, table.speaker_ids, table.domains, table.languages, table.vectors.tolist()
+
+
+#: name -> (a payload with no rows, writer, reader, the rows of a payload)
+#: for every table format; a prototype matrix holds at least 2 rows
+EMPTY_TABLES = {
+    "trials": (
+        TrialKeys.of([]),
+        formats.write_trials,
+        lambda path: formats.read_trials(path)[0],
+        list,
+    ),
+    "scores": (
+        ScoreSet([], []),
+        formats.write_scores,
+        formats.read_scores,
+        lambda ss: (list(ss.keys), ss.scores.tolist()),
+    ),
+    "enroll": ({}, formats.write_enroll_map, formats.read_enroll_map, dict),
+    "lid": ({}, formats.write_lid_decisions, formats.read_lid_decisions, dict),
+    # the text reader cannot recover D from a file with no rows
+    "embeddings": (
+        EmbeddingTable((), (), (), (), np.empty((0, 3))),
+        formats.write_embeddings_text,
+        formats.read_embeddings_text,
+        embedding_rows,
+    ),
+    "embeddings-bin": (
+        EmbeddingTable((), (), (), (), np.empty((0, 3))),
+        formats.write_embeddings_binary,
+        formats.read_embeddings_binary,
+        lambda table: (embedding_rows(table), table.dim),
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", list(EMPTY_TABLES))
+def test_writer_and_reader_agree_on_no_rows(fmt, tmp_path):
+    """At zero rows a writer refuses before it makes a file, or its reader
+    gives the same rows back: never a file its own reader refuses."""
+    payload, write, read, rows = EMPTY_TABLES[fmt]
+    path = tmp_path / "new" / "empty"
+    try:
+        write(path, payload)
+    except FormatError:
+        assert not path.parent.exists()
+        return
+    assert rows(read(path)) == rows(payload)
 
 
 #: name -> (writer, payload, the exact file text the writer produces)

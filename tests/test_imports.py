@@ -31,17 +31,17 @@ SCORE_FILES = {"scores", "tsvcolumns", "textfloats"}
 
 #: the modules each stage loads besides ``BASE``
 STAGE_MODULES = {
-    "synth": {"synth", "planner", "prototypes", "textfloats"} | SCORE_FILES,
-    "plan-batches": {"planner", "prototypes", "textfloats"},
-    "lid-train": {"lid", "prototypes", "textfloats"},
-    "lid-classify": {"lid", "prototypes", "textfloats"},
-    "alpha": {"scoring", "prototypes", "textfloats"},
-    "score": {"scoring", "prototypes", "textfloats"} | SCORE_FILES,
+    "synth": {"synth", "textfloats"} | SCORE_FILES,
+    "plan-batches": {"planner", "textfloats"},
+    "lid-train": {"lid", "textfloats"},
+    "lid-classify": {"lid", "textfloats"},
+    "alpha": {"scoring", "textfloats"},
+    "score": {"scoring", "textfloats"} | SCORE_FILES,
     "calibrate": {"calibration"} | SCORE_FILES,
     "fuse": {"calibration"} | SCORE_FILES,
     "eval": {"metrics"} | SCORE_FILES,
-    "aam-check": {"aam", "planner", "prototypes"},  # the random mode reads no file
-    "aam-check --prototypes": {"aam", "planner", "prototypes", "textfloats"},
+    "aam-check": {"aam"},  # the random mode reads no file
+    "aam-check --prototypes": {"aam", "textfloats"},
 }
 
 

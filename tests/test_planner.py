@@ -18,9 +18,9 @@ from svbackend.planner import (
     plan_pass_balanced,
     plan_pass_broad,
     sample_utterances,
+    similarity_matrix,
 )
-from svbackend.prototypes import similarity_matrix
-from svbackend.vecmath import Domain
+from svbackend.vecmath import Domain, philox_rng
 
 from conftest import make_embedding, make_protos, make_table
 from oracles import build_batches_loop, similarity_matrix_full, top_similar_full
@@ -353,8 +353,8 @@ class TestGroupSampling:
         ns = np.arange(1, 65)
         for seed in range(100):
             order = np.random.default_rng(seed).permutation(ns)
-            fast = planner.philox_rng(seed, 0, 1, seed)
-            loop = planner.philox_rng(seed, 0, 1, seed)
+            fast = philox_rng(seed, 0, 1, seed)
+            loop = philox_rng(seed, 0, 1, seed)
             got = fast.integers(0, order).tolist()
             assert got == [int(loop.choice(n, size=1, replace=False)[0]) for n in order]
             assert repr(fast.bit_generator.state) == repr(loop.bit_generator.state)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from svbackend.errors import IndexOutOfRange, KTooLarge, NormUnderflow, ParamInvalid, ValidationError
-from svbackend.prototypes import similarity_matrix, top_similar
+from svbackend.planner import similarity_matrix, top_similar
 from svbackend.vecmath import PAIR_BLOCK, TOP_BLOCK_ROWS, cosine
 
 from conftest import make_protos
@@ -13,14 +13,14 @@ from oracles import l2_normalize, similarity_matrix_full, top_similar_full
 
 class TestPrototypeMatrix:
     def test_rejects_duplicate_ids(self):
-        from svbackend.prototypes import PrototypeMatrix
+        from svbackend.vecmath import PrototypeMatrix
         from svbackend.vecmath import Domain, Language
 
         with pytest.raises(ValidationError):
             PrototypeMatrix(("a", "a"), (Domain.VOX,) * 2, (Language.UNKNOWN,) * 2, np.eye(2))
 
     def test_storage_rule_and_w_view(self, rng):
-        from svbackend.prototypes import PrototypeMatrix
+        from svbackend.vecmath import PrototypeMatrix
         from svbackend.vecmath import Domain, Language
 
         cols = (("a", "b", "c"), (Domain.VOX,) * 3, (Language.UNKNOWN,) * 3)
@@ -37,7 +37,7 @@ class TestPrototypeMatrix:
         assert np.array_equal(transposed.unit_rows, p.unit_rows)
 
     def test_rejects_a_short_column(self):
-        from svbackend.prototypes import PrototypeMatrix
+        from svbackend.vecmath import PrototypeMatrix
         from svbackend.vecmath import Domain, Language
 
         with pytest.raises(ValidationError, match="^2 speaker records for 3 columns$"):

@@ -328,9 +328,19 @@ def random_score_set(rng, n, labeled):
 @pytest.mark.parametrize("labeled", [True, False])
 def test_writers_write_the_oracles_bytes(labeled, tmp_path):
     rng = np.random.default_rng(11 + labeled)
-    for n in (0, 1, 7, 300, 5000):
+    want, got = tmp_path / "want.tsv", tmp_path / "got.tsv"
+    # no rows: refused as the readers refuse them, before the file is made
+    keys, scores, labels = random_score_set(rng, 0, labeled)
+    refused = [
+        (lambda: formats.write_scores(got, ScoreSet(keys, scores, labels)), "score"),
+        (lambda: formats.write_trials(got, keys, labels), "trial"),
+        (lambda: formats.write_trials(got, TrialKeys.of(keys), labels), "trial"),
+    ]
+    for write, what in refused:
+        assert outcome(write) == (FormatError, f"{what} file holds no rows")
+        assert not got.exists()
+    for n in (1, 7, 300, 5000):
         keys, scores, labels = random_score_set(rng, n, labeled)
-        want, got = tmp_path / "want.tsv", tmp_path / "got.tsv"
         oracles.write_key_rows(want, "scores", keys, scores, labels)
         formats.write_scores(got, ScoreSet(keys, scores, labels))
         assert got.read_bytes() == want.read_bytes()
@@ -339,11 +349,7 @@ def test_writers_write_the_oracles_bytes(labeled, tmp_path):
         assert got.read_bytes() == want.read_bytes()
         formats.write_trials(got, TrialKeys.of(keys), labels)
         assert got.read_bytes() == want.read_bytes()
-        read = same_read(got, "trials")
-        if n:
-            assert read[1][0] == keys
-        else:  # a trial file with no rows is written, and refused when read
-            assert read == (FormatError, "trial file holds no rows")
+        assert same_read(got, "trials")[1][0] == keys
 
 
 def test_writers_refuse_the_oracles_first_bad_id(tmp_path):

@@ -5,10 +5,10 @@ import pytest
 from scipy.stats import mannwhitneyu
 
 from svbackend.errors import SpecInvalid
-from svbackend.planner import UtteranceInventory, philox_rng
+from svbackend.planner import UtteranceInventory
 from svbackend.scoring import estimate_alpha
 from svbackend.synth import CorpusSpec, SyntheticCorpus, generate_corpus
-from svbackend.vecmath import Domain, Language, cosine
+from svbackend.vecmath import Domain, Language, cosine, philox_rng
 
 from conftest import rows_of
 

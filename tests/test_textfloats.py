@@ -14,9 +14,8 @@ import pytest
 import oracles
 
 from svbackend import formats, textfloats
-from svbackend.prototypes import PrototypeMatrix
 from svbackend.synth import CorpusSpec, generate_corpus
-from svbackend.vecmath import ROW_BLOCK, Domain, EmbeddingTable, Language
+from svbackend.vecmath import ROW_BLOCK, Domain, EmbeddingTable, Language, PrototypeMatrix
 
 # a numpy overflow or invalid-value warning, or a deprecated call, fails the test
 pytestmark = pytest.mark.filterwarnings("error")
