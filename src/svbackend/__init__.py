@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "aam": ("AamConfig", "LabeledBatch", "aam_grad", "aam_loss"),
     "calibration": ("CalibrationModel", "apply_calibration", "fit_calibration", "fuse"),
-    "lid": ("GaussianBackend", "adapt_english_mean", "classify", "train_gb"),
+    "lid": ("GaussianBackend", "classify", "train_gb"),
     "metrics": ("eer", "min_dcf"),
     "planner": (
         "BatchManifest",

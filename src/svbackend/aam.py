@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, GradSingularity, IndexOutOfRange, ValidationError
+from .errors import ConfigInvalid, DimensionMismatch, GradSingularity, IndexOutOfRange
+from .errors import ValidationError
 from .vecmath import PrototypeMatrix, frozen_rows, row_norms, unit_rows
 
 #: Cosines are clamped to +/-(1 - COS_CLAMP) before the margin identity;
@@ -37,9 +38,9 @@ class AamConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.margin < math.pi / 2:
-            raise ValidationError(f"margin must be in [0, pi/2), got {self.margin}")
+            raise ConfigInvalid(f"margin must be in [0, pi/2), got {self.margin}")
         if not 0.0 < self.scale < math.inf:
-            raise ValidationError(f"scale must be positive and finite, got {self.scale}")
+            raise ConfigInvalid(f"scale must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)

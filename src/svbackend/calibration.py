@@ -59,7 +59,8 @@ def fit_calibration(scores: ScoreSet, trained_on: str = "") -> CalibrationModel:
     Raises:
         DegenerateLabels: only one class present.
         NonConvergence: gradient norm still above tolerance after the
-            iteration cap (the norm is reported in the message).
+            iteration cap (the norm is reported in the message), or a
+            gradient or Hessian beyond the float64 range (scores too large).
     """
     y = scores.require_labels().astype(np.float64)
     s = scores.scores
@@ -70,12 +71,17 @@ def fit_calibration(scores: ScoreSet, trained_on: str = "") -> CalibrationModel:
     for _ in range(MAX_ITER):
         z = design @ theta
         p = _sigmoid(z)
-        grad = design.T @ (p - y) + L2_PENALTY * theta
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < GRAD_TOL:
-            break
-        w = p * (1.0 - p)
-        hess = design.T @ (design * w[:, None]) + L2_PENALTY * np.eye(2)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            grad = design.T @ (p - y) + L2_PENALTY * theta
+            grad_norm = float(np.linalg.norm(grad))
+            if grad_norm < GRAD_TOL:
+                break
+            w = p * (1.0 - p)
+            hess = design.T @ (design * w[:, None]) + L2_PENALTY * np.eye(2)
+        if not (np.isfinite(grad_norm) and np.isfinite(hess).all()):
+            raise NonConvergence(
+                "scores too large for the Newton system: its gradient or Hessian is not finite"
+            )
         step = np.linalg.solve(hess, grad)
         # a Newton decrement within a few ulps of the objective is a decrease
         # step halving cannot measure; this close the full step is exact

@@ -10,14 +10,13 @@ Each ``cmd_*`` imports what it runs, so a stage loads only its own modules.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import formats
-from .errors import NumericalError, ParamInvalid, PipelineError
+from .errors import ConfigInvalid, NumericalError, ParamInvalid, PipelineError
 from .vecmath import DEFAULT_TOP_N, Domain, Language, PrototypeMatrix, ScoringMode, philox_rng
 
 # Tracer-forced: perfbench/traced_cli.py times these layers by rebinding
@@ -106,13 +105,11 @@ def cmd_plan_batches(args) -> None:
     ids = formats.read_embedding_ids(args.embeddings)
     inventory = UtteranceInventory.from_embeddings(ids, protos)
     sim = _layer("similarity_matrix")(protos, epoch_tag=args.epoch_tag)
-    cfg = PlannerConfig(
-        batch_size=args.batch_size,
-        anchors_per_batch=args.anchors,
-        imposters_per_anchor=args.imposters,
-        utts_per_speaker=args.utts_per_speaker,
-        seed=args.seed,
-    )
+    cfg = PlannerConfig(args.anchors, args.imposters, args.utts_per_speaker, args.seed)
+    if cfg.batch_size != args.batch_size:
+        raise ConfigInvalid(
+            f"anchors*imposters*utterances = {cfg.batch_size} != batch size {args.batch_size}"
+        )
     manifests = []
     for pass_id in range(args.passes):
         if args.mode == "broad":
@@ -183,11 +180,8 @@ def cmd_aam_check(args) -> None:
 
 
 def cmd_lid_train(args) -> None:
-    from .lid import adapt_english_mean
-
     protos = formats.read_prototypes(args.prototypes)
-    gb = _layer("train_gb")(protos, diagonal=args.diagonal)
-    gb = adapt_english_mean(gb, args.interpolation_weight)
+    gb = _layer("train_gb")(protos, args.interpolation_weight, diagonal=args.diagonal)
     formats.write_gb_model(args.out, gb)
     print(f"wrote backend model (dim {gb.dim}, w={gb.interpolation_weight}) to {args.out}")
 
@@ -432,12 +426,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_help()
         return 2
+    if args.func in (cmd_alpha, cmd_score):  # they load scoring, the one module that logs
+        import logging
+
+        logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         args.func(args)
     except PipelineError as exc:

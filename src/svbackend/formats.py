@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FormatError, VersionUnsupported
+from .errors import DimensionMismatch, FormatError, ValidationError, VersionUnsupported
 from .vecmath import NORM_EPS, ROW_BLOCK, Domain, EmbeddingIds, EmbeddingTable, Language
 from .vecmath import PrototypeMatrix, check_columns, check_row_norms, frozen_rows
 
@@ -673,10 +673,10 @@ def read_gb_model(path) -> GaussianBackend:
         if type(weight) not in (int, float) or not 0.0 <= weight <= 1.0:  # bool is an int
             w = json.dumps(weight)
             raise FormatError(f"backend model interpolation_weight {w} is not a number in [0, 1]")
+        mu_en = np.array(body["mu_english_effective"], dtype=np.float64)
         gb = GaussianBackend(  # each list becomes one read-only array, by frozen_rows
             mu_farsi=body["mu_farsi"],
             mu_usa=body["mu_usa"],
-            mu_english_effective=body["mu_english_effective"],
             shared_cov=body["shared_cov"],
             interpolation_weight=float(weight),
             diagonal=diagonal,
@@ -685,6 +685,12 @@ def read_gb_model(path) -> GaussianBackend:
         raise FormatError(f"backend model missing field {exc}") from None
     except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: an int beyond float64
         raise FormatError(f"malformed backend model field: {exc}") from None
+    if mu_en.shape != (gb.dim,):
+        raise DimensionMismatch("backend mean/covariance shapes disagree")
+    if not np.isfinite(mu_en).all():
+        raise ValidationError("backend means and covariance must be finite")
+    if not np.array_equal(mu_en, gb.mu_english_effective):
+        raise ValidationError("effective English mean deviates from its interpolation")
     if type(dim) is not int or dim != gb.dim:
         raise FormatError(
             f"backend model dim {json.dumps(dim)} is not its vector length {gb.dim}"

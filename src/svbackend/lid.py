@@ -1,13 +1,13 @@
 """Gaussian-backend language detection on unit-normalized speaker prototypes.
 
 Two class-conditional Gaussians with a shared (pooled, ridged) covariance.
-The effective English mean can be pulled toward the Farsi mean to model
-English spoken by native Farsi speakers.
+The effective English mean is ``w*mu_usa + (1-w)*mu_farsi``: a weight below
+1 pulls it toward the Farsi mean to model English spoken by native Farsi
+speakers.  The backend stores the weight and derives that mean from it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,21 +34,21 @@ RIDGE_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class GaussianBackend:
-    """Class means and shared covariance, each stored by ``vecmath.frozen_rows``."""
+    """Class means and shared covariance, each stored by ``vecmath.frozen_rows``;
+    ``mu_english_effective`` is derived from them and the weight, not stored."""
 
     mu_farsi: np.ndarray
     mu_usa: np.ndarray
-    mu_english_effective: np.ndarray
     shared_cov: np.ndarray
     interpolation_weight: float = 1.0
     diagonal: bool = False
 
     def __post_init__(self):
-        names = ("mu_farsi", "mu_usa", "mu_english_effective", "shared_cov")
+        names = ("mu_farsi", "mu_usa", "shared_cov")
         arrays = {name: frozen_rows(getattr(self, name)) for name in names}
-        mu_fa, mu_us, mu_en, cov = arrays.values()
-        d = mu_fa.size
-        if any(v.shape != (d,) for v in (mu_fa, mu_us, mu_en)) or cov.shape != (d, d):
+        mu_farsi, mu_usa, cov = arrays.values()
+        d = mu_farsi.size
+        if mu_usa.shape != (d,) or cov.shape != (d, d):
             raise DimensionMismatch("backend mean/covariance shapes disagree")
         if not all(np.isfinite(v).all() for v in arrays.values()):
             raise ValidationError("backend means and covariance must be finite")
@@ -59,12 +59,11 @@ class GaussianBackend:
         w = self.interpolation_weight
         if not 0.0 <= w <= 1.0:
             raise WeightOutOfRange(f"interpolation weight {w} outside [0, 1]")
-        if not np.allclose(mu_en, w * mu_us + (1.0 - w) * mu_fa, atol=1e-12, rtol=0):
-            raise ValidationError("effective English mean deviates from its interpolation")
         try:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise CovarianceSingular("shared covariance is not positive definite") from None
+        arrays["mu_english_effective"] = frozen_rows(w * mu_usa + (1.0 - w) * mu_farsi)
         for name, val in arrays.items():
             object.__setattr__(self, name, val)
 
@@ -73,14 +72,17 @@ class GaussianBackend:
         return self.mu_farsi.shape[0]
 
 
-def train_gb(protos: PrototypeMatrix, diagonal: bool = False) -> GaussianBackend:
+def train_gb(
+    protos: PrototypeMatrix, interpolation_weight: float, diagonal: bool = False
+) -> GaussianBackend:
     """Fit class means and a shared covariance on unit-normalized prototypes.
 
     FARSI-labeled prototypes form the Farsi class and ENGLISH-labeled ones
     the USA class; other labels are left out (no inference of nationality
     beyond the explicit metadata).  The pooled within-class covariance
     (n-2 divisor) gets a ridge of ``RIDGE_SCALE * trace/D`` (floored for
-    zero scatter); ``diagonal=True`` keeps only its diagonal.
+    zero scatter); ``diagonal=True`` keeps only its diagonal.  The model
+    interpolates its effective English mean by ``interpolation_weight``.
     """
     unit = protos.unit_rows
     fa = unit[[j for j, lang in enumerate(protos.languages) if lang is Language.FARSI]]
@@ -99,25 +101,7 @@ def train_gb(protos: PrototypeMatrix, diagonal: bool = False) -> GaussianBackend
     d = protos.dim
     ridge = max(RIDGE_SCALE * float(np.trace(cov)) / d, RIDGE_FLOOR)
     cov = cov + ridge * np.eye(d)
-    return GaussianBackend(
-        mu_farsi=mu_fa,
-        mu_usa=mu_us,
-        mu_english_effective=mu_us,
-        shared_cov=cov,
-        interpolation_weight=1.0,
-        diagonal=diagonal,
-    )
-
-
-def adapt_english_mean(gb: GaussianBackend, w: float) -> GaussianBackend:
-    """Move the effective English mean to ``w*mu_usa + (1-w)*mu_farsi``."""
-    if not 0.0 <= w <= 1.0:
-        raise WeightOutOfRange(f"interpolation weight {w} outside [0, 1]")
-    return dataclasses.replace(
-        gb,
-        mu_english_effective=w * gb.mu_usa + (1.0 - w) * gb.mu_farsi,
-        interpolation_weight=w,
-    )
+    return GaussianBackend(mu_fa, mu_us, cov, interpolation_weight, diagonal)
 
 
 def classify(

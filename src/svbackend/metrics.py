@@ -77,8 +77,10 @@ def min_dcf(
         raise ParamInvalid(f"p_target must be in (0, 1), got {p_target}")
     if not (0.0 < c_miss < np.inf and 0.0 < c_fa < np.inf):
         raise ParamInvalid(f"costs must be positive and finite, got {c_miss} and {c_fa}")
-    far, frr = roc_vertices(scores)
     miss_weight = c_miss * p_target
     fa_weight = c_fa * (1.0 - p_target)
+    if not (miss_weight > 0.0 and fa_weight > 0.0):  # a product underflowed
+        raise ParamInvalid(f"cost weights must be above 0, got {miss_weight} and {fa_weight}")
+    far, frr = roc_vertices(scores)
     costs = miss_weight * frr + fa_weight * far
     return float(np.min(costs)) / min(miss_weight, fa_weight)

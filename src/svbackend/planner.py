@@ -40,20 +40,21 @@ _STREAM_UTTS = 1
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    batch_size: int
+    """Batch shape and plan seed; the batch size is derived from the shape."""
+
     anchors_per_batch: int
     imposters_per_anchor: int
     utts_per_speaker: int
     seed: int
 
     def __post_init__(self):
-        a, i, u = self.anchors_per_batch, self.imposters_per_anchor, self.utts_per_speaker
-        if min(a, i, u) < 1:
+        if min(self.anchors_per_batch, self.imposters_per_anchor, self.utts_per_speaker) < 1:
             raise ConfigInvalid("anchor/imposter/utterance counts must be >= 1")
-        if a * i * u != self.batch_size:
-            raise ConfigInvalid(
-                f"anchors*imposters*utterances = {a * i * u} != batch size {self.batch_size}"
-            )
+
+    @property
+    def batch_size(self) -> int:
+        """Entries per batch: anchors x imposters x utterances."""
+        return self.anchors_per_batch * self.imposters_per_anchor * self.utts_per_speaker
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ import pytest
 
 from svbackend.aam import AamConfig, LabeledBatch, aam_grad, aam_loss
 from svbackend.errors import (
+    ConfigInvalid,
     DimensionMismatch,
     GradSingularity,
     IndexOutOfRange,
-    ValidationError,
 )
 
 from conftest import make_protos
@@ -28,14 +28,14 @@ def random_instance(rng, n=None, n_spk=None, dim=None):
 
 class TestConfig:
     def test_margin_range(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigInvalid):
             AamConfig(margin=math.pi / 2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigInvalid):
             AamConfig(margin=-0.1)
 
     def test_scale_positive(self):
         for scale in (0.0, math.inf):
-            with pytest.raises(ValidationError):
+            with pytest.raises(ConfigInvalid):
                 AamConfig(scale=scale)
 
     def test_defaults(self):

@@ -18,7 +18,7 @@ import numpy as np
 import svbackend
 from svbackend.aam import AamConfig, LabeledBatch, aam_grad, aam_loss
 from svbackend.calibration import fit_calibration, fuse
-from svbackend.lid import adapt_english_mean, affine_coefficients, classify, train_gb
+from svbackend.lid import affine_coefficients, classify, train_gb
 from svbackend.metrics import eer, min_dcf
 from svbackend.planner import (
     PlannerConfig,
@@ -159,7 +159,6 @@ def test_criterion_04_broad_plan_exhaustive_oracle():
                             tuple(tuple(f"s{j}-u{k}" for k in range(3)) for j in range(n_speakers))
                         )
                         cfg = PlannerConfig(
-                            batch_size=n_batch,
                             anchors_per_batch=a,
                             imposters_per_anchor=i,
                             utts_per_speaker=u,
@@ -208,7 +207,6 @@ def test_criterion_05_balanced_plan_domain_balance():
         sim = similarity_matrix(protos)
         inv = UtteranceInventory(tuple(tuple(f"s{j}-u{k}" for k in range(3)) for j in range(n)))
         cfg = PlannerConfig(
-            batch_size=100,
             anchors_per_batch=10,
             imposters_per_anchor=5,
             utts_per_speaker=2,
@@ -385,7 +383,7 @@ def test_criterion_09_lid_quality_and_affine_form():
             cols.append(l2_normalize(c_us + spread * rng.normal(size=dim)))
             langs.append(Language.ENGLISH)
         protos = make_protos(np.stack(cols, axis=1), languages=langs)
-        gb = adapt_english_mean(train_gb(protos), 0.75)
+        gb = train_gb(protos, 0.75)
         sep = math.degrees(
             math.acos(
                 float(gb.mu_farsi @ gb.mu_usa)

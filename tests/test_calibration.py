@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from svbackend.calibration import GRAD_TOL, L2_PENALTY, apply_calibration, fit_calibration, fuse
 from svbackend.calibration import CalibrationModel
-from svbackend.errors import DegenerateLabels, KeyMismatch, WeightInvalid
+from svbackend.errors import DegenerateLabels, KeyMismatch, NonConvergence, WeightInvalid
 from svbackend.scores import ScoreSet
 
 from oracles import fit_logreg_reference
@@ -82,6 +84,16 @@ class TestFit:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabels):
             fit_calibration(score_set([0.1, 0.2], [True, True]))
+
+    def test_scores_too_large_for_the_newton_system(self):
+        # sum(w*s^2) overflows at the start: the fit is refused, with no
+        # overflow warning, rather than ended at a = 0 by an infinite Hessian
+        scores = 1e200 * np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+        labels = [False, True, False, True, False, True]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="scores too large for the Newton system"):
+                fit_calibration(score_set(scores, labels))
 
 
 class TestApply:

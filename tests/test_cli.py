@@ -18,7 +18,7 @@ from svbackend.aam import AamConfig, LabeledBatch, aam_loss
 from svbackend.calibration import apply_calibration, fit_calibration
 from svbackend.cli import build_parser, main
 from svbackend.errors import FormatError, PipelineError
-from svbackend.lid import adapt_english_mean, train_gb
+from svbackend.lid import train_gb
 from svbackend.metrics import eer, min_dcf
 from svbackend.scores import ScoreSet
 from svbackend.scoring import Cohort
@@ -286,17 +286,27 @@ class TestAamCheck:
         )
         assert "loss on" in capsys.readouterr().out
 
-    def test_infinite_scale_is_data_error(self, data_dir, capsys):
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--margin", "2", "margin must be in [0, pi/2), got 2.0"),
+            ("--margin", "nan", "margin must be in [0, pi/2), got nan"),
+            ("--scale", "0", "scale must be positive and finite, got 0.0"),
+            ("--scale", "inf", "scale must be positive and finite, got inf"),
+        ],
+        ids=["margin-2", "margin-nan", "scale-0", "scale-inf"],
+    )
+    def test_out_of_range_loss_setting_is_usage_error(
+        self, data_dir, capsys, flag, value, message
+    ):
         rc = main(
             [
                 "aam-check", "--prototypes", str(data_dir / "prototypes.tsv"),
-                "--embeddings", str(data_dir / "train_embeddings.tsv"), "--scale", "inf",
+                "--embeddings", str(data_dir / "train_embeddings.tsv"), flag, value,
             ]
         )
         captured = capsys.readouterr()
-        err = captured.err.splitlines()
-        assert rc == 3
-        assert len(err) == 1 and err[0].startswith("error: ") and "scale" in err[0], err
+        assert (rc, captured.err.splitlines()) == (2, [f"error: ConfigInvalid: {message}"])
         assert "loss" not in captured.out
 
     @pytest.mark.parametrize(
@@ -494,6 +504,23 @@ class TestScore:
             if flag != drop:
                 argv += [flag, str(path)]
         return main(argv)
+
+    def test_top_n_above_the_cohort_size_warns(self, data_dir, tmp_path):
+        # the one line scoring logs, as the stage prints it: once for the
+        # enrollment models and once for the test utterances (33 speakers)
+        out = tmp_path / "scores.tsv"
+        argv = [
+            "score", "--mode", "snorm", "--top-n", "1000", "--out", str(out),
+            "--embeddings", str(data_dir / "eval_embeddings.tsv"),
+            "--trials", str(data_dir / "trials.tsv"), "--enroll", str(data_dir / "enroll.tsv"),
+            "--cohort-embeddings", str(data_dir / "train_embeddings.tsv"),
+        ]
+        proc = run_cli(argv, warnings_as_errors=True)
+        line = (
+            "WARNING svbackend.scoring: top_n=1000 exceeds cohort size 33; using the whole cohort"
+        )
+        assert (proc.returncode, proc.stderr.splitlines()) == (0, [line, line])
+        assert out.exists()
 
     def test_snorm_lid_requires_lid_file(self, pipeline_files, data_dir, tmp_path, capsys):
         out = tmp_path / "s.tsv"
@@ -751,6 +778,24 @@ class TestCalibrateFuseEval:
         assert len(err) == 1 and err[0].startswith("error: ParamInvalid"), err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "costs, miss, fa",
+        [
+            (["--p-target", "1e-320", "--c-miss", "1e-10"], "0.0", "1.0"),
+            (["--p-target", "0.9999999999999999", "--c-fa", "1e-308"], "0.9999999999999999", "0.0"),
+        ],
+        ids=["miss-weight", "false-accept-weight"],
+    )
+    def test_eval_cost_weight_underflow_is_usage_error(
+        self, pipeline_files, tmp_path, capsys, costs, miss, fa
+    ):
+        out = tmp_path / "metrics.tsv"
+        scores = str(pipeline_files / "scores.tsv")
+        rc = main(["eval", "--scores", scores, "--out", str(out), *costs])
+        message = f"cost weights must be above 0, got {miss} and {fa}"
+        assert assert_param_invalid(rc, capsys, message) == ""
+        assert not out.exists()
+
     def test_eval_on_unlabeled_exits_3(self, tmp_path, capsys):
         path = tmp_path / "unlabeled.tsv"
         formats.write_scores(
@@ -771,7 +816,7 @@ class TestOptionsMatchTheLibrary:
         run_ok([*argv, "--diagonal", "--out", str(out)])
         run_ok([*argv, "--out", str(full)])
         protos = formats.read_prototypes(protos_path)
-        formats.write_gb_model(want, adapt_english_mean(train_gb(protos, diagonal=True), 0.5))
+        formats.write_gb_model(want, train_gb(protos, 0.5, diagonal=True))
         assert out.read_bytes() == want.read_bytes() != full.read_bytes()
 
     def test_plan_batches_epoch_tag(self, data_dir, tmp_path):
@@ -1018,6 +1063,21 @@ class TestErrors:
         capsys.readouterr()
         line = assert_one_error_line(self.classify_with(model, data_dir, tmp_path), capsys)
         assert line == "error: ValidationError: backend means and covariance must be finite"
+        assert not (tmp_path / "lid.tsv").exists()
+
+    @pytest.mark.parametrize("toward", [np.inf, -np.inf], ids=["up", "down"])
+    def test_effective_mean_one_ulp_off(self, data_dir, tmp_path, capsys, toward):
+        # the stored effective English mean must be the derived one, bit for bit
+        model = self.trained_model(data_dir, tmp_path)
+        header, body = model.read_text().split("\n", 1)
+        body = json.loads(body)
+        mu = body["mu_english_effective"]
+        mu[3] = float(np.nextafter(mu[3], toward))
+        model.write_text(header + "\n" + json.dumps(body) + "\n")
+        capsys.readouterr()
+        line = assert_one_error_line(self.classify_with(model, data_dir, tmp_path), capsys)
+        message = "effective English mean deviates from its interpolation"
+        assert line == f"error: ValidationError: {message}"
         assert not (tmp_path / "lid.tsv").exists()
 
     @pytest.mark.parametrize(
@@ -1407,6 +1467,19 @@ class TestHostileInputsInASubprocess:
         model = TestErrors.model_with(data_dir, tmp_path, field, value, also)
         got = self.classify(pipeline_files, data_dir, tmp_path, warnings_as_errors, model)
         assert got == (3, ["error: ValidationError: backend means and covariance must be finite"])
+
+    def test_calibrate_scores_too_large(self, pipeline_files, tmp_path, warnings_as_errors):
+        # near 1e200 the sum of w*s^2 in the Newton system's Hessian overflows
+        scores = tmp_path / "big.tsv"
+        ss = formats.read_scores(pipeline_files / "scores.tsv")
+        formats.write_scores(scores, ss.with_scores(ss.scores * 1e200))
+        model = tmp_path / "cal.tsv"
+        argv = ["calibrate", "--scores", str(scores), "--model-out", str(model)]
+        proc = run_cli(argv, warnings_as_errors)
+        message = "scores too large for the Newton system: its gradient or Hessian is not finite"
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [f"error: NonConvergence: {message}"]
+        assert not model.exists()
 
     def test_nan_backend_weight(self, pipeline_files, data_dir, tmp_path, warnings_as_errors):
         model = tmp_path / "gb.json"

@@ -20,7 +20,7 @@ from svbackend.errors import (
     ValidationError,
     VersionUnsupported,
 )
-from svbackend.lid import GaussianBackend, adapt_english_mean, train_gb
+from svbackend.lid import GaussianBackend, train_gb
 from svbackend.planner import BatchManifest, PlannerConfig, UtteranceInventory
 from svbackend.planner import plan_pass_broad, similarity_matrix
 from svbackend.scores import ScoreSet, TrialKeys
@@ -791,7 +791,6 @@ class TestManifests:
     def test_roundtrip(self, corpus, tmp_path):
         sim = similarity_matrix(corpus.prototypes, epoch_tag=4)
         cfg = PlannerConfig(
-            batch_size=6,
             anchors_per_batch=2,
             imposters_per_anchor=3,
             utts_per_speaker=1,
@@ -1022,7 +1021,6 @@ LITERAL_FORMATS = {
         GaussianBackend(
             mu_farsi=np.array([1.0, 0.0]),
             mu_usa=np.array([0.0, 2.0]),
-            mu_english_effective=np.array([0.5, 1.0]),
             shared_cov=np.array([[2.0, 0.5], [0.5, 1.0]]),
             interpolation_weight=0.5,
         ),
@@ -1064,7 +1062,7 @@ def test_writer_bytes_are_pinned(fmt, tmp_path):
 
 class TestModels:
     def test_gb_roundtrip_bit_exact(self, corpus, tmp_path):
-        gb = adapt_english_mean(train_gb(corpus.prototypes), 0.75)
+        gb = train_gb(corpus.prototypes, 0.75)
         path = tmp_path / "gb.json"
         formats.write_gb_model(path, gb)
         back = formats.read_gb_model(path)
@@ -1080,7 +1078,7 @@ class TestModels:
         a = rng.normal(size=(dim, dim))
         cov = np.diag(rng.uniform(0.5, 2.0, dim)) if diagonal else a @ a.T + np.eye(dim)
         mu_fa, mu_us, w = rng.normal(size=dim), rng.normal(size=dim), 0.75
-        return GaussianBackend(mu_fa, mu_us, w * mu_us + (1 - w) * mu_fa, cov, w, diagonal)
+        return GaussianBackend(mu_fa, mu_us, cov, w, diagonal)
 
     @pytest.mark.parametrize("diagonal", [False, True])
     @pytest.mark.parametrize("dim", [0, 1, 2, 3, 256])

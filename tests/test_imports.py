@@ -49,9 +49,8 @@ def child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
 
 
-def loaded_modules(argv, cwd) -> set[str]:
-    """The svbackend modules ``python -m svbackend <argv>`` imports, less the
-    ``svbackend.`` prefix (the package itself is ``""``)."""
+def imported(argv, cwd) -> set[str]:
+    """Every module ``python -m svbackend <argv>`` imports."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "svbackend", *argv],
         env=child_env(),
@@ -60,12 +59,17 @@ def loaded_modules(argv, cwd) -> set[str]:
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    names = (
+    return {
         line.rpartition("|")[2].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
-    )
-    return {n.removeprefix("svbackend").removeprefix(".") for n in names
+    }
+
+
+def loaded_modules(argv, cwd) -> set[str]:
+    """The svbackend modules ``python -m svbackend <argv>`` imports, less the
+    ``svbackend.`` prefix (the package itself is ``""``)."""
+    return {n.removeprefix("svbackend").removeprefix(".") for n in imported(argv, cwd)
             if n == "svbackend" or n.startswith("svbackend.")}
 
 
@@ -88,6 +92,12 @@ def chain(tmp_path_factory):
 @pytest.mark.parametrize("stage", sorted(STAGE_MODULES))
 def test_stage_loads_only_its_modules(chain, tmp_path, stage):
     assert loaded_modules(chain[stage], tmp_path) == BASE | STAGE_MODULES[stage]
+
+
+@pytest.mark.parametrize("stage", ["eval", "lid-classify"])
+def test_stage_without_scoring_loads_no_logging(chain, tmp_path, stage):
+    # only scoring logs, so only alpha and score set up logging
+    assert "logging" not in imported(chain[stage], tmp_path)
 
 
 def test_help_loads_no_domain_module(tmp_path):

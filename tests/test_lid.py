@@ -10,7 +10,7 @@ from svbackend.errors import (
     ValidationError,
     WeightOutOfRange,
 )
-from svbackend.lid import adapt_english_mean, affine_coefficients, classify, train_gb
+from svbackend.lid import affine_coefficients, classify, train_gb
 from svbackend.vecmath import Domain, Language
 
 from conftest import make_protos
@@ -49,7 +49,8 @@ class TestTrain:
             + [Language.UNKNOWN, Language.OTHER, *langs[3:]],
         )
         for diagonal in (False, True):
-            want, got = train_gb(protos, diagonal=diagonal), train_gb(mixed, diagonal=diagonal)
+            want = train_gb(protos, 1.0, diagonal=diagonal)
+            got = train_gb(mixed, 1.0, diagonal=diagonal)
             for f in dataclasses.fields(want):
                 assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
@@ -63,7 +64,7 @@ class TestTrain:
             cols,
             languages=[Language.FARSI] * 2 + [Language.ENGLISH] * 2,
         )
-        gb = train_gb(protos)
+        gb = train_gb(protos, 1.0)
         np.testing.assert_allclose(gb.mu_farsi, fa, atol=1e-15)
         np.testing.assert_allclose(gb.mu_usa, us, atol=1e-15)
         lam = gb.shared_cov[0, 0]
@@ -72,13 +73,13 @@ class TestTrain:
 
     def test_tiny_jitter_means(self, rng):
         protos = two_cluster_protos(rng, n_per_class=30, spread=0.01, angle_scale=np.pi / 2)
-        gb = train_gb(protos)
+        gb = train_gb(protos, 1.0)
         assert gb.mu_farsi[0] == pytest.approx(1.0, abs=0.01)
         assert gb.mu_usa[1] == pytest.approx(1.0, abs=0.01)
 
     def test_closed_form_mean_and_cov(self, rng):
         protos = two_cluster_protos(rng, n_per_class=10)
-        gb = train_gb(protos)
+        gb = train_gb(protos, 1.0)
         unit = protos.unit_rows
         fa, us = unit[:10], unit[10:]
         np.testing.assert_allclose(gb.mu_farsi, fa.mean(axis=0), atol=1e-12)
@@ -98,16 +99,16 @@ class TestTrain:
             cols, languages=[Language.FARSI, Language.FARSI, Language.ENGLISH]
         )
         with pytest.raises(ClassTooSmall):
-            train_gb(protos)
+            train_gb(protos, 1.0)
 
     def test_diagonal_option(self, rng):
         protos = two_cluster_protos(rng)
-        gb = train_gb(protos, diagonal=True)
+        gb = train_gb(protos, 1.0, diagonal=True)
         offdiag = gb.shared_cov - np.diag(np.diagonal(gb.shared_cov))
         assert np.abs(offdiag).max() == 0.0
 
     def test_diagonal_flag_refuses_a_full_covariance(self, rng):
-        full = train_gb(two_cluster_protos(rng))
+        full = train_gb(two_cluster_protos(rng), 1.0)
         assert np.any(full.shared_cov != np.diag(np.diagonal(full.shared_cov)))
         with pytest.raises(ValidationError, match="nonzero off-diagonal"):
             dataclasses.replace(full, diagonal=True)
@@ -115,50 +116,54 @@ class TestTrain:
 
 class TestAdapt:
     def test_paper_style_interpolation(self, rng):
-        gb = train_gb(two_cluster_protos(rng))
-        adapted = adapt_english_mean(gb, 0.75)
+        gb = train_gb(two_cluster_protos(rng), 0.75)
         np.testing.assert_allclose(
-            adapted.mu_english_effective, 0.75 * gb.mu_usa + 0.25 * gb.mu_farsi, atol=1e-15
+            gb.mu_english_effective, 0.75 * gb.mu_usa + 0.25 * gb.mu_farsi, atol=1e-15
         )
 
     def test_identity_and_collapse(self, rng):
-        gb = train_gb(two_cluster_protos(rng))
-        assert np.array_equal(adapt_english_mean(gb, 1.0).mu_english_effective, gb.mu_usa)
-        assert np.array_equal(adapt_english_mean(gb, 0.0).mu_english_effective, gb.mu_farsi)
+        protos = two_cluster_protos(rng)
+        gb = train_gb(protos, 1.0)
+        assert np.array_equal(gb.mu_english_effective, gb.mu_usa)
+        assert np.array_equal(train_gb(protos, 0.0).mu_english_effective, gb.mu_farsi)
 
     def test_idempotent_and_linear(self, rng):
-        gb = train_gb(two_cluster_protos(rng))
-        once = adapt_english_mean(gb, 0.6)
-        twice = adapt_english_mean(once, 0.6)
+        # the mean follows the stored weight: a model given a new weight
+        # holds the mean a model trained with that weight holds
+        protos = two_cluster_protos(rng)
+        once = train_gb(protos, 0.6)
+        twice = dataclasses.replace(once, interpolation_weight=0.6)
+        moved = dataclasses.replace(train_gb(protos, 0.2), interpolation_weight=0.6)
         assert np.array_equal(once.mu_english_effective, twice.mu_english_effective)
-        a = adapt_english_mean(gb, 0.2).mu_english_effective
-        b = adapt_english_mean(gb, 0.8).mu_english_effective
-        mid = adapt_english_mean(gb, 0.5).mu_english_effective
+        assert np.array_equal(once.mu_english_effective, moved.mu_english_effective)
+        a = train_gb(protos, 0.2).mu_english_effective
+        b = train_gb(protos, 0.8).mu_english_effective
+        mid = train_gb(protos, 0.5).mu_english_effective
         np.testing.assert_allclose(mid, (a + b) / 2, atol=1e-12)
 
     def test_weight_range(self, rng):
-        gb = train_gb(two_cluster_protos(rng))
+        protos = two_cluster_protos(rng)
         with pytest.raises(WeightOutOfRange):
-            adapt_english_mean(gb, 1.2)
+            train_gb(protos, 1.2)
         with pytest.raises(WeightOutOfRange):
-            adapt_english_mean(gb, -0.1)
+            train_gb(protos, -0.1)
 
 
 class TestClassify:
     def test_class_means_classify_to_their_class(self, rng):
-        gb = train_gb(two_cluster_protos(rng))
+        gb = train_gb(two_cluster_protos(rng), 1.0)
         (en_fa, en_en), (llr_fa, llr_en) = classify(gb, [gb.mu_farsi, gb.mu_english_effective])
         assert not en_fa and llr_fa < 0
         assert en_en and llr_en > 0
 
     def test_scale_invariance(self, rng):
-        gb = train_gb(two_cluster_protos(rng))
+        gb = train_gb(two_cluster_protos(rng), 1.0)
         v = rng.normal(size=gb.dim)
         _, (llr1, llr2) = classify(gb, [v, 100.0 * v])
         assert llr1 == pytest.approx(llr2, abs=1e-9)
 
     def test_affine_form_agrees(self, rng):
-        gb = adapt_english_mean(train_gb(two_cluster_protos(rng)), 0.75)
+        gb = train_gb(two_cluster_protos(rng), 0.75)
         a, b = affine_coefficients(gb)
         for _ in range(100):
             x = l2_normalize(rng.normal(size=gb.dim))
@@ -166,7 +171,7 @@ class TestClassify:
 
     def test_batch_matches_scalar_oracle(self, rng):
         # unnormalized rows of mixed scale; the oracle normalizes each one
-        gb = adapt_english_mean(train_gb(two_cluster_protos(rng)), 0.75)
+        gb = train_gb(two_cluster_protos(rng), 0.75)
         vecs = rng.normal(size=(300, gb.dim)) * rng.uniform(0.01, 100.0, size=(300, 1))
         vecs[:150, 0] += 3.0  # half of them near the Farsi mean direction
         for tau in (0.0, 0.5, -2.0):
@@ -180,7 +185,7 @@ class TestClassify:
     def test_llr_does_not_depend_on_the_batch(self, rng, dim):
         # each row's llr is its row of the full batch, bit for bit, whatever
         # rows share its call (a BLAS product picks its kernel by batch size)
-        gb = adapt_english_mean(train_gb(two_cluster_protos(rng, dim=dim)), 0.75)
+        gb = train_gb(two_cluster_protos(rng, dim=dim), 0.75)
         vecs = rng.normal(size=(300, dim))
         _, full = classify(gb, vecs)
         for n in (1, 2, 3, 4, 5, 17, 64, 100):
@@ -189,7 +194,7 @@ class TestClassify:
                 assert part.tobytes() == full[start : start + n].tobytes(), (n, start)
 
     def test_batch_shapes_and_degenerate_rows(self, rng):
-        gb = train_gb(two_cluster_protos(rng))
+        gb = train_gb(two_cluster_protos(rng), 1.0)
         is_english, llrs = classify(gb, [])
         assert is_english.shape == (0,) and llrs.shape == (0,)
         with pytest.raises(DimensionMismatch):
@@ -202,7 +207,7 @@ class TestClassify:
     def test_monte_carlo_accuracy(self, rng):
         # >= 30 degree separation, high concentration: held-out accuracy >= 99%
         protos = two_cluster_protos(rng, n_per_class=40, spread=0.1, angle_scale=np.pi / 4)
-        gb = train_gb(protos)
+        gb = train_gb(protos, 1.0)
         correct = 0
         n = 1000
         c_fa = np.zeros(gb.dim)
@@ -222,7 +227,7 @@ class TestClassify:
         assert correct / n >= 0.99
 
     def test_tau_threshold(self, rng):
-        gb = train_gb(two_cluster_protos(rng))
+        gb = train_gb(two_cluster_protos(rng), 1.0)
         vec = gb.mu_english_effective
         _, (llr,) = classify(gb, [vec])
         (strict,), _ = classify(gb, [vec], tau=llr + 1.0)

@@ -134,6 +134,11 @@ class TestMinDcf:
             min_dcf(ss, p_target=1.0)
         with pytest.raises(ParamInvalid):
             min_dcf(ss, c_miss=-1.0)
+        # each cost weight is a product that can underflow to 0
+        with pytest.raises(ParamInvalid, match="must be above 0"):
+            min_dcf(ss, p_target=1e-320, c_miss=1e-10)
+        with pytest.raises(ParamInvalid, match="must be above 0"):
+            min_dcf(ss, p_target=0.9999999999999999, c_fa=1e-308)
 
     @pytest.mark.parametrize("cost", [{"c_miss": np.nan}, {"c_fa": np.inf}, {"c_miss": np.inf}])
     def test_non_finite_cost(self, cost):

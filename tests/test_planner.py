@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -37,9 +38,8 @@ def make_sim(rng, n, epoch_tag=0, domains=None):
     return similarity_matrix(protos, epoch_tag=epoch_tag)
 
 
-def make_cfg(batch_size, a, i, u, seed=7):
+def make_cfg(a, i, u, seed=7):
     return PlannerConfig(
-        batch_size=batch_size,
         anchors_per_batch=a,
         imposters_per_anchor=i,
         utts_per_speaker=u,
@@ -49,16 +49,21 @@ def make_cfg(batch_size, a, i, u, seed=7):
 
 class TestConfig:
     def test_product_constraint(self):
-        with pytest.raises(ConfigInvalid):
-            make_cfg(128, 3, 8, 1)
+        # the batch size is derived from the three counts, never stored
+        cfg = make_cfg(3, 8, 2)
+        assert cfg.batch_size == 48
+        names = [f.name for f in dataclasses.fields(cfg)]
+        assert names == ["anchors_per_batch", "imposters_per_anchor", "utts_per_speaker", "seed"]
+        with pytest.raises(AttributeError):
+            cfg.batch_size = 48
 
     def test_paper_style_shape(self):
-        cfg = make_cfg(128, 16, 8, 1)
+        cfg = make_cfg(16, 8, 1)
         assert cfg.anchors_per_batch * cfg.imposters_per_anchor * cfg.utts_per_speaker == 128
 
     def test_positive_counts(self):
         with pytest.raises(ConfigInvalid):
-            make_cfg(0, 0, 1, 1)
+            make_cfg(0, 1, 1)
 
 
 class TestSampleUtterances:
@@ -113,7 +118,7 @@ class TestBroad:
     def test_toy_two_batches(self, rng):
         sim = make_sim(rng, 4)
         inv = make_inventory(4)
-        cfg = make_cfg(4, 2, 2, 1)
+        cfg = make_cfg(2, 2, 1)
         manifest = plan_pass_broad(cfg, sim, inv)
         assert manifest.n_batches == 2
         anchors = manifest.anchor_sequence(cfg)
@@ -133,14 +138,14 @@ class TestBroad:
                         if n not in sim_cache:
                             sim_cache[n] = make_sim(rng, n)
                         inv = make_inventory(n)
-                        cfg = make_cfg(n_batch, a, i, u, seed=11)
+                        cfg = make_cfg(a, i, u, seed=11)
                         manifest = plan_pass_broad(cfg, sim_cache[n], inv)
                         check_broad_pass(manifest, cfg, sim_cache[n], inv, n)
 
     def test_deterministic(self, rng):
         sim = make_sim(rng, 9)
         inv = make_inventory(9)
-        cfg = make_cfg(8, 2, 4, 1, seed=3)
+        cfg = make_cfg(2, 4, 1, seed=3)
         m1 = plan_pass_broad(cfg, sim, inv, pass_id=2)
         m2 = plan_pass_broad(cfg, sim, inv, pass_id=2)
         assert m1 == m2
@@ -148,7 +153,7 @@ class TestBroad:
     def test_pass_id_changes_plan(self, rng):
         sim = make_sim(rng, 9)
         inv = make_inventory(9)
-        cfg = make_cfg(8, 2, 4, 1, seed=3)
+        cfg = make_cfg(2, 4, 1, seed=3)
         m1 = plan_pass_broad(cfg, sim, inv, pass_id=0)
         m2 = plan_pass_broad(cfg, sim, inv, pass_id=1)
         assert m1 != m2
@@ -157,7 +162,7 @@ class TestBroad:
     def test_padding_wraps_permutation(self, rng):
         sim = make_sim(rng, 5)
         inv = make_inventory(5)
-        cfg = make_cfg(6, 3, 2, 1)
+        cfg = make_cfg(3, 2, 1)
         manifest = plan_pass_broad(cfg, sim, inv)
         anchors = manifest.anchor_sequence(cfg)
         assert len(anchors) == 6
@@ -182,19 +187,19 @@ class TestPassGuards:
         sim = make_sim(rng, 3)
         inv = make_inventory(3)
         with pytest.raises(KTooLarge):
-            plan(make_cfg(4, 1, 4, 1), sim, inv)
+            plan(make_cfg(1, 4, 1), sim, inv)
 
     def test_inventory_gap(self, rng, plan):
         # The inventory constructor is the one guard: no pass can be handed
         # a speaker without utterances.
         sim = make_sim(rng, 3)
         with pytest.raises(InventoryGap, match="speaker index 1 has no utterances"):
-            plan(make_cfg(3, 1, 3, 1), sim, UtteranceInventory((("a",), (), ("c",))))
+            plan(make_cfg(1, 3, 1), sim, UtteranceInventory((("a",), (), ("c",))))
 
     def test_inventory_size(self, rng, plan):
         sim = make_sim(rng, 3)
         with pytest.raises(ValidationError, match="inventory covers 2 speakers"):
-            plan(make_cfg(3, 1, 3, 1), sim, make_inventory(2))
+            plan(make_cfg(1, 3, 1), sim, make_inventory(2))
 
 
 class TestBalanced:
@@ -208,7 +213,7 @@ class TestBalanced:
 
     def test_anchor_set_size_and_balance(self, rng):
         sim, inv = self.make_domain_sim(rng, 3, 10)
-        cfg = make_cfg(6, 2, 3, 1)
+        cfg = make_cfg(2, 3, 1)
         manifest = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE)
         anchors = manifest.anchor_sequence(cfg)
         core = anchors[:6]  # 2F = 6 anchors before padding
@@ -225,7 +230,7 @@ class TestBalanced:
         for j in (1, 4, 7):
             domains[j] = Domain.DEEPMINE
         sim = make_sim(rng, 10, domains=domains)
-        cfg = make_cfg(6, 2, 3, 1)
+        cfg = make_cfg(2, 3, 1)
         for pass_id in range(4):
             manifest = plan_pass_balanced(cfg, sim, make_inventory(10), Domain.DEEPMINE, pass_id)
             core = manifest.anchor_sequence(cfg)[:6]
@@ -234,7 +239,7 @@ class TestBalanced:
 
     def test_fresh_out_of_domain_draw_per_pass(self, rng):
         sim, inv = self.make_domain_sim(rng, 3, 30)
-        cfg = make_cfg(6, 2, 3, 1)
+        cfg = make_cfg(2, 3, 1)
         draws = []
         for pass_id in range(8):
             manifest = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE, pass_id=pass_id)
@@ -246,7 +251,7 @@ class TestBalanced:
         # toy 3 target / 10 out-of-domain: over many passes each
         # out-of-domain speaker anchors in ~3/10 of passes
         sim, inv = self.make_domain_sim(rng, 3, 10)
-        cfg = make_cfg(6, 2, 3, 1, seed=5)
+        cfg = make_cfg(2, 3, 1, seed=5)
         counts = np.zeros(13)
         n_passes = 1000
         for pass_id in range(n_passes):
@@ -258,7 +263,7 @@ class TestBalanced:
 
     def test_imposters_stay_global(self, rng):
         sim, inv = self.make_domain_sim(rng, 3, 10)
-        cfg = make_cfg(8, 2, 4, 1)
+        cfg = make_cfg(2, 4, 1)
         manifest = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE)
         anchors = manifest.anchor_sequence(cfg)
         flat = [e for b in manifest.batches for e in b]
@@ -270,13 +275,13 @@ class TestBalanced:
     def test_domain_too_small(self, rng):
         sim, inv = self.make_domain_sim(rng, 5, 3)
         with pytest.raises(DomainTooSmall):
-            plan_pass_balanced(make_cfg(5, 1, 5, 1), sim, inv, Domain.DEEPMINE)
+            plan_pass_balanced(make_cfg(1, 5, 1), sim, inv, Domain.DEEPMINE)
         with pytest.raises(DomainTooSmall):
-            plan_pass_balanced(make_cfg(5, 1, 5, 1), sim, inv, Domain.LIBRI)
+            plan_pass_balanced(make_cfg(1, 5, 1), sim, inv, Domain.LIBRI)
 
     def test_deterministic(self, rng):
         sim, inv = self.make_domain_sim(rng, 4, 12)
-        cfg = make_cfg(8, 4, 2, 1, seed=9)
+        cfg = make_cfg(4, 2, 1, seed=9)
         m1 = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE, pass_id=3)
         m2 = plan_pass_balanced(cfg, sim, inv, Domain.DEEPMINE, pass_id=3)
         assert m1 == m2
@@ -287,7 +292,7 @@ class TestBalanced:
         domains = [Domain.DEEPMINE] * f + [Domain.VOX] * (n - f)
         protos = make_protos(rng.normal(size=(16, n)), domains=domains)
         inv = make_inventory(n)
-        cfg = make_cfg(128, 16, 8, 1)
+        cfg = make_cfg(16, 8, 1)
         tracemalloc.start()
         try:
             manifest = plan_pass_balanced(cfg, similarity_matrix(protos), inv, Domain.DEEPMINE)
@@ -321,7 +326,7 @@ class TestGroupSampling:
             tuple(tuple(f"s{j}-u{k}" for k in range(1 + 7 * j % 6)) for j in range(n))
         )
         assert min(map(len, inv.utterances)) == 1 and max(map(len, inv.utterances)) == 6
-        cfg = make_cfg(3 * 4 * u, 3, 4, u, seed=13)
+        cfg = make_cfg(3, 4, u, seed=13)
         sim = make_sim(rng, n, domains=domains)
         got, want = self.plans(PASSES[mode], cfg, sim, inv, monkeypatch)
         assert got == want
@@ -330,7 +335,7 @@ class TestGroupSampling:
     @pytest.mark.parametrize("u", [1, 2, 3])
     def test_single_utterance_speakers(self, rng, monkeypatch, u):
         inv = make_inventory(7, utts_each=1)
-        cfg = make_cfg(2 * 3 * u, 2, 3, u, seed=4)
+        cfg = make_cfg(2, 3, u, seed=4)
         got, want = self.plans(plan_pass_broad, cfg, make_sim(rng, 7), inv, monkeypatch)
         assert got == want
 
@@ -342,7 +347,7 @@ class TestGroupSampling:
         )
         sim = make_sim(rng, n)
         order = rng.integers(0, n, size=50)
-        cfg = make_cfg(128, 16, 8, 1, seed=2)
+        cfg = make_cfg(16, 8, 1, seed=2)
         got = planner._build_batches(cfg, sim, inv, order, pass_id=5)
         assert got.n_batches == 4
         assert got == build_batches_loop(cfg, sim, inv, order, pass_id=5)
@@ -384,7 +389,7 @@ class TestManifestType:
     def test_anchor_sequence_roundtrip(self, rng):
         sim = make_sim(rng, 6)
         inv = make_inventory(6)
-        cfg = make_cfg(6, 3, 2, 1)
+        cfg = make_cfg(3, 2, 1)
         manifest = plan_pass_broad(cfg, sim, inv)
         rebuilt = BatchManifest(
             batches=manifest.batches, pass_id=manifest.pass_id, epoch_tag=manifest.epoch_tag

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -13,7 +14,7 @@ from svbackend.errors import (
     NormUnderflow,
     ValidationError,
 )
-from svbackend.lid import GaussianBackend, adapt_english_mean
+from svbackend.lid import GaussianBackend
 from svbackend.scores import ScoreSet
 from svbackend.scoring import Cohort
 from svbackend.synth import SyntheticCorpus
@@ -346,7 +347,6 @@ def _backend(**arrays):
     fields = dict(
         mu_farsi=np.array([1.0, 0.0]),
         mu_usa=np.array([0.0, 1.0]),
-        mu_english_effective=np.array([0.0, 1.0]),
         shared_cov=np.eye(2),
     )
     return GaussianBackend(**{**fields, **arrays})
@@ -376,7 +376,7 @@ STORED = {
             lambda a, name=name: getattr(_backend(**{name: a}), name),
             getattr(_backend(), name),
         )
-        for name in ("mu_farsi", "mu_usa", "mu_english_effective", "shared_cov")
+        for name in ("mu_farsi", "mu_usa", "shared_cov")
     },
 }
 
@@ -401,7 +401,7 @@ class TestStorageRule:
 
     def test_adapted_backend_keeps_its_arrays(self):
         gb = _backend()
-        adapted = adapt_english_mean(gb, 0.25)
+        adapted = dataclasses.replace(gb, interpolation_weight=0.25)
         for name in ("mu_farsi", "mu_usa", "shared_cov"):
             assert getattr(adapted, name) is getattr(gb, name)
         assert not adapted.mu_english_effective.flags.writeable
